@@ -20,8 +20,8 @@ from .errors import MoocteamsError, ParameterError
 from .graph import read_graph_csv, write_graph_csv
 from .ingest import (ReplyPolicy, SynthParams, build_reply_graph,
                      parse_forum_export, synth_corpus, write_jsonl)
-from .metrics import (brokerage_counts, compute_node_metrics,
-                      read_metrics_csv, write_metrics_csv)
+from .metrics import (compute_node_metrics, pagerank, read_metrics_csv,
+                      write_metrics_csv)
 from .pipeline import RunConfig, StageError, derive_seed, run_pipeline
 from .report import (aggregate_opinions, experiment_split, export_dot,
                      read_opinions_jsonl)
@@ -90,8 +90,7 @@ def _cmd_skills(args) -> int:
                                     min_len=args.min_len, use_idf=args.idf)
     if args.graph:
         graph = _read_graph(args.graph)
-        table = compute_node_metrics(graph)
-        ranks = {s: m.pagerank for s, m in table.items()}
+        ranks = pagerank(graph) if graph.node_count else {}
         top = max(ranks.values(), default=0.0)
         profiles = {
             s: refine_skills(p, ranks.get(s, 0.0) / top if top > 0 else 0.0,

@@ -159,20 +159,19 @@ class _RepOutcome:
     histories: list[TokenRecord] = field(default_factory=list)
 
 
-def _weighted_choice(rng: random.Random, cands: Sequence[tuple[StudentId, int]],
+def _weighted_choice(rng: random.Random, cands: dict[StudentId, int],
                      uniform: bool) -> StudentId:
     if len(cands) == 1:
-        return cands[0][0]
+        return next(iter(cands))
     if uniform:
-        return cands[rng.randrange(len(cands))][0]
-    total = sum(w for _, w in cands)
-    x = rng.random() * total
+        return list(cands)[rng.randrange(len(cands))]
+    x = rng.random() * sum(cands.values())
     acc = 0.0
-    for v, w in cands:
+    for v, w in cands.items():
         acc += w
         if x < acc:
             return v
-    return cands[-1][0]
+    return v
 
 
 def replicate_once(g: SocialGraph, spec: FlowSpec, rep_index: int,
@@ -186,8 +185,6 @@ def replicate_once(g: SocialGraph, spec: FlowSpec, rep_index: int,
     cap = spec.resolved_cap(g)
     if trajectory is Trajectory.GEODESIC and distances is None:
         distances = {s: geodesic_distances(g, s).dist for s in spec.sources}
-
-    out_sorted = {u: sorted(g.out_neighbors(u).items()) for u in g.nodes}
     track_nodes = trajectory is Trajectory.PATH
     track_edges = trajectory is Trajectory.TRAIL
 
@@ -210,18 +207,18 @@ def replicate_once(g: SocialGraph, spec: FlowSpec, rep_index: int,
     truncated = False
     steps = 0
 
-    def candidates(token: _Token) -> Sequence[tuple[StudentId, int]]:
-        out = out_sorted[token.holder]
+    def candidates(token: _Token) -> dict[StudentId, int]:
+        out = g.out_neighbors(token.holder)
         if trajectory is Trajectory.WALK:
             return out
         if trajectory is Trajectory.PATH:
-            return [(v, w) for v, w in out if v not in token.visited]
+            return {v: w for v, w in out.items() if v not in token.visited}
         if trajectory is Trajectory.TRAIL:
             h = token.holder
-            return [(v, w) for v, w in out if (h, v) not in token.used]
+            return {v: w for v, w in out.items() if (h, v) not in token.used}
         row = distances[token.origin]
         nxt = row[token.holder] + 1
-        return [(v, w) for v, w in out if row[v] == nxt]
+        return {v: w for v, w in out.items() if row[v] == nxt}
 
     for step in range(1, spec.max_steps + 1):
         if not tokens:
@@ -259,49 +256,27 @@ def replicate_once(g: SocialGraph, spec: FlowSpec, rep_index: int,
             if not cands:
                 live -= 1
                 continue
-            if mechanism is Mechanism.TRANSFER:
-                v = _weighted_choice(rng, cands, spec.uniform)
-                deliver(v)
-                if track_nodes:
-                    token.visited.add(v)
-                if track_edges:
-                    token.used.add((token.holder, v))
-                token.holder = v
-                if spec.target is not None and v == spec.target:
-                    dead.add(token.lineage)
-                    live -= 1
-                    continue
-                survivors.append(token)
-            elif mechanism is Mechanism.SERIAL_DUP:
-                v = _weighted_choice(rng, cands, spec.uniform)
-                deliver(v)
-                spawn(token, v)
-                if track_nodes:
-                    token.visited.add(v)
-                if track_edges:
-                    token.used.add((token.holder, v))
-                if spec.target is not None and v == spec.target:
-                    dead.add(token.lineage)
-                    live -= 1
-                    continue
-                survivors.append(token)
+            if mechanism is Mechanism.PARALLEL_DUP:
+                chosen = cands
             else:
-                hit_target = False
-                for v, _ in cands:
-                    deliver(v)
+                chosen = (_weighted_choice(rng, cands, spec.uniform),)
+            for v in chosen:
+                deliver(v)
+                if mechanism is not Mechanism.TRANSFER:
                     spawn(token, v)
-                    if track_nodes:
-                        token.visited.add(v)
-                    if track_edges:
-                        token.used.add((token.holder, v))
-                    if spec.target is not None and v == spec.target:
-                        dead.add(token.lineage)
-                        hit_target = True
-                        break
-                if hit_target:
-                    live -= 1
-                    continue
-                survivors.append(token)
+                if track_nodes:
+                    token.visited.add(v)
+                if track_edges:
+                    token.used.add((token.holder, v))
+                if spec.target is not None and v == spec.target:
+                    dead.add(token.lineage)
+                    break
+            if mechanism is Mechanism.TRANSFER:
+                token.holder = v
+            if token.lineage in dead:
+                live -= 1
+                continue
+            survivors.append(token)
         tokens = [t for t in survivors if t.lineage not in dead]
         tokens += [t for t in spawned if t.lineage not in dead]
         if spec.target is not None and len(dead) == len(spec.sources):

@@ -26,10 +26,12 @@ class SocialGraph:
     """Directed graph with positive integer edge weights and no self-loops.
 
     Adjacency is indexed in both directions so out- and in-neighbor scans
-    are O(degree).  Node and edge counts are O(1).
+    are O(degree).  Node and edge counts are O(1).  Every neighbour map
+    (out, in, and the symmetrized ties w(u,v) + w(v,u), built once here)
+    iterates in canonical (sorted) order, whatever the order of ``edges``.
     """
 
-    __slots__ = ("_out", "_in", "_nodes", "_edge_count", "_weight_total")
+    __slots__ = ("_out", "_in", "_ties", "_nodes", "_edge_count", "_weight_total")
 
     def __init__(self, edges: Mapping[tuple[StudentId, StudentId], int] | None = None,
                  nodes: Iterable[StudentId] = ()):
@@ -37,25 +39,23 @@ class SocialGraph:
         self._in: dict[StudentId, dict[StudentId, int]] = {}
         self._edge_count = 0
         self._weight_total = 0
-        node_set = set(nodes)
-        if edges:
-            for (u, v), w in edges.items():
-                if u == v:
-                    raise ParameterError(f"self-loop on {u!r} not allowed")
-                if not isinstance(w, int) or w < 1:
-                    raise ParameterError(f"edge {u!r}->{v!r} weight must be a positive integer, got {w!r}")
-                if v in self._out.get(u, ()):
-                    raise ParameterError(f"duplicate edge {u!r}->{v!r}")
-                self._out.setdefault(u, {})[v] = w
-                self._in.setdefault(v, {})[u] = w
-                node_set.add(u)
-                node_set.add(v)
-                self._edge_count += 1
-                self._weight_total += w
-        self._nodes: tuple[StudentId, ...] = tuple(sorted(node_set))
+        # sorted (src, dst) insertion puts every neighbour map in canonical order
+        for (u, v), w in sorted((edges or {}).items()):
+            if u == v:
+                raise ParameterError(f"self-loop on {u!r} not allowed")
+            if not isinstance(w, int) or w < 1:
+                raise ParameterError(f"edge {u!r}->{v!r} weight must be a positive integer, got {w!r}")
+            self._out.setdefault(u, {})[v] = w
+            self._in.setdefault(v, {})[u] = w
+            self._edge_count += 1
+            self._weight_total += w
+        self._nodes: tuple[StudentId, ...] = tuple(sorted(set(nodes).union(self._out, self._in)))
+        self._ties: dict[StudentId, dict[StudentId, int]] = {}
         for n in self._nodes:
-            self._out.setdefault(n, {})
-            self._in.setdefault(n, {})
+            out = self._out.setdefault(n, {})
+            into = self._in.setdefault(n, {})
+            self._ties[n] = {v: out.get(v, 0) + into.get(v, 0)
+                             for v in sorted(out.keys() | into.keys())}
 
     # -- queries ---------------------------------------------------------
 
@@ -84,25 +84,29 @@ class SocialGraph:
         return u in self._out
 
     def out_neighbors(self, u: StudentId) -> dict[StudentId, int]:
-        """Mapping of v -> weight for edges u -> v.  Do not mutate."""
+        """Mapping of v -> weight for edges u -> v, canonical order.  Do not mutate."""
         try:
             return self._out[u]
         except KeyError:
             raise MissingNodeError(u) from None
 
     def in_neighbors(self, u: StudentId) -> dict[StudentId, int]:
-        """Mapping of v -> weight for edges v -> u.  Do not mutate."""
+        """Mapping of v -> weight for edges v -> u, canonical order.  Do not mutate."""
         try:
             return self._in[u]
         except KeyError:
             raise MissingNodeError(u) from None
 
+    def ties(self, u: StudentId) -> dict[StudentId, int]:
+        """Mapping of v -> w(u,v) + w(v,u) for every neighbor, canonical order.  Do not mutate."""
+        try:
+            return self._ties[u]
+        except KeyError:
+            raise MissingNodeError(u) from None
+
     def neighbors(self, u: StudentId) -> set[StudentId]:
         """Union of in- and out-neighbors, self excluded."""
-        return set(self._out[u]) | set(self._in[u]) if u in self._out else self._raise(u)
-
-    def _raise(self, u: StudentId):
-        raise MissingNodeError(u)
+        return set(self.ties(u))
 
     def weight(self, u: StudentId, v: StudentId) -> int:
         """Weight of edge u -> v, or 0 when absent."""
@@ -110,14 +114,13 @@ class SocialGraph:
 
     def mutual_weight(self, u: StudentId, v: StudentId) -> int:
         """Symmetrized tie strength w(u,v) + w(v,u)."""
-        return self.weight(u, v) + self.weight(v, u)
+        return self._ties.get(u, {}).get(v, 0)
 
     def edges(self) -> Iterator[tuple[StudentId, StudentId, int]]:
         """All edges as (src, dst, weight), canonically ordered."""
         for u in self._nodes:
-            out = self._out[u]
-            for v in sorted(out):
-                yield u, v, out[v]
+            for v, w in self._out[u].items():
+                yield u, v, w
 
     def degree(self, u: StudentId) -> int:
         """Unweighted total degree (in-neighbor count + out-neighbor count)."""
@@ -222,5 +225,7 @@ def read_graph_csv(stream: io.TextIOBase) -> SocialGraph:
             weight = int(w)
         except ValueError:
             raise DataFormatError(f"non-integer weight in row {row}") from None
+        if (src, dst) in edges:
+            raise DataFormatError(f"repeated edge {src!r}->{dst!r} in row {row}")
         edges[(src, dst)] = weight
     return SocialGraph(edges, nodes=isolated)

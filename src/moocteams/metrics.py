@@ -51,8 +51,7 @@ def pagerank(g: SocialGraph, damping: float = 0.85,
     n = len(nodes)
     if n == 0:
         raise ParameterError("pagerank is undefined on an empty graph")
-    out_sorted = {u: sorted(g.out_neighbors(u).items()) for u in nodes}
-    out_strength = {u: sum(w for _, w in pairs) for u, pairs in out_sorted.items()}
+    out_strength = {u: sum(g.out_neighbors(u).values()) for u in nodes}
     x = {u: 1.0 / n for u in nodes}
     iterations = 0
     converged = False
@@ -65,7 +64,7 @@ def pagerank(g: SocialGraph, damping: float = 0.85,
                 dangling += x[u]
                 continue
             share = x[u] / s
-            for v, w in out_sorted[u]:
+            for v, w in g.out_neighbors(u).items():
                 nxt[v] += share * w
         base = (1.0 - damping) / n + damping * dangling / n
         for u in nodes:
@@ -98,8 +97,6 @@ def hits(g: SocialGraph, tol: float = 1e-12,
     if tol <= 0 or max_iter < 1:
         raise ParameterError("tol must be positive and max_iter >= 1")
     nodes = g.nodes
-    in_sorted = {v: sorted(g.in_neighbors(v).items()) for v in nodes}
-    out_sorted = {u: sorted(g.out_neighbors(u).items()) for u in nodes}
     init = 1.0 / math.sqrt(len(nodes))
     auth = {u: init for u in nodes}
     hub = {u: init for u in nodes}
@@ -109,9 +106,9 @@ def hits(g: SocialGraph, tol: float = 1e-12,
         new_auth = {}
         new_hub = {}
         for v in nodes:
-            new_auth[v] = sum(w * hub[u] for u, w in in_sorted[v])
+            new_auth[v] = sum(w * hub[u] for u, w in g.in_neighbors(v).items())
         for u in nodes:
-            new_hub[u] = sum(w * auth[v] for v, w in out_sorted[u])
+            new_hub[u] = sum(w * auth[v] for v, w in g.out_neighbors(u).items())
         _l2_normalize(new_auth, nodes)
         _l2_normalize(new_hub, nodes)
         delta = sum(abs(new_auth[u] - auth[u]) + abs(new_hub[u] - hub[u]) for u in nodes)
@@ -135,8 +132,6 @@ def eigencentrality(g: SocialGraph, tol: float = 1e-12,
     if tol <= 0 or max_iter < 1:
         raise ParameterError("tol must be positive and max_iter >= 1")
     nodes = g.nodes
-    mutual_sorted = {v: [(u, g.mutual_weight(u, v)) for u in sorted(g.neighbors(v))]
-                     for v in nodes}
     x = {u: 1.0 / math.sqrt(len(nodes)) for u in nodes}
     iterations = 0
     converged = False
@@ -144,7 +139,7 @@ def eigencentrality(g: SocialGraph, tol: float = 1e-12,
         nxt = {}
         for v in nodes:
             total = 0.0
-            for u, w in mutual_sorted[v]:
+            for u, w in g.ties(v).items():
                 total += w * x[u]
             nxt[v] = total
         _l2_normalize(nxt, nodes)
@@ -184,7 +179,7 @@ def clustering_coefficient(g: SocialGraph, node: StudentId) -> float:
     counts directed edges among them, the denominator is k(k-1).  Nodes
     with fewer than two neighbors score 0.
     """
-    nbrs = g.neighbors(node)
+    nbrs = g.ties(node)
     k = len(nbrs)
     if k < 2:
         return 0.0
@@ -198,9 +193,9 @@ def clustering_coefficient(g: SocialGraph, node: StudentId) -> float:
 
 def _tie_shares(g: SocialGraph, u: StudentId) -> dict[StudentId, float]:
     """Proportion of u's symmetrized tie strength invested in each contact."""
-    nbrs = sorted(g.neighbors(u))
-    total = float(sum(g.mutual_weight(u, k) for k in nbrs))
-    return {k: g.mutual_weight(u, k) / total for k in nbrs}
+    ties = g.ties(u)
+    total = float(sum(ties.values()))
+    return {k: w / total for k, w in ties.items()}
 
 
 def burt_constraint(g: SocialGraph, node: StudentId) -> float:
@@ -210,15 +205,14 @@ def burt_constraint(g: SocialGraph, node: StudentId) -> float:
     alters using each intermediary's own tie shares.  Low constraint means
     the ego bridges otherwise-disconnected contacts.
     """
-    alters = sorted(g.neighbors(node))
-    if not alters:
-        raise UndefinedMetricError(f"constraint undefined for isolated student {node!r}")
     p_ego = _tie_shares(g, node)
-    shares_of = {q: _tie_shares(g, q) for q in alters}
+    if not p_ego:
+        raise UndefinedMetricError(f"constraint undefined for isolated student {node!r}")
+    shares_of = {q: _tie_shares(g, q) for q in p_ego}
     total = 0.0
-    for j in alters:
+    for j in p_ego:
         indirect = 0.0
-        for q in alters:
+        for q in p_ego:
             if q == j:
                 continue
             indirect += p_ego[q] * shares_of[q].get(j, 0.0)
@@ -232,18 +226,18 @@ def effective_size(g: SocialGraph, node: StudentId) -> float:
     Redundancy of alter j is the ego-share-weighted overlap with the other
     alters, each overlap scaled by j's strongest tie.
     """
-    alters = sorted(g.neighbors(node))
-    if not alters:
-        raise UndefinedMetricError(f"effective size undefined for isolated student {node!r}")
     p_ego = _tie_shares(g, node)
+    if not p_ego:
+        raise UndefinedMetricError(f"effective size undefined for isolated student {node!r}")
     total = 0.0
-    for j in alters:
-        max_tie = max(g.mutual_weight(j, k) for k in g.neighbors(j))
+    for j in p_ego:
+        ties_j = g.ties(j)
+        max_tie = max(ties_j.values())
         redundancy = 0.0
-        for q in alters:
+        for q in p_ego:
             if q == j:
                 continue
-            redundancy += p_ego[q] * (g.mutual_weight(j, q) / max_tie)
+            redundancy += p_ego[q] * (ties_j.get(q, 0) / max_tie)
         total += 1.0 - redundancy
     return total
 
@@ -332,32 +326,27 @@ class NodeMetrics:
     brokerage: BrokerageCounts = field(default_factory=BrokerageCounts)
 
 
-def compute_node_metrics(g: SocialGraph,
-                         partition: GroupPartition | None = None,
-                         damping: float = 0.85,
-                         pagerank_tol: float = 1e-10,
-                         pagerank_max_iter: int = 200,
-                         tol: float = 1e-12,
-                         max_iter: int = 1000,
-                         farness_penalty: float | None = None,
-                         ) -> dict[StudentId, NodeMetrics]:
-    """Compute the full metric table for every student.
+def compute_metrics_without_brokerage(g: SocialGraph,
+                                      damping: float = 0.85,
+                                      pagerank_tol: float = 1e-10,
+                                      pagerank_max_iter: int = 200,
+                                      tol: float = 1e-12,
+                                      max_iter: int = 1000,
+                                      farness_penalty: float | None = None,
+                                      ) -> dict[StudentId, NodeMetrics]:
+    """Every metric that needs no group partition; brokerage counts are 0.
 
     On an edgeless graph the rank scores that need at least one edge
-    (authority, hub, eigenvector centrality) are reported as 0.  With no
-    partition given, all students are treated as one group.
+    (authority, hub, eigenvector centrality) are reported as 0.
     """
     if g.node_count == 0:
         return {}
-    if partition is None:
-        partition = {n: "all" for n in g.nodes}
     pr = pagerank(g, damping=damping, tol=pagerank_tol, max_iter=pagerank_max_iter)
     if g.edge_count > 0:
         auth, hub = hits(g, tol=tol, max_iter=max_iter)
         eig = eigencentrality(g, tol=tol, max_iter=max_iter)
     else:
         auth = hub = eig = ScoreMap({n: 0.0 for n in g.nodes})
-    brokerage = brokerage_counts(g, partition)
     table: dict[StudentId, NodeMetrics] = {}
     for node in g.nodes:
         try:
@@ -376,8 +365,34 @@ def compute_node_metrics(g: SocialGraph,
             eigencentrality=eig[node],
             constraint=constraint,
             effective_size=eff,
-            brokerage=brokerage[node],
         )
+    return table
+
+
+def compute_node_metrics(g: SocialGraph,
+                         partition: GroupPartition | None = None,
+                         damping: float = 0.85,
+                         pagerank_tol: float = 1e-10,
+                         pagerank_max_iter: int = 200,
+                         tol: float = 1e-12,
+                         max_iter: int = 1000,
+                         farness_penalty: float | None = None,
+                         ) -> dict[StudentId, NodeMetrics]:
+    """Compute the full metric table for every student.
+
+    :func:`compute_metrics_without_brokerage` followed by
+    :func:`brokerage_counts`.  With no partition given, all students are
+    treated as one group.
+    """
+    table = compute_metrics_without_brokerage(
+        g, damping=damping, pagerank_tol=pagerank_tol,
+        pagerank_max_iter=pagerank_max_iter, tol=tol, max_iter=max_iter,
+        farness_penalty=farness_penalty)
+    if partition is None:
+        partition = {n: "all" for n in g.nodes}
+    roles = brokerage_counts(g, partition)
+    for node, record in table.items():
+        record.brokerage = roles[node]
     return table
 
 
@@ -415,7 +430,10 @@ def read_metrics_csv(stream: io.TextIOBase) -> dict[StudentId, NodeMetrics]:
         if len(row) != len(METRICS_HEADER):
             raise DataFormatError(f"bad metrics row: {row}")
         node = row[0]
-        reals = [float(v) for v in row[1:9]]
-        roles = [int(v) for v in row[9:]]
+        try:
+            reals = [float(v) for v in row[1:9]]
+            roles = [int(v) for v in row[9:]]
+        except ValueError:
+            raise DataFormatError(f"non-numeric cell in metrics row: {row}") from None
         table[node] = NodeMetrics(node, *reals, brokerage=BrokerageCounts(*roles))
     return table

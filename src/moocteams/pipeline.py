@@ -23,8 +23,8 @@ from .diffusion import FlowSpec, simulate, write_trace_csv
 from .errors import MoocteamsError, ParameterError
 from .graph import SocialGraph, write_graph_csv
 from .ingest import ReplyPolicy, build_reply_graph, parse_forum_export
-from .metrics import (NodeMetrics, brokerage_counts, compute_node_metrics,
-                      write_metrics_csv)
+from .metrics import (NodeMetrics, brokerage_counts,
+                      compute_metrics_without_brokerage, write_metrics_csv)
 from .report import export_dot
 from .skills import (build_skill_profiles, refine_skills, skill_partition,
                      write_partition_json, write_skills_json)
@@ -244,9 +244,8 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     # rank metrics: everything except brokerage, which needs the partition
     def stage_metrics():
         g = state["graph"]
-        state["metrics"] = compute_node_metrics(
-            g, partition=None,
-            damping=config.damping, pagerank_tol=config.pagerank_tol,
+        state["metrics"] = compute_metrics_without_brokerage(
+            g, damping=config.damping, pagerank_tol=config.pagerank_tol,
             pagerank_max_iter=config.pagerank_max_iter,
             tol=config.rank_tol, max_iter=config.rank_max_iter,
             farness_penalty=config.farness_penalty)
@@ -291,10 +290,9 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         partition = dict(state["partition"])
         for node in g.nodes:
             partition.setdefault(node, "unobserved")
-        if metrics:
-            roles = brokerage_counts(g, partition)
-            for node, record in metrics.items():
-                record.brokerage = roles[node]
+        roles = brokerage_counts(g, partition)
+        for node, record in metrics.items():
+            record.brokerage = roles[node]
         path, = writes(out_dir / "metrics.csv")
         with open(path, "w", encoding="utf-8", newline="") as fh:
             write_metrics_csv(metrics, fh)

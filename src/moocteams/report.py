@@ -143,6 +143,11 @@ def experiment_split(students: Sequence[StudentId], fraction: float,
     return tuple(sorted(shuffled[:cut])), tuple(sorted(shuffled[cut:]))
 
 
+def _dot_id(s: StudentId) -> str:
+    """Quoted DOT identifier; backslash and double quote are escaped."""
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_dot(g: SocialGraph, assignment: TeamAssignment | None = None) -> str:
     """Graphviz text for the reply graph, byte-stable across calls.
 
@@ -159,10 +164,10 @@ def export_dot(g: SocialGraph, assignment: TeamAssignment | None = None) -> str:
     for v in g.nodes:
         label = team_label.get(v)
         if label is not None:
-            lines.append(f'  "{v}" [team="{label}"];')
+            lines.append(f'  {_dot_id(v)} [team="{label}"];')
         elif g.degree(v) == 0:
-            lines.append(f'  "{v}";')
+            lines.append(f'  {_dot_id(v)};')
     for u, v, w in g.edges():
-        lines.append(f'  "{u}" -> "{v}" [label="{w}", weight={w}];')
+        lines.append(f'  {_dot_id(u)} -> {_dot_id(v)} [label="{w}", weight={w}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

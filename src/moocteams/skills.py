@@ -270,7 +270,7 @@ def read_skills_json(stream) -> dict[StudentId, SkillProfile]:
             profiles[entry["student"]] = SkillProfile(
                 entry["student"], terms, k=int(entry["k"]),
                 refined=bool(entry["refined"]))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"bad skill profile entry: {entry!r}") from exc
     return profiles
 

@@ -564,5 +564,5 @@ def read_roster_json(stream) -> TeamAssignment:
             allow_oversize=bool(payload["params"]["allow_oversize"]),
             seed=int(payload["seed"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"bad roster JSON structure: {exc}") from exc

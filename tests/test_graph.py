@@ -1,9 +1,13 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moocteams.errors import DataFormatError, MissingNodeError, ParameterError
 from moocteams.graph import SocialGraph, geodesic_distances, read_graph_csv, write_graph_csv
+from moocteams.metrics import (burt_constraint, effective_size, eigencentrality,
+                               hits, pagerank)
 
 from oracles import floyd_warshall, random_digraph
 
@@ -118,3 +122,55 @@ def test_csv_rejects_bad_weight(tmp_path):
     path.write_text("src,dst,weight\na,b,zero\n")
     with pytest.raises(DataFormatError):
         _read(path)
+
+
+def _insertion_orders(seed):
+    """The same random edge set built from several insertion orders."""
+    base = random_digraph(14, 0.3, seed=seed)
+    items = [((u, v), w) for u, v, w in base.edges()]
+    orders = [items, items[::-1]]
+    for k in range(3):
+        shuffled = list(items)
+        random.Random(k).shuffle(shuffled)
+        orders.append(shuffled)
+    return dict(items), [SocialGraph(dict(order), nodes=base.nodes) for order in orders]
+
+
+def test_neighbour_maps_are_canonical_whatever_the_insertion_order():
+    for seed in range(4):
+        edges, graphs = _insertion_orders(seed)
+        ties = {}
+        for (u, v), w in edges.items():
+            ties.setdefault(u, {}).setdefault(v, 0)
+            ties.setdefault(v, {}).setdefault(u, 0)
+            ties[u][v] += w
+            ties[v][u] += w
+        for g in graphs:
+            for u in g.nodes:
+                assert list(g.out_neighbors(u)) == sorted(g.out_neighbors(u))
+                assert list(g.in_neighbors(u)) == sorted(g.in_neighbors(u))
+                assert list(g.ties(u)) == sorted(g.ties(u))
+                assert g.ties(u) == ties.get(u, {})
+                for v in g.nodes:
+                    assert g.mutual_weight(u, v) == ties.get(u, {}).get(v, 0)
+
+
+def test_metrics_are_identical_whatever_the_insertion_order():
+    for seed in range(3):
+        _, graphs = _insertion_orders(seed)
+        results = []
+        for g in graphs:
+            results.append((
+                dict(pagerank(g)),
+                tuple(dict(m) for m in hits(g)),
+                dict(eigencentrality(g)),
+                {u: burt_constraint(g, u) for u in g.nodes if g.degree(u)},
+                {u: effective_size(g, u) for u in g.nodes if g.degree(u)},
+            ))
+        assert all(r == results[0] for r in results[1:])
+
+
+def test_unknown_node_ties_raise():
+    g = SocialGraph({("a", "b"): 1})
+    with pytest.raises(MissingNodeError):
+        g.ties("q")

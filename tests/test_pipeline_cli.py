@@ -3,6 +3,8 @@ import json
 import pytest
 
 from moocteams.cli import main
+from moocteams.graph import read_graph_csv
+from moocteams.metrics import pagerank
 from moocteams.ingest import SynthParams, synth_corpus, write_jsonl
 from moocteams.errors import ParameterError
 from moocteams.pipeline import RunConfig, StageError, derive_seed, run_pipeline
@@ -152,3 +154,82 @@ def test_cli_diffuse_and_report(tmp_path, capsys):
     assert main(["report", "--graph", str(graph), "--dot-out", str(dot)]) == 0
     assert dot.read_text().startswith("digraph replies {")
     capsys.readouterr()
+
+
+def _skills(path):
+    with open(path, encoding="utf-8") as fh:
+        return {e["student"]: e for e in json.load(fh)}
+
+
+def test_cli_skills_graph_refines_by_pagerank(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    _corpus(corpus)
+    graph = tmp_path / "graph.csv"
+    assert main(["ingest", "--input", str(corpus), "--output", str(graph)]) == 0
+    plain, refined = tmp_path / "plain.json", tmp_path / "refined.json"
+    assert main(["skills", "--input", str(corpus), "--output", str(plain)]) == 0
+    assert main(["skills", "--input", str(corpus), "--output", str(refined),
+                 "--graph", str(graph), "--beta", "0.5"]) == 0
+    with open(graph, encoding="utf-8", newline="") as fh:
+        pr = pagerank(read_graph_csv(fh))
+    top = max(pr.values())
+    base, boosted = _skills(plain), _skills(refined)
+    assert set(base) == set(boosted)
+    for student, entry in base.items():
+        factor = 1.0 + 0.5 * pr.get(student, 0.0) / top
+        assert boosted[student]["refined"] is True
+        assert [t["term"] for t in boosted[student]["terms"]] == \
+            [t["term"] for t in entry["terms"]]
+        assert [t["weight"] for t in boosted[student]["terms"]] == \
+            [t["weight"] * factor for t in entry["terms"]]
+
+    # a graph with a header and no rows gives every student rank score 0
+    empty = tmp_path / "empty.csv"
+    empty.write_text("src,dst,weight\n")
+    out = tmp_path / "empty.json"
+    assert main(["skills", "--input", str(corpus), "--output", str(out),
+                 "--graph", str(empty)]) == 0
+    assert {s: e["terms"] for s, e in _skills(out).items()} == \
+        {s: e["terms"] for s, e in base.items()}
+    capsys.readouterr()
+
+
+def _graph_and_metrics(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    _corpus(corpus, students=15)
+    graph, metrics = tmp_path / "graph.csv", tmp_path / "metrics.csv"
+    assert main(["ingest", "--input", str(corpus), "--output", str(graph)]) == 0
+    assert main(["metrics", "--graph", str(graph), "--output", str(metrics)]) == 0
+    return graph, metrics
+
+
+def test_cli_teams_rejects_non_numeric_metrics_cell(tmp_path, capsys):
+    graph, metrics = _graph_and_metrics(tmp_path)
+    header, first, *rest = metrics.read_text().splitlines()
+    cells = first.split(",")
+    cells[1] = "high"
+    metrics.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+    assert main(["teams", "--graph", str(graph), "--metrics", str(metrics),
+                 "--output", str(tmp_path / "teams.json")]) == 2
+    assert "metrics row" in capsys.readouterr().err
+
+
+def test_cli_report_rejects_non_numeric_roster_objective(tmp_path, capsys):
+    graph, metrics = _graph_and_metrics(tmp_path)
+    roster = tmp_path / "teams.json"
+    assert main(["teams", "--graph", str(graph), "--metrics", str(metrics),
+                 "--output", str(roster), "--restarts", "1"]) == 0
+    payload = json.loads(roster.read_text())
+    payload["objective"] = "best"
+    roster.write_text(json.dumps(payload))
+    assert main(["report", "--graph", str(graph), "--teams", str(roster),
+                 "--dot-out", str(tmp_path / "graph.dot")]) == 2
+    assert "roster" in capsys.readouterr().err
+
+
+def test_cli_rejects_repeated_graph_edge(tmp_path, capsys):
+    graph = tmp_path / "graph.csv"
+    graph.write_text("src,dst,weight\na,b,1\nb,a,2\na,b,5\n")
+    assert main(["metrics", "--graph", str(graph),
+                 "--output", str(tmp_path / "metrics.csv")]) == 2
+    assert "repeated edge" in capsys.readouterr().err

@@ -131,6 +131,16 @@ def test_export_dot_layout():
     )
 
 
+def test_export_dot_escapes_quotes_and_backslashes():
+    g = SocialGraph({('a"x', "b\\"): 1}, nodes=["lone\"q"])
+    assert export_dot(g) == (
+        'digraph replies {\n'
+        '  "lone\\"q";\n'
+        '  "a\\"x" -> "b\\\\" [label="1", weight=1];\n'
+        '}\n'
+    )
+
+
 def test_export_dot_with_teams_is_stable():
     g, assignment = _assignment()
     text = export_dot(g, assignment)

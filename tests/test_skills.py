@@ -1,8 +1,9 @@
+import io
 import math
 
 import pytest
 
-from moocteams.errors import ParameterError
+from moocteams.errors import DataFormatError, ParameterError
 from moocteams.ingest import TOPIC_VOCABULARY, ForumMessage, SynthParams, synth_corpus
 from moocteams.skills import (
     build_skill_profiles,
@@ -143,6 +144,13 @@ def test_skills_json_round_trip(tmp_path):
         write_skills_json(profiles, fh)
     with open(path, encoding="utf-8") as fh:
         assert read_skills_json(fh) == profiles
+
+
+def test_skills_json_rejects_non_numeric_weight():
+    # no subcommand reads skills JSON, so the reader is called directly
+    text = '[{"student": "a", "terms": [{"term": "x", "weight": "heavy"}], "k": 5, "refined": false}]'
+    with pytest.raises(DataFormatError):
+        read_skills_json(io.StringIO(text))
 
 
 def test_partition_json_round_trip(tmp_path):
