@@ -25,7 +25,7 @@ from .metrics import (compute_node_metrics, pagerank, read_metrics_csv,
 from .pipeline import RunConfig, StageError, derive_seed, run_pipeline
 from .report import (aggregate_opinions, experiment_split, export_dot,
                      read_opinions_jsonl)
-from .skills import (build_skill_profiles, read_partition_json, refine_skills,
+from .skills import (build_skill_profiles, read_partition_json, refine_by_rank,
                      skill_partition, write_partition_json, write_skills_json)
 from .teams import (ObjectiveWeights, brute_force_teams, form_teams,
                     read_roster_json, write_roster_json)
@@ -91,12 +91,7 @@ def _cmd_skills(args) -> int:
     if args.graph:
         graph = _read_graph(args.graph)
         ranks = pagerank(graph) if graph.node_count else {}
-        top = max(ranks.values(), default=0.0)
-        profiles = {
-            s: refine_skills(p, ranks.get(s, 0.0) / top if top > 0 else 0.0,
-                             beta=args.beta)
-            for s, p in profiles.items()
-        }
+        profiles = refine_by_rank(profiles, ranks, beta=args.beta)
     with open(args.output, "w", encoding="utf-8") as fh:
         write_skills_json(profiles, fh)
     if args.partition_out:

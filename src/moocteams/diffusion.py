@@ -28,39 +28,31 @@ from .metrics import NodeMetrics
 NEVER = "NEVER"
 
 
-class Mechanism(Enum):
+class _ParsedEnum(Enum):
+    @classmethod
+    def parse(cls, value):
+        """The member named ``value`` (any case); members pass through."""
+        if isinstance(value, cls):
+            return value
+        try:
+            return cls(str(value).upper())
+        except ValueError:
+            raise ParameterError(
+                f"unknown {cls.__name__.lower()} {value!r}; expected one of "
+                f"{[m.value for m in cls]}") from None
+
+
+class Mechanism(_ParsedEnum):
     TRANSFER = "TRANSFER"
     SERIAL_DUP = "SERIAL_DUP"
     PARALLEL_DUP = "PARALLEL_DUP"
 
-    @classmethod
-    def parse(cls, value: "Mechanism | str") -> "Mechanism":
-        if isinstance(value, cls):
-            return value
-        try:
-            return cls(str(value).upper())
-        except ValueError:
-            raise ParameterError(
-                f"unknown mechanism {value!r}; expected one of "
-                f"{[m.value for m in cls]}") from None
 
-
-class Trajectory(Enum):
+class Trajectory(_ParsedEnum):
     GEODESIC = "GEODESIC"
     PATH = "PATH"
     TRAIL = "TRAIL"
     WALK = "WALK"
-
-    @classmethod
-    def parse(cls, value: "Trajectory | str") -> "Trajectory":
-        if isinstance(value, cls):
-            return value
-        try:
-            return cls(str(value).upper())
-        except ValueError:
-            raise ParameterError(
-                f"unknown trajectory {value!r}; expected one of "
-                f"{[t.value for t in cls]}") from None
 
 
 @dataclass(frozen=True)

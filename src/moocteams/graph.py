@@ -178,6 +178,36 @@ def geodesic_distances(g: SocialGraph, source: StudentId) -> DistanceRow:
     return DistanceRow(source=source, dist=dist)
 
 
+def finite_distance_total(g: SocialGraph) -> tuple[int, int]:
+    """Sum of hop counts over ordered pairs s != v joined by a directed path,
+    and the number of such pairs.
+
+    All sources advance together (multi-source bit-parallel BFS): bit s of
+    a node's int is set once source s has reached it, and each hop ORs in
+    the frontier sets of the node's in-neighbors.
+    """
+    seen = {v: 1 << i for i, v in enumerate(g.nodes)}
+    frontier = dict(seen)
+    total = pairs = 0
+    hop = 0
+    while frontier:
+        hop += 1
+        reached = {}
+        for v in g.nodes:
+            new = 0
+            for u in g.in_neighbors(v):
+                new |= frontier.get(u, 0)
+            new &= ~seen[v]
+            if new:
+                reached[v] = new
+                seen[v] |= new
+        count = sum(bits.bit_count() for bits in reached.values())
+        total += hop * count
+        pairs += count
+        frontier = reached
+    return total, pairs
+
+
 # -- serialization --------------------------------------------------------
 
 CSV_HEADER = ["src", "dst", "weight"]

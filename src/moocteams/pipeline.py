@@ -26,7 +26,7 @@ from .ingest import ReplyPolicy, build_reply_graph, parse_forum_export
 from .metrics import (NodeMetrics, brokerage_counts,
                       compute_metrics_without_brokerage, write_metrics_csv)
 from .report import export_dot
-from .skills import (build_skill_profiles, refine_skills, skill_partition,
+from .skills import (build_skill_profiles, refine_by_rank, skill_partition,
                      write_partition_json, write_skills_json)
 from .teams import ObjectiveWeights, form_teams, write_roster_json
 
@@ -252,19 +252,13 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         return [], None
 
     def stage_skills():
-        g = state["graph"]
         metrics = state["metrics"]
         profiles = build_skill_profiles(
             state["messages"], k=config.skill_k, min_len=config.skill_min_len,
             use_idf=config.skill_idf)
         if metrics and config.skill_beta > 0:
-            max_pr = max(m.pagerank for m in metrics.values())
-            refined = {}
-            for student, profile in profiles.items():
-                score = metrics[student].pagerank / max_pr if max_pr > 0 else 0.0
-                refined[student] = refine_skills(profile, score,
-                                                 beta=config.skill_beta)
-            profiles = refined
+            ranks = {s: m.pagerank for s, m in metrics.items()}
+            profiles = refine_by_rank(profiles, ranks, beta=config.skill_beta)
         state["profiles"] = profiles
         path, = writes(out_dir / "skills.json")
         with open(path, "w", encoding="utf-8") as fh:

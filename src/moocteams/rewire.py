@@ -2,7 +2,9 @@
 
 Anneals over double-edge swaps, which keep every student's in- and
 out-degree fixed while reshaping who talks to whom.  The objective
-rewards clustering and penalizes long finite geodesics.
+rewards clustering and penalizes long finite geodesics; each proposal is
+a :class:`SocialGraph`, scored by the metrics layer's
+``clustering_coefficient`` and the graph's own hop distances.
 """
 
 from __future__ import annotations
@@ -11,10 +13,9 @@ import math
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ParameterError
-from .graph import SocialGraph
+from .graph import SocialGraph, finite_distance_total
+from .metrics import clustering_coefficient
 
 
 @dataclass(frozen=True)
@@ -32,54 +33,10 @@ class RewireResult:
         return self.final_score - self.initial_score
 
 
-def _adjacency(g: SocialGraph):
-    nodes = g.nodes
-    index = {u: i for i, u in enumerate(nodes)}
-    n = len(nodes)
-    a = np.zeros((n, n), dtype=bool)
-    src, dst, wts = [], [], []
-    for u, v, w in g.edges():
-        a[index[u], index[v]] = True
-        src.append(index[u])
-        dst.append(index[v])
-        wts.append(w)
-    return nodes, a, np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64), wts
-
-
-def _mean_finite_distance(a: np.ndarray) -> float:
-    # all-pairs hop counts by boolean matrix powers; rows are sources
-    n = a.shape[0]
-    dist = np.full((n, n), np.inf)
-    np.fill_diagonal(dist, 0.0)
-    reach = np.eye(n, dtype=bool)
-    frontier = reach
-    hop = 0
-    while True:
-        nxt = (frontier @ a) & ~reach
-        if not nxt.any():
-            break
-        hop += 1
-        dist[nxt] = hop
-        reach |= nxt
-        frontier = nxt
-    off = ~np.eye(n, dtype=bool)
-    finite = off & np.isfinite(dist)
-    if not finite.any():
-        return 0.0
-    return float(dist[finite].mean())
-
-
-def _mean_clustering(a: np.ndarray) -> float:
-    m = (a | a.T).astype(np.float64)
-    links = np.einsum("ij,jk,ik->i", m, a.astype(np.float64), m)
-    deg = m.sum(axis=1)
-    denom = deg * (deg - 1.0)
-    coeff = np.divide(links, denom, out=np.zeros_like(links), where=denom > 0)
-    return float(coeff.mean())
-
-
-def _score(a: np.ndarray, alpha: float, beta: float) -> float:
-    return alpha * _mean_clustering(a) - beta * _mean_finite_distance(a)
+def _score(g: SocialGraph, alpha: float, beta: float) -> float:
+    clustering = sum(clustering_coefficient(g, v) for v in g.nodes) / g.node_count
+    total, pairs = finite_distance_total(g)
+    return alpha * clustering - beta * (total / pairs if pairs else 0.0)
 
 
 def graph_objective(g: SocialGraph, alpha: float = 1.0, beta: float = 1.0) -> float:
@@ -88,8 +45,7 @@ def graph_objective(g: SocialGraph, alpha: float = 1.0, beta: float = 1.0) -> fl
         raise ParameterError("alpha and beta must be non-negative")
     if g.node_count == 0:
         raise ParameterError("objective undefined on an empty graph")
-    _, a, _, _, _ = _adjacency(g)
-    return _score(a, alpha, beta)
+    return _score(g, alpha, beta)
 
 
 def rewire_optimize(g: SocialGraph, alpha: float = 1.0, beta: float = 1.0,
@@ -117,14 +73,15 @@ def rewire_optimize(g: SocialGraph, alpha: float = 1.0, beta: float = 1.0,
     if g.edge_count < 2:
         raise ParameterError("rewiring needs at least two edges")
 
-    nodes, a, src, dst, wts = _adjacency(g)
+    # one (src, dst) slot per edge; a swap rewrites two slots' targets,
+    # and each weight stays with its slot
+    slots = [(u, v) for u, v, _ in g.edges()]
+    wts = [w for _, _, w in g.edges()]
     rng = random.Random(seed)
-    m = len(src)
+    m = len(slots)
 
-    current = _score(a, alpha, beta)
-    initial = current
-    best = current
-    best_state = (src.copy(), dst.copy())
+    graph = best_graph = g
+    current = initial = best = _score(g, alpha, beta)
     accepted = 0
     temperature = initial_temperature
 
@@ -134,35 +91,26 @@ def rewire_optimize(g: SocialGraph, alpha: float = 1.0, beta: float = 1.0,
         temperature *= cooling
         if e1 == e2:
             continue
-        sa, sb = src[e1], dst[e1]
-        sc, sd = src[e2], dst[e2]
-        if sa == sd or sc == sb or a[sa, sd] or a[sc, sb]:
+        (sa, sb), (sc, sd) = slots[e1], slots[e2]
+        if sa == sd or sc == sb or graph.weight(sa, sd) or graph.weight(sc, sb):
             continue
-        a[sa, sb] = False
-        a[sc, sd] = False
-        a[sa, sd] = True
-        a[sc, sb] = True
-        candidate = _score(a, alpha, beta)
+        slots[e1], slots[e2] = (sa, sd), (sc, sb)
+        proposal = SocialGraph(dict(zip(slots, wts)), nodes=g.nodes)
+        candidate = _score(proposal, alpha, beta)
         delta = candidate - current
         if delta > 0 or (temperature > 0
                          and rng.random() < math.exp(delta / temperature)):
             accepted += 1
-            dst[e1] = sd
-            dst[e2] = sb
+            graph = proposal
             current = candidate
             if candidate > best:
                 best = candidate
-                best_state = (src.copy(), dst.copy())
+                best_graph = proposal
         else:
-            a[sa, sd] = False
-            a[sc, sb] = False
-            a[sa, sb] = True
-            a[sc, sd] = True
+            slots[e1], slots[e2] = (sa, sb), (sc, sd)
 
-    bsrc, bdst = best_state
-    edges = {(nodes[bsrc[i]], nodes[bdst[i]]): wts[i] for i in range(m)}
     return RewireResult(
-        graph=SocialGraph(edges, nodes=g.nodes),
+        graph=best_graph,
         initial_score=initial,
         final_score=best,
         iterations=iterations,

@@ -104,6 +104,19 @@ def refine_skills(profile: SkillProfile, rank_score: float,
     return replace(profile, terms=boosted, refined=True)
 
 
+def refine_by_rank(profiles: Mapping[StudentId, SkillProfile],
+                   ranks: Mapping[StudentId, float],
+                   beta: float = 1.0) -> dict[StudentId, SkillProfile]:
+    """:func:`refine_skills` every profile with its rank over the top rank.
+
+    The score is 0 for a student without a rank, and for everyone when the
+    top rank is not positive.
+    """
+    top = max(ranks.values(), default=0.0)
+    return {s: refine_skills(p, ranks.get(s, 0.0) / top if top > 0 else 0.0, beta=beta)
+            for s, p in profiles.items()}
+
+
 def build_skill_profiles(messages: Iterable[ForumMessage], k: int = 5,
                          min_len: int = 3,
                          stopwords: frozenset[str] | set[str] | None = None,

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moocteams.errors import DataFormatError, MissingNodeError, ParameterError
-from moocteams.graph import SocialGraph, geodesic_distances, read_graph_csv, write_graph_csv
+from moocteams.graph import (SocialGraph, finite_distance_total, geodesic_distances,
+                             read_graph_csv, write_graph_csv)
 from moocteams.metrics import (burt_constraint, effective_size, eigencentrality,
                                hits, pagerank)
 
@@ -64,6 +65,28 @@ def test_geodesic_unreachable_is_none():
     assert d.distance("b") == 1
     assert d.distance("c") is None
     assert d.reachable() == {"a": 0, "b": 1}
+
+
+def _floyd_warshall_total(g):
+    finite = [d for u, row in floyd_warshall(g).items()
+              for v, d in row.items() if u != v and d is not None]
+    return sum(finite), len(finite)
+
+
+def test_finite_distance_total_matches_floyd_warshall():
+    for seed in range(20):
+        rng = random.Random(seed)
+        g = random_digraph(rng.randint(2, 30), rng.choice([0.03, 0.08, 0.2]), seed=seed)
+        if seed % 3 == 0:
+            extra = [f"z{i}" for i in range(rng.randint(1, 4))]
+            g = SocialGraph({(u, v): w for u, v, w in g.edges()},
+                            nodes=g.nodes + tuple(extra))
+        assert finite_distance_total(g) == _floyd_warshall_total(g)
+
+
+def test_finite_distance_total_without_paths_is_zero():
+    assert finite_distance_total(SocialGraph(nodes=["a", "b", "c"])) == (0, 0)
+    assert finite_distance_total(SocialGraph(nodes=["a"])) == (0, 0)
 
 
 @settings(max_examples=40, deadline=None)

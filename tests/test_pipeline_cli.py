@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import moocteams
 from moocteams.cli import main
 from moocteams.graph import read_graph_csv
 from moocteams.metrics import pagerank
@@ -233,3 +238,11 @@ def test_cli_rejects_repeated_graph_edge(tmp_path, capsys):
     assert main(["metrics", "--graph", str(graph),
                  "--output", str(tmp_path / "metrics.csv")]) == 2
     assert "repeated edge" in capsys.readouterr().err
+
+
+def test_package_imports_without_numpy():
+    src = str(Path(moocteams.__file__).resolve().parents[1])
+    code = "import sys, moocteams; print('numpy' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert run.stdout.strip() == "False"

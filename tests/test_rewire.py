@@ -4,7 +4,7 @@ from moocteams.errors import ParameterError
 from moocteams.graph import SocialGraph
 from moocteams.rewire import graph_objective, rewire_optimize
 
-from oracles import random_digraph
+from oracles import brute_clustering, floyd_warshall, random_digraph
 
 
 def _degree_profile(g):
@@ -86,3 +86,22 @@ def test_objective_prefers_clustered_short_graphs():
     complete = SocialGraph({(u, v): 1 for u in "abc" for v in "abc" if u != v})
     chain = SocialGraph({("a", "b"): 1, ("b", "c"): 1})
     assert graph_objective(complete) > graph_objective(chain)
+
+
+def _oracle_objective(g, alpha, beta):
+    clustering = sum(brute_clustering(g, v) for v in g.nodes) / g.node_count
+    finite = [d for u, row in floyd_warshall(g).items()
+              for v, d in row.items() if u != v and d is not None]
+    distance = sum(finite) / len(finite) if finite else 0.0
+    return alpha * clustering - beta * distance
+
+
+def test_objective_matches_clustering_and_distance_oracles():
+    weights = [(1.0, 1.0), (2.5, 0.3), (0.0, 1.0), (1.0, 0.0)]
+    for seed in range(20):
+        # p = 0 gives edgeless graphs, and the sparse ones are disconnected
+        n, p = 6 + seed, [0.0, 0.04, 0.1, 0.3][seed % 4]
+        g = random_digraph(n, p, seed=300 + seed)
+        alpha, beta = weights[(seed // 4) % len(weights)]
+        assert graph_objective(g, alpha=alpha, beta=beta) == \
+            pytest.approx(_oracle_objective(g, alpha, beta), abs=1e-12)
