@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 pipeline stage
 failure.  A single --seed per command derives any stage-level seeds, so
-one value reproduces a whole run.
+one value reproduces a whole run.  The pipeline flags are generated from
+the RunConfig settings, each named after its field.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from ._version import __version__
 from .diffusion import (FlowSpec, Mechanism, Trajectory, full_typology_specs,
@@ -22,7 +22,8 @@ from .ingest import (ReplyPolicy, SynthParams, build_reply_graph,
                      parse_forum_export, synth_corpus, write_jsonl)
 from .metrics import (compute_node_metrics, pagerank, read_metrics_csv,
                       write_metrics_csv)
-from .pipeline import RunConfig, StageError, derive_seed, run_pipeline
+from .pipeline import (SETTINGS, RunConfig, StageError, derive_seed,
+                       run_pipeline)
 from .report import (aggregate_opinions, experiment_split, export_dot,
                      read_opinions_jsonl)
 from .skills import (build_skill_profiles, read_partition_json, refine_by_rank,
@@ -76,7 +77,8 @@ def _cmd_metrics(args) -> int:
         with open(args.partition, "r", encoding="utf-8") as fh:
             partition = read_partition_json(fh)
     table = compute_node_metrics(graph, partition=partition,
-                                 damping=args.damping, pagerank_tol=args.tol)
+                                 damping=args.damping,
+                                 pagerank_tol=args.pagerank_tol)
     with open(args.output, "w", encoding="utf-8", newline="") as fh:
         write_metrics_csv(table, fh)
     print(f"students={len(table)}")
@@ -214,20 +216,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    config = RunConfig(
-        input_path=args.input, output_dir=args.output_dir, seed=args.seed,
-        reply_policy=args.policy, damping=args.damping,
-        skill_k=args.k, skill_beta=args.beta, skill_idf=args.idf,
-        n_groups=args.groups, s_min=args.s_min, s_max=args.s_max,
-        allow_oversize=args.allow_oversize,
-        w_cost=args.weights.w_cost, w_hole=args.weights.w_hole,
-        w_balance=args.weights.w_balance,
-        restarts=args.restarts, team_iterations=args.iterations,
-        run_diffusion=not args.no_diffusion,
-        diffusion_mechanism=args.mechanism,
-        diffusion_trajectory=args.trajectory,
-        diffusion_steps=args.steps,
-        diffusion_replications=args.replications)
+    config = RunConfig(args.input, args.output_dir,
+                       **{f.name: getattr(args, f.name) for f in SETTINGS})
     result = run_pipeline(config)
     graph_info = result.manifest.get("graph", {})
     print(f"status={result.manifest['status']} "
@@ -257,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--partition", help="group labels JSON for brokerage roles")
     p.add_argument("--damping", type=float, default=0.85)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--pagerank-tol", type=float, default=1e-10)
     p.set_defaults(fn=_cmd_metrics)
 
     p = sub.add_parser("skills", help="skill profiles and skill partition")
@@ -331,30 +321,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.set_defaults(fn=_cmd_synth)
 
-    p = sub.add_parser("pipeline", help="run every stage end to end")
+    p = sub.add_parser("pipeline", help="run every stage end to end; one "
+                       "flag per RunConfig setting, named after it")
     p.add_argument("--input", required=True)
     p.add_argument("--output-dir", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--policy", default="starter_fallback",
-                   choices=["starter_fallback", "comments_only"])
-    p.add_argument("--damping", type=float, default=0.85)
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--idf", action="store_true")
-    p.add_argument("--groups", type=int, default=5)
-    p.add_argument("--s-min", type=int, default=3)
-    p.add_argument("--s-max", type=int, default=5)
-    p.add_argument("--allow-oversize", action="store_true")
-    p.add_argument("--weights", type=_weights, default=ObjectiveWeights())
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--iterations", type=int, default=300)
-    p.add_argument("--no-diffusion", action="store_true")
-    p.add_argument("--mechanism", default="TRANSFER",
-                   type=lambda v: Mechanism.parse(v).value)
-    p.add_argument("--trajectory", default="WALK",
-                   type=lambda v: Trajectory.parse(v).value)
-    p.add_argument("--steps", type=int, default=20)
-    p.add_argument("--replications", type=int, default=50)
+    for f in SETTINGS:
+        flag = "--" + f.name.replace("_", "-")
+        if isinstance(f.default, bool):
+            p.add_argument(flag, action=argparse.BooleanOptionalAction,
+                           default=f.default)
+        else:
+            p.add_argument(flag, default=f.default,
+                           type=float if f.default is None else type(f.default))
     p.set_defaults(fn=_cmd_pipeline)
 
     return parser
@@ -374,7 +352,7 @@ def main(argv=None) -> int:
     except MoocteamsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

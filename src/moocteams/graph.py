@@ -77,9 +77,6 @@ class SocialGraph:
         """Sum of all edge weights (total reply interactions)."""
         return self._weight_total
 
-    def has_node(self, u: StudentId) -> bool:
-        return u in self._out
-
     def __contains__(self, u: StudentId) -> bool:
         return u in self._out
 

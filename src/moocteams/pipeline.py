@@ -4,9 +4,10 @@ Stage order is ingest, rank metrics, skills, partition, brokerage
 table, teams, diffusion, export.  Rank metrics and raw skill profiling
 depend only on the ingest output and could run concurrently; skill
 refinement is what couples them.  Every stage's artifacts are hashed
-into a manifest whose bytes are reproducible for a fixed config and
-seed; wall-clock timings go to a separate file so they cannot break
-that reproducibility.
+into a manifest whose bytes are reproducible for a fixed corpus,
+settings and seed, wherever the corpus and the output directory live;
+wall-clock timings go to a separate file so they cannot break that
+reproducibility.
 """
 
 from __future__ import annotations
@@ -51,7 +52,11 @@ class StageError(MoocteamsError):
 
 @dataclass
 class RunConfig:
-    """Everything a pipeline run needs; round-trips through JSON."""
+    """Everything a pipeline run needs; round-trips through JSON.
+
+    The two paths come first.  Every field after them is a setting: a
+    ``moocteams pipeline`` flag and a key of the manifest's config block.
+    """
 
     input_path: str
     output_dir: str
@@ -128,6 +133,9 @@ class RunConfig:
         return cls(**data)
 
 
+SETTINGS = fields(RunConfig)[2:]
+
+
 @dataclass
 class PipelineResult:
     manifest: dict[str, Any]
@@ -162,9 +170,8 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     manifest: dict[str, Any] = {
         "version": __version__,
         "seed": config.seed,
-        "config": config.to_dict(),
-        "input": {"path": config.input_path,
-                  "sha256": _sha256_file(input_path),
+        "config": {f.name: getattr(config, f.name) for f in SETTINGS},
+        "input": {"sha256": _sha256_file(input_path),
                   "bytes": input_path.stat().st_size},
         "stages": [],
         "status": "complete",
@@ -172,6 +179,9 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     }
     timings: dict[str, float] = {}
     state: dict[str, Any] = {}
+    partition_seed, teams_seed, diffusion_seed = (
+        derive_seed(config.seed, stage)
+        for stage in ("partition", "teams", "diffusion"))
 
     def finish(status: str, failed_stage: str | None = None) -> Path:
         manifest["status"] = status
@@ -269,8 +279,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         profiles = state["profiles"]
         groups = min(config.n_groups, len(profiles)) if profiles else 0
         partition = (skill_partition(profiles.values(), groups,
-                                     seed=derive_seed(config.seed, "partition"))
-                     if groups else {})
+                                     seed=partition_seed) if groups else {})
         state["partition"] = partition
         path, = writes(out_dir / "partition.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -301,7 +310,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             g, state["metrics"], s_min=config.s_min, s_max=config.s_max,
             weights=config.weights(), restarts=config.restarts,
             iterations=config.team_iterations,
-            seed=derive_seed(config.seed, "teams"),
+            seed=teams_seed,
             allow_oversize=config.allow_oversize)
         state["assignment"] = assignment
         path, = writes(out_dir / "teams.json")
@@ -323,7 +332,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             sources=(source,),
             max_steps=config.diffusion_steps,
             replications=config.diffusion_replications,
-            seed=derive_seed(config.seed, "diffusion"),
+            seed=diffusion_seed,
             uniform=config.diffusion_uniform)
         trace = simulate(g, spec)
         path, = writes(out_dir / "trace.csv")
@@ -341,10 +350,10 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     run_stage("ingest", None, stage_ingest)
     run_stage("metrics", None, stage_metrics)
     run_stage("skills", None, stage_skills)
-    run_stage("partition", derive_seed(config.seed, "partition"), stage_partition)
+    run_stage("partition", partition_seed, stage_partition)
     run_stage("tabulate", None, stage_tabulate)
-    run_stage("teams", derive_seed(config.seed, "teams"), stage_teams)
-    run_stage("diffusion", derive_seed(config.seed, "diffusion"), stage_diffusion)
+    run_stage("teams", teams_seed, stage_teams)
+    run_stage("diffusion", diffusion_seed, stage_diffusion)
     run_stage("export", None, stage_export)
 
     manifest_path = finish("complete")

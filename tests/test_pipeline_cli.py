@@ -1,10 +1,14 @@
+import csv
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import moocteams
 from moocteams.cli import main
@@ -246,3 +250,192 @@ def test_package_imports_without_numpy():
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert run.stdout.strip() == "False"
+
+
+def test_manifest_does_not_depend_on_where_the_run_lives(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    _corpus(corpus)
+    manifests = []
+    for where, name in (("a", "corpus.jsonl"), ("b/deeper", "copy.jsonl")):
+        copy = tmp_path / where / name
+        copy.parent.mkdir(parents=True)
+        copy.write_bytes(corpus.read_bytes())
+        out = tmp_path / where / "run"
+        run_pipeline(RunConfig(str(copy), str(out), seed=6))
+        manifests.append((out / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+    manifest = json.loads(manifests[0])
+    assert set(manifest["input"]) == {"sha256", "bytes"}
+    assert set(manifest["config"]) == {f.name for f in fields(RunConfig)[2:]}
+
+
+def test_manifest_records_each_stage_seed(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    _corpus(corpus)
+    result = run_pipeline(RunConfig(str(corpus), str(tmp_path / "run"), seed=8))
+    for stage in result.manifest["stages"]:
+        seeded = stage["name"] in ("partition", "teams", "diffusion")
+        expected = derive_seed(8, stage["name"]) if seeded else None
+        assert stage["seed"] == expected, stage["name"]
+
+
+# a valid value other than the default for every setting after the two paths
+NON_DEFAULT = {
+    "seed": 9, "reply_policy": "comments_only", "damping": 0.8,
+    "pagerank_tol": 1e-09, "pagerank_max_iter": 300, "rank_tol": 1e-11,
+    "rank_max_iter": 900, "farness_penalty": 50.0, "skill_k": 4,
+    "skill_beta": 0.5, "skill_min_len": 4, "skill_idf": True, "n_groups": 3,
+    "s_min": 2, "s_max": 4, "allow_oversize": True, "w_cost": 0.5,
+    "w_hole": 0.25, "w_balance": 0.25, "restarts": 2, "team_iterations": 50,
+    "run_diffusion": False, "diffusion_mechanism": "SERIAL_DUP",
+    "diffusion_trajectory": "PATH", "diffusion_steps": 5,
+    "diffusion_replications": 3, "diffusion_uniform": True,
+}
+
+
+def _flags(values):
+    argv = []
+    for name, value in values.items():
+        flag = name.replace("_", "-")
+        if isinstance(value, bool):
+            argv.append(f"--{flag}" if value else f"--no-{flag}")
+        else:
+            argv += [f"--{flag}", str(value)]
+    return argv
+
+
+def test_cli_pipeline_has_one_flag_per_setting(tmp_path, capsys):
+    setting_fields = fields(RunConfig)[2:]
+    assert set(NON_DEFAULT) == {f.name for f in setting_fields}
+    for f in setting_fields:
+        assert NON_DEFAULT[f.name] != f.default, f.name
+    corpus = tmp_path / "corpus.jsonl"
+    _corpus(corpus)
+    out = tmp_path / "run"
+    assert main(["pipeline", "--input", str(corpus), "--output-dir", str(out),
+                 *_flags(NON_DEFAULT)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"] == NON_DEFAULT
+
+    base = ["pipeline", "--input", str(corpus), "--output-dir", str(out)]
+    # argparse converts the type (usage error); validate() checks the value
+    assert main([*base, "--skill-k", "five"]) == 1
+    assert main([*base, "--reply-policy", "everyone"]) == 2
+    assert main([*base, "--diffusion-mechanism", "teleport"]) == 2
+    capsys.readouterr()
+
+
+def test_cli_pipeline_no_run_diffusion_skips_the_stage(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    _corpus(corpus)
+    out = tmp_path / "run"
+    assert main(["pipeline", "--input", str(corpus), "--output-dir", str(out),
+                 "--no-run-diffusion"]) == 0
+    capsys.readouterr()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["run_diffusion"] is False
+    diffusion, = (s for s in manifest["stages"] if s["name"] == "diffusion")
+    assert diffusion["status"] == "skipped"
+    assert diffusion["reason"] == "disabled by config"
+    assert not (out / "trace.csv").exists()
+
+
+def _columns(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return {name: [row[name] for row in rows] for name in rows[0]}
+
+
+def test_cli_metrics_pagerank_tol_reaches_only_pagerank(tmp_path, capsys):
+    graph, default = _graph_and_metrics(tmp_path)
+    loose = tmp_path / "loose.csv"
+    assert main(["metrics", "--graph", str(graph), "--output", str(loose),
+                 "--pagerank-tol", "0.5"]) == 0
+    capsys.readouterr()
+    before, after = _columns(default), _columns(loose)
+    assert after["pagerank"] != before["pagerank"]
+    for name in ("authority", "hub", "eigencentrality"):
+        assert after[name] == before[name], name
+
+
+# -- malformed input through the command line ---------------------------------
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """One valid file per reader, made through the command line."""
+    work = tmp_path_factory.mktemp("valid")
+    paths = {name: work / name for name in (
+        "corpus.jsonl", "graph.csv", "metrics.csv", "partition.json",
+        "teams.json", "opinions.jsonl")}
+    _corpus(paths["corpus.jsonl"], students=10, posts=15, comments=30)
+    graph = str(paths["graph.csv"])
+    for argv in (
+            ["ingest", "--input", str(paths["corpus.jsonl"]), "--output", graph],
+            ["skills", "--input", str(paths["corpus.jsonl"]),
+             "--output", str(work / "skills.json"),
+             "--partition-out", str(paths["partition.json"]), "--groups", "2"],
+            ["metrics", "--graph", graph, "--output", str(paths["metrics.csv"])],
+            ["teams", "--graph", graph, "--metrics", str(paths["metrics.csv"]),
+             "--output", str(paths["teams.json"]), "--restarts", "1"]):
+        assert main(argv) == 0, argv
+    roster = json.loads(paths["teams.json"].read_text())
+    holders = [s for team in roster["teams"] for s in team][:4] + ["outsider"]
+    paths["opinions.jsonl"].write_text("".join(
+        json.dumps({"entity": "course", "aspect": "pace", "holder": h,
+                    "sentiment": 0.25 * i - 0.5, "time": 10 * i}) + "\n"
+        for i, h in enumerate(holders)))
+    return work
+
+
+# each reader: the valid file it mutates and the command that reads it
+READERS = {
+    "corpus": ("corpus.jsonl", ["ingest", "--input", "{bad}",
+                                "--output", "{out}/graph.csv"]),
+    "graph": ("graph.csv", ["metrics", "--graph", "{bad}",
+                            "--output", "{out}/metrics.csv"]),
+    "metrics": ("metrics.csv", ["teams", "--graph", "{valid}/graph.csv",
+                                "--metrics", "{bad}", "--restarts", "1",
+                                "--output", "{out}/teams.json"]),
+    "partition": ("partition.json", ["metrics", "--graph", "{valid}/graph.csv",
+                                     "--partition", "{bad}",
+                                     "--output", "{out}/metrics.csv"]),
+    "roster": ("teams.json", ["report", "--graph", "{valid}/graph.csv",
+                              "--teams", "{bad}", "--dot-out", "{out}/graph.dot"]),
+    "opinions": ("opinions.jsonl", ["report", "--graph", "{valid}/graph.csv",
+                                    "--teams", "{valid}/teams.json",
+                                    "--opinions", "{bad}",
+                                    "--summary-out", "{out}/summary.json"]),
+}
+
+# (position, byte, operation) edits; positions wrap round the file length
+EDITS = st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 255),
+                           st.sampled_from(["replace", "insert", "delete"])),
+                 min_size=1, max_size=6)
+
+
+def _mutate(data: bytes, edits) -> bytes:
+    buf = bytearray(data)
+    for pos, byte, op in edits:
+        at = pos % (len(buf) + 1)
+        if op == "insert":
+            buf.insert(at, byte)
+        elif at < len(buf):
+            if op == "replace":
+                buf[at] = byte
+            else:
+                del buf[at]
+    return bytes(buf)
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@settings(max_examples=60, deadline=None)
+@given(edits=EDITS)
+def test_cli_mutated_input_exits_with_a_documented_code(reader, edits,
+                                                        valid_inputs):
+    name, template = READERS[reader]
+    out = valid_inputs / f"out-{reader}"
+    out.mkdir(exist_ok=True)
+    bad = out / name
+    bad.write_bytes(_mutate((valid_inputs / name).read_bytes(), edits))
+    argv = [arg.format(bad=bad, out=out, valid=valid_inputs) for arg in template]
+    assert main(argv) in (0, 1, 2)
