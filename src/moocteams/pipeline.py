@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -99,13 +100,23 @@ class RunConfig:
                 f"unknown reply policy {self.reply_policy!r}") from None
 
     def validate(self) -> None:
-        self.policy()
+        """Reject invalid settings and respell the enum-valued ones in
+        canonical form, so any accepted spelling gives the same manifest.
+        Every comparison is written so that NaN fails it."""
+        from .diffusion import Mechanism, Trajectory
+        self.reply_policy = self.policy().name.lower()
+        self.diffusion_mechanism = Mechanism.parse(self.diffusion_mechanism).value
+        self.diffusion_trajectory = Trajectory.parse(
+            self.diffusion_trajectory).value
         self.weights().validate()
         if not 0.0 < self.damping < 1.0:
             raise ParameterError("damping must lie strictly in (0, 1)")
         for name in ("pagerank_tol", "rank_tol"):
-            if getattr(self, name) <= 0:
-                raise ParameterError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ParameterError(f"{name} must be positive and finite")
+        if not (self.farness_penalty is None
+                or 0.0 <= self.farness_penalty < math.inf):
+            raise ParameterError("farness_penalty must be non-negative and finite")
         for name in ("pagerank_max_iter", "rank_max_iter", "skill_k",
                      "skill_min_len", "n_groups", "restarts",
                      "diffusion_steps", "diffusion_replications"):
@@ -113,13 +124,10 @@ class RunConfig:
                 raise ParameterError(f"{name} must be at least 1")
         if self.team_iterations < 0:
             raise ParameterError("team_iterations must be non-negative")
-        if self.skill_beta < 0:
-            raise ParameterError("skill_beta must be non-negative")
+        if not 0.0 <= self.skill_beta < math.inf:
+            raise ParameterError("skill_beta must be non-negative and finite")
         if self.s_min < 2 or self.s_max < self.s_min:
             raise ParameterError("team size bounds need 2 <= s_min <= s_max")
-        from .diffusion import Mechanism, Trajectory
-        Mechanism.parse(self.diffusion_mechanism)
-        Trajectory.parse(self.diffusion_trajectory)
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)

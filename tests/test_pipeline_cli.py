@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -16,7 +15,8 @@ from moocteams.graph import read_graph_csv
 from moocteams.metrics import pagerank
 from moocteams.ingest import SynthParams, synth_corpus, write_jsonl
 from moocteams.errors import ParameterError
-from moocteams.pipeline import RunConfig, StageError, derive_seed, run_pipeline
+from moocteams.pipeline import (SETTINGS, RunConfig, StageError, derive_seed,
+                                run_pipeline)
 
 ARTIFACTS = ["graph.csv", "graph.dot", "manifest.json", "metrics.csv",
              "partition.json", "skills.json", "teams.json", "trace.csv"]
@@ -266,7 +266,7 @@ def test_manifest_does_not_depend_on_where_the_run_lives(tmp_path):
     assert manifests[0] == manifests[1]
     manifest = json.loads(manifests[0])
     assert set(manifest["input"]) == {"sha256", "bytes"}
-    assert set(manifest["config"]) == {f.name for f in fields(RunConfig)[2:]}
+    assert set(manifest["config"]) == {f.name for f in SETTINGS}
 
 
 def test_manifest_records_each_stage_seed(tmp_path):
@@ -305,9 +305,8 @@ def _flags(values):
 
 
 def test_cli_pipeline_has_one_flag_per_setting(tmp_path, capsys):
-    setting_fields = fields(RunConfig)[2:]
-    assert set(NON_DEFAULT) == {f.name for f in setting_fields}
-    for f in setting_fields:
+    assert set(NON_DEFAULT) == {f.name for f in SETTINGS}
+    for f in SETTINGS:
         assert NON_DEFAULT[f.name] != f.default, f.name
     corpus = tmp_path / "corpus.jsonl"
     _corpus(corpus)
@@ -323,6 +322,37 @@ def test_cli_pipeline_has_one_flag_per_setting(tmp_path, capsys):
     assert main([*base, "--reply-policy", "everyone"]) == 2
     assert main([*base, "--diffusion-mechanism", "teleport"]) == 2
     capsys.readouterr()
+
+
+def test_cli_pipeline_enum_spelling_does_not_reach_the_manifest(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    _corpus(corpus)
+    manifests = []
+    for name, spelling in (("canonical", []),
+                           ("respelled", ["--reply-policy", "STARTER_FALLBACK",
+                                          "--diffusion-mechanism", "transfer",
+                                          "--diffusion-trajectory", "Walk"])):
+        out = tmp_path / name
+        assert main(["pipeline", "--input", str(corpus), "--output-dir",
+                     str(out), "--diffusion-replications", "2",
+                     *spelling]) == 0
+        manifests.append((out / "manifest.json").read_bytes())
+    capsys.readouterr()
+    assert manifests[0] == manifests[1]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--farness-penalty", "inf"), ("--farness-penalty", "-1"),
+    ("--farness-penalty", "nan"), ("--pagerank-tol", "nan"),
+    ("--rank-tol", "inf"), ("--skill-beta", "nan")])
+def test_cli_pipeline_rejects_non_finite_settings(tmp_path, capsys, flag, value):
+    corpus = tmp_path / "corpus.jsonl"
+    _corpus(corpus)
+    out = tmp_path / "run"
+    assert main(["pipeline", "--input", str(corpus), "--output-dir", str(out),
+                 flag, value]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_pipeline_no_run_diffusion_skips_the_stage(tmp_path, capsys):
