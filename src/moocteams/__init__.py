@@ -13,8 +13,8 @@ from .diffusion import (NEVER, DiffusionTrace, FlowSpec, Mechanism,
                         typology_report)
 from .errors import (DataFormatError, InsufficientDataError, MissingNodeError,
                      MoocteamsError, ParameterError, UndefinedMetricError)
-from .graph import (UNREACHABLE, DistanceRow, SocialGraph, StudentId,
-                    geodesic_distances, read_graph_csv, write_graph_csv)
+from .graph import (SocialGraph, StudentId, geodesic_distances,
+                    read_graph_csv, write_graph_csv)
 from .ingest import (ForumMessage, ReplyPolicy, SynthParams,
                      build_reply_graph, parse_forum_export, synth_corpus)
 from .metrics import (BrokerageCounts, NodeMetrics, burt_constraint,
@@ -33,13 +33,12 @@ from .teams import (ObjectiveWeights, TeamAssignment, brokerage_balance,
 
 __all__ = [
     "__version__",
-    "BrokerageCounts", "DataFormatError", "DiffusionTrace", "DistanceRow",
-    "FlowSpec", "ForumMessage", "InsufficientDataError", "Mechanism",
-    "MissingNodeError", "MoocteamsError", "NEVER", "NodeMetrics",
-    "ObjectiveWeights", "OpinionRecord", "ParameterError", "ReplyPolicy",
-    "RewireResult", "RunConfig", "SkillProfile", "SocialGraph", "StageError",
-    "StudentId", "SynthParams", "TeamAssignment", "Trajectory", "UNREACHABLE",
-    "UndefinedMetricError",
+    "BrokerageCounts", "DataFormatError", "DiffusionTrace", "FlowSpec",
+    "ForumMessage", "InsufficientDataError", "Mechanism", "MissingNodeError",
+    "MoocteamsError", "NEVER", "NodeMetrics", "ObjectiveWeights",
+    "OpinionRecord", "ParameterError", "ReplyPolicy", "RewireResult",
+    "RunConfig", "SkillProfile", "SocialGraph", "StageError", "StudentId",
+    "SynthParams", "TeamAssignment", "Trajectory", "UndefinedMetricError",
     "aggregate_opinions", "brokerage_balance", "brokerage_counts",
     "brute_force_teams", "build_reply_graph", "build_skill_profiles",
     "burt_constraint", "clustering_coefficient", "collaboration_cost",

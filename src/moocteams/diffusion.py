@@ -176,7 +176,7 @@ def replicate_once(g: SocialGraph, spec: FlowSpec, rep_index: int,
     trajectory = spec.trajectory
     cap = spec.resolved_cap(g)
     if trajectory is Trajectory.GEODESIC and distances is None:
-        distances = {s: geodesic_distances(g, s).dist for s in spec.sources}
+        distances = {s: geodesic_distances(g, s) for s in spec.sources}
     track_nodes = trajectory is Trajectory.PATH
     track_edges = trajectory is Trajectory.TRAIL
 
@@ -302,7 +302,7 @@ def simulate(g: SocialGraph, spec: FlowSpec) -> DiffusionTrace:
     spec.validate(g)
     distances = None
     if spec.trajectory is Trajectory.GEODESIC:
-        distances = {s: geodesic_distances(g, s).dist for s in spec.sources}
+        distances = {s: geodesic_distances(g, s) for s in spec.sources}
 
     # parallel duplication is deterministic: one replication, scaled
     if spec.mechanism is Mechanism.PARALLEL_DUP:

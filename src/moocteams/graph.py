@@ -3,7 +3,9 @@
 Edge u -> v with weight w means student u replied to messages authored by
 student v a total of w times.  The graph is immutable once built; every
 metric and simulation in the package reads from it concurrently without
-locks.
+locks.  Hop distances come from two loops: a BFS from one source
+(:func:`geodesic_distances`) and one bit-parallel pass over all sources
+at once (:func:`distance_sums`).
 """
 
 from __future__ import annotations
@@ -11,15 +13,11 @@ from __future__ import annotations
 import csv
 import io
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .errors import DataFormatError, MissingNodeError, ParameterError
 
 StudentId = str
-
-#: Sentinel distance for node pairs with no directed path.
-UNREACHABLE = None
 
 
 class SocialGraph:
@@ -135,34 +133,16 @@ class SocialGraph:
         return f"SocialGraph(nodes={self.node_count}, edges={self.edge_count})"
 
 
-@dataclass(frozen=True)
-class DistanceRow:
-    """Hop-count shortest-path distances from one source node.
-
-    ``dist`` maps every graph node to a non-negative hop count, or to
-    ``UNREACHABLE`` (None) when no directed path exists.
-    """
-
-    source: StudentId
-    dist: dict[StudentId, int | None]
-
-    def distance(self, v: StudentId) -> int | None:
-        return self.dist[v]
-
-    def reachable(self) -> dict[StudentId, int]:
-        """Only the finite entries."""
-        return {v: d for v, d in self.dist.items() if d is not None}
-
-
-def geodesic_distances(g: SocialGraph, source: StudentId) -> DistanceRow:
-    """BFS hop counts from ``source`` along edge direction.
+def geodesic_distances(g: SocialGraph, source: StudentId) -> dict[StudentId, int | None]:
+    """BFS hop counts from ``source`` along edge direction: every node maps
+    to its hop count, or to None when no directed path reaches it.
 
     Edge weights express interaction intensity, not length, so they are
     ignored here.
     """
     if source not in g:
         raise MissingNodeError(source)
-    dist: dict[StudentId, int | None] = {v: UNREACHABLE for v in g.nodes}
+    dist: dict[StudentId, int | None] = dict.fromkeys(g.nodes)
     dist[source] = 0
     queue = deque([source])
     while queue:
@@ -172,37 +152,43 @@ def geodesic_distances(g: SocialGraph, source: StudentId) -> DistanceRow:
             if dist[v] is None:
                 dist[v] = du + 1
                 queue.append(v)
-    return DistanceRow(source=source, dist=dist)
+    return dist
 
 
-def finite_distance_total(g: SocialGraph) -> tuple[int, int]:
-    """Sum of hop counts over ordered pairs s != v joined by a directed path,
-    and the number of such pairs.
+def distance_sums(g: SocialGraph) -> dict[StudentId, tuple[int, int]]:
+    """For every node u: the sum of hop counts from u to the nodes it reaches
+    by a directed path, and the number of those nodes (u itself excluded).
 
-    All sources advance together (multi-source bit-parallel BFS): bit s of
-    a node's int is set once source s has reached it, and each hop ORs in
-    the frontier sets of the node's in-neighbors.
+    All sources advance together (multi-source bit-parallel BFS): bit t of
+    u's int is set once u has reached node t, and each hop ORs in the
+    frontier sets of u's out-neighbors.
     """
-    seen = {v: 1 << i for i, v in enumerate(g.nodes)}
+    adjacency = [(u, g.out_neighbors(u)) for u in g.nodes]
+    seen = {u: 1 << i for i, u in enumerate(g.nodes)}
     frontier = dict(seen)
-    total = pairs = 0
+    totals = dict.fromkeys(g.nodes, 0)
     hop = 0
     while frontier:
         hop += 1
         reached = {}
-        for v in g.nodes:
+        for u, out in adjacency:
             new = 0
-            for u in g.in_neighbors(v):
-                new |= frontier.get(u, 0)
-            new &= ~seen[v]
+            for v in out:
+                new |= frontier.get(v, 0)
+            new &= ~seen[u]
             if new:
-                reached[v] = new
-                seen[v] |= new
-        count = sum(bits.bit_count() for bits in reached.values())
-        total += hop * count
-        pairs += count
+                reached[u] = new
+                seen[u] |= new
+                totals[u] += hop * new.bit_count()
         frontier = reached
-    return total, pairs
+    return {u: (totals[u], seen[u].bit_count() - 1) for u in g.nodes}
+
+
+def finite_distance_total(g: SocialGraph) -> tuple[int, int]:
+    """Sum of hop counts over ordered pairs s != v joined by a directed path,
+    and the number of such pairs."""
+    sums = distance_sums(g).values()
+    return sum(total for total, _ in sums), sum(reached for _, reached in sums)
 
 
 # -- serialization --------------------------------------------------------

@@ -3,8 +3,10 @@
 Rank scores (PageRank, HITS authority/hub, eigenvector centrality),
 positional costs (farness, directed clustering), structural-hole measures
 (constraint, effective size), and brokerage-role counts over directed
-2-paths.  All functions are pure reads of an immutable graph and safe to
-call concurrently.
+2-paths.  The metric table takes every student's farness from one
+all-pairs distance pass; :func:`farness` answers for one student with a
+single BFS and the same formula.  All functions are pure reads of an
+immutable graph and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Mapping
 
 from .errors import (DataFormatError, MissingNodeError, ParameterError,
                      UndefinedMetricError)
-from .graph import SocialGraph, StudentId, geodesic_distances
+from .graph import SocialGraph, StudentId, distance_sums, geodesic_distances
 
 #: Student -> group label; must cover every graph node.
 GroupPartition = Mapping[StudentId, str]
@@ -45,8 +47,8 @@ def pagerank(g: SocialGraph, damping: float = 0.85,
     """
     if not 0.0 < damping < 1.0:
         raise ParameterError(f"damping must lie strictly in (0, 1), got {damping}")
-    if tol <= 0 or max_iter < 1:
-        raise ParameterError("tol must be positive and max_iter >= 1")
+    if not 0.0 < tol < math.inf or max_iter < 1:
+        raise ParameterError("tol must be positive and finite, and max_iter >= 1")
     nodes = g.nodes
     n = len(nodes)
     if n == 0:
@@ -94,8 +96,8 @@ def hits(g: SocialGraph, tol: float = 1e-12,
     """
     if g.edge_count == 0:
         raise UndefinedMetricError("HITS scores are undefined on an edgeless graph")
-    if tol <= 0 or max_iter < 1:
-        raise ParameterError("tol must be positive and max_iter >= 1")
+    if not 0.0 < tol < math.inf or max_iter < 1:
+        raise ParameterError("tol must be positive and finite, and max_iter >= 1")
     nodes = g.nodes
     init = 1.0 / math.sqrt(len(nodes))
     auth = {u: init for u in nodes}
@@ -129,8 +131,8 @@ def eigencentrality(g: SocialGraph, tol: float = 1e-12,
     """
     if g.edge_count == 0:
         raise UndefinedMetricError("eigenvector centrality is undefined on an edgeless graph")
-    if tol <= 0 or max_iter < 1:
-        raise ParameterError("tol must be positive and max_iter >= 1")
+    if not 0.0 < tol < math.inf or max_iter < 1:
+        raise ParameterError("tol must be positive and finite, and max_iter >= 1")
     nodes = g.nodes
     x = {u: 1.0 / math.sqrt(len(nodes)) for u in nodes}
     iterations = 0
@@ -159,17 +161,14 @@ def farness(g: SocialGraph, node: StudentId, penalty: float | None = None) -> fl
     Each unreachable student contributes ``penalty`` (default: the node
     count), keeping the sum finite and monotone in disconnectedness.
     """
-    if node not in g:
-        raise MissingNodeError(node)
-    if penalty is None:
-        penalty = float(g.node_count)
-    row = geodesic_distances(g, node)
-    total = 0.0
-    for v, d in row.dist.items():
-        if v == node:
-            continue
-        total += penalty if d is None else d
-    return total
+    hops = [d for d in geodesic_distances(g, node).values() if d]  # not self, not None
+    return _farness(sum(hops), len(hops), g.node_count, penalty)
+
+
+def _farness(total: int, reached: int, n: int, penalty: float | None) -> float:
+    """Hop ``total`` over the ``reached`` students, plus ``penalty`` (default
+    ``n``) for each of the other n - 1 students that is out of reach."""
+    return total + float(n if penalty is None else penalty) * (n - 1 - reached)
 
 
 def clustering_coefficient(g: SocialGraph, node: StudentId) -> float:
@@ -347,6 +346,7 @@ def compute_metrics_without_brokerage(g: SocialGraph,
         eig = eigencentrality(g, tol=tol, max_iter=max_iter)
     else:
         auth = hub = eig = ScoreMap({n: 0.0 for n in g.nodes})
+    sums = distance_sums(g)
     table: dict[StudentId, NodeMetrics] = {}
     for node in g.nodes:
         try:
@@ -360,7 +360,7 @@ def compute_metrics_without_brokerage(g: SocialGraph,
             pagerank=pr[node],
             authority=auth[node],
             hub=hub[node],
-            farness=farness(g, node, penalty=farness_penalty),
+            farness=_farness(*sums[node], g.node_count, farness_penalty),
             clustering=clustering_coefficient(g, node),
             eigencentrality=eig[node],
             constraint=constraint,

@@ -18,7 +18,7 @@ import math
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, ClassVar
 
 from ._version import __version__
 from .diffusion import FlowSpec, simulate, write_trace_csv
@@ -57,6 +57,7 @@ class RunConfig:
 
     The two paths come first.  Every field after them is a setting: a
     ``moocteams pipeline`` flag and a key of the manifest's config block.
+    The class constants at the end are fixed solver and stage settings.
     """
 
     input_path: str
@@ -64,14 +65,8 @@ class RunConfig:
     seed: int = 0
     reply_policy: str = "starter_fallback"
     damping: float = 0.85
-    pagerank_tol: float = 1e-10
-    pagerank_max_iter: int = 200
-    rank_tol: float = 1e-12
-    rank_max_iter: int = 1000
-    farness_penalty: float | None = None
     skill_k: int = 5
     skill_beta: float = 1.0
-    skill_min_len: int = 3
     skill_idf: bool = False
     n_groups: int = 5
     s_min: int = 3
@@ -87,7 +82,14 @@ class RunConfig:
     diffusion_trajectory: str = "WALK"
     diffusion_steps: int = 20
     diffusion_replications: int = 50
-    diffusion_uniform: bool = False
+
+    pagerank_tol: ClassVar[float] = 1e-10
+    pagerank_max_iter: ClassVar[int] = 200
+    rank_tol: ClassVar[float] = 1e-12
+    rank_max_iter: ClassVar[int] = 1000
+    farness_penalty: ClassVar[float | None] = None
+    skill_min_len: ClassVar[int] = 3
+    diffusion_uniform: ClassVar[bool] = False
 
     def weights(self) -> ObjectiveWeights:
         return ObjectiveWeights(self.w_cost, self.w_hole, self.w_balance)
@@ -111,15 +113,8 @@ class RunConfig:
         self.weights().validate()
         if not 0.0 < self.damping < 1.0:
             raise ParameterError("damping must lie strictly in (0, 1)")
-        for name in ("pagerank_tol", "rank_tol"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ParameterError(f"{name} must be positive and finite")
-        if not (self.farness_penalty is None
-                or 0.0 <= self.farness_penalty < math.inf):
-            raise ParameterError("farness_penalty must be non-negative and finite")
-        for name in ("pagerank_max_iter", "rank_max_iter", "skill_k",
-                     "skill_min_len", "n_groups", "restarts",
-                     "diffusion_steps", "diffusion_replications"):
+        for name in ("skill_k", "n_groups", "restarts", "diffusion_steps",
+                     "diffusion_replications"):
             if getattr(self, name) < 1:
                 raise ParameterError(f"{name} must be at least 1")
         if self.team_iterations < 0:

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moocteams.errors import DataFormatError, MissingNodeError, ParameterError
-from moocteams.graph import (SocialGraph, finite_distance_total, geodesic_distances,
-                             read_graph_csv, write_graph_csv)
+from moocteams.graph import (SocialGraph, distance_sums, finite_distance_total,
+                             geodesic_distances, read_graph_csv, write_graph_csv)
 from moocteams.metrics import (burt_constraint, effective_size, eigencentrality,
                                hits, pagerank)
 
@@ -55,16 +55,16 @@ def test_geodesics_match_floyd_warshall():
         want = floyd_warshall(g)
         for u in g.nodes:
             got = geodesic_distances(g, u)
-            assert {v: got.distance(v) for v in g.nodes} == want[u]
+            assert {v: got[v] for v in g.nodes} == want[u]
 
 
 def test_geodesic_unreachable_is_none():
     g = SocialGraph({("a", "b"): 1}, nodes=["a", "b", "c"])
     d = geodesic_distances(g, "a")
-    assert d.distance("a") == 0
-    assert d.distance("b") == 1
-    assert d.distance("c") is None
-    assert d.reachable() == {"a": 0, "b": 1}
+    assert d["a"] == 0
+    assert d["b"] == 1
+    assert d["c"] is None
+    assert {v: h for v, h in d.items() if h is not None} == {"a": 0, "b": 1}
 
 
 def _floyd_warshall_total(g):
@@ -73,15 +73,37 @@ def _floyd_warshall_total(g):
     return sum(finite), len(finite)
 
 
+def _sparse_digraph(seed):
+    """Random digraph; every third one gains a few isolated nodes."""
+    rng = random.Random(seed)
+    g = random_digraph(rng.randint(2, 30), rng.choice([0.03, 0.08, 0.2]), seed=seed)
+    if seed % 3 == 0:
+        extra = [f"z{i}" for i in range(rng.randint(1, 4))]
+        g = SocialGraph({(u, v): w for u, v, w in g.edges()},
+                        nodes=g.nodes + tuple(extra))
+    return g
+
+
 def test_finite_distance_total_matches_floyd_warshall():
     for seed in range(20):
-        rng = random.Random(seed)
-        g = random_digraph(rng.randint(2, 30), rng.choice([0.03, 0.08, 0.2]), seed=seed)
-        if seed % 3 == 0:
-            extra = [f"z{i}" for i in range(rng.randint(1, 4))]
-            g = SocialGraph({(u, v): w for u, v, w in g.edges()},
-                            nodes=g.nodes + tuple(extra))
+        g = _sparse_digraph(seed)
         assert finite_distance_total(g) == _floyd_warshall_total(g)
+
+
+def test_distance_sums_match_floyd_warshall():
+    for seed in range(20):
+        g = _sparse_digraph(seed)
+        want = {}
+        for u, row in floyd_warshall(g).items():
+            hops = [d for v, d in row.items() if v != u and d is not None]
+            want[u] = (sum(hops), len(hops))
+        assert distance_sums(g) == want
+
+
+def test_distance_sums_without_paths_are_zero():
+    assert distance_sums(SocialGraph(nodes=["a", "b", "c"])) == {
+        "a": (0, 0), "b": (0, 0), "c": (0, 0)}
+    assert distance_sums(SocialGraph(nodes=["a"])) == {"a": (0, 0)}
 
 
 def test_finite_distance_total_without_paths_is_zero():
@@ -102,7 +124,7 @@ def test_node_relabeling_preserves_distances(seed):
     for u in g.nodes:
         orig = geodesic_distances(g, u)
         new = geodesic_distances(relabeled, mapping[u])
-        assert all(orig.distance(v) == new.distance(mapping[v]) for v in g.nodes)
+        assert all(orig[v] == new[mapping[v]] for v in g.nodes)
 
 
 def _write(path, g):

@@ -244,6 +244,14 @@ def test_cli_rejects_repeated_graph_edge(tmp_path, capsys):
     assert "repeated edge" in capsys.readouterr().err
 
 
+def test_package_exports_resolve():
+    for name in moocteams.__all__:
+        assert hasattr(moocteams, name), name
+    namespace = {}
+    exec("from moocteams import *", namespace)
+    assert set(moocteams.__all__) <= set(namespace)
+
+
 def test_package_imports_without_numpy():
     src = str(Path(moocteams.__file__).resolve().parents[1])
     code = "import sys, moocteams; print('numpy' in sys.modules)"
@@ -281,15 +289,20 @@ def test_manifest_records_each_stage_seed(tmp_path):
 
 # a valid value other than the default for every setting after the two paths
 NON_DEFAULT = {
-    "seed": 9, "reply_policy": "comments_only", "damping": 0.8,
-    "pagerank_tol": 1e-09, "pagerank_max_iter": 300, "rank_tol": 1e-11,
-    "rank_max_iter": 900, "farness_penalty": 50.0, "skill_k": 4,
-    "skill_beta": 0.5, "skill_min_len": 4, "skill_idf": True, "n_groups": 3,
+    "seed": 9, "reply_policy": "comments_only", "damping": 0.8, "skill_k": 4,
+    "skill_beta": 0.5, "skill_idf": True, "n_groups": 3,
     "s_min": 2, "s_max": 4, "allow_oversize": True, "w_cost": 0.5,
     "w_hole": 0.25, "w_balance": 0.25, "restarts": 2, "team_iterations": 50,
     "run_diffusion": False, "diffusion_mechanism": "SERIAL_DUP",
     "diffusion_trajectory": "PATH", "diffusion_steps": 5,
-    "diffusion_replications": 3, "diffusion_uniform": True,
+    "diffusion_replications": 3,
+}
+
+# fixed settings: class constants of RunConfig, with no flag and no manifest key
+CONSTANTS = {
+    "pagerank_tol": 1e-09, "pagerank_max_iter": 300, "rank_tol": 1e-11,
+    "rank_max_iter": 900, "farness_penalty": 50.0, "skill_min_len": 4,
+    "diffusion_uniform": True,
 }
 
 
@@ -341,10 +354,22 @@ def test_cli_pipeline_enum_spelling_does_not_reach_the_manifest(tmp_path, capsys
     assert manifests[0] == manifests[1]
 
 
-@pytest.mark.parametrize("flag, value", [
-    ("--farness-penalty", "inf"), ("--farness-penalty", "-1"),
-    ("--farness-penalty", "nan"), ("--pagerank-tol", "nan"),
-    ("--rank-tol", "inf"), ("--skill-beta", "nan")])
+def test_cli_pipeline_fixed_settings_have_no_flag(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    _corpus(corpus)
+    out = tmp_path / "run"
+    base = ["pipeline", "--input", str(corpus), "--output-dir", str(out)]
+    for name, value in CONSTANTS.items():
+        assert main([*base, *_flags({name: value})]) == 1, name
+    assert not out.exists()
+    assert main([*base, "--diffusion-replications", "2"]) == 0
+    capsys.readouterr()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert len(manifest["config"]) == 20
+    assert not set(CONSTANTS) & set(manifest["config"])
+
+
+@pytest.mark.parametrize("flag, value", [("--skill-beta", "nan")])
 def test_cli_pipeline_rejects_non_finite_settings(tmp_path, capsys, flag, value):
     corpus = tmp_path / "corpus.jsonl"
     _corpus(corpus)
@@ -374,6 +399,14 @@ def _columns(path):
     with open(path, encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
     return {name: [row[name] for row in rows] for name in rows[0]}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_metrics_rejects_non_finite_pagerank_tol(tmp_path, capsys, value):
+    graph, _ = _graph_and_metrics(tmp_path)
+    assert main(["metrics", "--graph", str(graph), "--output",
+                 str(tmp_path / "bad.csv"), "--pagerank-tol", value]) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_cli_metrics_pagerank_tol_reaches_only_pagerank(tmp_path, capsys):

@@ -59,6 +59,14 @@ def test_pagerank_rejects_bad_damping():
         pagerank(g, damping=-0.1)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
+def test_solvers_reject_non_finite_or_non_positive_tol(tol):
+    g = SocialGraph({("a", "b"): 1, ("b", "c"): 2})
+    for solver in (pagerank, hits, eigencentrality):
+        with pytest.raises(ParameterError):
+            solver(g, tol=tol)
+
+
 def test_hits_matches_dense_oracle():
     for seed in range(10):
         g = random_digraph(25, 0.2, seed=seed)

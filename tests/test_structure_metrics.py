@@ -167,6 +167,17 @@ def test_node_metrics_table_is_consistent():
             assert math.isnan(m.constraint)
 
 
+@pytest.mark.parametrize("penalty", [0.1, 7.5])
+def test_node_metrics_farness_custom_penalty_matches_farness(penalty):
+    for seed in range(6):
+        g = random_digraph(18, 0.08, seed=seed)
+        # an isolated student keeps the graph disconnected
+        g = SocialGraph({(u, v): w for u, v, w in g.edges()}, nodes=g.nodes + ("zz",))
+        table = compute_node_metrics(g, farness_penalty=penalty)
+        for v in g.nodes:
+            assert table[v].farness == farness(g, v, penalty=penalty)
+
+
 def test_node_metrics_edgeless_graph():
     table = compute_node_metrics(SocialGraph(nodes=["a", "b"]))
     assert table["a"].authority == 0.0
