@@ -183,6 +183,7 @@ def replicate_once(g: SocialGraph, spec: FlowSpec, rep_index: int,
     arrival: dict[StudentId, int] = {}
     receipts: dict[StudentId, int] = {}
     tokens: list[_Token] = []
+    # filled only for route histories: it keeps every spawned token alive
     all_tokens: list[_Token] = []
     dead: set[int] = set()
     for lineage, s in enumerate(spec.sources):
@@ -190,7 +191,8 @@ def replicate_once(g: SocialGraph, spec: FlowSpec, rep_index: int,
                        {s} if track_nodes else None,
                        set() if track_edges else None)
         tokens.append(token)
-        all_tokens.append(token)
+        if collect_histories:
+            all_tokens.append(token)
         arrival[s] = 0
         receipts[s] = 1
         if spec.target is not None and s == spec.target:
@@ -237,7 +239,8 @@ def replicate_once(g: SocialGraph, spec: FlowSpec, rep_index: int,
                 set(parent.visited) | {v} if track_nodes else None,
                 set(parent.used) | {(parent.holder, v)} if track_edges else None)
             spawned.append(child)
-            all_tokens.append(child)
+            if collect_histories:
+                all_tokens.append(child)
             live += 1
 
         for token in tokens:

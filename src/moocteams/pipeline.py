@@ -28,8 +28,8 @@ from .ingest import ReplyPolicy, build_reply_graph, parse_forum_export
 from .metrics import (NodeMetrics, brokerage_counts,
                       compute_metrics_without_brokerage, write_metrics_csv)
 from .report import export_dot
-from .skills import (build_skill_profiles, refine_by_rank, skill_partition,
-                     write_partition_json, write_skills_json)
+from .skills import (UNOBSERVED_GROUP, build_skill_profiles, refine_by_rank,
+                     skill_partition, write_partition_json, write_skills_json)
 from .teams import ObjectiveWeights, form_teams, write_roster_json
 
 MANIFEST_NAME = "manifest.json"
@@ -295,7 +295,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         metrics = state["metrics"]
         partition = dict(state["partition"])
         for node in g.nodes:
-            partition.setdefault(node, "unobserved")
+            partition.setdefault(node, UNOBSERVED_GROUP)
         roles = brokerage_counts(g, partition)
         for node, record in metrics.items():
             record.brokerage = roles[node]

@@ -22,6 +22,7 @@ from .graph import SocialGraph, StudentId
 from .metrics import BrokerageCounts, NodeMetrics
 
 _LOG5 = math.log(5.0)
+_Terms = tuple[float, float, tuple[int, int, int, int, int]]
 
 
 @dataclass(frozen=True)
@@ -123,25 +124,26 @@ def team_sizes(n: int, s_min: int, s_max: int,
     return [s_max] * q + [r]
 
 
+def _initial_sizes(n: int, k: int, s_min: int, s_max: int,
+                   allow_oversize: bool) -> list[int] | None:
+    """A k-team split that ``_sizes_feasible`` accepts, or None if none exists."""
+    q, r = divmod(n, k)
+    balanced = [q + 1] * r + [q] * (k - r)
+    if _sizes_feasible(balanced, n, s_min, s_max, allow_oversize):
+        return balanced
+    # balanced sizes fit whenever k * s_min <= n <= k * s_max; otherwise one
+    # team must take the shortfall or the excess, every other at that bound
+    if n < k * s_min:
+        sizes = [s_min] * (k - 1) + [n - (k - 1) * s_min]
+    else:
+        sizes = [n - (k - 1) * s_max] + [s_max] * (k - 1)
+    return sizes if _sizes_feasible(sizes, n, s_min, s_max, allow_oversize) else None
+
+
 def _feasible_team_counts(n: int, s_min: int, s_max: int,
                           allow_oversize: bool) -> list[int]:
-    counts = []
-    for k in range(1, n // 2 + 1):
-        if k * s_min <= n <= k * s_max:
-            counts.append(k)
-            continue
-        if s_min > 2 and k >= 2:
-            lo = max(2, n - (k - 1) * s_max)
-            hi = min(s_min - 1, n - (k - 1) * s_min)
-            if lo <= hi:
-                counts.append(k)
-                continue
-        if allow_oversize and n % s_max:
-            lo = max(s_max + 1, n - (k - 1) * s_max)
-            hi = min(s_max + n % s_max, n - (k - 1) * s_min)
-            if lo <= hi:
-                counts.append(k)
-    return counts
+    return [k for k in range(1, n // 2 + 1)
+            if _initial_sizes(n, k, s_min, s_max, allow_oversize) is not None]
 
 
 def _candidate_team_counts(n: int, s_min: int, s_max: int,
@@ -159,29 +161,6 @@ def _candidate_team_counts(n: int, s_min: int, s_max: int,
     return sorted(sorted(feasible, key=lambda k: (abs(k - anchor), k))[:3])
 
 
-def _initial_sizes(n: int, k: int, s_min: int, s_max: int,
-                   allow_oversize: bool) -> list[int]:
-    q, r = divmod(n, k)
-    balanced = [q + 1] * r + [q] * (k - r)
-    if _sizes_feasible(balanced, n, s_min, s_max, allow_oversize):
-        return balanced
-    if n < k * s_min:
-        sizes = [s_min] * (k - 1) + [n - (k - 1) * s_min]
-    else:
-        sizes = [s_min] * k
-        extra = n - k * s_min
-        for i in range(k):
-            add = min(extra, s_max - s_min)
-            sizes[i] += add
-            extra -= add
-        sizes[0] += extra
-    if not _sizes_feasible(sizes, n, s_min, s_max, allow_oversize):
-        raise ParameterError(
-            f"no feasible split of {n} students into {k} teams "
-            f"within [{s_min}, {s_max}]")
-    return sizes
-
-
 # -- per-team scoring --------------------------------------------------------
 
 def _require_members(team: Iterable[StudentId],
@@ -193,35 +172,25 @@ def _require_members(team: Iterable[StudentId],
     return members
 
 
-def _max_farness(metrics: Mapping[StudentId, NodeMetrics]) -> float:
-    return max((m.farness for m in metrics.values()), default=0.0)
+def _term_table(metrics: Mapping[StudentId, NodeMetrics]) -> dict[StudentId, _Terms]:
+    """Each student's cost term, hole term and brokerage role counts.
 
-
-def _cost_of(members: Sequence[StudentId],
-             metrics: Mapping[StudentId, NodeMetrics], max_far: float) -> float:
-    total = 0.0
-    for s in members:
-        m = metrics[s]
+    Cost is (farness / graph-wide max farness + 1 - clustering) / 2; the
+    hole term is 1 / (1 + constraint), or 1 where constraint is NaN.
+    """
+    max_far = max((m.farness for m in metrics.values()), default=0.0)
+    table = {}
+    for s, m in metrics.items():
         far_norm = m.farness / max_far if max_far > 0 else 0.0
-        total += (far_norm + (1.0 - m.clustering)) / 2.0
-    return total / len(members)
+        c = m.constraint
+        table[s] = ((far_norm + (1.0 - m.clustering)) / 2.0,
+                    1.0 if math.isnan(c) else 1.0 / (1.0 + c),
+                    m.brokerage.as_tuple())
+    return table
 
 
-def _hole_of(members: Sequence[StudentId],
-             metrics: Mapping[StudentId, NodeMetrics]) -> float:
-    total = 0.0
-    for s in members:
-        c = metrics[s].constraint
-        total += 1.0 if math.isnan(c) else 1.0 / (1.0 + c)
-    return total / len(members)
-
-
-def _balance_of(members: Sequence[StudentId],
-                brokerage: Mapping[StudentId, BrokerageCounts]) -> float:
-    pooled = [0, 0, 0, 0, 0]
-    for s in members:
-        for i, v in enumerate(brokerage[s].as_tuple()):
-            pooled[i] += v
+def _balance(role_rows: Iterable[Sequence[int]]) -> float:
+    pooled = [sum(column) for column in zip(*role_rows)]
     total = sum(pooled)
     if total == 0:
         return 0.0
@@ -231,6 +200,21 @@ def _balance_of(members: Sequence[StudentId],
             p = v / total
             entropy -= p * math.log(p)
     return entropy / _LOG5
+
+
+def _team_terms(members: Sequence[StudentId],
+                table: Mapping[StudentId, _Terms]) -> tuple[float, float, float]:
+    rows = [table[s] for s in members]
+    cost = hole = 0.0
+    for c, h, _ in rows:
+        cost += c
+        hole += h
+    return cost / len(rows), hole / len(rows), _balance(r[2] for r in rows)
+
+
+def _value(weights: ObjectiveWeights, cost: float, hole: float,
+           balance: float) -> float:
+    return weights.w_hole * hole + weights.w_balance * balance - weights.w_cost * cost
 
 
 def collaboration_cost(g: SocialGraph, team: Iterable[StudentId],
@@ -246,7 +230,7 @@ def collaboration_cost(g: SocialGraph, team: Iterable[StudentId],
     for s in members:
         if s not in g:
             raise MissingNodeError(s)
-    return _cost_of(members, metrics, _max_farness(metrics))
+    return _team_terms(members, _term_table(metrics))[0]
 
 
 def structural_hole_score(g: SocialGraph, team: Iterable[StudentId],
@@ -255,7 +239,7 @@ def structural_hole_score(g: SocialGraph, team: Iterable[StudentId],
     members = _require_members(team, metrics)
     if not members:
         raise ParameterError("structural hole score needs a non-empty team")
-    return _hole_of(members, metrics)
+    return _team_terms(members, _term_table(metrics))[1]
 
 
 def brokerage_balance(team: Iterable[StudentId],
@@ -267,34 +251,21 @@ def brokerage_balance(team: Iterable[StudentId],
     for s in members:
         if s not in brokerage:
             raise MissingNodeError(s, context="brokerage table")
-    return _balance_of(members, brokerage)
-
-
-def _team_terms(members: Sequence[StudentId],
-                metrics: Mapping[StudentId, NodeMetrics],
-                max_far: float) -> tuple[float, float, float]:
-    brokerage = {s: metrics[s].brokerage for s in members}
-    return (_cost_of(members, metrics, max_far),
-            _hole_of(members, metrics),
-            _balance_of(members, brokerage))
+    return _balance(brokerage[s].as_tuple() for s in members)
 
 
 def _evaluate(teams: Sequence[Sequence[StudentId]],
-              metrics: Mapping[StudentId, NodeMetrics],
-              weights: ObjectiveWeights,
-              max_far: float) -> tuple[float, ObjectiveBreakdown]:
+              table: Mapping[StudentId, _Terms],
+              weights: ObjectiveWeights) -> tuple[float, ObjectiveBreakdown]:
     cost = hole = balance = 0.0
     for team in teams:
-        c, h, b = _team_terms(team, metrics, max_far)
+        c, h, b = _team_terms(team, table)
         cost += c
         hole += h
         balance += b
     k = len(teams)
-    breakdown = ObjectiveBreakdown(cost / k, hole / k, balance / k)
-    value = (weights.w_hole * breakdown.hole_term
-             + weights.w_balance * breakdown.balance_term
-             - weights.w_cost * breakdown.cost_term)
-    return value, breakdown
+    terms = (cost / k, hole / k, balance / k)
+    return _value(weights, *terms), ObjectiveBreakdown(*terms)
 
 
 def objective(g: SocialGraph, teams: Iterable[Iterable[StudentId]],
@@ -314,22 +285,24 @@ def objective(g: SocialGraph, teams: Iterable[Iterable[StudentId]],
                 raise ParameterError(f"student {s!r} appears in two teams")
             seen.add(s)
         _require_members(team, metrics)
-    value, _ = _evaluate(team_lists, metrics, weights, _max_farness(metrics))
+    value, _ = _evaluate(team_lists, _term_table(metrics), weights)
     return value
 
 
-def _canonical(teams: Iterable[Iterable[StudentId]]) -> tuple[tuple[StudentId, ...], ...]:
-    return tuple(sorted(tuple(sorted(t)) for t in teams))
-
-
 def _assignment(teams: Sequence[Sequence[StudentId]],
-                metrics: Mapping[StudentId, NodeMetrics],
+                table: Mapping[StudentId, _Terms],
                 weights: ObjectiveWeights, s_min: int, s_max: int,
-                allow_oversize: bool, seed: int, max_far: float) -> TeamAssignment:
-    canonical = _canonical(teams)
-    value, breakdown = _evaluate(canonical, metrics, weights, max_far)
+                allow_oversize: bool, seed: int) -> TeamAssignment:
+    canonical = tuple(sorted(tuple(sorted(t)) for t in teams))
+    value, breakdown = _evaluate(canonical, table, weights)
     return TeamAssignment(canonical, value, breakdown, weights,
                           s_min, s_max, allow_oversize, seed)
+
+
+def _better(cand: TeamAssignment, best: TeamAssignment | None) -> bool:
+    """Higher objective wins; equal objectives go to the smaller roster."""
+    return (best is None or cand.objective > best.objective
+            or (cand.objective == best.objective and cand.teams < best.teams))
 
 
 # -- search ------------------------------------------------------------------
@@ -355,11 +328,9 @@ def form_teams(g: SocialGraph, metrics: Mapping[StudentId, NodeMetrics],
     nodes = list(g.nodes)
     n = len(nodes)
     _validate_bounds(n, s_min, s_max)
-    for u in nodes:
-        if u not in metrics:
-            raise MissingNodeError(u, context="metrics table")
+    _require_members(nodes, metrics)
     counts = _candidate_team_counts(n, s_min, s_max, allow_oversize)
-    max_far = _max_farness(metrics)
+    table = _term_table(metrics)
 
     best: TeamAssignment | None = None
     run_index = 0
@@ -375,20 +346,18 @@ def form_teams(g: SocialGraph, metrics: Mapping[StudentId, NodeMetrics],
             for size in sizes:
                 teams.append(shuffled[start:start + size])
                 start += size
-            teams = _hill_climb(teams, metrics, weights, max_far, n,
+            teams = _hill_climb(teams, table, weights, n,
                                 s_min, s_max, allow_oversize, iterations, rng)
-            cand = _assignment(teams, metrics, weights, s_min, s_max,
-                               allow_oversize, seed, max_far)
-            if (best is None or cand.objective > best.objective
-                    or (cand.objective == best.objective
-                        and cand.teams < best.teams)):
+            cand = _assignment(teams, table, weights, s_min, s_max,
+                               allow_oversize, seed)
+            if _better(cand, best):
                 best = cand
     return best
 
 
 def _hill_climb(teams: list[list[StudentId]],
-                metrics: Mapping[StudentId, NodeMetrics],
-                weights: ObjectiveWeights, max_far: float, n: int,
+                table: Mapping[StudentId, _Terms],
+                weights: ObjectiveWeights, n: int,
                 s_min: int, s_max: int, allow_oversize: bool,
                 iterations: int, rng: random.Random) -> list[list[StudentId]]:
     k = len(teams)
@@ -396,8 +365,7 @@ def _hill_climb(teams: list[list[StudentId]],
         return teams
 
     def score(members: Sequence[StudentId]) -> float:
-        c, h, b = _team_terms(members, metrics, max_far)
-        return weights.w_hole * h + weights.w_balance * b - weights.w_cost * c
+        return _value(weights, *_team_terms(members, table))
 
     scores = [score(t) for t in teams]
     for _ in range(iterations):
@@ -467,8 +435,6 @@ def enumerate_partitions(nodes: Sequence[StudentId],
 
 def _feasible_size_vectors(n: int, k: int, s_min: int, s_max: int,
                            allow_oversize: bool):
-    cap = s_max + (n % s_max if allow_oversize and n % s_max else 0)
-
     def gen(remaining: int, slots: int, limit: int):
         if slots == 0:
             if remaining == 0:
@@ -480,7 +446,7 @@ def _feasible_size_vectors(n: int, k: int, s_min: int, s_max: int,
             for tail in gen(remaining - size, slots - 1, size):
                 yield (size, *tail)
 
-    for vec in gen(n, k, cap):
+    for vec in gen(n, k, n):
         if _sizes_feasible(vec, n, s_min, s_max, allow_oversize):
             yield vec
 
@@ -502,16 +468,14 @@ def brute_force_teams(g: SocialGraph, metrics: Mapping[StudentId, NodeMetrics],
     if n > 10:
         raise ParameterError(f"brute force is limited to 10 nodes, got {n}")
     _validate_bounds(n, s_min, s_max)
-    max_far = _max_farness(metrics)
+    table = _term_table(metrics)
     best: TeamAssignment | None = None
     for k in _feasible_team_counts(n, s_min, s_max, allow_oversize):
         for sizes in _feasible_size_vectors(n, k, s_min, s_max, allow_oversize):
             for partition in enumerate_partitions(nodes, sizes):
-                cand = _assignment(partition, metrics, weights, s_min, s_max,
-                                   allow_oversize, 0, max_far)
-                if (best is None or cand.objective > best.objective
-                        or (cand.objective == best.objective
-                            and cand.teams < best.teams)):
+                cand = _assignment(partition, table, weights, s_min, s_max,
+                                   allow_oversize, 0)
+                if _better(cand, best):
                     best = cand
     if best is None:
         raise ParameterError(

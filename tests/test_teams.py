@@ -1,13 +1,18 @@
 import math
+import random
 import statistics
 
 import pytest
 
 from moocteams.errors import ParameterError
 from moocteams.graph import SocialGraph
-from moocteams.metrics import compute_node_metrics
+from moocteams.metrics import ROLE_NAMES, compute_node_metrics
 from moocteams.teams import (
     ObjectiveWeights,
+    _candidate_team_counts,
+    _feasible_size_vectors,
+    _feasible_team_counts,
+    _initial_sizes,
     brokerage_balance,
     brute_force_teams,
     collaboration_cost,
@@ -137,6 +142,83 @@ def test_objective_is_mean_of_team_scores():
                 team, {v: metrics[v].brokerage for v in team})
             - weights.w_cost * collaboration_cost(g, team, metrics))
     assert objective(g, teams, weights, metrics) == pytest.approx(statistics.mean(per_team))
+
+
+def _oracle_terms(team, metrics):
+    """(cost, hole, balance) of one team, straight from the documented formulas."""
+    max_far = max(m.farness for m in metrics.values())
+    cost = statistics.fmean(
+        ((metrics[s].farness / max_far if max_far > 0 else 0.0)
+         + 1.0 - metrics[s].clustering) / 2.0 for s in team)
+    hole = statistics.fmean(
+        1.0 if math.isnan(metrics[s].constraint) else 1.0 / (1.0 + metrics[s].constraint)
+        for s in team)
+    pooled = [sum(getattr(metrics[s].brokerage, role) for s in team) for role in ROLE_NAMES]
+    total = sum(pooled)
+    balance = (-math.fsum(c / total * math.log(c / total) for c in pooled if c) / math.log(5)
+               if total else 0.0)
+    return cost, hole, balance
+
+
+def _oracle_cases():
+    for seed in range(9):
+        g = random_digraph(6 + seed, 0.15 + 0.03 * seed, seed=400 + seed)
+        if seed % 3 == 0:
+            # two students who never post: constraint is NaN for both
+            g = SocialGraph({(u, v): w for u, v, w in g.edges()},
+                            nodes=[*g.nodes, "z_lone_a", "z_lone_b"])
+        partition = {v: f"g{i % 3}" for i, v in enumerate(g.nodes)}
+        yield g, compute_node_metrics(g, partition)
+    # edgeless: with no penalty every farness, hence the maximum, is 0
+    g = SocialGraph({}, nodes=[f"n{i:03d}" for i in range(7)])
+    yield g, compute_node_metrics(g, farness_penalty=0.0)
+
+
+@pytest.mark.parametrize("weights", [ObjectiveWeights(), ObjectiveWeights(0.5, 0.2, 0.3)])
+def test_objective_and_terms_match_independent_oracle(weights):
+    saw_nan = saw_zero_max = False
+    for case, (g, metrics) in enumerate(_oracle_cases()):
+        saw_nan |= any(math.isnan(m.constraint) for m in metrics.values())
+        saw_zero_max |= max(m.farness for m in metrics.values()) == 0
+        nodes = list(g.nodes)
+        random.Random(case).shuffle(nodes)
+        teams = [nodes[i:i + 3] for i in range(0, len(nodes) - len(nodes) % 3, 3)]
+        teams[-1] += nodes[len(nodes) - len(nodes) % 3:]
+        brokerage = {v: metrics[v].brokerage for v in g.nodes}
+        per_team = []
+        for team in teams:
+            cost, hole, balance = _oracle_terms(team, metrics)
+            assert collaboration_cost(g, team, metrics) == pytest.approx(cost, abs=1e-12)
+            assert structural_hole_score(g, team, metrics) == pytest.approx(hole, abs=1e-12)
+            assert brokerage_balance(team, brokerage) == pytest.approx(balance, abs=1e-12)
+            per_team.append(weights.w_hole * hole + weights.w_balance * balance
+                            - weights.w_cost * cost)
+        assert objective(g, teams, weights, metrics) == pytest.approx(
+            statistics.fmean(per_team), abs=1e-12)
+    assert saw_nan and saw_zero_max
+
+
+def test_searched_team_counts_match_the_size_enumerator():
+    for n in range(2, 17):
+        for s_min in range(2, min(n, 6) + 1):
+            for s_max in range(s_min, 9):
+                for oversize in (False, True):
+                    vectors = {k: set(_feasible_size_vectors(n, k, s_min, s_max, oversize))
+                               for k in range(1, n // 2 + 1)}
+                    want = [k for k, vecs in vectors.items() if vecs]
+                    assert _feasible_team_counts(n, s_min, s_max, oversize) == want
+                    for k, vecs in vectors.items():
+                        sizes = _initial_sizes(n, k, s_min, s_max, oversize)
+                        assert (sizes is None) == (not vecs)
+                        if sizes is not None:
+                            assert tuple(sorted(sizes, reverse=True)) in vecs
+                    if not want:
+                        with pytest.raises(ParameterError):
+                            _candidate_team_counts(n, s_min, s_max, oversize)
+                    else:
+                        searched = _candidate_team_counts(n, s_min, s_max, oversize)
+                        assert set(searched) <= set(want)
+                        assert len(searched) == min(3, len(want))
 
 
 def test_objective_validates():
