@@ -8,6 +8,10 @@ its parent at copy time; a sender's send-marks are part of its history,
 so later copies avoid routes the item already took.  Random hops are
 weight-proportional by default.  Parallel duplication draws no random
 numbers, so its replications are identical and are computed once.
+
+Replications run on node positions from :meth:`SocialGraph.index`, over a
+hop table built once per :func:`simulate` call; ids come back only in the
+outcome of each replication.
 """
 
 from __future__ import annotations
@@ -15,8 +19,10 @@ from __future__ import annotations
 import csv
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .errors import (DataFormatError, InsufficientDataError, MissingNodeError,
@@ -122,14 +128,14 @@ class DiffusionTrace:
 
 
 class _Token:
-    __slots__ = ("holder", "origin", "lineage", "visited", "used")
+    __slots__ = ("holder", "origin", "lineage", "route")
 
-    def __init__(self, holder, origin, lineage, visited, used):
+    def __init__(self, holder, origin, lineage, route):
         self.holder = holder
         self.origin = origin
         self.lineage = lineage
-        self.visited = visited
-        self.used = used
+        # PATH: visited node positions; TRAIL: used edge ids; else None
+        self.route = route
 
 
 @dataclass
@@ -151,68 +157,91 @@ class _RepOutcome:
     histories: list[TokenRecord] = field(default_factory=list)
 
 
-def _weighted_choice(rng: random.Random, cands: dict[StudentId, int],
-                     uniform: bool) -> StudentId:
-    if len(cands) == 1:
-        return next(iter(cands))
+class _HopTable:
+    """The graph's out-edges as ints, and each source's hop options.
+
+    Out-edge k of node u has id ``base[u] + k``, end ``head[e]`` and weight
+    ``weight[e]``.  ``options[s][u]`` pairs the edge ids a token from source
+    s may take out of u before route exclusions (all of them, or for
+    GEODESIC those into the next distance shell) with their running totals.
+    """
+
+    def __init__(self, g: SocialGraph, spec: FlowSpec):
+        index = g.index()
+        self.nodes, self.position, self.out = g.nodes, index.position, index.out
+        self.cap = spec.resolved_cap(g)
+        self.base = list(accumulate(map(len, index.out), initial=0))
+        self.head = [v for nbrs in index.out for v in nbrs]
+        self.weight = [w for weights in index.out_weights for w in weights]
+        edges = list(map(range, self.base, self.base[1:]))
+        sources = [self.position[s] for s in spec.sources]
+        if spec.trajectory is not Trajectory.GEODESIC:
+            self.options = dict.fromkeys(sources, list(map(self._option, edges)))
+            return
+        self.options = {}
+        for s in sources:
+            row = geodesic_distances(g, g.nodes[s])
+            dist = [row[v] for v in g.nodes]
+            self.options[s] = [
+                self._option(() if d is None else
+                             [e for e in out if dist[self.head[e]] == d + 1])
+                for out, d in zip(edges, dist)]
+
+    def _option(self, edges) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        edges = tuple(edges)
+        return edges, tuple(accumulate(map(self.weight.__getitem__, edges)))
+
+
+def _pick(rng: random.Random, edges: Sequence[int], totals: Sequence[int],
+          uniform: bool) -> int:
+    """One of ``edges``, weight-proportional (``totals`` holds their running
+    weight totals) unless ``uniform``.  Integer totals compare exactly with
+    the float draw, so bisection picks what a linear scan adding up the
+    weights would from the same draw, down to the scan's fallthrough."""
+    k = len(edges)
+    if k == 1:
+        return edges[0]
     if uniform:
-        return list(cands)[rng.randrange(len(cands))]
-    x = rng.random() * sum(cands.values())
-    acc = 0.0
-    for v, w in cands.items():
-        acc += w
-        if x < acc:
-            return v
-    return v
+        return edges[rng.randrange(k)]
+    i = bisect_right(totals, rng.random() * totals[-1])
+    return edges[i if i < k else k - 1]
 
 
 def replicate_once(g: SocialGraph, spec: FlowSpec, rep_index: int,
-                   distances: Mapping[StudentId, Mapping[StudentId, int | None]] | None = None,
                    collect_histories: bool = False) -> _RepOutcome:
     """Run a single replication; exposed so tests can audit token routes."""
     spec.validate(g)
-    rng = random.Random(spec.seed + rep_index)
-    mechanism = spec.mechanism
-    trajectory = spec.trajectory
-    cap = spec.resolved_cap(g)
-    if trajectory is Trajectory.GEODESIC and distances is None:
-        distances = {s: geodesic_distances(g, s) for s in spec.sources}
-    track_nodes = trajectory is Trajectory.PATH
-    track_edges = trajectory is Trajectory.TRAIL
+    return _replicate(_HopTable(g, spec), spec, rep_index, collect_histories)
 
-    arrival: dict[StudentId, int] = {}
-    receipts: dict[StudentId, int] = {}
+
+def _replicate(hops: _HopTable, spec: FlowSpec, rep_index: int,
+               collect_histories: bool = False) -> _RepOutcome:
+    rng = random.Random(spec.seed + rep_index)
+    parallel = spec.mechanism is Mechanism.PARALLEL_DUP
+    transfer = spec.mechanism is Mechanism.TRANSFER
+    cap, uniform = hops.cap, spec.uniform
+    track_nodes = spec.trajectory is Trajectory.PATH
+    track_edges = spec.trajectory is Trajectory.TRAIL
+    target = -1 if spec.target is None else hops.position[spec.target]
+    out, head, weight, options = hops.out, hops.head, hops.weight, hops.options
+
+    arrival: list[int | None] = [None] * len(hops.nodes)
+    receipts = [0] * len(hops.nodes)
     tokens: list[_Token] = []
-    # filled only for route histories: it keeps every spawned token alive
-    all_tokens: list[_Token] = []
     dead: set[int] = set()
-    for lineage, s in enumerate(spec.sources):
-        token = _Token(s, s, lineage,
-                       {s} if track_nodes else None,
-                       set() if track_edges else None)
-        tokens.append(token)
-        if collect_histories:
-            all_tokens.append(token)
+    for lineage, source in enumerate(spec.sources):
+        s = hops.position[source]
+        tokens.append(_Token(s, s, lineage,
+                             {s} if track_nodes else set() if track_edges else None))
         arrival[s] = 0
         receipts[s] = 1
-        if spec.target is not None and s == spec.target:
+        if s == target:
             dead.add(lineage)
+    # filled only for route histories: it keeps every spawned token alive
+    all_tokens = tokens[:] if collect_histories else []
     tokens = [t for t in tokens if t.lineage not in dead]
     truncated = False
     steps = 0
-
-    def candidates(token: _Token) -> dict[StudentId, int]:
-        out = g.out_neighbors(token.holder)
-        if trajectory is Trajectory.WALK:
-            return out
-        if trajectory is Trajectory.PATH:
-            return {v: w for v, w in out.items() if v not in token.visited}
-        if trajectory is Trajectory.TRAIL:
-            h = token.holder
-            return {v: w for v, w in out.items() if (h, v) not in token.used}
-        row = distances[token.origin]
-        nxt = row[token.holder] + 1
-        return {v: w for v, w in out.items() if row[v] == nxt}
 
     for step in range(1, spec.max_steps + 1):
         if not tokens:
@@ -221,77 +250,72 @@ def replicate_once(g: SocialGraph, spec: FlowSpec, rep_index: int,
         live = len(tokens)
         survivors: list[_Token] = []
         spawned: list[_Token] = []
-
-        def deliver(v: StudentId) -> None:
-            receipts[v] = receipts.get(v, 0) + 1
-            if v not in arrival:
-                arrival[v] = step
-
-        def spawn(parent: _Token, v: StudentId) -> None:
-            nonlocal live, truncated
-            if live >= cap:
-                # the delivery above still counts; only the copy record
-                # is dropped, so the item cannot travel onward from v
-                truncated = True
-                return
-            child = _Token(
-                v, parent.origin, parent.lineage,
-                set(parent.visited) | {v} if track_nodes else None,
-                set(parent.used) | {(parent.holder, v)} if track_edges else None)
-            spawned.append(child)
-            if collect_histories:
-                all_tokens.append(child)
-            live += 1
-
         for token in tokens:
-            if token.lineage in dead:
+            lineage = token.lineage
+            if lineage in dead:
                 live -= 1
                 continue
-            cands = candidates(token)
-            if not cands:
+            u = token.holder
+            route = token.route
+            edges, totals = options[token.origin][u]
+            if track_nodes and not route.isdisjoint(out[u]):
+                edges = [e for e, v in zip(edges, out[u]) if v not in route]
+                totals = list(accumulate(map(weight.__getitem__, edges)))
+            elif track_edges and not route.isdisjoint(edges):
+                edges = [e for e in edges if e not in route]
+                totals = list(accumulate(map(weight.__getitem__, edges)))
+            if not edges:
                 live -= 1
                 continue
-            if mechanism is Mechanism.PARALLEL_DUP:
-                chosen = cands
-            else:
-                chosen = (_weighted_choice(rng, cands, spec.uniform),)
-            for v in chosen:
-                deliver(v)
-                if mechanism is not Mechanism.TRANSFER:
-                    spawn(token, v)
-                if track_nodes:
-                    token.visited.add(v)
-                if track_edges:
-                    token.used.add((token.holder, v))
-                if spec.target is not None and v == spec.target:
-                    dead.add(token.lineage)
+            chosen = edges if parallel else (_pick(rng, edges, totals, uniform),)
+            for e in chosen:
+                v = head[e]
+                receipts[v] += 1
+                if arrival[v] is None:
+                    arrival[v] = step
+                mark = v if track_nodes else e
+                if not transfer:
+                    if live >= cap:
+                        # the delivery above still counts; only the copy record
+                        # is dropped, so the item cannot travel onward from v
+                        truncated = True
+                    else:
+                        child = _Token(v, token.origin, lineage,
+                                       None if route is None else route | {mark})
+                        spawned.append(child)
+                        if collect_histories:
+                            all_tokens.append(child)
+                        live += 1
+                if route is not None:
+                    route.add(mark)
+                if v == target:
+                    dead.add(lineage)
                     break
-            if mechanism is Mechanism.TRANSFER:
+            if transfer:
                 token.holder = v
-            if token.lineage in dead:
+            if lineage in dead:
                 live -= 1
                 continue
             survivors.append(token)
         tokens = [t for t in survivors if t.lineage not in dead]
         tokens += [t for t in spawned if t.lineage not in dead]
-        if spec.target is not None and len(dead) == len(spec.sources):
+        if target >= 0 and len(dead) == len(spec.sources):
             break
 
+    nodes = hops.nodes
     outcome = _RepOutcome(
-        arrival=arrival,
-        receipts=receipts,
+        arrival={nodes[v]: a for v, a in enumerate(arrival) if a is not None},
+        receipts={nodes[v]: c for v, c in enumerate(receipts) if c},
         steps=steps,
         truncated=truncated or (steps == spec.max_steps and bool(tokens)),
     )
     if collect_histories:
-        outcome.histories = [
-            TokenRecord(
-                origin=t.origin,
-                holder=t.holder,
-                visited=frozenset(t.visited) if t.visited is not None else frozenset(),
-                used_edges=frozenset(t.used) if t.used is not None else frozenset())
-            for t in all_tokens
-        ]
+        tail = [u for u, nbrs in enumerate(out) for _ in nbrs]
+        outcome.histories = [TokenRecord(
+            nodes[t.origin], nodes[t.holder],
+            frozenset(nodes[v] for v in t.route) if track_nodes else frozenset(),
+            frozenset((nodes[tail[e]], nodes[head[e]]) for e in t.route)
+            if track_edges else frozenset()) for t in all_tokens]
     return outcome
 
 
@@ -300,12 +324,11 @@ def simulate(g: SocialGraph, spec: FlowSpec) -> DiffusionTrace:
 
     Merging is order-independent: first arrivals take the minimum,
     receipts and arrival sums add up.  Replication i draws from
-    ``random.Random(spec.seed + i)``.
+    ``random.Random(spec.seed + i)``.  The spec is validated and the hop
+    table built once for all replications.
     """
     spec.validate(g)
-    distances = None
-    if spec.trajectory is Trajectory.GEODESIC:
-        distances = {s: geodesic_distances(g, s) for s in spec.sources}
+    hops = _HopTable(g, spec)
 
     # parallel duplication is deterministic: one replication, scaled
     if spec.mechanism is Mechanism.PARALLEL_DUP:
@@ -321,7 +344,7 @@ def simulate(g: SocialGraph, spec: FlowSpec) -> DiffusionTrace:
     steps_run = 0
     truncated = False
     for rep in range(reps_to_run):
-        outcome = replicate_once(g, spec, rep, distances=distances)
+        outcome = _replicate(hops, spec, rep)
         for v, step in outcome.arrival.items():
             prior = first_arrival[v]
             if prior is None or step < prior:

@@ -5,7 +5,8 @@ student v a total of w times.  The graph is immutable once built; every
 metric and simulation in the package reads from it concurrently without
 locks.  Hop distances come from two loops: a BFS from one source
 (:func:`geodesic_distances`) and one bit-parallel pass over all sources
-at once (:func:`distance_sums`).
+at once (:func:`distance_sums`).  :meth:`SocialGraph.index` gives the
+same out-adjacency keyed by node position, for loops that run on ints.
 """
 
 from __future__ import annotations
@@ -13,11 +14,21 @@ from __future__ import annotations
 import csv
 import io
 from collections import deque
-from typing import Iterable, Iterator, Mapping
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import DataFormatError, MissingNodeError, ParameterError
 
 StudentId = str
+
+
+class GraphIndex(NamedTuple):
+    """Out-adjacency by node position: ``out[i]`` holds node i's out-neighbour
+    positions and ``out_weights[i]`` their weights, in canonical order."""
+
+    position: Mapping[StudentId, int]
+    out: tuple[tuple[int, ...], ...]
+    out_weights: tuple[tuple[int, ...], ...]
 
 
 class SocialGraph:
@@ -29,7 +40,8 @@ class SocialGraph:
     iterates in canonical (sorted) order, whatever the order of ``edges``.
     """
 
-    __slots__ = ("_out", "_in", "_ties", "_nodes", "_edge_count", "_weight_total")
+    __slots__ = ("_out", "_in", "_ties", "_nodes", "_edge_count", "_weight_total",
+                 "_index")
 
     def __init__(self, edges: Mapping[tuple[StudentId, StudentId], int] | None = None,
                  nodes: Iterable[StudentId] = ()):
@@ -74,6 +86,19 @@ class SocialGraph:
     def total_weight(self) -> int:
         """Sum of all edge weights (total reply interactions)."""
         return self._weight_total
+
+    def index(self) -> GraphIndex:
+        """The integer out-adjacency, built on first request and cached; it is
+        immutable, so a concurrent first build is harmless."""
+        index = getattr(self, "_index", None)
+        if index is None:
+            position = {u: i for i, u in enumerate(self._nodes)}
+            rows = [self._out[u] for u in self._nodes]
+            index = self._index = GraphIndex(
+                MappingProxyType(position),
+                tuple(tuple(position[v] for v in row) for row in rows),
+                tuple(tuple(row.values()) for row in rows))
+        return index
 
     def __contains__(self, u: StudentId) -> bool:
         return u in self._out

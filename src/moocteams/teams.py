@@ -94,10 +94,13 @@ def _sizes_feasible(sizes: Sequence[int], n: int, s_min: int, s_max: int,
         return True
     if len(outside) > 1:
         return False
-    s = outside[0]
-    if s < s_min:
-        return True
-    return allow_oversize and s <= s_max + n % s_max
+    return _lone_outsider_ok(outside[0], n, s_min, s_max, allow_oversize)
+
+
+def _lone_outsider_ok(s: int, n: int, s_min: int, s_max: int,
+                      allow_oversize: bool) -> bool:
+    """Whether a team of s (>= 2) may be the one outside [s_min, s_max]."""
+    return s < s_min or (allow_oversize and s <= s_max + n % s_max)
 
 
 def team_sizes(n: int, s_min: int, s_max: int,
@@ -367,7 +370,13 @@ def _hill_climb(teams: list[list[StudentId]],
     def score(members: Sequence[StudentId]) -> float:
         return _value(weights, *_team_terms(members, table))
 
+    def off(size: int) -> bool:
+        return not s_min <= size <= s_max
+
     scores = [score(t) for t in teams]
+    # sizes always pass _sizes_feasible, so a move is decided by the two it changes
+    sizes = [len(t) for t in teams]
+    outside = sum(map(off, sizes))
     for _ in range(iterations):
         i = rng.randrange(k)
         j = rng.randrange(k - 1)
@@ -379,13 +388,14 @@ def _hill_climb(teams: list[list[StudentId]],
             ti = teams[i][:]
             tj = teams[j][:]
             ti[a], tj[b] = tj[b], ti[a]
+            count = outside
         else:
-            if len(teams[i]) <= 2:
+            if sizes[i] <= 2:
                 continue
-            sizes = [len(t) for t in teams]
-            sizes[i] -= 1
-            sizes[j] += 1
-            if not _sizes_feasible(sizes, n, s_min, s_max, allow_oversize):
+            moved = [s for s in (sizes[i] - 1, sizes[j] + 1) if off(s)]
+            count = outside - off(sizes[i]) - off(sizes[j]) + len(moved)
+            if count > 1 or (moved and not _lone_outsider_ok(
+                    moved[0], n, s_min, s_max, allow_oversize)):
                 continue
             a = rng.randrange(len(teams[i]))
             ti = teams[i][:a] + teams[i][a + 1:]
@@ -394,6 +404,8 @@ def _hill_climb(teams: list[list[StudentId]],
         if si + sj > scores[i] + scores[j]:
             teams[i], teams[j] = ti, tj
             scores[i], scores[j] = si, sj
+            sizes[i], sizes[j] = len(ti), len(tj)
+            outside = count
     return teams
 
 

@@ -10,7 +10,7 @@ import random
 
 import numpy as np
 
-from moocteams.graph import SocialGraph
+from moocteams.graph import SocialGraph, StudentId
 
 
 def random_digraph(n: int, p: float, seed: int, max_w: int = 4) -> SocialGraph:
@@ -22,6 +22,21 @@ def random_digraph(n: int, p: float, seed: int, max_w: int = 4) -> SocialGraph:
             if u != v and rng.random() < p:
                 edges[(u, v)] = rng.randint(1, max_w)
     return SocialGraph(edges, nodes=nodes)
+
+
+def _weighted_choice(rng: random.Random, cands: dict[StudentId, int],
+                     uniform: bool) -> StudentId:
+    if len(cands) == 1:
+        return next(iter(cands))
+    if uniform:
+        return list(cands)[rng.randrange(len(cands))]
+    x = rng.random() * sum(cands.values())
+    acc = 0.0
+    for v, w in cands.items():
+        acc += w
+        if x < acc:
+            return v
+    return v
 
 
 def strongly_connected_digraph(n: int, p: float, seed: int,

@@ -1,0 +1,110 @@
+"""The diffusion engine against fixed outputs and the linear-scan hop pick.
+
+The digests below are the sha256 of ``write_trace_csv`` for each spec of
+``_pinned_specs``, recorded with the dict-keyed engine that preceded the
+integer hop table.  Any change to candidate order or to RNG use moves
+them.
+"""
+
+import hashlib
+import io
+import random
+from itertools import accumulate
+
+import pytest
+
+from moocteams.diffusion import (FlowSpec, _pick, full_typology_specs,
+                                 simulate, write_trace_csv)
+
+from oracles import _weighted_choice, random_digraph
+
+PINNED = [
+    ("TRANSFER", "GEODESIC", "755e9474a2f75418395c543549ad7ee38dd36c15e52cb4afb74b62be651c496d"),
+    ("TRANSFER", "PATH", "b7afad8b4561be8e190775c46fca8b9d0189474cfcecaa5335450141ecc3bbc8"),
+    ("TRANSFER", "TRAIL", "afa1343cda8e695ab25ef7adc71b7be10df74ac5947987818c477241f6cb8470"),
+    ("TRANSFER", "WALK", "4b6b117c008393513cfd0e81b5be6b27fa92eb4eee530bb835b9f2f0a71f3034"),
+    ("SERIAL_DUP", "GEODESIC", "f02e9194a9998bd838e47ab02740ac13aa45d262c3d72b0b4ef43a554e750f1b"),
+    ("SERIAL_DUP", "PATH", "c2c6d3b6174b6145a41dcfb84bdc787567b6eed3eaca2f960e7239dac333e335"),
+    ("SERIAL_DUP", "TRAIL", "db557313321bc5433f02db2d03691f8f184d613a5391f64c094b22bc6320dd46"),
+    ("SERIAL_DUP", "WALK", "0c3062f6fc58aecb2574a30041d75573bcd52a8a8482d27e95f1eaf26ccb965d"),
+    ("PARALLEL_DUP", "GEODESIC", "ee2804a76c62ef6b36ff88730876bbdcb008cd85e48e611ab7729648262ee205"),
+    ("PARALLEL_DUP", "PATH", "9eec9bba027720204161389481785d8686243da118e976fa5277598fc8632c7c"),
+    ("PARALLEL_DUP", "TRAIL", "3cd10cff47c55c1c3e7076fcdddcc56c505e3701d00635af7596f657caacf46d"),
+    ("PARALLEL_DUP", "WALK", "046210a654fe2bdaab3509cdf613c67d2feddb2978c6d3a487326b8f5676df0f"),
+    # with a target, with two sources, with uniform hops
+    ("SERIAL_DUP", "PATH", "bfc520add14cefcd47123d03f4512d95fa8300af296bac83228bf7bd0f70989c"),
+    ("SERIAL_DUP", "GEODESIC", "bc3fcc6d014ae16eb0b5845f0c3b405848a93a7703c6b927501f0e20369acc14"),
+    ("SERIAL_DUP", "WALK", "7a40ef7712542f82d5981f8b52de5f9950b311933e3a76ec0d707279b51cbb30"),
+]
+
+
+def _pinned_specs(g):
+    src = g.nodes[0]
+    specs = full_typology_specs((src,), max_steps=8, replications=6, seed=21)
+    return specs + [
+        FlowSpec("SERIAL_DUP", "PATH", (src,), target=g.nodes[17],
+                 max_steps=10, replications=6, seed=5),
+        FlowSpec("SERIAL_DUP", "GEODESIC", (src, g.nodes[23]),
+                 max_steps=12, replications=6, seed=9),
+        FlowSpec("SERIAL_DUP", "WALK", (g.nodes[5],), max_steps=8,
+                 replications=6, seed=13, uniform=True),
+    ]
+
+
+def test_traces_match_pinned_digests():
+    g = random_digraph(40, 0.12, seed=4)
+    specs = _pinned_specs(g)
+    assert len(specs) == len(PINNED)
+    for spec, (mechanism, trajectory, digest) in zip(specs, PINNED):
+        assert (spec.mechanism.value, spec.trajectory.value) == (mechanism, trajectory)
+        buf = io.StringIO()
+        write_trace_csv(simulate(g, spec), buf)
+        got = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+        assert got == digest, (mechanism, trajectory, spec.target, spec.sources)
+
+
+@pytest.mark.parametrize("uniform", [False, True])
+def test_pick_matches_linear_scan(uniform):
+    gen = random.Random(1 + uniform)
+    checked = 0
+    for _ in range(4000):
+        k = gen.randint(1, 18)
+        weights = [gen.randint(1, 50) for _ in range(k)]
+        excluded = {i for i in range(k) if gen.random() < 0.3}
+        kept = [i for i in range(k) if i not in excluded]
+        if not kept:
+            continue
+        seed = gen.getrandbits(32)
+        scan_rng, pick_rng = random.Random(seed), random.Random(seed)
+        expected = _weighted_choice(
+            scan_rng, {f"v{i:02d}": weights[i] for i in kept}, uniform)
+        got = _pick(pick_rng, kept, list(accumulate(weights[i] for i in kept)),
+                    uniform)
+        assert f"v{got:02d}" == expected
+        assert pick_rng.getstate() == scan_rng.getstate()
+        checked += 1
+    assert checked > 3000
+
+
+class _FixedDraw(random.Random):
+    """A generator whose every draw is ``value``."""
+
+    def __init__(self, value):
+        super().__init__(0)
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+def test_pick_matches_linear_scan_on_boundary_draws():
+    # a draw equal to a running total belongs to the next candidate, since
+    # the scan compares strictly; a draw of the full total falls through
+    # the scan to the last candidate, and the bisection is clamped there
+    weights = {"a": 3, "b": 1, "c": 5, "d": 7}  # totals t / 16 are exact
+    totals = list(accumulate(weights.values()))
+    for value in [t / totals[-1] for t in [0, *totals]]:
+        expected = _weighted_choice(_FixedDraw(value), weights, False)
+        got = _pick(_FixedDraw(value), [0, 1, 2, 3], totals, False)
+        assert "abcd"[got] == expected
+    assert _pick(_FixedDraw(1.0), [0, 1, 2, 3], totals, False) == 3
