@@ -3,10 +3,10 @@
 Edge u -> v with weight w means student u replied to messages authored by
 student v a total of w times.  The graph is immutable once built; every
 metric and simulation in the package reads from it concurrently without
-locks.  Hop distances come from two loops: a BFS from one source
-(:func:`geodesic_distances`) and one bit-parallel pass over all sources
-at once (:func:`distance_sums`).  :meth:`SocialGraph.index` gives the
-same out-adjacency keyed by node position, for loops that run on ints.
+locks.  :meth:`SocialGraph.index` keys the out-adjacency by node position.
+Hop distances come from a BFS from one source (:func:`geodesic_distances`)
+and one bit-parallel pass over all sources (:func:`hop_sums`), which reads
+position rows: the index for :func:`distance_sums`, or rewiring's own.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import csv
 import io
 from collections import deque
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import DataFormatError, MissingNodeError, ParameterError
 
@@ -180,33 +180,36 @@ def geodesic_distances(g: SocialGraph, source: StudentId) -> dict[StudentId, int
     return dist
 
 
-def distance_sums(g: SocialGraph) -> dict[StudentId, tuple[int, int]]:
-    """For every node u: the sum of hop counts from u to the nodes it reaches
-    by a directed path, and the number of those nodes (u itself excluded).
-
+def hop_sums(out: Sequence[Iterable[int]]) -> list[tuple[int, int]]:
+    """For each position u of ``out`` (u's out-neighbour positions): the sum
+    of hop counts from u to the positions it reaches, and how many it reaches.
     All sources advance together (multi-source bit-parallel BFS): bit t of
-    u's int is set once u has reached node t, and each hop ORs in the
-    frontier sets of u's out-neighbors.
+    u's int is set once u reaches t; a hop ORs in u's out-neighbours' frontiers.
     """
-    adjacency = [(u, g.out_neighbors(u)) for u in g.nodes]
-    seen = {u: 1 << i for i, u in enumerate(g.nodes)}
-    frontier = dict(seen)
-    totals = dict.fromkeys(g.nodes, 0)
+    n = len(out)
+    seen = [1 << u for u in range(n)]
+    frontier = seen[:]
+    totals = [0] * n
     hop = 0
-    while frontier:
+    while any(frontier):
         hop += 1
-        reached = {}
-        for u, out in adjacency:
+        reached = [0] * n
+        for u, row in enumerate(out):
             new = 0
-            for v in out:
-                new |= frontier.get(v, 0)
+            for v in row:
+                new |= frontier[v]
             new &= ~seen[u]
             if new:
                 reached[u] = new
                 seen[u] |= new
                 totals[u] += hop * new.bit_count()
         frontier = reached
-    return {u: (totals[u], seen[u].bit_count() - 1) for u in g.nodes}
+    return [(total, bits.bit_count() - 1) for total, bits in zip(totals, seen)]
+
+
+def distance_sums(g: SocialGraph) -> dict[StudentId, tuple[int, int]]:
+    """:func:`hop_sums` keyed by node: (hop total, nodes reached) for each."""
+    return dict(zip(g.nodes, hop_sums(g.index().out)))
 
 
 def finite_distance_total(g: SocialGraph) -> tuple[int, int]:

@@ -15,7 +15,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Collection, Iterable, Mapping
 
 from .errors import (DataFormatError, MissingNodeError, ParameterError,
                      UndefinedMetricError)
@@ -178,13 +178,18 @@ def clustering_coefficient(g: SocialGraph, node: StudentId) -> float:
     counts directed edges among them, the denominator is k(k-1).  Nodes
     with fewer than two neighbors score 0.
     """
-    nbrs = g.ties(node)
+    return neighbourhood_clustering(g.ties(node), g.out_neighbors)
+
+
+def neighbourhood_clustering(nbrs: Collection, out_of: Callable[..., Iterable]) -> float:
+    """links / (k(k-1)) over the k nodes of ``nbrs``, links counting each j's
+    out-row targets ``out_of(j)`` in ``nbrs``; exact ints, so order-free."""
     k = len(nbrs)
     if k < 2:
         return 0.0
     links = 0
     for j in nbrs:
-        links += sum(1 for t in g.out_neighbors(j) if t in nbrs)
+        links += sum(1 for t in out_of(j) if t in nbrs)
     return links / (k * (k - 1))
 
 

@@ -2,9 +2,9 @@
 
 Anneals over double-edge swaps, which keep every student's in- and
 out-degree fixed while reshaping who talks to whom.  The objective
-rewards clustering and penalizes long finite geodesics; each proposal is
-a :class:`SocialGraph`, scored by the metrics layer's
-``clustering_coefficient`` and the graph's own hop distances.
+rewards clustering and penalizes long finite geodesics; proposals are
+applied to and undone from one mutable swap state over node positions,
+and only the best state becomes a :class:`SocialGraph`.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import random
 from dataclasses import dataclass
 
 from .errors import ParameterError
-from .graph import SocialGraph, finite_distance_total
-from .metrics import clustering_coefficient
+from .graph import SocialGraph, hop_sums
+from .metrics import neighbourhood_clustering
 
 
 @dataclass(frozen=True)
@@ -33,19 +33,56 @@ class RewireResult:
         return self.final_score - self.initial_score
 
 
-def _score(g: SocialGraph, alpha: float, beta: float) -> float:
-    clustering = sum(clustering_coefficient(g, v) for v in g.nodes) / g.node_count
-    total, pairs = finite_distance_total(g)
-    return alpha * clustering - beta * (total / pairs if pairs else 0.0)
+class _SwapState:
+    """Out-neighbour position lists and tie-neighbour sets that swaps edit in
+    place, and each node's clustering coefficient; scores equal those of the
+    equivalent graph."""
+
+    def __init__(self, g: SocialGraph, alpha: float, beta: float):
+        if not (0.0 <= alpha < math.inf and 0.0 <= beta < math.inf):
+            raise ParameterError("alpha and beta must be non-negative and finite")
+        self.alpha, self.beta = alpha, beta
+        position = g.index().position
+        self.out = [list(row) for row in g.index().out]
+        self.ties = [{position[v] for v in g.ties(u)} for u in g.nodes]
+        self.coef = [self._clustering(v) for v in range(len(self.out))]
+
+    def _clustering(self, v: int) -> float:
+        return neighbourhood_clustering(self.ties[v], self.out.__getitem__)
+
+    def swap(self, a: int, b: int, c: int, d: int,
+             restore: dict[int, float] | None = None) -> dict[int, float]:
+        """Replace edges (a,b),(c,d) with (a,d),(c,b); recompute the clustering
+        entries this can change, or set them from ``restore`` to undo a swap,
+        and return their old values.  Beyond a, b, c and d, those are the
+        common neighbours of a removed or added edge's ends."""
+        out, ties = self.out, self.ties
+        ta, tb, tc, td = (ties[x] for x in (a, b, c, d))
+        touched = {a, b, c, d} | (ta & tb) | (tc & td) | (ta & td) | (tc & tb)
+        for x, old, new in ((a, b, d), (c, d, b)):
+            out[x].remove(old)
+            out[x].append(new)
+            if x not in out[old]:
+                ties[x].remove(old)
+                ties[old].remove(x)
+            ties[x].add(new)
+            ties[new].add(x)
+        saved = {v: self.coef[v] for v in touched}
+        for v in touched:
+            self.coef[v] = restore[v] if restore else self._clustering(v)
+        return saved
+
+    def score(self) -> float:
+        clustering = sum(self.coef) / len(self.coef)
+        total, pairs = map(sum, zip(*hop_sums(self.out)))
+        return self.alpha * clustering - self.beta * (total / pairs if pairs else 0.0)
 
 
 def graph_objective(g: SocialGraph, alpha: float = 1.0, beta: float = 1.0) -> float:
     """Clustering-vs-distance objective used by :func:`rewire_optimize`."""
-    if alpha < 0 or beta < 0:
-        raise ParameterError("alpha and beta must be non-negative")
     if g.node_count == 0:
         raise ParameterError("objective undefined on an empty graph")
-    return _score(g, alpha, beta)
+    return _SwapState(g, alpha, beta).score()
 
 
 def rewire_optimize(g: SocialGraph, alpha: float = 1.0, beta: float = 1.0,
@@ -62,26 +99,25 @@ def rewire_optimize(g: SocialGraph, alpha: float = 1.0, beta: float = 1.0,
     state is tracked separately, the final score never falls below the
     initial one.
     """
-    if alpha < 0 or beta < 0:
-        raise ParameterError("alpha and beta must be non-negative")
     if iterations < 0:
         raise ParameterError("iterations must be non-negative")
     if not 0.0 < cooling <= 1.0:
         raise ParameterError("cooling must lie in (0, 1]")
-    if initial_temperature < 0.0:
-        raise ParameterError("initial_temperature must be non-negative")
+    if not 0.0 <= initial_temperature < math.inf:
+        raise ParameterError("initial_temperature must be non-negative and finite")
     if g.edge_count < 2:
         raise ParameterError("rewiring needs at least two edges")
 
-    # one (src, dst) slot per edge; a swap rewrites two slots' targets,
-    # and each weight stays with its slot
-    slots = [(u, v) for u, v, _ in g.edges()]
-    wts = [w for _, _, w in g.edges()]
+    # one (src, dst) position slot per edge, in canonical edge order; a swap
+    # rewrites two slots' targets, and each weight stays with its slot
+    slots = [(u, v) for u, row in enumerate(g.index().out) for v in row]
+    wts = [w for row in g.index().out_weights for w in row]
     rng = random.Random(seed)
     m = len(slots)
 
-    graph = best_graph = g
-    current = initial = best = _score(g, alpha, beta)
+    state = _SwapState(g, alpha, beta)
+    current = initial = best = state.score()
+    best_slots = None
     accepted = 0
     temperature = initial_temperature
 
@@ -91,26 +127,27 @@ def rewire_optimize(g: SocialGraph, alpha: float = 1.0, beta: float = 1.0,
         temperature *= cooling
         if e1 == e2:
             continue
-        (sa, sb), (sc, sd) = slots[e1], slots[e2]
-        if sa == sd or sc == sb or graph.weight(sa, sd) or graph.weight(sc, sb):
+        (a, b), (c, d) = slots[e1], slots[e2]
+        if a == d or c == b or d in state.out[a] or b in state.out[c]:
             continue
-        slots[e1], slots[e2] = (sa, sd), (sc, sb)
-        proposal = SocialGraph(dict(zip(slots, wts)), nodes=g.nodes)
-        candidate = _score(proposal, alpha, beta)
+        saved = state.swap(a, b, c, d)
+        candidate = state.score()
         delta = candidate - current
         if delta > 0 or (temperature > 0
                          and rng.random() < math.exp(delta / temperature)):
             accepted += 1
-            graph = proposal
+            slots[e1], slots[e2] = (a, d), (c, b)
             current = candidate
             if candidate > best:
                 best = candidate
-                best_graph = proposal
+                best_slots = slots[:]
         else:
-            slots[e1], slots[e2] = (sa, sb), (sc, sd)
+            state.swap(a, d, c, b, restore=saved)
 
+    nodes = g.nodes
     return RewireResult(
-        graph=best_graph,
+        graph=g if best_slots is None else SocialGraph(
+            {(nodes[u], nodes[v]): w for (u, v), w in zip(best_slots, wts)}, nodes=nodes),
         initial_score=initial,
         final_score=best,
         iterations=iterations,

@@ -151,17 +151,22 @@ def _feasible_team_counts(n: int, s_min: int, s_max: int,
 
 def _candidate_team_counts(n: int, s_min: int, s_max: int,
                            allow_oversize: bool) -> list[int]:
-    feasible = _feasible_team_counts(n, s_min, s_max, allow_oversize)
-    if not feasible:
-        raise ParameterError(
-            f"no feasible team sizes for n={n} within [{s_min}, {s_max}]")
-    if len(feasible) <= 3:
-        return feasible
+    """The three feasible team counts nearest ``team_sizes``' count, the
+    smaller first on a tie, scanned outward from it (from the middle
+    feasible count when it has no answer)."""
     try:
         anchor = len(team_sizes(n, s_min, s_max, allow_oversize))
     except ParameterError:
-        anchor = feasible[len(feasible) // 2]
-    return sorted(sorted(feasible, key=lambda k: (abs(k - anchor), k))[:3])
+        feasible = _feasible_team_counts(n, s_min, s_max, allow_oversize)
+        anchor = feasible[len(feasible) // 2] if feasible else 0
+    outward = sorted(range(1, n // 2 + 1), key=lambda k: (abs(k - anchor), k))
+    counts = list(itertools.islice(
+        (k for k in outward
+         if _initial_sizes(n, k, s_min, s_max, allow_oversize) is not None), 3))
+    if not counts:
+        raise ParameterError(
+            f"no feasible team sizes for n={n} within [{s_min}, {s_max}]")
+    return sorted(counts)
 
 
 # -- per-team scoring --------------------------------------------------------

@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import pytest
 
 from moocteams.errors import ParameterError
@@ -81,6 +84,25 @@ def test_rewire_rejects_degenerate_inputs():
         rewire_optimize(g, iterations=10, seed=0, initial_temperature=-2.0)
 
 
+def test_rewire_scores_equal_the_objective_exactly():
+    for seed in range(40):
+        g = random_digraph(8 + seed % 17, 0.1 + 0.05 * (seed % 4), seed=700 + seed)
+        result = rewire_optimize(g, iterations=150, seed=seed)
+        assert result.initial_score == graph_objective(g)
+        assert result.final_score == graph_objective(result.graph)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_rewire_rejects_non_finite_settings(value):
+    g = random_digraph(10, 0.3, seed=1)
+    for setting in ("alpha", "beta", "initial_temperature"):
+        with pytest.raises(ParameterError):
+            rewire_optimize(g, iterations=10, seed=0, **{setting: value})
+    for setting in ("alpha", "beta"):
+        with pytest.raises(ParameterError):
+            graph_objective(g, **{setting: value})
+
+
 def test_objective_prefers_clustered_short_graphs():
     # complete triad: clustering 1, all distances 1
     complete = SocialGraph({(u, v): 1 for u in "abc" for v in "abc" if u != v})
@@ -105,3 +127,46 @@ def test_objective_matches_clustering_and_distance_oracles():
         alpha, beta = weights[(seed // 4) % len(weights)]
         assert graph_objective(g, alpha=alpha, beta=beta) == \
             pytest.approx(_oracle_objective(g, alpha, beta), abs=1e-12)
+
+
+# Digests of rewire outcomes, recorded with every proposal scored as a whole
+# SocialGraph: any changed accept/reject decision, RNG draw or last-bit
+# rounding of a score changes one of them.
+PINNED_SETTINGS = {
+    "default": {},
+    "alpha0.3-beta2": {"alpha": 0.3, "beta": 2.0},
+    "greedy": {"initial_temperature": 0.0},
+    "cold-fast": {"initial_temperature": 0.01, "cooling": 0.9},
+}
+
+PINNED_DIGESTS = {
+    "default":
+        "413cb6cd6899de02b9db7f085c18cdc366408d74020a1f36b14688a7f6202f26",
+    "alpha0.3-beta2":
+        "e738507e72fda5e770df5cb680e9eb21a849865be7b4cede1b999c9c663cdff9",
+    "greedy":
+        "283ca58e82314507b0d4a71f2dfa836a98343503e811c5d3cb57f4afbbd4b778",
+    "cold-fast":
+        "5add0cd388508d3fb9e46b83042d2c19f58471020f7a5df415f0489f1a71322e",
+    "ring-lattice":
+        "e1d5e488171ad964422bf9208b02732259108bb2b83b68cafbc827d6c2a5ac8e",
+}
+
+
+def _outcome_digest(results):
+    h = hashlib.sha256()
+    for r in results:
+        h.update(repr((sorted(r.graph.edges()), repr(r.initial_score),
+                       repr(r.final_score), r.accepted)).encode())
+    return h.hexdigest()
+
+
+def test_rewire_outcomes_match_pinned_digests():
+    graphs = [random_digraph(10 + i, 0.12 + 0.01 * (i % 5), seed=500 + i)
+              for i in range(24)]
+    got = {name: _outcome_digest(rewire_optimize(g, iterations=200, seed=i, **kw)
+                                 for i, g in enumerate(graphs))
+           for name, kw in PINNED_SETTINGS.items()}
+    got["ring-lattice"] = _outcome_digest(
+        [rewire_optimize(ring_lattice(24), iterations=2000, seed=7)])
+    assert got == PINNED_DIGESTS

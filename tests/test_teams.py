@@ -221,6 +221,34 @@ def test_searched_team_counts_match_the_size_enumerator():
                         assert len(searched) == min(3, len(want))
 
 
+def _full_scan_team_counts(n, s_min, s_max, oversize):
+    """The three feasible counts nearest team_sizes' count, from every k."""
+    feasible = _feasible_team_counts(n, s_min, s_max, oversize)
+    if not feasible:
+        raise ParameterError("no feasible team count")
+    try:
+        anchor = len(team_sizes(n, s_min, s_max, oversize))
+    except ParameterError:
+        anchor = feasible[len(feasible) // 2]
+    return sorted(sorted(feasible, key=lambda k: (abs(k - anchor), k))[:3])
+
+
+def test_outward_team_count_search_matches_the_full_scan():
+    def outcome(search, *args):
+        try:
+            return search(*args)
+        except ParameterError:
+            return "raises"
+
+    for n in [*range(1, 41), 97, 131, 259, 260]:
+        for s_min in range(1, 9):
+            for s_max in range(1, 14):
+                for oversize in (False, True):
+                    args = (n, s_min, s_max, oversize)
+                    assert outcome(_candidate_team_counts, *args) == \
+                        outcome(_full_scan_team_counts, *args), args
+
+
 def test_objective_validates():
     g, metrics = _prepared(6, 0.4, seed=2)
     weights = ObjectiveWeights()
