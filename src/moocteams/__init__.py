@@ -11,8 +11,9 @@ from .diffusion import (NEVER, DiffusionTrace, FlowSpec, Mechanism,
                         Trajectory, flow_centrality_correlation,
                         full_typology_specs, rank_correlation, simulate,
                         typology_report)
-from .errors import (DataFormatError, InsufficientDataError, MissingNodeError,
-                     MoocteamsError, ParameterError, UndefinedMetricError)
+from .errors import (ConvergenceWarning, DataFormatError, InsufficientDataError,
+                     MissingNodeError, MoocteamsError, ParameterError,
+                     UndefinedMetricError)
 from .graph import (SocialGraph, StudentId, geodesic_distances,
                     read_graph_csv, write_graph_csv)
 from .ingest import (ForumMessage, ReplyPolicy, SynthParams,
@@ -33,10 +34,11 @@ from .teams import (ObjectiveWeights, TeamAssignment, brokerage_balance,
 
 __all__ = [
     "__version__",
-    "BrokerageCounts", "DataFormatError", "DiffusionTrace", "FlowSpec",
-    "ForumMessage", "InsufficientDataError", "Mechanism", "MissingNodeError",
-    "MoocteamsError", "NEVER", "NodeMetrics", "ObjectiveWeights",
-    "OpinionRecord", "ParameterError", "ReplyPolicy", "RewireResult",
+    "BrokerageCounts", "ConvergenceWarning", "DataFormatError",
+    "DiffusionTrace", "FlowSpec", "ForumMessage", "InsufficientDataError",
+    "Mechanism", "MissingNodeError", "MoocteamsError", "NEVER", "NodeMetrics",
+    "ObjectiveWeights", "OpinionRecord", "ParameterError", "ReplyPolicy",
+    "RewireResult",
     "RunConfig", "SkillProfile", "SocialGraph", "StageError", "StudentId",
     "SynthParams", "TeamAssignment", "Trajectory", "UndefinedMetricError",
     "aggregate_opinions", "brokerage_balance", "brokerage_counts",

@@ -31,3 +31,7 @@ class UndefinedMetricError(MoocteamsError, ValueError):
 
 class InsufficientDataError(MoocteamsError, ValueError):
     """Not enough observations to compute the requested statistic."""
+
+
+class ConvergenceWarning(UserWarning):
+    """An iterative solver stopped at its iteration limit without converging."""

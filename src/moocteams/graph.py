@@ -3,7 +3,8 @@
 Edge u -> v with weight w means student u replied to messages authored by
 student v a total of w times.  The graph is immutable once built; every
 metric and simulation in the package reads from it concurrently without
-locks.  :meth:`SocialGraph.index` keys the out-adjacency by node position.
+locks.  :meth:`SocialGraph.index` keys the out-, in- and tie-adjacency by
+node position; the metric table, diffusion and rewiring read its rows.
 Hop distances come from a BFS from one source (:func:`geodesic_distances`)
 and one bit-parallel pass over all sources (:func:`hop_sums`), which reads
 position rows: the index for :func:`distance_sums`, or rewiring's own.
@@ -23,12 +24,17 @@ StudentId = str
 
 
 class GraphIndex(NamedTuple):
-    """Out-adjacency by node position: ``out[i]`` holds node i's out-neighbour
-    positions and ``out_weights[i]`` their weights, in canonical order."""
+    """Adjacency by node position: ``out[i]`` holds node i's out-neighbour
+    positions and ``out_weights[i]`` their weights, in canonical order; the
+    ``into`` and ``ties`` rows do the same for in-neighbours and ties."""
 
     position: Mapping[StudentId, int]
     out: tuple[tuple[int, ...], ...]
     out_weights: tuple[tuple[int, ...], ...]
+    into: tuple[tuple[int, ...], ...]
+    in_weights: tuple[tuple[int, ...], ...]
+    ties: tuple[tuple[int, ...], ...]
+    tie_weights: tuple[tuple[int, ...], ...]
 
 
 class SocialGraph:
@@ -88,16 +94,17 @@ class SocialGraph:
         return self._weight_total
 
     def index(self) -> GraphIndex:
-        """The integer out-adjacency, built on first request and cached; it is
+        """The integer adjacency, built on first request and cached; it is
         immutable, so a concurrent first build is harmless."""
         index = getattr(self, "_index", None)
         if index is None:
             position = {u: i for i, u in enumerate(self._nodes)}
-            rows = [self._out[u] for u in self._nodes]
-            index = self._index = GraphIndex(
-                MappingProxyType(position),
-                tuple(tuple(position[v] for v in row) for row in rows),
-                tuple(tuple(row.values()) for row in rows))
+            rows = []
+            for adjacency in (self._out, self._in, self._ties):
+                maps = [adjacency[u] for u in self._nodes]
+                rows += (tuple(tuple(map(position.__getitem__, m)) for m in maps),
+                         tuple(tuple(m.values()) for m in maps))
+            index = self._index = GraphIndex(MappingProxyType(position), *rows)
         return index
 
     def __contains__(self, u: StudentId) -> bool:

@@ -3,10 +3,13 @@
 Rank scores (PageRank, HITS authority/hub, eigenvector centrality),
 positional costs (farness, directed clustering), structural-hole measures
 (constraint, effective size), and brokerage-role counts over directed
-2-paths.  The metric table takes every student's farness from one
-all-pairs distance pass; :func:`farness` answers for one student with a
-single BFS and the same formula.  All functions are pure reads of an
-immutable graph and safe to call concurrently.
+2-paths.  The solvers and structural-hole measures read the out-, in- and
+tie-rows of :meth:`SocialGraph.index`.  The metric table takes every
+student's farness from one all-pairs distance pass, and constraint and
+effective size from one walk over the student's 2-paths; :func:`farness`,
+:func:`burt_constraint` and :func:`effective_size` answer for one student
+with the same formulas.  All functions are pure reads of an immutable
+graph and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -14,12 +17,15 @@ from __future__ import annotations
 import csv
 import io
 import math
+import warnings
 from dataclasses import dataclass, field
+from operator import mul, sub
 from typing import Callable, Collection, Iterable, Mapping
 
-from .errors import (DataFormatError, MissingNodeError, ParameterError,
-                     UndefinedMetricError)
-from .graph import SocialGraph, StudentId, distance_sums, geodesic_distances
+from .errors import (ConvergenceWarning, DataFormatError, MissingNodeError,
+                     ParameterError, UndefinedMetricError)
+from .graph import (GraphIndex, SocialGraph, StudentId, distance_sums,
+                    geodesic_distances)
 
 #: Student -> group label; must cover every graph node.
 GroupPartition = Mapping[StudentId, str]
@@ -49,41 +55,43 @@ def pagerank(g: SocialGraph, damping: float = 0.85,
         raise ParameterError(f"damping must lie strictly in (0, 1), got {damping}")
     if not 0.0 < tol < math.inf or max_iter < 1:
         raise ParameterError("tol must be positive and finite, and max_iter >= 1")
-    nodes = g.nodes
-    n = len(nodes)
+    n = g.node_count
     if n == 0:
         raise ParameterError("pagerank is undefined on an empty graph")
-    out_strength = {u: sum(g.out_neighbors(u).values()) for u in nodes}
-    x = {u: 1.0 / n for u in nodes}
+    index = g.index()
+    rows = list(zip(index.out, index.out_weights, map(sum, index.out_weights)))
+    x = [1.0 / n] * n
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        nxt = {u: 0.0 for u in nodes}
+        nxt = [0.0] * n
         dangling = 0.0
-        for u in nodes:
-            s = out_strength[u]
+        for xu, (row, weights, s) in zip(x, rows):
             if s == 0:
-                dangling += x[u]
+                dangling += xu
                 continue
-            share = x[u] / s
-            for v, w in g.out_neighbors(u).items():
+            share = xu / s
+            for v, w in zip(row, weights):
                 nxt[v] += share * w
         base = (1.0 - damping) / n + damping * dangling / n
-        for u in nodes:
-            nxt[u] = base + damping * nxt[u]
-        delta = sum(abs(nxt[u] - x[u]) for u in nodes)
+        nxt = [base + damping * t for t in nxt]
+        delta = sum(map(abs, map(sub, nxt, x)))
         x = nxt
         if delta < tol:
             converged = True
             break
-    return ScoreMap(x, converged=converged, iterations=iterations)
+    return ScoreMap(zip(g.nodes, x), converged=converged, iterations=iterations)
 
 
-def _l2_normalize(vec: dict[StudentId, float], nodes) -> None:
-    norm = math.sqrt(sum(vec[u] * vec[u] for u in nodes))
-    if norm > 0.0:
-        for u in nodes:
-            vec[u] /= norm
+def _l2_normalized(vec: list) -> list:
+    norm = math.sqrt(sum(map(mul, vec, vec)))
+    return [t / norm for t in vec] if norm > 0.0 else vec
+
+
+def _weighted_sums(rows: list, x: list) -> list:
+    """For each (positions, weights) row, sum() of weight * x[position]."""
+    get = x.__getitem__
+    return [sum(map(mul, weights, map(get, row))) for row, weights in rows]
 
 
 def hits(g: SocialGraph, tol: float = 1e-12,
@@ -98,28 +106,23 @@ def hits(g: SocialGraph, tol: float = 1e-12,
         raise UndefinedMetricError("HITS scores are undefined on an edgeless graph")
     if not 0.0 < tol < math.inf or max_iter < 1:
         raise ParameterError("tol must be positive and finite, and max_iter >= 1")
-    nodes = g.nodes
-    init = 1.0 / math.sqrt(len(nodes))
-    auth = {u: init for u in nodes}
-    hub = {u: init for u in nodes}
+    index = g.index()
+    into = list(zip(index.into, index.in_weights))
+    out = list(zip(index.out, index.out_weights))
+    auth = hub = [1.0 / math.sqrt(g.node_count)] * g.node_count
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        new_auth = {}
-        new_hub = {}
-        for v in nodes:
-            new_auth[v] = sum(w * hub[u] for u, w in g.in_neighbors(v).items())
-        for u in nodes:
-            new_hub[u] = sum(w * auth[v] for v, w in g.out_neighbors(u).items())
-        _l2_normalize(new_auth, nodes)
-        _l2_normalize(new_hub, nodes)
-        delta = sum(abs(new_auth[u] - auth[u]) + abs(new_hub[u] - hub[u]) for u in nodes)
+        new_auth = _l2_normalized(_weighted_sums(into, hub))
+        new_hub = _l2_normalized(_weighted_sums(out, auth))
+        delta = sum(abs(a - b) + abs(c - d)
+                    for a, b, c, d in zip(new_auth, auth, new_hub, hub))
         auth, hub = new_auth, new_hub
         if delta < tol:
             converged = True
             break
-    return (ScoreMap(auth, converged=converged, iterations=iterations),
-            ScoreMap(hub, converged=converged, iterations=iterations))
+    return (ScoreMap(zip(g.nodes, auth), converged=converged, iterations=iterations),
+            ScoreMap(zip(g.nodes, hub), converged=converged, iterations=iterations))
 
 
 def eigencentrality(g: SocialGraph, tol: float = 1e-12,
@@ -133,24 +136,24 @@ def eigencentrality(g: SocialGraph, tol: float = 1e-12,
         raise UndefinedMetricError("eigenvector centrality is undefined on an edgeless graph")
     if not 0.0 < tol < math.inf or max_iter < 1:
         raise ParameterError("tol must be positive and finite, and max_iter >= 1")
-    nodes = g.nodes
-    x = {u: 1.0 / math.sqrt(len(nodes)) for u in nodes}
+    rows = list(zip(g.index().ties, g.index().tie_weights))
+    x = [1.0 / math.sqrt(g.node_count)] * g.node_count
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        nxt = {}
-        for v in nodes:
+        nxt = []
+        for row, weights in rows:
             total = 0.0
-            for u, w in g.ties(v).items():
+            for u, w in zip(row, weights):
                 total += w * x[u]
-            nxt[v] = total
-        _l2_normalize(nxt, nodes)
-        delta = sum(abs(nxt[u] - x[u]) for u in nodes)
+            nxt.append(total)
+        nxt = _l2_normalized(nxt)
+        delta = sum(map(abs, map(sub, nxt, x)))
         x = nxt
         if delta < tol:
             converged = True
             break
-    return ScoreMap(x, converged=converged, iterations=iterations)
+    return ScoreMap(zip(g.nodes, x), converged=converged, iterations=iterations)
 
 
 # -- positional costs ------------------------------------------------------
@@ -195,13 +198,6 @@ def neighbourhood_clustering(nbrs: Collection, out_of: Callable[..., Iterable]) 
 
 # -- structural holes ------------------------------------------------------
 
-def _tie_shares(g: SocialGraph, u: StudentId) -> dict[StudentId, float]:
-    """Proportion of u's symmetrized tie strength invested in each contact."""
-    ties = g.ties(u)
-    total = float(sum(ties.values()))
-    return {k: w / total for k, w in ties.items()}
-
-
 def burt_constraint(g: SocialGraph, node: StudentId) -> float:
     """Constraint of the ego: sum over alters of (direct + indirect share)^2.
 
@@ -209,19 +205,7 @@ def burt_constraint(g: SocialGraph, node: StudentId) -> float:
     alters using each intermediary's own tie shares.  Low constraint means
     the ego bridges otherwise-disconnected contacts.
     """
-    p_ego = _tie_shares(g, node)
-    if not p_ego:
-        raise UndefinedMetricError(f"constraint undefined for isolated student {node!r}")
-    shares_of = {q: _tie_shares(g, q) for q in p_ego}
-    total = 0.0
-    for j in p_ego:
-        indirect = 0.0
-        for q in p_ego:
-            if q == j:
-                continue
-            indirect += p_ego[q] * shares_of[q].get(j, 0.0)
-        total += (p_ego[j] + indirect) ** 2
-    return total
+    return _ego_structural_holes(g, node, "constraint")[0]
 
 
 def effective_size(g: SocialGraph, node: StudentId) -> float:
@@ -230,20 +214,47 @@ def effective_size(g: SocialGraph, node: StudentId) -> float:
     Redundancy of alter j is the ego-share-weighted overlap with the other
     alters, each overlap scaled by j's strongest tie.
     """
-    p_ego = _tie_shares(g, node)
-    if not p_ego:
-        raise UndefinedMetricError(f"effective size undefined for isolated student {node!r}")
-    total = 0.0
-    for j in p_ego:
-        ties_j = g.ties(j)
-        max_tie = max(ties_j.values())
-        redundancy = 0.0
-        for q in p_ego:
-            if q == j:
-                continue
-            redundancy += p_ego[q] * (ties_j.get(q, 0) / max_tie)
-        total += 1.0 - redundancy
-    return total
+    return _ego_structural_holes(g, node, "effective size")[1]
+
+
+def _ego_structural_holes(g: SocialGraph, node: StudentId,
+                          name: str) -> tuple[float, float]:
+    if not g.ties(node):
+        raise UndefinedMetricError(f"{name} undefined for isolated student {node!r}")
+    index = g.index()
+    ego = index.position[node]
+    near = {q: index.tie_weights[q] for q in (ego, *index.ties[ego])}
+    return _structural_holes(index, ego, {q: float(sum(w)) for q, w in near.items()},
+                             {q: max(w) for q, w in near.items()})
+
+
+def _structural_holes(index: GraphIndex, ego: int, tie_total, tie_max) -> tuple[float, float]:
+    """(constraint, effective size) of a non-isolated ego, from each node q's
+    tie total ``tie_total[q]`` (a float) and strongest tie ``tie_max[q]``.
+
+    One walk over the 2-paths ego -> q -> j, q in canonical order, adds
+    p(ego,q) p(q,j) to alter j's indirect share and p(ego,q) w(q,j) / tie_max[j]
+    to its redundancy, p(u,v) being w(u,v) / tie_total[u].  The alter pairs
+    it skips (q not tied to j) would add exact zeros to non-negative sums, so
+    each float equals the literal double loop's.
+    """
+    alters = index.ties[ego]
+    slot = {j: k for k, j in enumerate(alters)}
+    shares = [w / tie_total[ego] for w in index.tie_weights[ego]]
+    indirect = [0.0] * len(alters)
+    redundancy = [0.0] * len(alters)
+    for q, p in zip(alters, shares):
+        q_total = tie_total[q]
+        for j, w in zip(index.ties[q], index.tie_weights[q]):
+            k = slot.get(j)
+            if k is not None:
+                indirect[k] += p * (w / q_total)
+                redundancy[k] += p * (w / tie_max[j])
+    constraint = size = 0.0
+    for p, c, r in zip(shares, indirect, redundancy):
+        constraint += (p + c) ** 2
+        size += 1.0 - r
+    return constraint, size
 
 
 # -- brokerage roles -------------------------------------------------------
@@ -341,7 +352,9 @@ def compute_metrics_without_brokerage(g: SocialGraph,
     """Every metric that needs no group partition; brokerage counts are 0.
 
     On an edgeless graph the rank scores that need at least one edge
-    (authority, hub, eigenvector centrality) are reported as 0.
+    (authority, hub, eigenvector centrality) are reported as 0.  A solver
+    that stops at its ``max_iter`` issues a :class:`ConvergenceWarning`
+    and its last iterate goes into the table.
     """
     if g.node_count == 0:
         return {}
@@ -351,15 +364,20 @@ def compute_metrics_without_brokerage(g: SocialGraph,
         eig = eigencentrality(g, tol=tol, max_iter=max_iter)
     else:
         auth = hub = eig = ScoreMap({n: 0.0 for n in g.nodes})
+    for name, scores in (("pagerank", pr), ("hits", auth), ("eigencentrality", eig)):
+        if not scores.converged:
+            warnings.warn(f"{name} did not converge in {scores.iterations} "
+                          "iterations", ConvergenceWarning, stacklevel=2)
     sums = distance_sums(g)
+    index = g.index()
+    tie_total = [float(sum(row)) for row in index.tie_weights]
+    tie_max = [max(row, default=0) for row in index.tie_weights]
     table: dict[StudentId, NodeMetrics] = {}
-    for node in g.nodes:
-        try:
-            constraint = burt_constraint(g, node)
-            eff = effective_size(g, node)
-        except UndefinedMetricError:
-            constraint = math.nan
-            eff = math.nan
+    for ego, node in enumerate(g.nodes):
+        if index.ties[ego]:
+            constraint, eff = _structural_holes(index, ego, tie_total, tie_max)
+        else:
+            constraint = eff = math.nan
         table[node] = NodeMetrics(
             student=node,
             pagerank=pr[node],

@@ -42,9 +42,8 @@ class _SwapState:
         if not (0.0 <= alpha < math.inf and 0.0 <= beta < math.inf):
             raise ParameterError("alpha and beta must be non-negative and finite")
         self.alpha, self.beta = alpha, beta
-        position = g.index().position
         self.out = [list(row) for row in g.index().out]
-        self.ties = [{position[v] for v in g.ties(u)} for u in g.nodes]
+        self.ties = [set(row) for row in g.index().ties]
         self.coef = [self._clustering(v) for v in range(len(self.out))]
 
     def _clustering(self, v: int) -> float:
@@ -73,7 +72,11 @@ class _SwapState:
         return saved
 
     def score(self) -> float:
-        clustering = sum(self.coef) / len(self.coef)
+        # left to right on every Python: 3.12+ sum() compensates float sums
+        clustering = 0.0
+        for c in self.coef:
+            clustering += c
+        clustering /= len(self.coef)
         total, pairs = map(sum, zip(*hop_sums(self.out)))
         return self.alpha * clustering - self.beta * (total / pairs if pairs else 0.0)
 

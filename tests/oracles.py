@@ -124,6 +124,28 @@ def dense_eigencentrality(g: SocialGraph,
     return {u: float(x[i]) for i, u in enumerate(nodes)}
 
 
+def _perron(vec: np.ndarray) -> np.ndarray:
+    """A unit eigen/singular vector with the sign that makes it non-negative."""
+    return -vec if vec.sum() < 0 else vec
+
+
+def eigh_eigencentrality(g: SocialGraph) -> dict[str, float]:
+    """Dominant eigenvector of W + W^T from a symmetric eigensolver."""
+    nodes, w = adjacency(g)
+    _, vecs = np.linalg.eigh(w + w.T)
+    x = _perron(vecs[:, -1])
+    return {u: float(x[i]) for i, u in enumerate(nodes)}
+
+
+def svd_hits(g: SocialGraph) -> tuple[dict[str, float], dict[str, float]]:
+    """Authorities and hubs as W's leading right and left singular vectors."""
+    nodes, w = adjacency(g)
+    u, _, vt = np.linalg.svd(w)
+    a, h = _perron(vt[0]), _perron(u[:, 0])
+    return ({v: float(a[i]) for i, v in enumerate(nodes)},
+            {v: float(h[i]) for i, v in enumerate(nodes)})
+
+
 def brute_clustering(g: SocialGraph, node: str) -> float:
     nbrs = set(g.out_neighbors(node)) | set(g.in_neighbors(node))
     k = len(nbrs)
@@ -204,3 +226,23 @@ def brute_effective_size(g: SocialGraph, ego: str) -> float:
                          for q in alters if q != j)
         total += 1.0 - redundancy
     return total
+
+
+def pairwise_structural_holes(g: SocialGraph, ego: str) -> tuple[float, float]:
+    """Constraint and effective size summed the literal way, over every
+    ordered alter pair (j, q) with q in canonical order, zero terms included,
+    so the result is float-for-float what a summation in that order gives."""
+    def share(u, v):
+        return g.ties(u).get(v, 0) / float(sum(g.ties(u).values()))
+
+    alters = list(g.ties(ego))
+    constraint = size = 0.0
+    for j in alters:
+        indirect = redundancy = 0.0
+        for q in alters:
+            if q != j:
+                indirect += share(ego, q) * share(q, j)
+                redundancy += share(ego, q) * (g.ties(j).get(q, 0) / max(g.ties(j).values()))
+        constraint += (share(ego, j) + indirect) ** 2
+        size += 1.0 - redundancy
+    return constraint, size

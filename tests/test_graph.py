@@ -219,3 +219,21 @@ def test_unknown_node_ties_raise():
     g = SocialGraph({("a", "b"): 1})
     with pytest.raises(MissingNodeError):
         g.ties("q")
+
+
+def test_index_rows_follow_the_neighbour_maps():
+    graphs = [random_digraph(n, p, seed=seed)
+              for seed, (n, p) in enumerate([(1, 0.5), (2, 0.9), (12, 0.2),
+                                             (25, 0.1), (30, 0.3)])]
+    graphs.append(SocialGraph({("a", "b"): 2, ("c", "b"): 1, ("b", "a"): 3},
+                              nodes=["z"]))
+    for g in graphs:
+        index = g.index()
+        assert list(index.position) == list(g.nodes)
+        for rows, weights, of in ((index.out, index.out_weights, g.out_neighbors),
+                                  (index.into, index.in_weights, g.in_neighbors),
+                                  (index.ties, index.tie_weights, g.ties)):
+            assert len(rows) == len(weights) == g.node_count
+            for u, row, row_weights in zip(g.nodes, rows, weights):
+                assert [g.nodes[v] for v in row] == list(of(u))
+                assert list(row_weights) == list(of(u).values())

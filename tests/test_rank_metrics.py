@@ -6,7 +6,8 @@ from moocteams.errors import ParameterError, UndefinedMetricError
 from moocteams.graph import SocialGraph
 from moocteams.metrics import eigencentrality, hits, pagerank
 
-from oracles import dense_eigencentrality, dense_hits, dense_pagerank, random_digraph
+from oracles import (dense_eigencentrality, dense_hits, dense_pagerank,
+                     eigh_eigencentrality, random_digraph, svd_hits)
 
 
 def _close(a, b, tol):
@@ -125,3 +126,18 @@ def test_eigencentrality_ignores_edge_direction():
 def test_eigencentrality_edgeless_is_undefined():
     with pytest.raises(UndefinedMetricError):
         eigencentrality(SocialGraph(nodes=["a"]))
+
+
+def test_hits_matches_svd_oracle():
+    for seed in range(10):
+        g = random_digraph(25, 0.2, seed=seed)
+        auth, hub = hits(g)
+        want_auth, want_hub = svd_hits(g)
+        _close(auth, want_auth, 1e-9)
+        _close(hub, want_hub, 1e-9)
+
+
+def test_eigencentrality_matches_eigh_oracle():
+    for seed in range(10):
+        g = random_digraph(25, 0.2, seed=seed)
+        _close(eigencentrality(g), eigh_eigencentrality(g), 1e-9)
