@@ -97,9 +97,9 @@ def _cmd_skills(args) -> int:
     with open(args.output, "w", encoding="utf-8") as fh:
         write_skills_json(profiles, fh)
     if args.partition_out:
-        groups = min(args.groups, len(profiles))
-        partition = skill_partition(profiles.values(), groups,
-                                    seed=args.seed) if groups else {}
+        partition = skill_partition(profiles.values(),
+                                    min(args.groups, len(profiles)),
+                                    seed=args.seed) if profiles else {}
         with open(args.partition_out, "w", encoding="utf-8") as fh:
             write_partition_json(partition, fh)
     print(f"profiles={len(profiles)}")

@@ -8,6 +8,11 @@ into a manifest whose bytes are reproducible for a fixed corpus,
 settings and seed, wherever the corpus and the output directory live;
 wall-clock timings go to a separate file so they cannot break that
 reproducibility.
+
+Each stage is one ``with stage(name, seed) as st:`` block, handing its
+results on as plain locals; the block times the stage, hashes what
+``st.write`` wrote, and on an exception deletes those files and writes
+the manifest marked failed.
 """
 
 from __future__ import annotations
@@ -16,9 +21,10 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Any, Callable, ClassVar
+from typing import Any, Callable, ClassVar, Iterator, TextIO
 
 from ._version import __version__
 from .diffusion import FlowSpec, simulate, write_trace_csv
@@ -143,9 +149,8 @@ SETTINGS = fields(RunConfig)[2:]
 class PipelineResult:
     manifest: dict[str, Any]
     manifest_path: Path
-    output_dir: Path
-    graph: SocialGraph | None = None
-    metrics: dict[str, NodeMetrics] = field(default_factory=dict)
+    graph: SocialGraph
+    metrics: dict[str, NodeMetrics]
 
 
 def _sha256_file(path: Path) -> str:
@@ -154,6 +159,24 @@ def _sha256_file(path: Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+class _Stage:
+    """What a running stage records: the artifacts it wrote, or why not."""
+
+    def __init__(self, out_dir: Path):
+        self.out_dir = out_dir
+        self.paths: list[Path] = []
+        self.skip_reason: str | None = None
+
+    def write(self, filename: str, writer: Callable[[Any, TextIO], Any],
+              value: Any, newline: str | None = None) -> None:
+        """``writer(value, fh)`` into ``filename``, registered before it is
+        opened so that a stage failing half way through deletes it."""
+        path = self.out_dir / filename
+        self.paths.append(path)
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            writer(value, fh)
 
 
 def run_pipeline(config: RunConfig) -> PipelineResult:
@@ -181,7 +204,6 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         "failed_stage": None,
     }
     timings: dict[str, float] = {}
-    state: dict[str, Any] = {}
     partition_seed, teams_seed, diffusion_seed = (
         derive_seed(config.seed, stage)
         for stage in ("partition", "teams", "diffusion"))
@@ -199,45 +221,34 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             fh.write("\n")
         return manifest_path
 
-    def run_stage(name: str, seed: int | None,
-                  fn: Callable[[], tuple[list[Path], str | None]]) -> None:
-        state["_partial"] = []
+    @contextmanager
+    def stage(name: str, seed: int | None = None) -> Iterator[_Stage]:
+        st = _Stage(out_dir)
         start = time.perf_counter()
         try:
-            written, skip_reason = fn()
+            yield st
         except Exception as exc:
             timings[name] = time.perf_counter() - start
-            for path in state.get("_partial", []):
-                Path(path).unlink(missing_ok=True)
+            for path in st.paths:
+                path.unlink(missing_ok=True)
             manifest["stages"].append({
                 "name": name, "seed": seed, "status": "failed",
                 "reason": str(exc), "artifacts": {}})
             finish("failed", name)
             raise StageError(name, exc) from exc
         timings[name] = time.perf_counter() - start
-        entry: dict[str, Any] = {
-            "name": name,
-            "seed": seed,
-            "status": "skipped" if skip_reason else "ok",
-            "reason": skip_reason,
-            "artifacts": {p.name: _sha256_file(p) for p in written},
-        }
-        manifest["stages"].append(entry)
-
-    def writes(*paths: Path):
-        state["_partial"] = list(paths)
-        return paths
+        manifest["stages"].append({
+            "name": name, "seed": seed,
+            "status": "skipped" if st.skip_reason else "ok",
+            "reason": st.skip_reason,
+            "artifacts": {p.name: _sha256_file(p) for p in st.paths}})
 
     # ingest: corpus -> reply graph
-    def stage_ingest():
+    with stage("ingest") as st:
         with open(input_path, "r", encoding="utf-8") as fh:
             parsed = parse_forum_export(fh)
-        graph, report = build_reply_graph(parsed.messages, policy=config.policy())
-        state["graph"] = graph
-        state["messages"] = parsed.messages
-        path, = writes(out_dir / "graph.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            write_graph_csv(graph, fh)
+        g, report = build_reply_graph(parsed.messages, policy=config.policy())
+        st.write("graph.csv", write_graph_csv, g, newline="")
         manifest["corpus"] = {
             "messages": parsed.parsed,
             "skipped_lines": parsed.skipped,
@@ -248,118 +259,77 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             "dropped_self_reply": report.dropped_self_reply,
         }
         manifest["graph"] = {
-            "nodes": graph.node_count,
-            "edges": graph.edge_count,
-            "total_weight": graph.total_weight,
+            "nodes": g.node_count,
+            "edges": g.edge_count,
+            "total_weight": g.total_weight,
         }
-        return [path], None
 
     # rank metrics: everything except brokerage, which needs the partition
-    def stage_metrics():
-        g = state["graph"]
-        state["metrics"] = compute_metrics_without_brokerage(
+    with stage("metrics"):
+        metrics = compute_metrics_without_brokerage(
             g, damping=config.damping, pagerank_tol=config.pagerank_tol,
             pagerank_max_iter=config.pagerank_max_iter,
             tol=config.rank_tol, max_iter=config.rank_max_iter,
             farness_penalty=config.farness_penalty)
-        return [], None
 
-    def stage_skills():
-        metrics = state["metrics"]
+    with stage("skills") as st:
         profiles = build_skill_profiles(
-            state["messages"], k=config.skill_k, min_len=config.skill_min_len,
+            parsed.messages, k=config.skill_k, min_len=config.skill_min_len,
             use_idf=config.skill_idf)
         if metrics and config.skill_beta > 0:
             ranks = {s: m.pagerank for s, m in metrics.items()}
             profiles = refine_by_rank(profiles, ranks, beta=config.skill_beta)
-        state["profiles"] = profiles
-        path, = writes(out_dir / "skills.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            write_skills_json(profiles, fh)
-        return [path], None
+        st.write("skills.json", write_skills_json, profiles)
 
-    def stage_partition():
-        profiles = state["profiles"]
-        groups = min(config.n_groups, len(profiles)) if profiles else 0
-        partition = (skill_partition(profiles.values(), groups,
-                                     seed=partition_seed) if groups else {})
-        state["partition"] = partition
-        path, = writes(out_dir / "partition.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            write_partition_json(partition, fh)
-        return [path], None
+    with stage("partition", partition_seed) as st:
+        partition = (skill_partition(profiles.values(),
+                                     min(config.n_groups, len(profiles)),
+                                     seed=partition_seed) if profiles else {})
+        st.write("partition.json", write_partition_json, partition)
 
     # brokerage roles against the skill partition, then the full table
-    def stage_tabulate():
-        g = state["graph"]
-        metrics = state["metrics"]
-        partition = dict(state["partition"])
+    with stage("tabulate") as st:
+        groups = dict(partition)
         for node in g.nodes:
-            partition.setdefault(node, UNOBSERVED_GROUP)
-        roles = brokerage_counts(g, partition)
+            groups.setdefault(node, UNOBSERVED_GROUP)
+        roles = brokerage_counts(g, groups)
         for node, record in metrics.items():
             record.brokerage = roles[node]
-        path, = writes(out_dir / "metrics.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            write_metrics_csv(metrics, fh)
-        return [path], None
+        st.write("metrics.csv", write_metrics_csv, metrics, newline="")
 
-    def stage_teams():
-        g = state["graph"]
+    with stage("teams", teams_seed) as st:
+        assignment = None
         if g.node_count < config.s_min:
-            state["assignment"] = None
-            return [], f"{g.node_count} students cannot fill a team of {config.s_min}"
-        assignment = form_teams(
-            g, state["metrics"], s_min=config.s_min, s_max=config.s_max,
-            weights=config.weights(), restarts=config.restarts,
-            iterations=config.team_iterations,
-            seed=teams_seed,
-            allow_oversize=config.allow_oversize)
-        state["assignment"] = assignment
-        path, = writes(out_dir / "teams.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            write_roster_json(assignment, fh)
-        return [path], None
+            st.skip_reason = (f"{g.node_count} students cannot fill a team "
+                              f"of {config.s_min}")
+        else:
+            assignment = form_teams(
+                g, metrics, s_min=config.s_min, s_max=config.s_max,
+                weights=config.weights(), restarts=config.restarts,
+                iterations=config.team_iterations, seed=teams_seed,
+                allow_oversize=config.allow_oversize)
+            st.write("teams.json", write_roster_json, assignment)
 
-    def stage_diffusion():
-        g = state["graph"]
+    with stage("diffusion", diffusion_seed) as st:
         if not config.run_diffusion:
-            return [], "disabled by config"
-        if g.edge_count == 0:
-            return [], "graph has no edges"
-        metrics = state["metrics"]
-        source = min(metrics, key=lambda v: (-metrics[v].pagerank, v))
-        spec = FlowSpec(
-            mechanism=config.diffusion_mechanism,
-            trajectory=config.diffusion_trajectory,
-            sources=(source,),
-            max_steps=config.diffusion_steps,
-            replications=config.diffusion_replications,
-            seed=diffusion_seed,
-            uniform=config.diffusion_uniform)
-        trace = simulate(g, spec)
-        path, = writes(out_dir / "trace.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            write_trace_csv(trace, fh)
-        return [path], None
+            st.skip_reason = "disabled by config"
+        elif g.edge_count == 0:
+            st.skip_reason = "graph has no edges"
+        else:
+            source = min(metrics, key=lambda v: (-metrics[v].pagerank, v))
+            spec = FlowSpec(
+                mechanism=config.diffusion_mechanism,
+                trajectory=config.diffusion_trajectory,
+                sources=(source,),
+                max_steps=config.diffusion_steps,
+                replications=config.diffusion_replications,
+                seed=diffusion_seed,
+                uniform=config.diffusion_uniform)
+            st.write("trace.csv", write_trace_csv, simulate(g, spec), newline="")
 
-    def stage_export():
-        g = state["graph"]
-        path, = writes(out_dir / "graph.dot")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(export_dot(g, state.get("assignment")))
-        return [path], None
+    with stage("export") as st:
+        st.write("graph.dot", lambda text, fh: fh.write(text),
+                 export_dot(g, assignment))
 
-    run_stage("ingest", None, stage_ingest)
-    run_stage("metrics", None, stage_metrics)
-    run_stage("skills", None, stage_skills)
-    run_stage("partition", partition_seed, stage_partition)
-    run_stage("tabulate", None, stage_tabulate)
-    run_stage("teams", teams_seed, stage_teams)
-    run_stage("diffusion", diffusion_seed, stage_diffusion)
-    run_stage("export", None, stage_export)
-
-    manifest_path = finish("complete")
-    return PipelineResult(manifest=manifest, manifest_path=manifest_path,
-                          output_dir=out_dir, graph=state.get("graph"),
-                          metrics=state.get("metrics", {}))
+    return PipelineResult(manifest=manifest, manifest_path=finish("complete"),
+                          graph=g, metrics=metrics)

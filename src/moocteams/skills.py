@@ -95,8 +95,8 @@ def refine_skills(profile: SkillProfile, rank_score: float,
     [0,1] by the graph maximum.  The boost is uniform, so the term
     ordering never changes; boosted weights may exceed 1.
     """
-    if beta < 0:
-        raise ParameterError(f"beta must be non-negative, got {beta}")
+    if not 0.0 <= beta < math.inf:
+        raise ParameterError(f"beta must be non-negative and finite, got {beta}")
     if not 0.0 <= rank_score <= 1.0:
         raise ParameterError(f"rank_score must lie in [0, 1], got {rank_score}")
     factor = 1.0 + beta * rank_score

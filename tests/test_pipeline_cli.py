@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -94,6 +95,33 @@ def test_pipeline_failure_removes_partial_artifacts(tmp_path):
     assert manifest["status"] == "failed"
     assert manifest["failed_stage"] == "ingest"
     assert not (out / "graph.csv").exists()
+
+
+def test_pipeline_failure_deletes_the_half_written_artifact(tmp_path, monkeypatch):
+    def half_write(assignment, fh):
+        fh.write('{"teams": [')
+        raise OSError("disk full")
+
+    monkeypatch.setattr("moocteams.pipeline.write_roster_json", half_write)
+    corpus = tmp_path / "corpus.jsonl"
+    _corpus(corpus)
+    out = tmp_path / "run"
+    with pytest.raises(StageError) as err:
+        run_pipeline(RunConfig(str(corpus), str(out), seed=0))
+    assert err.value.stage == "teams"
+    assert not (out / "teams.json").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["failed_stage"] == "teams"
+    assert [s["status"] for s in manifest["stages"]] == ["ok"] * 5 + ["failed"]
+    recorded = {name: digest for s in manifest["stages"]
+                for name, digest in s["artifacts"].items()}
+    assert sorted(recorded) == ["graph.csv", "metrics.csv", "partition.json",
+                                "skills.json"]
+    for name, digest in recorded.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+    timings = json.loads((out / "timings.json").read_text())
+    assert "teams" in timings["stages"]
 
 
 def test_pipeline_missing_input_is_a_config_error(tmp_path):
@@ -201,6 +229,21 @@ def test_cli_skills_graph_refines_by_pagerank(tmp_path, capsys):
     assert {s: e["terms"] for s, e in _skills(out).items()} == \
         {s: e["terms"] for s, e in base.items()}
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag, value", [("--beta", "nan"), ("--beta", "inf"),
+                                         ("--groups", "0")])
+def test_cli_skills_rejects_invalid_settings(tmp_path, capsys, flag, value):
+    corpus = tmp_path / "corpus.jsonl"
+    _corpus(corpus)
+    graph, partition = tmp_path / "graph.csv", tmp_path / "partition.json"
+    assert main(["ingest", "--input", str(corpus), "--output", str(graph)]) == 0
+    capsys.readouterr()
+    assert main(["skills", "--input", str(corpus),
+                 "--output", str(tmp_path / "skills.json"), "--graph", str(graph),
+                 "--partition-out", str(partition), flag, value]) == 2
+    assert "must be" in capsys.readouterr().err
+    assert not partition.exists()
 
 
 def _graph_and_metrics(tmp_path):

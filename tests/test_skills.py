@@ -89,8 +89,11 @@ def test_refine_boosts_uniformly():
     assert refine_skills(profile, rank_score=0.0).terms == profile.terms
     with pytest.raises(ParameterError):
         refine_skills(profile, rank_score=1.5)
+    for beta in (-1.0, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            refine_skills(profile, rank_score=0.5, beta=beta)
     with pytest.raises(ParameterError):
-        refine_skills(profile, rank_score=0.5, beta=-1.0)
+        refine_skills(profile, rank_score=0.0, beta=math.inf)
 
 
 def test_partition_recovers_planted_topics():
