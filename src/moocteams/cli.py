@@ -2,15 +2,20 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 pipeline stage
 failure.  A single --seed per command derives any stage-level seeds, so
-one value reproduces a whole run.  The pipeline flags are generated from
-the RunConfig settings, each named after its field.
+one value reproduces a whole run.  Every flag for a RunConfig setting, in
+``pipeline`` and in the stage subcommands, is generated from its field:
+named after it, with the field's default and type.  ``diffuse`` keeps
+FlowSpec's flags.  Every output goes through ``write_file``, and a
+command with several outputs computes them all before writing any, so a
+failed command leaves no file behind.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from collections.abc import Iterable
+from dataclasses import asdict
 
 from ._version import __version__
 from .diffusion import (FlowSpec, Mechanism, Trajectory, full_typology_specs,
@@ -18,12 +23,12 @@ from .diffusion import (FlowSpec, Mechanism, Trajectory, full_typology_specs,
                         write_typology_csv)
 from .errors import MoocteamsError, ParameterError
 from .graph import read_graph_csv, write_graph_csv
-from .ingest import (ReplyPolicy, SynthParams, build_reply_graph,
-                     parse_forum_export, synth_corpus, write_jsonl)
+from .ingest import (SynthParams, build_reply_graph, parse_forum_export,
+                     synth_corpus, write_jsonl)
 from .metrics import (compute_node_metrics, pagerank, read_metrics_csv,
                       write_metrics_csv)
-from .pipeline import (SETTINGS, RunConfig, StageError, derive_seed,
-                       run_pipeline)
+from .pipeline import (SETTINGS, RunConfig, StageError, run_pipeline,
+                       write_file, write_json)
 from .report import (aggregate_opinions, experiment_split, export_dot,
                      read_opinions_jsonl)
 from .skills import (build_skill_profiles, read_partition_json, refine_by_rank,
@@ -32,6 +37,7 @@ from .teams import (ObjectiveWeights, brute_force_teams, form_teams,
                     read_roster_json, write_roster_json)
 
 USAGE_ERROR, DATA_ERROR, STAGE_ERROR = 1, 2, 3
+_DEFAULTS = {f.name: f.default for f in SETTINGS}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,24 +52,13 @@ def _read_graph(path: str):
         return read_graph_csv(fh)
 
 
-def _weights(value: str) -> ObjectiveWeights:
-    parts = value.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("weights must be cost,hole,balance")
-    try:
-        w = ObjectiveWeights(*(float(p) for p in parts))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-    return w
-
-
 def _cmd_ingest(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         parsed = parse_forum_export(fh)
-    policy = ReplyPolicy[args.policy.upper()]
+    policy = RunConfig(args.input, args.output,
+                       reply_policy=args.reply_policy).policy()
     graph, report = build_reply_graph(parsed.messages, policy=policy)
-    with open(args.output, "w", encoding="utf-8", newline="") as fh:
-        write_graph_csv(graph, fh)
+    write_file(args.output, write_graph_csv, graph, newline="")
     print(f"messages={parsed.parsed} skipped={parsed.skipped} "
           f"anonymous={parsed.anonymous} interactions={report.interactions} "
           f"nodes={graph.node_count} edges={graph.edge_count}")
@@ -79,8 +74,7 @@ def _cmd_metrics(args) -> int:
     table = compute_node_metrics(graph, partition=partition,
                                  damping=args.damping,
                                  pagerank_tol=args.pagerank_tol)
-    with open(args.output, "w", encoding="utf-8", newline="") as fh:
-        write_metrics_csv(table, fh)
+    write_file(args.output, write_metrics_csv, table, newline="")
     print(f"students={len(table)}")
     return 0
 
@@ -88,20 +82,20 @@ def _cmd_metrics(args) -> int:
 def _cmd_skills(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         parsed = parse_forum_export(fh)
-    profiles = build_skill_profiles(parsed.messages, k=args.k,
-                                    min_len=args.min_len, use_idf=args.idf)
+    profiles = build_skill_profiles(parsed.messages, k=args.skill_k,
+                                    min_len=args.min_len,
+                                    use_idf=args.skill_idf)
     if args.graph:
         graph = _read_graph(args.graph)
         ranks = pagerank(graph) if graph.node_count else {}
-        profiles = refine_by_rank(profiles, ranks, beta=args.beta)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        write_skills_json(profiles, fh)
+        profiles = refine_by_rank(profiles, ranks, beta=args.skill_beta)
     if args.partition_out:
         partition = skill_partition(profiles.values(),
-                                    min(args.groups, len(profiles)),
+                                    min(args.n_groups, len(profiles)),
                                     seed=args.seed) if profiles else {}
-        with open(args.partition_out, "w", encoding="utf-8") as fh:
-            write_partition_json(partition, fh)
+    write_file(args.output, write_skills_json, profiles)
+    if args.partition_out:
+        write_file(args.partition_out, write_partition_json, partition)
     print(f"profiles={len(profiles)}")
     return 0
 
@@ -110,18 +104,19 @@ def _cmd_teams(args) -> int:
     graph = _read_graph(args.graph)
     with open(args.metrics, "r", encoding="utf-8", newline="") as fh:
         table = read_metrics_csv(fh)
+    weights = ObjectiveWeights(args.w_cost, args.w_hole, args.w_balance)
     if args.brute_force:
         assignment = brute_force_teams(graph, table, args.s_min, args.s_max,
-                                       weights=args.weights,
+                                       weights=weights,
                                        allow_oversize=args.allow_oversize)
     else:
         assignment = form_teams(graph, table, s_min=args.s_min,
-                                s_max=args.s_max, weights=args.weights,
+                                s_max=args.s_max, weights=weights,
                                 restarts=args.restarts,
-                                iterations=args.iterations, seed=args.seed,
+                                iterations=args.team_iterations,
+                                seed=args.seed,
                                 allow_oversize=args.allow_oversize)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        write_roster_json(assignment, fh)
+    write_file(args.output, write_roster_json, assignment)
     print(f"teams={len(assignment.teams)} objective={assignment.objective:.9g}")
     return 0
 
@@ -139,8 +134,7 @@ def _cmd_diffuse(args) -> int:
                                     seed=args.seed, copy_cap=args.copy_cap,
                                     uniform=args.uniform)
         matrix = typology_report(graph, specs, table)
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            write_typology_csv(matrix, fh)
+        write_file(args.output, write_typology_csv, matrix, newline="")
         print(f"cells={len(matrix.rows)}")
         return 0
     spec = FlowSpec(mechanism=args.mechanism, trajectory=args.trajectory,
@@ -149,8 +143,7 @@ def _cmd_diffuse(args) -> int:
                     seed=args.seed, copy_cap=args.copy_cap,
                     uniform=args.uniform)
     trace = simulate(graph, spec)
-    with open(args.output, "w", encoding="utf-8", newline="") as fh:
-        write_trace_csv(trace, fh)
+    write_file(args.output, write_trace_csv, trace, newline="")
     reached = sum(1 for v in trace.first_arrival.values() if v is not None)
     print(f"reached={reached} steps={trace.steps_run} "
           f"truncated={trace.truncated}")
@@ -163,42 +156,28 @@ def _cmd_report(args) -> int:
     if args.teams:
         with open(args.teams, "r", encoding="utf-8") as fh:
             assignment = read_roster_json(fh)
-    if args.dot_out:
-        with open(args.dot_out, "w", encoding="utf-8") as fh:
-            fh.write(export_dot(graph, assignment))
+    summary = split = None
     if args.opinions:
         if assignment is None:
             raise ParameterError("--opinions needs --teams")
         with open(args.opinions, "r", encoding="utf-8") as fh:
             records = read_opinions_jsonl(fh)
-        summary = aggregate_opinions(records, assignment)
-        payload = {
-            "overall_mean": summary.overall_mean,
-            "matched": summary.matched,
-            "ignored": summary.ignored,
-            "teams": [
-                {"team": list(t.team), "count": t.count,
-                 "mean_sentiment": t.mean_sentiment,
-                 "earliest": t.earliest, "latest": t.latest}
-                for t in summary.teams
-            ],
-        }
-        out = open(args.summary_out, "w", encoding="utf-8") if args.summary_out \
-            else sys.stdout
-        try:
-            json.dump(payload, out, indent=2, sort_keys=True)
-            out.write("\n")
-        finally:
-            if out is not sys.stdout:
-                out.close()
+        summary = asdict(aggregate_opinions(records, assignment))
     if args.split is not None:
         experimental, control = experiment_split(list(graph.nodes),
                                                  args.split, args.seed)
-        payload = {"experimental": list(experimental), "control": list(control)}
+        split = {"experimental": list(experimental), "control": list(control)}
+    if args.dot_out:
+        write_file(args.dot_out, lambda text, fh: fh.write(text),
+                   export_dot(graph, assignment))
+    if summary is not None:
+        if args.summary_out:
+            write_file(args.summary_out, write_json, summary)
+        else:
+            write_json(summary, sys.stdout)
+    if split is not None:
         if args.split_out:
-            with open(args.split_out, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            write_file(args.split_out, write_json, split)
         print(f"experimental={len(experimental)} control={len(control)}")
     return 0
 
@@ -209,21 +188,33 @@ def _cmd_synth(args) -> int:
                          seed=args.seed,
                          anonymous_fraction=args.anonymous_fraction)
     messages = synth_corpus(params)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        write_jsonl(messages, fh)
+    write_file(args.output, write_jsonl, messages)
     print(f"messages={len(messages)}")
     return 0
 
 
 def _cmd_pipeline(args) -> int:
     config = RunConfig(args.input, args.output_dir,
-                       **{f.name: getattr(args, f.name) for f in SETTINGS})
+                       **{name: getattr(args, name) for name in _DEFAULTS})
     result = run_pipeline(config)
     graph_info = result.manifest.get("graph", {})
     print(f"status={result.manifest['status']} "
           f"nodes={graph_info.get('nodes')} edges={graph_info.get('edges')} "
           f"manifest={result.manifest_path}")
     return 0
+
+
+def _add_settings(p: argparse.ArgumentParser, names: Iterable[str]) -> None:
+    """One flag per named RunConfig setting: the field's name with ``_``
+    written as ``-``, its default and its type; booleans take
+    ``--name``/``--no-name``."""
+    for name in names:
+        flag, default = "--" + name.replace("_", "-"), _DEFAULTS[name]
+        if isinstance(default, bool):
+            p.add_argument(flag, action=argparse.BooleanOptionalAction,
+                           default=default)
+        else:
+            p.add_argument(flag, default=default, type=type(default))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -238,42 +229,34 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="forum JSONL export to reply-graph CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--policy", default="starter_fallback",
-                   choices=["starter_fallback", "comments_only"])
+    _add_settings(p, ["reply_policy"])
     p.set_defaults(fn=_cmd_ingest)
 
     p = sub.add_parser("metrics", help="per-student metric table from a graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--partition", help="group labels JSON for brokerage roles")
-    p.add_argument("--damping", type=float, default=0.85)
-    p.add_argument("--pagerank-tol", type=float, default=1e-10)
+    _add_settings(p, ["damping"])
+    p.add_argument("--pagerank-tol", type=float,
+                   default=RunConfig.pagerank_tol)
     p.set_defaults(fn=_cmd_metrics)
 
     p = sub.add_parser("skills", help="skill profiles and skill partition")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--min-len", type=int, default=3)
-    p.add_argument("--idf", action="store_true")
+    p.add_argument("--min-len", type=int, default=RunConfig.skill_min_len)
     p.add_argument("--graph", help="reply graph CSV; enables rank refinement")
-    p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--partition-out")
-    p.add_argument("--groups", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    _add_settings(p, ["skill_k", "skill_idf", "skill_beta", "n_groups",
+                      "seed"])
     p.set_defaults(fn=_cmd_skills)
 
     p = sub.add_parser("teams", help="search for a team assignment")
     p.add_argument("--graph", required=True)
     p.add_argument("--metrics", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--s-min", type=int, default=3)
-    p.add_argument("--s-max", type=int, default=5)
-    p.add_argument("--weights", type=_weights, default=ObjectiveWeights())
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--iterations", type=int, default=300)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--allow-oversize", action="store_true")
+    _add_settings(p, ["s_min", "s_max", "w_cost", "w_hole", "w_balance",
+                      "restarts", "team_iterations", "seed", "allow_oversize"])
     p.add_argument("--brute-force", action="store_true",
                    help="exhaustive search (max 10 students)")
     p.set_defaults(fn=_cmd_teams)
@@ -325,14 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "flag per RunConfig setting, named after it")
     p.add_argument("--input", required=True)
     p.add_argument("--output-dir", required=True)
-    for f in SETTINGS:
-        flag = "--" + f.name.replace("_", "-")
-        if isinstance(f.default, bool):
-            p.add_argument(flag, action=argparse.BooleanOptionalAction,
-                           default=f.default)
-        else:
-            p.add_argument(flag, default=f.default,
-                           type=float if f.default is None else type(f.default))
+    _add_settings(p, _DEFAULTS)
     p.set_defaults(fn=_cmd_pipeline)
 
     return parser

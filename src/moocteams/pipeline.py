@@ -12,7 +12,8 @@ reproducibility.
 Each stage is one ``with stage(name, seed) as st:`` block, handing its
 results on as plain locals; the block times the stage, hashes what
 ``st.write`` wrote, and on an exception deletes those files and writes
-the manifest marked failed.
+the manifest marked failed.  Every file, here and in the command line,
+goes through ``write_file``, so none is ever left half written.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
@@ -161,6 +163,31 @@ def _sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
+def write_file(path: str | Path, writer: Callable[[Any, TextIO], Any],
+               value: Any, newline: str | None = None) -> None:
+    """``writer(value, fh)`` into a temporary file beside ``path``, renamed
+    over ``path`` once the writer returns and deleted if it raises."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        fh = open(tmp, "w", encoding="utf-8", newline=newline)
+    except OSError as exc:  # name the file asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+    try:
+        with fh:
+            writer(value, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(payload: Any, fh: TextIO) -> None:
+    """``payload`` as indented JSON with sorted keys, then a newline."""
+    json.dump(payload, fh, indent=2, sort_keys=True)
+    fh.write("\n")
+
+
 class _Stage:
     """What a running stage records: the artifacts it wrote, or why not."""
 
@@ -171,12 +198,11 @@ class _Stage:
 
     def write(self, filename: str, writer: Callable[[Any, TextIO], Any],
               value: Any, newline: str | None = None) -> None:
-        """``writer(value, fh)`` into ``filename``, registered before it is
-        opened so that a stage failing half way through deletes it."""
+        """``write_file`` into ``filename``, registered first so that a
+        failing stage also deletes the copy an earlier run left there."""
         path = self.out_dir / filename
         self.paths.append(path)
-        with open(path, "w", encoding="utf-8", newline=newline) as fh:
-            writer(value, fh)
+        write_file(path, writer, value, newline)
 
 
 def run_pipeline(config: RunConfig) -> PipelineResult:
@@ -212,13 +238,9 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         manifest["status"] = status
         manifest["failed_stage"] = failed_stage
         manifest_path = out_dir / MANIFEST_NAME
-        with open(manifest_path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        with open(out_dir / TIMINGS_NAME, "w", encoding="utf-8") as fh:
-            json.dump({"stages": timings, "total": sum(timings.values())},
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_file(manifest_path, write_json, manifest)
+        write_file(out_dir / TIMINGS_NAME, write_json,
+                   {"stages": timings, "total": sum(timings.values())})
         return manifest_path
 
     @contextmanager

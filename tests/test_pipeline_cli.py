@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,13 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import moocteams
-from moocteams.cli import main
+from moocteams.cli import build_parser, main
 from moocteams.graph import read_graph_csv
 from moocteams.metrics import pagerank
 from moocteams.ingest import SynthParams, synth_corpus, write_jsonl
 from moocteams.errors import ParameterError
 from moocteams.pipeline import (SETTINGS, RunConfig, StageError, derive_seed,
-                                run_pipeline)
+                                run_pipeline, write_file)
 
 ARTIFACTS = ["graph.csv", "graph.dot", "manifest.json", "metrics.csv",
              "partition.json", "skills.json", "teams.json", "trace.csv"]
@@ -120,8 +121,23 @@ def test_pipeline_failure_deletes_the_half_written_artifact(tmp_path, monkeypatc
                                 "skills.json"]
     for name, digest in recorded.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+    assert sorted(p.name for p in out.iterdir()) == \
+        sorted([*recorded, "manifest.json", "timings.json"])
     timings = json.loads((out / "timings.json").read_text())
     assert "teams" in timings["stages"]
+
+
+def test_write_file_replaces_the_target_only_when_the_writer_returns(tmp_path):
+    def half_write(value, fh):
+        fh.write("half")
+        raise OSError("disk full")
+
+    target = tmp_path / "out.txt"
+    write_file(target, lambda text, fh: fh.write(text), "first\n")
+    with pytest.raises(OSError):
+        write_file(target, half_write, None)
+    assert target.read_text() == "first\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 def test_pipeline_missing_input_is_a_config_error(tmp_path):
@@ -168,6 +184,16 @@ def test_cli_pipeline_and_exit_codes(tmp_path, capsys):
     # data error: input file missing
     assert main(["ingest", "--input", str(tmp_path / "missing.jsonl"),
                  "--output", str(tmp_path / "g.csv")]) == 2
+    # data error: the output directory is missing
+    missing = tmp_path / "no-such-dir" / "g.csv"
+    capsys.readouterr()
+    assert main(["ingest", "--input", str(corpus), "--output",
+                 str(missing)]) == 2
+    assert str(missing) in capsys.readouterr().err
+    # data error: a reply policy RunConfig.policy() does not know
+    assert main(["ingest", "--input", str(corpus), "--output",
+                 str(tmp_path / "g.csv"), "--reply-policy", "everyone"]) == 2
+    assert not (tmp_path / "g.csv").exists()
     # stage failure inside the pipeline
     bad = tmp_path / "bad.jsonl"
     bad.write_text("garbage\nmore garbage\n")
@@ -206,7 +232,7 @@ def test_cli_skills_graph_refines_by_pagerank(tmp_path, capsys):
     plain, refined = tmp_path / "plain.json", tmp_path / "refined.json"
     assert main(["skills", "--input", str(corpus), "--output", str(plain)]) == 0
     assert main(["skills", "--input", str(corpus), "--output", str(refined),
-                 "--graph", str(graph), "--beta", "0.5"]) == 0
+                 "--graph", str(graph), "--skill-beta", "0.5"]) == 0
     with open(graph, encoding="utf-8", newline="") as fh:
         pr = pagerank(read_graph_csv(fh))
     top = max(pr.values())
@@ -231,8 +257,9 @@ def test_cli_skills_graph_refines_by_pagerank(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("flag, value", [("--beta", "nan"), ("--beta", "inf"),
-                                         ("--groups", "0")])
+@pytest.mark.parametrize("flag, value", [("--skill-beta", "nan"),
+                                         ("--skill-beta", "inf"),
+                                         ("--n-groups", "0")])
 def test_cli_skills_rejects_invalid_settings(tmp_path, capsys, flag, value):
     corpus = tmp_path / "corpus.jsonl"
     _corpus(corpus)
@@ -244,6 +271,7 @@ def test_cli_skills_rejects_invalid_settings(tmp_path, capsys, flag, value):
                  "--partition-out", str(partition), flag, value]) == 2
     assert "must be" in capsys.readouterr().err
     assert not partition.exists()
+    assert not (tmp_path / "skills.json").exists()
 
 
 def _graph_and_metrics(tmp_path):
@@ -277,6 +305,22 @@ def test_cli_report_rejects_non_numeric_roster_objective(tmp_path, capsys):
     assert main(["report", "--graph", str(graph), "--teams", str(roster),
                  "--dot-out", str(tmp_path / "graph.dot")]) == 2
     assert "roster" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("teams", [True, False],
+                         ids=["malformed-opinions", "opinions-without-teams"])
+def test_cli_report_failure_writes_no_dot_file(tmp_path, capsys, teams):
+    graph, metrics = _graph_and_metrics(tmp_path)
+    roster, opinions = tmp_path / "teams.json", tmp_path / "opinions.jsonl"
+    assert main(["teams", "--graph", str(graph), "--metrics", str(metrics),
+                 "--output", str(roster), "--restarts", "1"]) == 0
+    opinions.write_text("not an opinion\n")
+    dot = tmp_path / "graph.dot"
+    assert main(["report", "--graph", str(graph),
+                 *(["--teams", str(roster)] if teams else []),
+                 "--opinions", str(opinions), "--dot-out", str(dot)]) == 2
+    capsys.readouterr()
+    assert not dot.exists()
 
 
 def test_cli_rejects_repeated_graph_edge(tmp_path, capsys):
@@ -438,6 +482,87 @@ def test_cli_pipeline_no_run_diffusion_skips_the_stage(tmp_path, capsys):
     assert not (out / "trace.csv").exists()
 
 
+# the settings each stage subcommand shares with the pipeline, besides --seed
+STAGE_SETTINGS = {
+    "ingest": ["reply_policy"],
+    "skills": ["skill_k", "skill_beta", "skill_idf", "n_groups"],
+    "metrics": ["damping"],
+    "teams": ["s_min", "s_max", "allow_oversize", "w_cost", "w_hole",
+              "w_balance", "restarts", "team_iterations"],
+}
+
+
+def test_cli_stages_reproduce_the_pipeline(tmp_path, capsys):
+    # skills ranks with the default damping; trace.csv needs diffusion on
+    values = {**NON_DEFAULT, "damping": RunConfig.damping,
+              "run_diffusion": True}
+    corpus = tmp_path / "corpus.jsonl"
+    _corpus(corpus)
+    run, out = tmp_path / "run", tmp_path / "stages"
+    result = run_pipeline(RunConfig(str(corpus), str(run), **values))
+    out.mkdir()
+
+    def stage(command, *argv, seed=None):
+        settings = {n: values[n] for n in STAGE_SETTINGS.get(command, [])}
+        if seed is not None:
+            settings["seed"] = derive_seed(values["seed"], seed)
+        assert main([command, *map(str, argv), *_flags(settings)]) == 0
+
+    # the pipeline starts diffusion from the top-PageRank student
+    source = min(result.metrics, key=lambda v: (-result.metrics[v].pagerank, v))
+    stage("ingest", "--input", corpus, "--output", out / "graph.csv")
+    stage("skills", "--input", corpus, "--output", out / "skills.json",
+          "--graph", out / "graph.csv",
+          "--partition-out", out / "partition.json", seed="partition")
+    stage("metrics", "--graph", out / "graph.csv",
+          "--partition", out / "partition.json",
+          "--output", out / "metrics.csv")
+    stage("teams", "--graph", out / "graph.csv",
+          "--metrics", out / "metrics.csv", "--output", out / "teams.json",
+          seed="teams")
+    stage("report", "--graph", out / "graph.csv",
+          "--teams", out / "teams.json", "--dot-out", out / "graph.dot")
+    stage("diffuse", "--graph", out / "graph.csv", "--sources", source,
+          "--mechanism", values["diffusion_mechanism"],
+          "--trajectory", values["diffusion_trajectory"],
+          "--steps", values["diffusion_steps"],
+          "--replications", values["diffusion_replications"],
+          "--seed", derive_seed(values["seed"], "diffusion"),
+          "--output", out / "trace.csv")
+    capsys.readouterr()
+
+    for name in ("graph.csv", "skills.json", "partition.json", "metrics.csv",
+                 "graph.dot", "trace.csv"):
+        assert (out / name).read_bytes() == (run / name).read_bytes(), name
+    staged, piped = (json.loads((d / "teams.json").read_text())
+                     for d in (out, run))
+    for key in ("teams", "params", "seed"):
+        assert staged[key] == piped[key], key
+    # teams reads metrics.csv, which keeps 9 significant digits
+    assert staged["objective"] == pytest.approx(piped["objective"], abs=1e-9)
+
+
+def _readme_commands():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)
+                for line in block.replace("\\\n", " ").splitlines()]
+    return [words[1:] for words in commands if words[:1] == ["moocteams"]]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 8
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: moocteams "
+                        f"{shlex.join(argv)}")
+
+
 def _columns(path):
     with open(path, encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -479,7 +604,7 @@ def valid_inputs(tmp_path_factory):
             ["ingest", "--input", str(paths["corpus.jsonl"]), "--output", graph],
             ["skills", "--input", str(paths["corpus.jsonl"]),
              "--output", str(work / "skills.json"),
-             "--partition-out", str(paths["partition.json"]), "--groups", "2"],
+             "--partition-out", str(paths["partition.json"]), "--n-groups", "2"],
             ["metrics", "--graph", graph, "--output", str(paths["metrics.csv"])],
             ["teams", "--graph", graph, "--metrics", str(paths["metrics.csv"]),
              "--output", str(paths["teams.json"]), "--restarts", "1"]):
@@ -493,7 +618,8 @@ def valid_inputs(tmp_path_factory):
     return work
 
 
-# each reader: the valid file it mutates and the command that reads it
+# each reader: the valid file it mutates and the command that reads it,
+# whose last argument is the one file it writes
 READERS = {
     "corpus": ("corpus.jsonl", ["ingest", "--input", "{bad}",
                                 "--output", "{out}/graph.csv"]),
@@ -544,4 +670,8 @@ def test_cli_mutated_input_exits_with_a_documented_code(reader, edits,
     bad = out / name
     bad.write_bytes(_mutate((valid_inputs / name).read_bytes(), edits))
     argv = [arg.format(bad=bad, out=out, valid=valid_inputs) for arg in template]
-    assert main(argv) in (0, 1, 2)
+    target = Path(argv[-1])
+    target.unlink(missing_ok=True)
+    code = main(argv)
+    assert code in (0, 1, 2)
+    assert set(out.iterdir()) == ({bad, target} if code == 0 else {bad})
