@@ -5,9 +5,10 @@ failure.  A single --seed per command derives any stage-level seeds, so
 one value reproduces a whole run.  Every flag for a RunConfig setting, in
 ``pipeline`` and in the stage subcommands, is generated from its field:
 named after it, with the field's default and type.  ``diffuse`` keeps
-FlowSpec's flags.  Every output goes through ``write_file``, and a
-command with several outputs computes them all before writing any, so a
-failed command leaves no file behind.
+FlowSpec's flags, and every flag must be spelled in full.  A command's
+outputs go through one ``write_files`` call, which renames them into
+place only once all are written, so a failed command leaves no file
+behind.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .ingest import (SynthParams, build_reply_graph, parse_forum_export,
 from .metrics import (compute_node_metrics, pagerank, read_metrics_csv,
                       write_metrics_csv)
 from .pipeline import (SETTINGS, RunConfig, StageError, run_pipeline,
-                       write_file, write_json)
+                       write_file, write_files, write_json)
 from .report import (aggregate_opinions, experiment_split, export_dot,
                      read_opinions_jsonl)
 from .skills import (build_skill_profiles, read_partition_json, refine_by_rank,
@@ -41,7 +42,11 @@ _DEFAULTS = {f.name: f.default for f in SETTINGS}
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on bad usage; the contract here is 1
+    """No abbreviated flags; bad usage exits 1 (argparse's own code is 2)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         raise SystemExit(USAGE_ERROR)
@@ -89,13 +94,13 @@ def _cmd_skills(args) -> int:
         graph = _read_graph(args.graph)
         ranks = pagerank(graph) if graph.node_count else {}
         profiles = refine_by_rank(profiles, ranks, beta=args.skill_beta)
+    outputs = [(args.output, write_skills_json, profiles, None)]
     if args.partition_out:
         partition = skill_partition(profiles.values(),
                                     min(args.n_groups, len(profiles)),
                                     seed=args.seed) if profiles else {}
-    write_file(args.output, write_skills_json, profiles)
-    if args.partition_out:
-        write_file(args.partition_out, write_partition_json, partition)
+        outputs.append((args.partition_out, write_partition_json, partition, None))
+    write_files(*outputs)
     print(f"profiles={len(profiles)}")
     return 0
 
@@ -167,17 +172,18 @@ def _cmd_report(args) -> int:
         experimental, control = experiment_split(list(graph.nodes),
                                                  args.split, args.seed)
         split = {"experimental": list(experimental), "control": list(control)}
+    outputs = []
     if args.dot_out:
-        write_file(args.dot_out, lambda text, fh: fh.write(text),
-                   export_dot(graph, assignment))
-    if summary is not None:
-        if args.summary_out:
-            write_file(args.summary_out, write_json, summary)
-        else:
-            write_json(summary, sys.stdout)
+        outputs.append((args.dot_out, lambda text, fh: fh.write(text),
+                        export_dot(graph, assignment), None))
+    if summary is not None and args.summary_out:
+        outputs.append((args.summary_out, write_json, summary, None))
+    if split is not None and args.split_out:
+        outputs.append((args.split_out, write_json, split, None))
+    write_files(*outputs)
+    if summary is not None and not args.summary_out:
+        write_json(summary, sys.stdout)
     if split is not None:
-        if args.split_out:
-            write_file(args.split_out, write_json, split)
         print(f"experimental={len(experimental)} control={len(control)}")
     return 0
 

@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 from .errors import (DataFormatError, InsufficientDataError, MissingNodeError,
                      ParameterError)
-from .graph import SocialGraph, StudentId, geodesic_distances
+from .graph import SocialGraph, StudentId, hop_counts
 from .metrics import NodeMetrics
 
 #: CSV literal for nodes the flow never reached.
@@ -86,11 +86,9 @@ class FlowSpec:
     def validate(self, g: SocialGraph) -> None:
         if not self.sources:
             raise ParameterError("flow spec needs at least one source")
-        for s in self.sources:
-            if s not in g:
-                raise MissingNodeError(s)
-        if self.target is not None and self.target not in g:
-            raise MissingNodeError(self.target)
+        missing = [s for s in (*self.sources, self.target) if s is not None and s not in g]
+        if missing:
+            raise MissingNodeError(missing[0])
         if self.max_steps < 1:
             raise ParameterError(f"max_steps must be >= 1, got {self.max_steps}")
         if self.replications < 1:
@@ -180,8 +178,7 @@ class _HopTable:
             return
         self.options = {}
         for s in sources:
-            row = geodesic_distances(g, g.nodes[s])
-            dist = [row[v] for v in g.nodes]
+            dist = hop_counts(self.out, s)
             self.options[s] = [
                 self._option(() if d is None else
                              [e for e in out if dist[self.head[e]] == d + 1])

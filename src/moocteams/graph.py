@@ -3,24 +3,30 @@
 Edge u -> v with weight w means student u replied to messages authored by
 student v a total of w times.  The graph is immutable once built; every
 metric and simulation in the package reads from it concurrently without
-locks.  :meth:`SocialGraph.index` keys the out-, in- and tie-adjacency by
-node position; the metric table, diffusion and rewiring read its rows.
-Hop distances come from a BFS from one source (:func:`geodesic_distances`)
-and one bit-parallel pass over all sources (:func:`hop_sums`), which reads
-position rows: the index for :func:`distance_sums`, or rewiring's own.
+locks.  It is stored once, as the out-, in- and tie-rows of
+:class:`GraphIndex` keyed by node position, which every metric, diffusion
+and rewiring read.  Hop distances come from a BFS from one source
+(:func:`hop_counts`) and one bit-parallel pass over all sources
+(:func:`hop_sums`), over position rows: the graph's own, or rewiring's.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from collections import deque
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import DataFormatError, MissingNodeError, ParameterError
 
 StudentId = str
+
+
+class _Positions(dict):
+    """Node -> position; looking up an unknown node raises MissingNodeError."""
+
+    def __missing__(self, node):
+        raise MissingNodeError(node)
 
 
 class GraphIndex(NamedTuple):
@@ -40,38 +46,42 @@ class GraphIndex(NamedTuple):
 class SocialGraph:
     """Directed graph with positive integer edge weights and no self-loops.
 
-    Adjacency is indexed in both directions so out- and in-neighbor scans
-    are O(degree).  Node and edge counts are O(1).  Every neighbour map
-    (out, in, and the symmetrized ties w(u,v) + w(v,u), built once here)
-    iterates in canonical (sorted) order, whatever the order of ``edges``.
+    The one adjacency is the :class:`GraphIndex` built here: out-, in- and
+    tie-rows (ties symmetrized as w(u,v) + w(v,u)), each in canonical
+    (sorted) order whatever the order of ``edges``, so neighbour scans are
+    O(degree) and node and edge counts O(1).  The id-keyed accessors build a
+    new dict from a row on each call; writing into it leaves the graph as is.
     """
 
-    __slots__ = ("_out", "_in", "_ties", "_nodes", "_edge_count", "_weight_total",
-                 "_index")
+    __slots__ = ("_nodes", "_edge_count", "_weight_total", "_index")
 
     def __init__(self, edges: Mapping[tuple[StudentId, StudentId], int] | None = None,
                  nodes: Iterable[StudentId] = ()):
-        self._out: dict[StudentId, dict[StudentId, int]] = {}
-        self._in: dict[StudentId, dict[StudentId, int]] = {}
-        self._edge_count = 0
-        self._weight_total = 0
-        # sorted (src, dst) insertion puts every neighbour map in canonical order
-        for (u, v), w in sorted((edges or {}).items()):
+        items = sorted((edges or {}).items())
+        self._nodes: tuple[StudentId, ...] = tuple(sorted(set(nodes).union(*(e for e, _ in items))))
+        self._edge_count = len(items)
+        self._weight_total = sum(w for _, w in items)
+        position = _Positions((u, i) for i, u in enumerate(self._nodes))
+        out, out_w, into, in_w = ([[] for _ in self._nodes] for _ in range(4))
+        # sorted (src, dst) order puts every out- and in-row in canonical order
+        for (u, v), w in items:
             if u == v:
                 raise ParameterError(f"self-loop on {u!r} not allowed")
             if not isinstance(w, int) or w < 1:
                 raise ParameterError(f"edge {u!r}->{v!r} weight must be a positive integer, got {w!r}")
-            self._out.setdefault(u, {})[v] = w
-            self._in.setdefault(v, {})[u] = w
-            self._edge_count += 1
-            self._weight_total += w
-        self._nodes: tuple[StudentId, ...] = tuple(sorted(set(nodes).union(self._out, self._in)))
-        self._ties: dict[StudentId, dict[StudentId, int]] = {}
-        for n in self._nodes:
-            out = self._out.setdefault(n, {})
-            into = self._in.setdefault(n, {})
-            self._ties[n] = {v: out.get(v, 0) + into.get(v, 0)
-                             for v in sorted(out.keys() | into.keys())}
+            i, j = position[u], position[v]
+            out[i].append(j)
+            out_w[i].append(w)
+            into[j].append(i)
+            in_w[j].append(w)
+        ties, tie_w = [], []
+        for row, weights, back, back_weights in zip(out, out_w, into, in_w):
+            tie = dict(zip(row, weights))
+            tie.update((j, tie.get(j, 0) + w) for j, w in zip(back, back_weights))
+            ties.append(tuple(sorted(tie)))
+            tie_w.append(tuple(map(tie.__getitem__, ties[-1])))
+        self._index = GraphIndex(MappingProxyType(position), *(
+            tuple(map(tuple, rows)) for rows in (out, out_w, into, in_w)), tuple(ties), tuple(tie_w))
 
     # -- queries ---------------------------------------------------------
 
@@ -94,69 +104,63 @@ class SocialGraph:
         return self._weight_total
 
     def index(self) -> GraphIndex:
-        """The integer adjacency, built on first request and cached; it is
-        immutable, so a concurrent first build is harmless."""
-        index = getattr(self, "_index", None)
-        if index is None:
-            position = {u: i for i, u in enumerate(self._nodes)}
-            rows = []
-            for adjacency in (self._out, self._in, self._ties):
-                maps = [adjacency[u] for u in self._nodes]
-                rows += (tuple(tuple(map(position.__getitem__, m)) for m in maps),
-                         tuple(tuple(m.values()) for m in maps))
-            index = self._index = GraphIndex(MappingProxyType(position), *rows)
-        return index
+        """The integer adjacency: the graph itself, immutable."""
+        return self._index
 
     def __contains__(self, u: StudentId) -> bool:
-        return u in self._out
+        return u in self._index.position
+
+    def _by_id(self, u: StudentId, rows, weights) -> dict[StudentId, int]:
+        """Node u's row as a new id -> weight dict; MissingNodeError if absent."""
+        i = self._index.position[u]
+        return dict(zip(map(self._nodes.__getitem__, rows[i]), weights[i]))
 
     def out_neighbors(self, u: StudentId) -> dict[StudentId, int]:
-        """Mapping of v -> weight for edges u -> v, canonical order.  Do not mutate."""
-        try:
-            return self._out[u]
-        except KeyError:
-            raise MissingNodeError(u) from None
+        """New mapping of v -> weight for edges u -> v, canonical order."""
+        return self._by_id(u, self._index.out, self._index.out_weights)
 
     def in_neighbors(self, u: StudentId) -> dict[StudentId, int]:
-        """Mapping of v -> weight for edges v -> u, canonical order.  Do not mutate."""
-        try:
-            return self._in[u]
-        except KeyError:
-            raise MissingNodeError(u) from None
+        """New mapping of v -> weight for edges v -> u, canonical order."""
+        return self._by_id(u, self._index.into, self._index.in_weights)
 
     def ties(self, u: StudentId) -> dict[StudentId, int]:
-        """Mapping of v -> w(u,v) + w(v,u) for every neighbor, canonical order.  Do not mutate."""
-        try:
-            return self._ties[u]
-        except KeyError:
-            raise MissingNodeError(u) from None
+        """New mapping of v -> w(u,v) + w(v,u) for every neighbor, canonical order."""
+        return self._by_id(u, self._index.ties, self._index.tie_weights)
 
     def neighbors(self, u: StudentId) -> set[StudentId]:
         """Union of in- and out-neighbors, self excluded."""
         return set(self.ties(u))
 
+    def _row_weight(self, u: StudentId, v: StudentId, rows, weights) -> int:
+        """Weight of v in u's row, or 0 when absent."""
+        i, j = map(self._index.position.get, (u, v))
+        row = () if i is None else rows[i]
+        return weights[i][row.index(j)] if j in row else 0
+
     def weight(self, u: StudentId, v: StudentId) -> int:
         """Weight of edge u -> v, or 0 when absent."""
-        return self._out.get(u, {}).get(v, 0)
+        return self._row_weight(u, v, self._index.out, self._index.out_weights)
 
     def mutual_weight(self, u: StudentId, v: StudentId) -> int:
         """Symmetrized tie strength w(u,v) + w(v,u)."""
-        return self._ties.get(u, {}).get(v, 0)
+        return self._row_weight(u, v, self._index.ties, self._index.tie_weights)
 
     def edges(self) -> Iterator[tuple[StudentId, StudentId, int]]:
         """All edges as (src, dst, weight), canonically ordered."""
-        for u in self._nodes:
-            for v, w in self._out[u].items():
-                yield u, v, w
+        nodes = self._nodes
+        for u, row, weights in zip(nodes, self._index.out, self._index.out_weights):
+            for v, w in zip(row, weights):
+                yield u, nodes[v], w
 
     def degree(self, u: StudentId) -> int:
         """Unweighted total degree (in-neighbor count + out-neighbor count)."""
-        return len(self.out_neighbors(u)) + len(self.in_neighbors(u))
+        i = self._index.position[u]
+        return len(self._index.out[i]) + len(self._index.into[i])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SocialGraph):
             return NotImplemented
-        return self._nodes == other._nodes and self._out == other._out
+        return self._index[:3] == other._index[:3]  # positions, out-rows and weights
 
     def __hash__(self):
         raise TypeError("SocialGraph is not hashable")
@@ -165,26 +169,25 @@ class SocialGraph:
         return f"SocialGraph(nodes={self.node_count}, edges={self.edge_count})"
 
 
-def geodesic_distances(g: SocialGraph, source: StudentId) -> dict[StudentId, int | None]:
-    """BFS hop counts from ``source`` along edge direction: every node maps
-    to its hop count, or to None when no directed path reaches it.
-
-    Edge weights express interaction intensity, not length, so they are
-    ignored here.
-    """
-    if source not in g:
-        raise MissingNodeError(source)
-    dist: dict[StudentId, int | None] = dict.fromkeys(g.nodes)
+def hop_counts(out: Sequence[Sequence[int]], source: int) -> list[int | None]:
+    """BFS hop counts from position ``source`` along ``out`` (each position's
+    out-neighbour positions), None where no directed path reaches."""
+    dist: list[int | None] = [None] * len(out)
     dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for v in g.out_neighbors(u):
+    queue = [source]
+    for u in queue:  # the loop reaches what it appends: first in, first out
+        for v in out[u]:
             if dist[v] is None:
-                dist[v] = du + 1
+                dist[v] = dist[u] + 1
                 queue.append(v)
     return dist
+
+
+def geodesic_distances(g: SocialGraph, source: StudentId) -> dict[StudentId, int | None]:
+    """:func:`hop_counts` from ``source`` keyed by node, None where unreachable;
+    edge weights express interaction intensity, not length, so hops ignore them."""
+    index = g.index()
+    return dict(zip(g.nodes, hop_counts(index.out, index.position[source])))
 
 
 def hop_sums(out: Sequence[Iterable[int]]) -> list[tuple[int, int]]:

@@ -11,8 +11,8 @@ from __future__ import annotations
 import enum
 import json
 import random
-from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator
+from dataclasses import dataclass
+from typing import IO, Iterable
 
 from .errors import DataFormatError, ParameterError
 from .graph import SocialGraph, StudentId

@@ -3,8 +3,8 @@
 Rank scores (PageRank, HITS authority/hub, eigenvector centrality),
 positional costs (farness, directed clustering), structural-hole measures
 (constraint, effective size), and brokerage-role counts over directed
-2-paths.  The solvers and structural-hole measures read the out-, in- and
-tie-rows of :meth:`SocialGraph.index`.  The metric table takes every
+2-paths.  Every metric reads the position rows of :meth:`SocialGraph.index`,
+the graph's one adjacency.  The metric table takes every
 student's farness from one all-pairs distance pass, and constraint and
 effective size from one walk over the student's 2-paths; :func:`farness`,
 :func:`burt_constraint` and :func:`effective_size` answer for one student
@@ -20,7 +20,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from operator import mul, sub
-from typing import Callable, Collection, Iterable, Mapping
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import (ConvergenceWarning, DataFormatError, MissingNodeError,
                      ParameterError, UndefinedMetricError)
@@ -181,18 +181,19 @@ def clustering_coefficient(g: SocialGraph, node: StudentId) -> float:
     counts directed edges among them, the denominator is k(k-1).  Nodes
     with fewer than two neighbors score 0.
     """
-    return neighbourhood_clustering(g.ties(node), g.out_neighbors)
+    index = g.index()
+    return neighbourhood_clustering(set(index.ties[index.position[node]]), index.out)
 
 
-def neighbourhood_clustering(nbrs: Collection, out_of: Callable[..., Iterable]) -> float:
-    """links / (k(k-1)) over the k nodes of ``nbrs``, links counting each j's
-    out-row targets ``out_of(j)`` in ``nbrs``; exact ints, so order-free."""
+def neighbourhood_clustering(nbrs: Collection[int], out: Sequence[Iterable[int]]) -> float:
+    """links / (k(k-1)) over the k positions of ``nbrs``, links counting each
+    j's out-row targets ``out[j]`` in ``nbrs``; exact ints, so order-free."""
     k = len(nbrs)
     if k < 2:
         return 0.0
     links = 0
     for j in nbrs:
-        links += sum(1 for t in out_of(j) if t in nbrs)
+        links += sum(1 for t in out[j] if t in nbrs)
     return links / (k * (k - 1))
 
 
@@ -219,10 +220,10 @@ def effective_size(g: SocialGraph, node: StudentId) -> float:
 
 def _ego_structural_holes(g: SocialGraph, node: StudentId,
                           name: str) -> tuple[float, float]:
-    if not g.ties(node):
-        raise UndefinedMetricError(f"{name} undefined for isolated student {node!r}")
     index = g.index()
     ego = index.position[node]
+    if not index.ties[ego]:
+        raise UndefinedMetricError(f"{name} undefined for isolated student {node!r}")
     near = {q: index.tie_weights[q] for q in (ego, *index.ties[ego])}
     return _structural_holes(index, ego, {q: float(sum(w)) for q, w in near.items()},
                              {q: max(w) for q, w in near.items()})
@@ -304,18 +305,16 @@ def brokerage_counts(g: SocialGraph,
     for node in g.nodes:
         if node not in partition:
             raise MissingNodeError(node, context="partition")
-    counts = {node: BrokerageCounts() for node in g.nodes}
-    for b in g.nodes:
-        gb = partition[b]
-        c = counts[b]
-        for i in g.in_neighbors(b):
-            gi = partition[i]
-            for k in g.out_neighbors(b):
-                if i == k:
-                    continue
-                role = classify_two_path(gi, gb, partition[k])
-                setattr(c, role, getattr(c, role) + 1)
-    return counts
+    group = [partition[node] for node in g.nodes]
+    counts = [BrokerageCounts() for _ in g.nodes]
+    for gb, c, into, out in zip(group, counts, g.index().into, g.index().out):
+        for i in into:
+            gi = group[i]
+            for k in out:
+                if i != k:
+                    role = classify_two_path(gi, gb, group[k])
+                    setattr(c, role, getattr(c, role) + 1)
+    return dict(zip(g.nodes, counts))
 
 
 # -- assembled per-node table ----------------------------------------------

@@ -13,7 +13,8 @@ Each stage is one ``with stage(name, seed) as st:`` block, handing its
 results on as plain locals; the block times the stage, hashes what
 ``st.write`` wrote, and on an exception deletes those files and writes
 the manifest marked failed.  Every file, here and in the command line,
-goes through ``write_file``, so none is ever left half written.
+goes through ``write_files`` (or its one-file form ``write_file``), so
+none is ever left half written.
 """
 
 from __future__ import annotations
@@ -163,23 +164,35 @@ def _sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
+def write_files(*outputs: tuple[str | Path, Callable[[Any, TextIO], Any], Any,
+                                str | None]) -> None:
+    """For each ``(path, writer, value, newline)``: ``writer(value, fh)`` into
+    a temporary file beside ``path``.  Once every writer has returned, each
+    temporary file is renamed over its path; on any error all are deleted."""
+    staged: list[tuple[Path, Path]] = []
+    try:
+        for k, (path, writer, value, newline) in enumerate(outputs):
+            path = Path(path)
+            tmp = path.with_name(f".{path.name}.{os.getpid()}.{k}.tmp")
+            try:
+                fh = open(tmp, "w", encoding="utf-8", newline=newline)
+            except OSError as exc:  # name the file asked for, not the temporary one
+                raise OSError(exc.errno, exc.strerror, str(path)) from exc
+            staged.append((tmp, path))
+            with fh:
+                writer(value, fh)
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_file(path: str | Path, writer: Callable[[Any, TextIO], Any],
                value: Any, newline: str | None = None) -> None:
-    """``writer(value, fh)`` into a temporary file beside ``path``, renamed
-    over ``path`` once the writer returns and deleted if it raises."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        fh = open(tmp, "w", encoding="utf-8", newline=newline)
-    except OSError as exc:  # name the file asked for, not the temporary one
-        raise OSError(exc.errno, exc.strerror, str(path)) from exc
-    try:
-        with fh:
-            writer(value, fh)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    """:func:`write_files` with one output."""
+    write_files((path, writer, value, newline))
 
 
 def write_json(payload: Any, fh: TextIO) -> None:

@@ -47,7 +47,7 @@ class _SwapState:
         self.coef = [self._clustering(v) for v in range(len(self.out))]
 
     def _clustering(self, v: int) -> float:
-        return neighbourhood_clustering(self.ties[v], self.out.__getitem__)
+        return neighbourhood_clustering(self.ties[v], self.out)
 
     def swap(self, a: int, b: int, c: int, d: int,
              restore: dict[int, float] | None = None) -> dict[int, float]:

@@ -1,3 +1,4 @@
+import io
 import random
 
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import strategies as st
 from moocteams.errors import DataFormatError, MissingNodeError, ParameterError
 from moocteams.graph import (SocialGraph, distance_sums, finite_distance_total,
                              geodesic_distances, read_graph_csv, write_graph_csv)
-from moocteams.metrics import (burt_constraint, effective_size, eigencentrality,
-                               hits, pagerank)
+from moocteams.metrics import (burt_constraint, compute_node_metrics,
+                               effective_size, eigencentrality, hits, pagerank,
+                               write_metrics_csv)
 
 from oracles import floyd_warshall, random_digraph
 
@@ -237,3 +239,29 @@ def test_index_rows_follow_the_neighbour_maps():
             for u, row, row_weights in zip(g.nodes, rows, weights):
                 assert [g.nodes[v] for v in row] == list(of(u))
                 assert list(row_weights) == list(of(u).values())
+
+
+def _metrics_text(g):
+    buf = io.StringIO()
+    write_metrics_csv(compute_node_metrics(g), buf)
+    return buf.getvalue()
+
+
+def test_accessor_results_are_copies():
+    g = random_digraph(14, 0.3, seed=5)
+    edges = {(u, v): w for u, v, w in g.edges()}
+    weights = {(u, v): g.weight(u, v) for u in g.nodes for v in g.nodes}
+    table = _metrics_text(g)
+    for u in g.nodes:
+        for accessor in (g.out_neighbors, g.in_neighbors, g.ties):
+            got = accessor(u)
+            for v in list(got):
+                got[v] += 7
+            got.pop(next(iter(got), None), None)
+            got["intruder"] = 1
+    rebuilt = SocialGraph(edges, nodes=g.nodes)
+    assert {(u, v): g.weight(u, v) for u in g.nodes for v in g.nodes} == weights
+    assert g.edge_count == len(edges)
+    assert g.index() == rebuilt.index()
+    assert g == rebuilt
+    assert _metrics_text(g) == table

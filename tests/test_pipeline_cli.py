@@ -18,7 +18,7 @@ from moocteams.metrics import pagerank
 from moocteams.ingest import SynthParams, synth_corpus, write_jsonl
 from moocteams.errors import ParameterError
 from moocteams.pipeline import (SETTINGS, RunConfig, StageError, derive_seed,
-                                run_pipeline, write_file)
+                                run_pipeline, write_file, write_files)
 
 ARTIFACTS = ["graph.csv", "graph.dot", "manifest.json", "metrics.csv",
              "partition.json", "skills.json", "teams.json", "trace.csv"]
@@ -138,6 +138,22 @@ def test_write_file_replaces_the_target_only_when_the_writer_returns(tmp_path):
         write_file(target, half_write, None)
     assert target.read_text() == "first\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_write_files_renames_nothing_until_every_writer_returns(tmp_path):
+    def write(text, fh):
+        fh.write(text)
+
+    def half_write(value, fh):
+        fh.write("half")
+        raise OSError("disk full")
+
+    first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+    write_files((first, write, "old\n", None))
+    with pytest.raises(OSError):
+        write_files((first, write, "new\n", None), (second, half_write, None, None))
+    assert first.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
 
 
 def test_pipeline_missing_input_is_a_config_error(tmp_path):
@@ -321,6 +337,35 @@ def test_cli_report_failure_writes_no_dot_file(tmp_path, capsys, teams):
                  "--opinions", str(opinions), "--dot-out", str(dot)]) == 2
     capsys.readouterr()
     assert not dot.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["skills", "--input", "corpus.jsonl", "--output", "ok.json",
+     "--partition-out", "nodir/p.json"],
+    ["report", "--graph", "graph.csv", "--dot-out", "ok.dot", "--split", "0.5",
+     "--split-out", "nodir/s.json"]], ids=["skills", "report"])
+def test_cli_failed_second_output_leaves_no_file(tmp_path, monkeypatch, capsys, argv):
+    _graph_and_metrics(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == 2
+    assert "nodir" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv, abbreviated, flag", [
+    (["teams", "--graph", "graph.csv", "--metrics", "metrics.csv",
+      "--output", "out"], "--team", "--team-iterations"),
+    (["pipeline", "--input", "corpus.jsonl", "--output-dir", "out"],
+     "--diffusion-rep", "--diffusion-replications")], ids=["teams", "pipeline"])
+def test_cli_rejects_abbreviated_flags(tmp_path, monkeypatch, capsys, argv,
+                                       abbreviated, flag):
+    _graph_and_metrics(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, abbreviated, "2"]) == 1
+    assert not (tmp_path / "out").exists()
+    assert main([*argv, flag, "2"]) == 0
+    capsys.readouterr()
 
 
 def test_cli_rejects_repeated_graph_edge(tmp_path, capsys):
