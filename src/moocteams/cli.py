@@ -49,6 +49,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
 
 

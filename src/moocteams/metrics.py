@@ -42,8 +42,29 @@ class ScoreMap(dict):
 
 # -- rank scores -----------------------------------------------------------
 
-def pagerank(g: SocialGraph, damping: float = 0.85,
-             tol: float = 1e-10, max_iter: int = 200) -> ScoreMap:
+#: Solver settings, declared once; HITS and eigenvector centrality share RANK_*.
+DAMPING = 0.85
+PAGERANK_TOL = 1e-10
+PAGERANK_MAX_ITER = 200
+RANK_TOL = 1e-12
+RANK_MAX_ITER = 1000
+
+
+def _iterate(step, x, tol: float, max_iter: int) -> tuple[object, bool, int]:
+    """The power iterations' one stopping rule: apply ``step`` (iterate ->
+    next iterate and its L1 change) until the change drops below ``tol`` or
+    ``max_iter`` steps have run.  Returns (last iterate, converged, steps)."""
+    if not 0.0 < tol < math.inf or max_iter < 1:
+        raise ParameterError("tol must be positive and finite, and max_iter >= 1")
+    for iterations in range(1, max_iter + 1):
+        x, delta = step(x)
+        if delta < tol:
+            return x, True, iterations
+    return x, False, max_iter
+
+
+def pagerank(g: SocialGraph, damping: float = DAMPING, tol: float = PAGERANK_TOL,
+             max_iter: int = PAGERANK_MAX_ITER) -> ScoreMap:
     """Power iteration on the weighted out-degree-normalized walk.
 
     Mass from dangling students (no out-edges) is redistributed uniformly,
@@ -53,17 +74,13 @@ def pagerank(g: SocialGraph, damping: float = 0.85,
     """
     if not 0.0 < damping < 1.0:
         raise ParameterError(f"damping must lie strictly in (0, 1), got {damping}")
-    if not 0.0 < tol < math.inf or max_iter < 1:
-        raise ParameterError("tol must be positive and finite, and max_iter >= 1")
     n = g.node_count
     if n == 0:
         raise ParameterError("pagerank is undefined on an empty graph")
     index = g.index()
     rows = list(zip(index.out, index.out_weights, map(sum, index.out_weights)))
-    x = [1.0 / n] * n
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
+
+    def step(x: list) -> tuple[list, float]:
         nxt = [0.0] * n
         dangling = 0.0
         for xu, (row, weights, s) in zip(x, rows):
@@ -75,12 +92,10 @@ def pagerank(g: SocialGraph, damping: float = 0.85,
                 nxt[v] += share * w
         base = (1.0 - damping) / n + damping * dangling / n
         nxt = [base + damping * t for t in nxt]
-        delta = sum(map(abs, map(sub, nxt, x)))
-        x = nxt
-        if delta < tol:
-            converged = True
-            break
-    return ScoreMap(zip(g.nodes, x), converged=converged, iterations=iterations)
+        return nxt, sum(map(abs, map(sub, nxt, x)))
+
+    x, converged, iterations = _iterate(step, [1.0 / n] * n, tol, max_iter)
+    return ScoreMap(zip(g.nodes, x), converged, iterations)
 
 
 def _l2_normalized(vec: list) -> list:
@@ -94,8 +109,8 @@ def _weighted_sums(rows: list, x: list) -> list:
     return [sum(map(mul, weights, map(get, row))) for row, weights in rows]
 
 
-def hits(g: SocialGraph, tol: float = 1e-12,
-         max_iter: int = 1000) -> tuple[ScoreMap, ScoreMap]:
+def hits(g: SocialGraph, tol: float = RANK_TOL,
+         max_iter: int = RANK_MAX_ITER) -> tuple[ScoreMap, ScoreMap]:
     """Authority and hub scores via alternating weighted updates.
 
     Both updates read the previous iterate (authority from old hubs, hubs
@@ -104,29 +119,26 @@ def hits(g: SocialGraph, tol: float = 1e-12,
     """
     if g.edge_count == 0:
         raise UndefinedMetricError("HITS scores are undefined on an edgeless graph")
-    if not 0.0 < tol < math.inf or max_iter < 1:
-        raise ParameterError("tol must be positive and finite, and max_iter >= 1")
     index = g.index()
     into = list(zip(index.into, index.in_weights))
     out = list(zip(index.out, index.out_weights))
-    auth = hub = [1.0 / math.sqrt(g.node_count)] * g.node_count
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
+
+    def step(pair: tuple[list, list]) -> tuple[tuple[list, list], float]:
+        auth, hub = pair
         new_auth = _l2_normalized(_weighted_sums(into, hub))
         new_hub = _l2_normalized(_weighted_sums(out, auth))
         delta = sum(abs(a - b) + abs(c - d)
                     for a, b, c, d in zip(new_auth, auth, new_hub, hub))
-        auth, hub = new_auth, new_hub
-        if delta < tol:
-            converged = True
-            break
-    return (ScoreMap(zip(g.nodes, auth), converged=converged, iterations=iterations),
-            ScoreMap(zip(g.nodes, hub), converged=converged, iterations=iterations))
+        return (new_auth, new_hub), delta
+
+    start = [1.0 / math.sqrt(g.node_count)] * g.node_count
+    (auth, hub), converged, iterations = _iterate(step, (start, start), tol, max_iter)
+    return (ScoreMap(zip(g.nodes, auth), converged, iterations),
+            ScoreMap(zip(g.nodes, hub), converged, iterations))
 
 
-def eigencentrality(g: SocialGraph, tol: float = 1e-12,
-                    max_iter: int = 1000) -> ScoreMap:
+def eigencentrality(g: SocialGraph, tol: float = RANK_TOL,
+                    max_iter: int = RANK_MAX_ITER) -> ScoreMap:
     """Power iteration on the symmetrized weighted adjacency.
 
     Symmetrization (w(u,v) + w(v,u)) guarantees a non-negative dominant
@@ -134,13 +146,9 @@ def eigencentrality(g: SocialGraph, tol: float = 1e-12,
     """
     if g.edge_count == 0:
         raise UndefinedMetricError("eigenvector centrality is undefined on an edgeless graph")
-    if not 0.0 < tol < math.inf or max_iter < 1:
-        raise ParameterError("tol must be positive and finite, and max_iter >= 1")
     rows = list(zip(g.index().ties, g.index().tie_weights))
-    x = [1.0 / math.sqrt(g.node_count)] * g.node_count
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
+
+    def step(x: list) -> tuple[list, float]:
         nxt = []
         for row, weights in rows:
             total = 0.0
@@ -148,12 +156,11 @@ def eigencentrality(g: SocialGraph, tol: float = 1e-12,
                 total += w * x[u]
             nxt.append(total)
         nxt = _l2_normalized(nxt)
-        delta = sum(map(abs, map(sub, nxt, x)))
-        x = nxt
-        if delta < tol:
-            converged = True
-            break
-    return ScoreMap(zip(g.nodes, x), converged=converged, iterations=iterations)
+        return nxt, sum(map(abs, map(sub, nxt, x)))
+
+    start = [1.0 / math.sqrt(g.node_count)] * g.node_count
+    x, converged, iterations = _iterate(step, start, tol, max_iter)
+    return ScoreMap(zip(g.nodes, x), converged, iterations)
 
 
 # -- positional costs ------------------------------------------------------
@@ -341,11 +348,8 @@ class NodeMetrics:
 
 
 def compute_metrics_without_brokerage(g: SocialGraph,
-                                      damping: float = 0.85,
-                                      pagerank_tol: float = 1e-10,
-                                      pagerank_max_iter: int = 200,
-                                      tol: float = 1e-12,
-                                      max_iter: int = 1000,
+                                      damping: float = DAMPING,
+                                      pagerank_tol: float = PAGERANK_TOL,
                                       farness_penalty: float | None = None,
                                       ) -> dict[StudentId, NodeMetrics]:
     """Every metric that needs no group partition; brokerage counts are 0.
@@ -357,10 +361,10 @@ def compute_metrics_without_brokerage(g: SocialGraph,
     """
     if g.node_count == 0:
         return {}
-    pr = pagerank(g, damping=damping, tol=pagerank_tol, max_iter=pagerank_max_iter)
+    pr = pagerank(g, damping=damping, tol=pagerank_tol)
     if g.edge_count > 0:
-        auth, hub = hits(g, tol=tol, max_iter=max_iter)
-        eig = eigencentrality(g, tol=tol, max_iter=max_iter)
+        auth, hub = hits(g)
+        eig = eigencentrality(g)
     else:
         auth = hub = eig = ScoreMap({n: 0.0 for n in g.nodes})
     for name, scores in (("pagerank", pr), ("hits", auth), ("eigencentrality", eig)):
@@ -393,11 +397,8 @@ def compute_metrics_without_brokerage(g: SocialGraph,
 
 def compute_node_metrics(g: SocialGraph,
                          partition: GroupPartition | None = None,
-                         damping: float = 0.85,
-                         pagerank_tol: float = 1e-10,
-                         pagerank_max_iter: int = 200,
-                         tol: float = 1e-12,
-                         max_iter: int = 1000,
+                         damping: float = DAMPING,
+                         pagerank_tol: float = PAGERANK_TOL,
                          farness_penalty: float | None = None,
                          ) -> dict[StudentId, NodeMetrics]:
     """Compute the full metric table for every student.
@@ -408,7 +409,6 @@ def compute_node_metrics(g: SocialGraph,
     """
     table = compute_metrics_without_brokerage(
         g, damping=damping, pagerank_tol=pagerank_tol,
-        pagerank_max_iter=pagerank_max_iter, tol=tol, max_iter=max_iter,
         farness_penalty=farness_penalty)
     if partition is None:
         partition = {n: "all" for n in g.nodes}

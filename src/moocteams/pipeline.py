@@ -34,7 +34,8 @@ from .diffusion import FlowSpec, simulate, write_trace_csv
 from .errors import MoocteamsError, ParameterError
 from .graph import SocialGraph, write_graph_csv
 from .ingest import ReplyPolicy, build_reply_graph, parse_forum_export
-from .metrics import (NodeMetrics, brokerage_counts,
+from .metrics import (DAMPING, PAGERANK_MAX_ITER, PAGERANK_TOL, RANK_MAX_ITER,
+                      RANK_TOL, NodeMetrics, brokerage_counts,
                       compute_metrics_without_brokerage, write_metrics_csv)
 from .report import export_dot
 from .skills import (UNOBSERVED_GROUP, build_skill_profiles, refine_by_rank,
@@ -66,14 +67,15 @@ class RunConfig:
 
     The two paths come first.  Every field after them is a setting: a
     ``moocteams pipeline`` flag and a key of the manifest's config block.
-    The class constants at the end are fixed solver and stage settings.
+    The class constants at the end are fixed settings; the solver ones
+    are the defaults declared in :mod:`moocteams.metrics`.
     """
 
     input_path: str
     output_dir: str
     seed: int = 0
     reply_policy: str = "starter_fallback"
-    damping: float = 0.85
+    damping: float = DAMPING
     skill_k: int = 5
     skill_beta: float = 1.0
     skill_idf: bool = False
@@ -81,9 +83,9 @@ class RunConfig:
     s_min: int = 3
     s_max: int = 5
     allow_oversize: bool = False
-    w_cost: float = 1.0 / 3.0
-    w_hole: float = 1.0 / 3.0
-    w_balance: float = 1.0 / 3.0
+    w_cost: float = ObjectiveWeights.w_cost
+    w_hole: float = ObjectiveWeights.w_hole
+    w_balance: float = ObjectiveWeights.w_balance
     restarts: int = 8
     team_iterations: int = 300
     run_diffusion: bool = True
@@ -92,10 +94,10 @@ class RunConfig:
     diffusion_steps: int = 20
     diffusion_replications: int = 50
 
-    pagerank_tol: ClassVar[float] = 1e-10
-    pagerank_max_iter: ClassVar[int] = 200
-    rank_tol: ClassVar[float] = 1e-12
-    rank_max_iter: ClassVar[int] = 1000
+    pagerank_tol: ClassVar[float] = PAGERANK_TOL
+    pagerank_max_iter: ClassVar[int] = PAGERANK_MAX_ITER
+    rank_tol: ClassVar[float] = RANK_TOL
+    rank_max_iter: ClassVar[int] = RANK_MAX_ITER
     farness_penalty: ClassVar[float | None] = None
     skill_min_len: ClassVar[int] = 3
     diffusion_uniform: ClassVar[bool] = False
@@ -303,8 +305,6 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
     with stage("metrics"):
         metrics = compute_metrics_without_brokerage(
             g, damping=config.damping, pagerank_tol=config.pagerank_tol,
-            pagerank_max_iter=config.pagerank_max_iter,
-            tol=config.rank_tol, max_iter=config.rank_max_iter,
             farness_penalty=config.farness_penalty)
 
     with stage("skills") as st:

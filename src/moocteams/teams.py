@@ -317,7 +317,7 @@ def _better(cand: TeamAssignment, best: TeamAssignment | None) -> bool:
 
 def form_teams(g: SocialGraph, metrics: Mapping[StudentId, NodeMetrics],
                s_min: int = 3, s_max: int = 5,
-               weights: ObjectiveWeights | None = None,
+               weights: ObjectiveWeights = ObjectiveWeights(),
                restarts: int = 8, iterations: int = 300, seed: int = 0,
                allow_oversize: bool = False) -> TeamAssignment:
     """Seeded multi-restart hill climbing over swaps and moves.
@@ -328,8 +328,6 @@ def form_teams(g: SocialGraph, metrics: Mapping[StudentId, NodeMetrics],
     changing the result.  Ties between runs break toward the
     lexicographically smallest roster.
     """
-    if weights is None:
-        weights = ObjectiveWeights()
     weights.validate()
     if restarts < 1 or iterations < 0:
         raise ParameterError("restarts must be >= 1 and iterations >= 0")
@@ -470,15 +468,13 @@ def _feasible_size_vectors(n: int, k: int, s_min: int, s_max: int,
 
 def brute_force_teams(g: SocialGraph, metrics: Mapping[StudentId, NodeMetrics],
                       s_min: int, s_max: int,
-                      weights: ObjectiveWeights | None = None,
+                      weights: ObjectiveWeights = ObjectiveWeights(),
                       allow_oversize: bool = False) -> TeamAssignment:
     """Exhaustive optimum over every size-feasible partition.
 
     Guarded to 10 nodes; ties break by lexicographically smallest
     canonical roster.
     """
-    if weights is None:
-        weights = ObjectiveWeights()
     weights.validate()
     nodes = list(g.nodes)
     n = len(nodes)

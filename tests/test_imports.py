@@ -1,8 +1,11 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+private module-level function, class or constant it defines is used
+somewhere in the package.
 
-``__init__.py`` is exempt (its imports are re-exports), and so is
-``from __future__``.  A quoted annotation counts as a use of the names
-it spells.
+``__init__.py`` is exempt from the import check (its imports are
+re-exports), and so is ``from __future__``.  A quoted annotation counts as
+a use of the names it spells.  A private definition's uses inside its own
+body (recursion) do not count.
 """
 
 import ast
@@ -11,14 +14,8 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "moocteams"
 
 
-def unused_imports(source: str) -> list[str]:
-    tree = ast.parse(source)
-    imported = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported += [a.asname or a.name.split(".")[0] for a in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            imported += [a.asname or a.name for a in node.names]
+def read_names(tree: ast.AST) -> set[str]:
+    """Every bare name in ``tree``, including those in quoted annotations."""
     used = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -32,7 +29,50 @@ def unused_imports(source: str) -> list[str]:
             if isinstance(note, ast.Constant) and isinstance(note.value, str):
                 used.update(n.id for n in ast.walk(ast.parse(note.value, mode="eval"))
                             if isinstance(n, ast.Name))
+    return used
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = read_names(tree)
     return [name for name in imported if name not in used]
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _defined_names(stmt: ast.stmt) -> list[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def unused_private_definitions(sources: dict[str, str]) -> list[str]:
+    """``module:name`` for each private module-level function, class or
+    constant that no other top-level statement of any module reads, by bare
+    name, attribute name or ``from ... import``."""
+    statements = [(module, stmt) for module, source in sources.items()
+                  for stmt in ast.parse(source).body]
+    reads = [read_names(stmt)
+             | {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
+             | {a.name for n in ast.walk(stmt) if isinstance(n, ast.ImportFrom)
+                for a in n.names}
+             for _, stmt in statements]
+    unused = []
+    for k, (module, stmt) in enumerate(statements):
+        for name in filter(_is_private, _defined_names(stmt)):
+            if not any(name in r for j, r in enumerate(reads) if j != k):
+                unused.append(f"{module}:{name}")
+    return unused
 
 
 def test_the_check_finds_an_unused_import():
@@ -47,3 +87,18 @@ def test_no_module_imports_a_name_it_never_uses():
               if path.name != "__init__.py"
               and (names := unused_imports(path.read_text(encoding="utf-8")))}
     assert unused == {}
+
+
+def test_the_check_finds_an_unused_private_definition():
+    sources = {"a.py": ("_LIMIT = 3\n_unused = 4\n"
+                        "def _recurse(n):\n    return _recurse(n - 1)\n"
+                        "class _Box:\n    pass\n"
+                        "def _shared():\n    return _LIMIT\n"),
+               "b.py": "from .a import _shared\ndef f(x: '_Box'):\n    return _shared()\n"}
+    assert unused_private_definitions(sources) == ["a.py:_unused", "a.py:_recurse"]
+
+
+def test_no_module_defines_a_private_name_the_package_never_uses():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert unused_private_definitions(sources) == []

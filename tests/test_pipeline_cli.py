@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import inspect
 import json
 import os
 import shlex
@@ -13,12 +14,16 @@ from hypothesis import strategies as st
 
 import moocteams
 from moocteams.cli import build_parser, main
+from moocteams.diffusion import FlowSpec
 from moocteams.graph import read_graph_csv
-from moocteams.metrics import pagerank
+from moocteams.metrics import (compute_node_metrics, eigencentrality, farness,
+                               hits, pagerank)
 from moocteams.ingest import SynthParams, synth_corpus, write_jsonl
 from moocteams.errors import ParameterError
 from moocteams.pipeline import (SETTINGS, RunConfig, StageError, derive_seed,
                                 run_pipeline, write_file, write_files)
+from moocteams.skills import build_skill_profiles
+from moocteams.teams import ObjectiveWeights, brute_force_teams, form_teams
 
 ARTIFACTS = ["graph.csv", "graph.dot", "manifest.json", "metrics.csv",
              "partition.json", "skills.json", "teams.json", "trace.csv"]
@@ -368,6 +373,22 @@ def test_cli_rejects_abbreviated_flags(tmp_path, monkeypatch, capsys, argv,
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, wrong", [
+    (["synth", "--students", "5", "--threads", "2", "--posts", "3",
+      "--comments", "4", "--output", "ok.jsonl", "--outpt", "x.jsonl"],
+     "--outpt x.jsonl"),
+    (["teams", "--graph", "graph.csv", "--metrics", "metrics.csv",
+      "--output", "out", "--team", "5"], "--team 5")], ids=["synth", "teams"])
+def test_cli_usage_error_says_what_was_wrong(tmp_path, monkeypatch, capsys,
+                                             argv, wrong):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: moocteams")
+    assert err.endswith(f"moocteams: error: unrecognized arguments: {wrong}\n")
+    assert not any(tmp_path.iterdir())
+
+
 def test_cli_rejects_repeated_graph_edge(tmp_path, capsys):
     graph = tmp_path / "graph.csv"
     graph.write_text("src,dst,weight\na,b,1\nb,a,2\na,b,5\n")
@@ -484,6 +505,29 @@ def test_cli_pipeline_enum_spelling_does_not_reach_the_manifest(tmp_path, capsys
         manifests.append((out / "manifest.json").read_bytes())
     capsys.readouterr()
     assert manifests[0] == manifests[1]
+
+
+def _default(fn, name):
+    return inspect.signature(fn).parameters[name].default
+
+
+def test_pipeline_fixed_settings_are_the_library_defaults():
+    assert RunConfig.pagerank_tol == _default(pagerank, "tol")
+    assert RunConfig.pagerank_max_iter == _default(pagerank, "max_iter")
+    for solver in (hits, eigencentrality):
+        assert RunConfig.rank_tol == _default(solver, "tol")
+        assert RunConfig.rank_max_iter == _default(solver, "max_iter")
+    assert RunConfig.farness_penalty == _default(compute_node_metrics,
+                                                 "farness_penalty")
+    assert RunConfig.farness_penalty == _default(farness, "penalty")
+    assert RunConfig.skill_min_len == _default(build_skill_profiles, "min_len")
+    assert RunConfig.diffusion_uniform == _default(FlowSpec, "uniform")
+    defaults = {f.name: f.default for f in SETTINGS}
+    for fn in (pagerank, compute_node_metrics):
+        assert defaults["damping"] == _default(fn, "damping")
+    for fn in (form_teams, brute_force_teams):
+        assert ObjectiveWeights(defaults["w_cost"], defaults["w_hole"],
+                                defaults["w_balance"]) == _default(fn, "weights")
 
 
 def test_cli_pipeline_fixed_settings_have_no_flag(tmp_path, capsys):

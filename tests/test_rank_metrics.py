@@ -68,6 +68,27 @@ def test_solvers_reject_non_finite_or_non_positive_tol(tol):
             solver(g, tol=tol)
 
 
+def _score_maps(result):
+    """The score maps a solver returns: HITS gives two, the others one."""
+    return result if isinstance(result, tuple) else (result,)
+
+
+@pytest.mark.parametrize("solver", [pagerank, hits, eigencentrality])
+def test_solvers_stop_at_the_first_step_under_tol(solver):
+    g = random_digraph(25, 0.2, seed=3)
+    done = _score_maps(solver(g))
+    m = done[0].iterations
+    assert m > 1 and all(s.converged and s.iterations == m for s in done)
+    exact = _score_maps(solver(g, max_iter=m))
+    assert all(s.converged and s.iterations == m for s in exact)
+    assert [list(s.items()) for s in exact] == [list(s.items()) for s in done]
+    short = _score_maps(solver(g, max_iter=m - 1))
+    assert all(not s.converged and s.iterations == m - 1 for s in short)
+    for max_iter in (0, -1):
+        with pytest.raises(ParameterError):
+            solver(g, max_iter=max_iter)
+
+
 def test_hits_matches_dense_oracle():
     for seed in range(10):
         g = random_digraph(25, 0.2, seed=seed)
