@@ -5,9 +5,11 @@ failure.  A single --seed per command derives any stage-level seeds, so
 one value reproduces a whole run.  Every flag for a RunConfig setting, in
 ``pipeline`` and in the stage subcommands, is generated from its field:
 named after it, with the field's default and type.  ``diffuse`` keeps
-FlowSpec's flags, and every flag must be spelled in full.  A command's
-outputs go through one ``write_files`` call, which renames them into
-place only once all are written, so a failed command leaves no file
+FlowSpec's flags and defaults, apart from ``--mechanism`` and
+``--trajectory``, which default to the pipeline's; every flag must be
+spelled in full.  Every input file is read through ``read_file``, and a
+command's outputs go through one ``write_files`` call, which renames them
+into place only once all are written, so a failed command leaves no file
 behind.
 """
 
@@ -23,13 +25,14 @@ from .diffusion import (FlowSpec, Mechanism, Trajectory, full_typology_specs,
                         simulate, typology_report, write_trace_csv,
                         write_typology_csv)
 from .errors import MoocteamsError, ParameterError
+from .formats import write_json
 from .graph import read_graph_csv, write_graph_csv
 from .ingest import (SynthParams, build_reply_graph, parse_forum_export,
                      synth_corpus, write_jsonl)
 from .metrics import (compute_node_metrics, pagerank, read_metrics_csv,
                       write_metrics_csv)
-from .pipeline import (SETTINGS, RunConfig, StageError, run_pipeline,
-                       write_file, write_files, write_json)
+from .pipeline import (SETTINGS, RunConfig, StageError, read_file,
+                       run_pipeline, write_file, write_files)
 from .report import (aggregate_opinions, experiment_split, export_dot,
                      read_opinions_jsonl)
 from .skills import (build_skill_profiles, read_partition_json, refine_by_rank,
@@ -53,18 +56,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _read_graph(path: str):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return read_graph_csv(fh)
-
-
 def _cmd_ingest(args) -> int:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        parsed = parse_forum_export(fh)
+    parsed = read_file(args.input, parse_forum_export)
     policy = RunConfig(args.input, args.output,
                        reply_policy=args.reply_policy).policy()
     graph, report = build_reply_graph(parsed.messages, policy=policy)
-    write_file(args.output, write_graph_csv, graph, newline="")
+    write_file(args.output, write_graph_csv, graph)
     print(f"messages={parsed.parsed} skipped={parsed.skipped} "
           f"anonymous={parsed.anonymous} interactions={report.interactions} "
           f"nodes={graph.node_count} edges={graph.edge_count}")
@@ -72,44 +69,40 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    graph = _read_graph(args.graph)
-    partition = None
-    if args.partition:
-        with open(args.partition, "r", encoding="utf-8") as fh:
-            partition = read_partition_json(fh)
+    graph = read_file(args.graph, read_graph_csv)
+    partition = (read_file(args.partition, read_partition_json)
+                 if args.partition else None)
     table = compute_node_metrics(graph, partition=partition,
                                  damping=args.damping,
                                  pagerank_tol=args.pagerank_tol)
-    write_file(args.output, write_metrics_csv, table, newline="")
+    write_file(args.output, write_metrics_csv, table)
     print(f"students={len(table)}")
     return 0
 
 
 def _cmd_skills(args) -> int:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        parsed = parse_forum_export(fh)
+    parsed = read_file(args.input, parse_forum_export)
     profiles = build_skill_profiles(parsed.messages, k=args.skill_k,
                                     min_len=args.min_len,
                                     use_idf=args.skill_idf)
     if args.graph:
-        graph = _read_graph(args.graph)
+        graph = read_file(args.graph, read_graph_csv)
         ranks = pagerank(graph) if graph.node_count else {}
         profiles = refine_by_rank(profiles, ranks, beta=args.skill_beta)
-    outputs = [(args.output, write_skills_json, profiles, None)]
+    outputs = [(args.output, write_skills_json, profiles)]
     if args.partition_out:
         partition = skill_partition(profiles.values(),
                                     min(args.n_groups, len(profiles)),
                                     seed=args.seed) if profiles else {}
-        outputs.append((args.partition_out, write_partition_json, partition, None))
+        outputs.append((args.partition_out, write_partition_json, partition))
     write_files(*outputs)
     print(f"profiles={len(profiles)}")
     return 0
 
 
 def _cmd_teams(args) -> int:
-    graph = _read_graph(args.graph)
-    with open(args.metrics, "r", encoding="utf-8", newline="") as fh:
-        table = read_metrics_csv(fh)
+    graph = read_file(args.graph, read_graph_csv)
+    table = read_file(args.metrics, read_metrics_csv)
     weights = ObjectiveWeights(args.w_cost, args.w_hole, args.w_balance)
     if args.brute_force:
         assignment = brute_force_teams(graph, table, args.s_min, args.s_max,
@@ -128,19 +121,18 @@ def _cmd_teams(args) -> int:
 
 
 def _cmd_diffuse(args) -> int:
-    graph = _read_graph(args.graph)
+    graph = read_file(args.graph, read_graph_csv)
     sources = tuple(s for s in args.sources.split(",") if s)
     if args.typology:
         if not args.metrics:
             raise ParameterError("--typology needs --metrics")
-        with open(args.metrics, "r", encoding="utf-8", newline="") as fh:
-            table = read_metrics_csv(fh)
+        table = read_file(args.metrics, read_metrics_csv)
         specs = full_typology_specs(sources, max_steps=args.steps,
                                     replications=args.replications,
                                     seed=args.seed, copy_cap=args.copy_cap,
                                     uniform=args.uniform)
         matrix = typology_report(graph, specs, table)
-        write_file(args.output, write_typology_csv, matrix, newline="")
+        write_file(args.output, write_typology_csv, matrix)
         print(f"cells={len(matrix.rows)}")
         return 0
     spec = FlowSpec(mechanism=args.mechanism, trajectory=args.trajectory,
@@ -149,7 +141,7 @@ def _cmd_diffuse(args) -> int:
                     seed=args.seed, copy_cap=args.copy_cap,
                     uniform=args.uniform)
     trace = simulate(graph, spec)
-    write_file(args.output, write_trace_csv, trace, newline="")
+    write_file(args.output, write_trace_csv, trace)
     reached = sum(1 for v in trace.first_arrival.values() if v is not None)
     print(f"reached={reached} steps={trace.steps_run} "
           f"truncated={trace.truncated}")
@@ -157,17 +149,14 @@ def _cmd_diffuse(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    graph = _read_graph(args.graph)
-    assignment = None
-    if args.teams:
-        with open(args.teams, "r", encoding="utf-8") as fh:
-            assignment = read_roster_json(fh)
+    graph = read_file(args.graph, read_graph_csv)
+    assignment = (read_file(args.teams, read_roster_json)
+                  if args.teams else None)
     summary = split = None
     if args.opinions:
         if assignment is None:
             raise ParameterError("--opinions needs --teams")
-        with open(args.opinions, "r", encoding="utf-8") as fh:
-            records = read_opinions_jsonl(fh)
+        records = read_file(args.opinions, read_opinions_jsonl)
         summary = asdict(aggregate_opinions(records, assignment))
     if args.split is not None:
         experimental, control = experiment_split(list(graph.nodes),
@@ -176,11 +165,11 @@ def _cmd_report(args) -> int:
     outputs = []
     if args.dot_out:
         outputs.append((args.dot_out, lambda text, fh: fh.write(text),
-                        export_dot(graph, assignment), None))
+                        export_dot(graph, assignment)))
     if summary is not None and args.summary_out:
-        outputs.append((args.summary_out, write_json, summary, None))
+        outputs.append((args.summary_out, write_json, summary))
     if split is not None and args.split_out:
-        outputs.append((args.split_out, write_json, split, None))
+        outputs.append((args.split_out, write_json, split))
     write_files(*outputs)
     if summary is not None and not args.summary_out:
         write_json(summary, sys.stdout)
@@ -273,16 +262,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--sources", required=True,
                    help="comma-separated student ids")
-    p.add_argument("--mechanism", default="TRANSFER",
+    p.add_argument("--mechanism", default=_DEFAULTS["diffusion_mechanism"],
                    type=lambda v: Mechanism.parse(v).value)
-    p.add_argument("--trajectory", default="WALK",
+    p.add_argument("--trajectory", default=_DEFAULTS["diffusion_trajectory"],
                    type=lambda v: Trajectory.parse(v).value)
     p.add_argument("--target")
-    p.add_argument("--steps", type=int, default=20)
-    p.add_argument("--replications", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--copy-cap", type=int)
-    p.add_argument("--uniform", action="store_true",
+    p.add_argument("--steps", type=int, default=FlowSpec.max_steps)
+    p.add_argument("--replications", type=int, default=FlowSpec.replications)
+    p.add_argument("--seed", type=int, default=FlowSpec.seed)
+    p.add_argument("--copy-cap", type=int, default=FlowSpec.copy_cap)
+    p.add_argument("--uniform", action="store_true", default=FlowSpec.uniform,
                    help="uniform instead of weight-proportional hops")
     p.add_argument("--typology", action="store_true",
                    help="run all mechanism x trajectory cells")
@@ -307,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--posts", type=int, required=True)
     p.add_argument("--comments", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--anonymous-fraction", type=float, default=0.05)
+    p.add_argument("--anonymous-fraction", type=float,
+                   default=SynthParams.anonymous_fraction)
     p.add_argument("--output", required=True)
     p.set_defaults(fn=_cmd_synth)
 

@@ -16,7 +16,6 @@ outcome of each replication.
 
 from __future__ import annotations
 
-import csv
 import math
 import random
 from bisect import bisect_right
@@ -27,6 +26,7 @@ from typing import Mapping, Sequence
 
 from .errors import (DataFormatError, InsufficientDataError, MissingNodeError,
                      ParameterError)
+from .formats import read_csv, write_csv
 from .graph import SocialGraph, StudentId, hop_counts
 from .metrics import NodeMetrics
 
@@ -500,25 +500,14 @@ TRACE_HEADER = ["student", "first_arrival", "receipts"]
 
 
 def write_trace_csv(trace: DiffusionTrace, stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(TRACE_HEADER)
-    for v in sorted(trace.first_arrival):
-        arrival = trace.first_arrival[v]
-        writer.writerow([v, NEVER if arrival is None else arrival,
-                         trace.receipts[v]])
+    write_csv(stream, TRACE_HEADER, (
+        [v, NEVER if arrival is None else arrival, trace.receipts[v]]
+        for v, arrival in sorted(trace.first_arrival.items())))
 
 
 def read_trace_csv(stream) -> dict[StudentId, tuple[int | None, int]]:
-    reader = csv.reader(stream)
-    header = next(reader, None)
-    if header != TRACE_HEADER:
-        raise DataFormatError(f"expected trace header {TRACE_HEADER}, got {header}")
     out: dict[StudentId, tuple[int | None, int]] = {}
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != 3:
-            raise DataFormatError(f"bad trace row: {row}")
+    for row in read_csv(stream, TRACE_HEADER, "trace"):
         student, arrival, receipts = row
         try:
             out[student] = (None if arrival == NEVER else int(arrival),
@@ -529,8 +518,6 @@ def read_trace_csv(stream) -> dict[StudentId, tuple[int | None, int]]:
 
 
 def write_typology_csv(matrix: TypologyMatrix, stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["mechanism", "trajectory", *matrix.columns])
-    for (mechanism, trajectory), cells in zip(matrix.rows, matrix.values):
-        writer.writerow([mechanism, trajectory,
-                         *(f"{c:.9g}" for c in cells)])
+    write_csv(stream, ["mechanism", "trajectory", *matrix.columns], (
+        [mechanism, trajectory, *(f"{c:.9g}" for c in cells)]
+        for (mechanism, trajectory), cells in zip(matrix.rows, matrix.values)))

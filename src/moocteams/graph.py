@@ -12,12 +12,12 @@ and rewiring read.  Hop distances come from a BFS from one source
 
 from __future__ import annotations
 
-import csv
-import io
+from itertools import chain
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 from .errors import DataFormatError, MissingNodeError, ParameterError
+from .formats import read_csv, write_csv
 
 StudentId = str
 
@@ -234,41 +234,22 @@ def finite_distance_total(g: SocialGraph) -> tuple[int, int]:
 CSV_HEADER = ["src", "dst", "weight"]
 
 
-def write_graph_csv(g: SocialGraph, stream: io.TextIOBase) -> None:
+def write_graph_csv(g: SocialGraph, stream: TextIO) -> None:
     """Edge list as ``src,dst,weight`` rows with a header, canonical order.
 
     Isolated nodes are kept as rows with an empty dst and weight 0 so the
     node set round-trips.
     """
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    linked = set()
-    for u, v, w in g.edges():
-        writer.writerow([u, v, w])
-        linked.add(u)
-        linked.add(v)
-    for n in g.nodes:
-        if n not in linked:
-            writer.writerow([n, "", 0])
+    isolated = ((n, "", 0) for n, tie in zip(g.nodes, g.index().ties) if not tie)
+    write_csv(stream, CSV_HEADER, chain(g.edges(), isolated))
 
 
-def read_graph_csv(stream: io.TextIOBase) -> SocialGraph:
+def read_graph_csv(stream: TextIO) -> SocialGraph:
     """Inverse of :func:`write_graph_csv`."""
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataFormatError("empty graph CSV") from None
-    if [h.strip() for h in header] != CSV_HEADER:
-        raise DataFormatError(f"expected header {CSV_HEADER}, got {header}")
     edges: dict[tuple[StudentId, StudentId], int] = {}
     isolated: set[StudentId] = set()
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != 3:
-            raise DataFormatError(f"bad graph CSV row: {row}")
-        src, dst, w = row[0], row[1], row[2]
+    for row in read_csv(stream, CSV_HEADER, "graph"):
+        src, dst, w = row
         if dst == "":
             isolated.add(src)
             continue

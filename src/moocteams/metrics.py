@@ -14,16 +14,15 @@ graph and safe to call concurrently.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass, field
 from operator import mul, sub
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence, TextIO
 
 from .errors import (ConvergenceWarning, DataFormatError, MissingNodeError,
                      ParameterError, UndefinedMetricError)
+from .formats import read_csv, write_csv
 from .graph import (GraphIndex, SocialGraph, StudentId, distance_sums,
                     geodesic_distances)
 
@@ -424,33 +423,21 @@ METRICS_HEADER = ["student", "pagerank", "authority", "hub", "farness",
 
 
 def write_metrics_csv(table: Mapping[StudentId, NodeMetrics],
-                      stream: io.TextIOBase) -> None:
+                      stream: TextIO) -> None:
     """One row per student, reals at 9 significant digits."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(METRICS_HEADER)
-    for node in sorted(table):
-        m = table[node]
-        writer.writerow([
-            node,
-            *(f"{v:.9g}" for v in (m.pagerank, m.authority, m.hub, m.farness,
-                                   m.clustering, m.eigencentrality,
-                                   m.constraint, m.effective_size)),
-            *m.brokerage.as_tuple(),
-        ])
+    write_csv(stream, METRICS_HEADER, (
+        [node,
+         *(f"{v:.9g}" for v in (m.pagerank, m.authority, m.hub, m.farness,
+                                m.clustering, m.eigencentrality,
+                                m.constraint, m.effective_size)),
+         *m.brokerage.as_tuple()]
+        for node, m in sorted(table.items())))
 
 
-def read_metrics_csv(stream: io.TextIOBase) -> dict[StudentId, NodeMetrics]:
+def read_metrics_csv(stream: TextIO) -> dict[StudentId, NodeMetrics]:
     """Inverse of :func:`write_metrics_csv` (up to float formatting)."""
-    reader = csv.reader(stream)
-    header = next(reader, None)
-    if header != METRICS_HEADER:
-        raise DataFormatError(f"expected metrics header {METRICS_HEADER}, got {header}")
     table: dict[StudentId, NodeMetrics] = {}
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(METRICS_HEADER):
-            raise DataFormatError(f"bad metrics row: {row}")
+    for row in read_csv(stream, METRICS_HEADER, "metrics"):
         node = row[0]
         try:
             reals = [float(v) for v in row[1:9]]

@@ -13,14 +13,14 @@ Each stage is one ``with stage(name, seed) as st:`` block, handing its
 results on as plain locals; the block times the stage, hashes what
 ``st.write`` wrote, and on an exception deletes those files and writes
 the manifest marked failed.  Every file, here and in the command line,
-goes through ``write_files`` (or its one-file form ``write_file``), so
-none is ever left half written.
+is written through ``write_files`` (or its one-file form ``write_file``),
+so none is ever left half written, and read through ``read_file``; both
+open UTF-8 with no newline translation (see :mod:`moocteams.formats`).
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 import time
@@ -32,6 +32,7 @@ from typing import Any, Callable, ClassVar, Iterator, TextIO
 from ._version import __version__
 from .diffusion import FlowSpec, simulate, write_trace_csv
 from .errors import MoocteamsError, ParameterError
+from .formats import write_json
 from .graph import SocialGraph, write_graph_csv
 from .ingest import ReplyPolicy, build_reply_graph, parse_forum_export
 from .metrics import (DAMPING, PAGERANK_MAX_ITER, PAGERANK_TOL, RANK_MAX_ITER,
@@ -166,18 +167,18 @@ def _sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
-def write_files(*outputs: tuple[str | Path, Callable[[Any, TextIO], Any], Any,
-                                str | None]) -> None:
-    """For each ``(path, writer, value, newline)``: ``writer(value, fh)`` into
-    a temporary file beside ``path``.  Once every writer has returned, each
-    temporary file is renamed over its path; on any error all are deleted."""
+def write_files(*outputs: tuple[str | Path, Callable[[Any, TextIO], Any], Any]) -> None:
+    """For each ``(path, writer, value)``: ``writer(value, fh)`` into a
+    temporary UTF-8 file beside ``path``, lines untranslated.  Once every
+    writer has returned, each is renamed over its path; on any error all
+    are deleted."""
     staged: list[tuple[Path, Path]] = []
     try:
-        for k, (path, writer, value, newline) in enumerate(outputs):
+        for k, (path, writer, value) in enumerate(outputs):
             path = Path(path)
             tmp = path.with_name(f".{path.name}.{os.getpid()}.{k}.tmp")
             try:
-                fh = open(tmp, "w", encoding="utf-8", newline=newline)
+                fh = open(tmp, "w", encoding="utf-8", newline="")
             except OSError as exc:  # name the file asked for, not the temporary one
                 raise OSError(exc.errno, exc.strerror, str(path)) from exc
             staged.append((tmp, path))
@@ -192,15 +193,15 @@ def write_files(*outputs: tuple[str | Path, Callable[[Any, TextIO], Any], Any,
 
 
 def write_file(path: str | Path, writer: Callable[[Any, TextIO], Any],
-               value: Any, newline: str | None = None) -> None:
+               value: Any) -> None:
     """:func:`write_files` with one output."""
-    write_files((path, writer, value, newline))
+    write_files((path, writer, value))
 
 
-def write_json(payload: Any, fh: TextIO) -> None:
-    """``payload`` as indented JSON with sorted keys, then a newline."""
-    json.dump(payload, fh, indent=2, sort_keys=True)
-    fh.write("\n")
+def read_file(path: str | Path, reader: Callable[[TextIO], Any]) -> Any:
+    """``reader(fh)`` on ``path``, opened as :func:`write_files` opens."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return reader(fh)
 
 
 class _Stage:
@@ -212,12 +213,12 @@ class _Stage:
         self.skip_reason: str | None = None
 
     def write(self, filename: str, writer: Callable[[Any, TextIO], Any],
-              value: Any, newline: str | None = None) -> None:
+              value: Any) -> None:
         """``write_file`` into ``filename``, registered first so that a
         failing stage also deletes the copy an earlier run left there."""
         path = self.out_dir / filename
         self.paths.append(path)
-        write_file(path, writer, value, newline)
+        write_file(path, writer, value)
 
 
 def run_pipeline(config: RunConfig) -> PipelineResult:
@@ -282,10 +283,9 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
 
     # ingest: corpus -> reply graph
     with stage("ingest") as st:
-        with open(input_path, "r", encoding="utf-8") as fh:
-            parsed = parse_forum_export(fh)
+        parsed = read_file(input_path, parse_forum_export)
         g, report = build_reply_graph(parsed.messages, policy=config.policy())
-        st.write("graph.csv", write_graph_csv, g, newline="")
+        st.write("graph.csv", write_graph_csv, g)
         manifest["corpus"] = {
             "messages": parsed.parsed,
             "skipped_lines": parsed.skipped,
@@ -311,7 +311,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         profiles = build_skill_profiles(
             parsed.messages, k=config.skill_k, min_len=config.skill_min_len,
             use_idf=config.skill_idf)
-        if metrics and config.skill_beta > 0:
+        if metrics:
             ranks = {s: m.pagerank for s, m in metrics.items()}
             profiles = refine_by_rank(profiles, ranks, beta=config.skill_beta)
         st.write("skills.json", write_skills_json, profiles)
@@ -330,7 +330,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         roles = brokerage_counts(g, groups)
         for node, record in metrics.items():
             record.brokerage = roles[node]
-        st.write("metrics.csv", write_metrics_csv, metrics, newline="")
+        st.write("metrics.csv", write_metrics_csv, metrics)
 
     with stage("teams", teams_seed) as st:
         assignment = None
@@ -360,7 +360,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
                 replications=config.diffusion_replications,
                 seed=diffusion_seed,
                 uniform=config.diffusion_uniform)
-            st.write("trace.csv", write_trace_csv, simulate(g, spec), newline="")
+            st.write("trace.csv", write_trace_csv, simulate(g, spec))
 
     with stage("export") as st:
         st.write("graph.dot", lambda text, fh: fh.write(text),

@@ -7,7 +7,6 @@ students by skill similarity that feeds the brokerage analysis.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import re
@@ -16,6 +15,7 @@ from importlib import resources
 from typing import Iterable, Mapping
 
 from .errors import DataFormatError, ParameterError
+from .formats import read_json, write_json
 from .graph import StudentId
 from .ingest import ForumMessage
 
@@ -110,8 +110,11 @@ def refine_by_rank(profiles: Mapping[StudentId, SkillProfile],
     """:func:`refine_skills` every profile with its rank over the top rank.
 
     The score is 0 for a student without a rank, and for everyone when the
-    top rank is not positive.
+    top rank is not positive.  A ``beta`` of 0 boosts nothing, so the
+    profiles come back unchanged and unrefined.
     """
+    if beta == 0:
+        return dict(profiles)
     top = max(ranks.values(), default=0.0)
     return {s: refine_skills(p, ranks.get(s, 0.0) / top if top > 0 else 0.0, beta=beta)
             for s, p in profiles.items()}
@@ -265,15 +268,11 @@ def write_skills_json(profiles: Mapping[StudentId, SkillProfile], stream) -> Non
         }
         for s in sorted(profiles)
     ]
-    json.dump(payload, stream, indent=2, sort_keys=True)
-    stream.write("\n")
+    write_json(payload, stream)
 
 
 def read_skills_json(stream) -> dict[StudentId, SkillProfile]:
-    try:
-        payload = json.load(stream)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"invalid skills JSON: {exc}") from exc
+    payload = read_json(stream, "skills")
     if not isinstance(payload, list):
         raise DataFormatError("skills JSON must be an array of profiles")
     profiles: dict[StudentId, SkillProfile] = {}
@@ -289,15 +288,11 @@ def read_skills_json(stream) -> dict[StudentId, SkillProfile]:
 
 
 def write_partition_json(partition: Mapping[StudentId, str], stream) -> None:
-    json.dump(dict(sorted(partition.items())), stream, indent=2, sort_keys=True)
-    stream.write("\n")
+    write_json(dict(partition), stream)
 
 
 def read_partition_json(stream) -> dict[StudentId, str]:
-    try:
-        payload = json.load(stream)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"invalid partition JSON: {exc}") from exc
+    payload = read_json(stream, "partition")
     if not isinstance(payload, dict) or not all(
             isinstance(k, str) and isinstance(v, str) for k, v in payload.items()):
         raise DataFormatError("partition JSON must map student ids to group labels")

@@ -11,13 +11,13 @@ small-instance oracle.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DataFormatError, MissingNodeError, ParameterError
+from .formats import read_json, write_json
 from .graph import SocialGraph, StudentId
 from .metrics import BrokerageCounts, NodeMetrics
 
@@ -499,40 +499,32 @@ def brute_force_teams(g: SocialGraph, metrics: Mapping[StudentId, NodeMetrics],
 # -- serialization -----------------------------------------------------------
 
 def write_roster_json(assignment: TeamAssignment, stream) -> None:
-    payload = {
+    write_json({
         "seed": assignment.seed,
         "objective": assignment.objective,
-        "breakdown": {
-            "cost_term": assignment.breakdown.cost_term,
-            "hole_term": assignment.breakdown.hole_term,
-            "balance_term": assignment.breakdown.balance_term,
-        },
+        "breakdown": asdict(assignment.breakdown),
         "params": {
             "s_min": assignment.s_min,
             "s_max": assignment.s_max,
             "allow_oversize": assignment.allow_oversize,
-            "weights": {
-                "w_cost": assignment.weights.w_cost,
-                "w_hole": assignment.weights.w_hole,
-                "w_balance": assignment.weights.w_balance,
-            },
+            "weights": asdict(assignment.weights),
         },
         "teams": [list(team) for team in assignment.teams],
-    }
-    json.dump(payload, stream, indent=2, sort_keys=True)
-    stream.write("\n")
+    }, stream)
 
 
 def read_roster_json(stream) -> TeamAssignment:
+    payload = read_json(stream, "roster")
     try:
-        payload = json.load(stream)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"invalid roster JSON: {exc}") from exc
-    try:
+        teams = payload["teams"]
+        if not isinstance(teams, list) or not all(
+                isinstance(team, list) and all(isinstance(s, str) for s in team)
+                for team in teams):
+            raise DataFormatError("roster teams must be lists of student ids")
         weights = ObjectiveWeights(**payload["params"]["weights"])
         breakdown = ObjectiveBreakdown(**payload["breakdown"])
         return TeamAssignment(
-            teams=tuple(tuple(team) for team in payload["teams"]),
+            teams=tuple(map(tuple, teams)),
             objective=float(payload["objective"]),
             breakdown=breakdown,
             weights=weights,

@@ -1,0 +1,76 @@
+"""The shared reader rules of every CSV and JSON artifact, and roster shape."""
+
+import io
+import json
+
+import pytest
+
+from moocteams.cli import main
+from moocteams.diffusion import TRACE_HEADER, read_trace_csv
+from moocteams.errors import DataFormatError
+from moocteams.graph import CSV_HEADER, read_graph_csv
+from moocteams.metrics import METRICS_HEADER, read_metrics_csv
+from moocteams.skills import read_partition_json, read_skills_json
+from moocteams.teams import read_roster_json
+
+# each CSV reader with its header and one valid row
+CSV_READERS = {
+    "graph": (read_graph_csv, CSV_HEADER, ["s1", "s2", "3"]),
+    "metrics": (read_metrics_csv, METRICS_HEADER,
+                ["s1", *["0.5"] * 8, *["0"] * (len(METRICS_HEADER) - 9)]),
+    "trace": (read_trace_csv, TRACE_HEADER, ["s1", "2", "4"]),
+}
+
+
+def _csv(*lines):
+    return io.StringIO("".join(",".join(line) + "\n" for line in lines))
+
+
+@pytest.mark.parametrize("kind", CSV_READERS)
+@pytest.mark.parametrize("case", ["wrong header", "wrong width", "blank line"])
+def test_csv_readers_share_header_width_and_blank_rules(kind, case):
+    reader, header, row = CSV_READERS[kind]
+    expected = reader(_csv(header, row))
+    if case == "blank line":
+        assert reader(_csv(header, [], row, [])) == expected
+        return
+    lines = ([[*header[:-1], "other"], row] if case == "wrong header"
+             else [header, row, [*row, "extra"]])
+    with pytest.raises(DataFormatError):
+        reader(_csv(*lines))
+
+
+@pytest.mark.parametrize("reader", [read_skills_json, read_partition_json,
+                                    read_roster_json])
+def test_json_readers_reject_invalid_json(reader):
+    with pytest.raises(DataFormatError):
+        reader(io.StringIO('{"student": '))
+
+
+ROSTER = {
+    "seed": 0, "objective": 0.5,
+    "breakdown": {"cost_term": 0.5, "hole_term": 0.5, "balance_term": 0.5},
+    "params": {"s_min": 2, "s_max": 2, "allow_oversize": False,
+               "weights": {"w_cost": 0.5, "w_hole": 0.25, "w_balance": 0.25}},
+    "teams": [["s1", "s2"]],
+}
+
+
+@pytest.mark.parametrize("teams", [["s1s2"], [[1, 2]]],
+                         ids=["string team", "integer ids"])
+def test_roster_teams_must_be_lists_of_student_ids(tmp_path, capsys, teams):
+    graph, roster = tmp_path / "graph.csv", tmp_path / "teams.json"
+    graph.write_text("src,dst,weight\ns1,s2,1\n", encoding="utf-8")
+    argv = ["report", "--graph", str(graph), "--teams", str(roster),
+            "--dot-out", str(tmp_path / "graph.dot")]
+    roster.write_text(json.dumps(ROSTER), encoding="utf-8")
+    assert read_roster_json(io.StringIO(json.dumps(ROSTER))).teams == (("s1", "s2"),)
+    assert main(argv) == 0
+
+    roster.write_text(json.dumps({**ROSTER, "teams": teams}), encoding="utf-8")
+    with pytest.raises(DataFormatError):
+        read_roster_json(io.StringIO(roster.read_text(encoding="utf-8")))
+    (tmp_path / "graph.dot").unlink()
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "graph.dot").exists()

@@ -154,9 +154,9 @@ def test_write_files_renames_nothing_until_every_writer_returns(tmp_path):
         raise OSError("disk full")
 
     first, second = tmp_path / "a.txt", tmp_path / "b.txt"
-    write_files((first, write, "old\n", None))
+    write_files((first, write, "old\n"))
     with pytest.raises(OSError):
-        write_files((first, write, "new\n", None), (second, half_write, None, None))
+        write_files((first, write, "new\n"), (second, half_write, None))
     assert first.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
 
@@ -582,9 +582,17 @@ STAGE_SETTINGS = {
 
 
 def test_cli_stages_reproduce_the_pipeline(tmp_path, capsys):
+    # a zero skill_beta leaves every profile unrefined in both
+    for skill_beta in (NON_DEFAULT["skill_beta"], 0.0):
+        _stages_reproduce_the_pipeline(tmp_path / f"beta{skill_beta}", capsys,
+                                       skill_beta)
+
+
+def _stages_reproduce_the_pipeline(tmp_path, capsys, skill_beta):
     # skills ranks with the default damping; trace.csv needs diffusion on
     values = {**NON_DEFAULT, "damping": RunConfig.damping,
-              "run_diffusion": True}
+              "run_diffusion": True, "skill_beta": skill_beta}
+    tmp_path.mkdir()
     corpus = tmp_path / "corpus.jsonl"
     _corpus(corpus)
     run, out = tmp_path / "run", tmp_path / "stages"
