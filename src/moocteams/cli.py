@@ -24,7 +24,7 @@ from ._version import __version__
 from .diffusion import (FlowSpec, Mechanism, Trajectory, full_typology_specs,
                         simulate, typology_report, write_trace_csv,
                         write_typology_csv)
-from .errors import MoocteamsError, ParameterError
+from .errors import MissingNodeError, MoocteamsError, ParameterError
 from .formats import write_json
 from .graph import read_graph_csv, write_graph_csv
 from .ingest import (SynthParams, build_reply_graph, parse_forum_export,
@@ -85,7 +85,7 @@ def _cmd_skills(args) -> int:
     profiles = build_skill_profiles(parsed.messages, k=args.skill_k,
                                     min_len=args.min_len,
                                     use_idf=args.skill_idf)
-    if args.graph:
+    if args.graph and args.skill_beta:  # a beta of 0 ignores the ranks
         graph = read_file(args.graph, read_graph_csv)
         ranks = pagerank(graph) if graph.node_count else {}
         profiles = refine_by_rank(profiles, ranks, beta=args.skill_beta)
@@ -152,6 +152,10 @@ def _cmd_report(args) -> int:
     graph = read_file(args.graph, read_graph_csv)
     assignment = (read_file(args.teams, read_roster_json)
                   if args.teams else None)
+    for team in assignment.teams if assignment else ():
+        for student in team:
+            if student not in graph:
+                raise MissingNodeError(student)
     summary = split = None
     if args.opinions:
         if assignment is None:

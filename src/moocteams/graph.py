@@ -6,8 +6,10 @@ metric and simulation in the package reads from it concurrently without
 locks.  It is stored once, as the out-, in- and tie-rows of
 :class:`GraphIndex` keyed by node position, which every metric, diffusion
 and rewiring read.  Hop distances come from a BFS from one source
-(:func:`hop_counts`) and one bit-parallel pass over all sources
-(:func:`hop_sums`), over position rows: the graph's own, or rewiring's.
+(:func:`hop_counts`) and from the reach levels of all sources at once
+(:func:`reach_levels`), over position rows: the graph's own, or rewiring's.
+Farness reduces the levels to hop sums (:func:`hop_sums`); rewiring keeps
+them and repairs them after each swap.
 """
 
 from __future__ import annotations
@@ -190,31 +192,46 @@ def geodesic_distances(g: SocialGraph, source: StudentId) -> dict[StudentId, int
     return dict(zip(g.nodes, hop_counts(index.out, index.position[source])))
 
 
+def reach_step(level: Sequence[int], x: int, row: Iterable[int]) -> int:
+    """Position x's entry in the level after ``level``: x's own entry ORed
+    with those of its out-neighbour positions ``row``."""
+    bits = level[x]
+    for v in row:
+        bits |= level[v]
+    return bits
+
+
+def reach_levels(out: Sequence[Iterable[int]]) -> Iterator[list[int]]:
+    """Reach levels of ``out`` (each position's out-neighbour positions), each
+    a new list: bit t of position x's int in level k is set when x reaches t
+    in at most k hops.  Level 0 is ``1 << x``; each later level is
+    :func:`reach_step` of the one before at every position.  The last level
+    yielded is the closed one, the first that the next would equal, so no
+    two consecutive levels are equal.
+    """
+    level = [1 << x for x in range(len(out))]
+    while True:
+        yield level
+        grown = [reach_step(level, x, row) for x, row in enumerate(out)]
+        if grown == level:
+            return
+        level = grown
+
+
 def hop_sums(out: Sequence[Iterable[int]]) -> list[tuple[int, int]]:
     """For each position u of ``out`` (u's out-neighbour positions): the sum
     of hop counts from u to the positions it reaches, and how many it reaches.
-    All sources advance together (multi-source bit-parallel BFS): bit t of
-    u's int is set once u reaches t; a hop ORs in u's out-neighbours' frontiers.
+    With S_k the set of u's level k in :func:`reach_levels` and K the closed
+    level, a target d hops away lies in S_d .. S_K, so the hop total is
+    K * |S_K| - (sum of |S_k| over k < K) and the count |S_K| - 1; only the
+    running sums of |S_k| are kept.
     """
-    n = len(out)
-    seen = [1 << u for u in range(n)]
-    frontier = seen[:]
-    totals = [0] * n
-    hop = 0
-    while any(frontier):
-        hop += 1
-        reached = [0] * n
-        for u, row in enumerate(out):
-            new = 0
-            for v in row:
-                new |= frontier[v]
-            new &= ~seen[u]
-            if new:
-                reached[u] = new
-                seen[u] |= new
-                totals[u] += hop * new.bit_count()
-        frontier = reached
-    return [(total, bits.bit_count() - 1) for total, bits in zip(totals, seen)]
+    counted = [0] * len(out)
+    for depth, level in enumerate(reach_levels(out)):
+        counted = [c + bits.bit_count() for c, bits in zip(counted, level)]
+    # counted also holds |S_K|, hence depth + 1 = K + 1 copies of it
+    return [((depth + 1) * size - c, size - 1)
+            for c, size in zip(counted, (bits.bit_count() for bits in level))]
 
 
 def distance_sums(g: SocialGraph) -> dict[StudentId, tuple[int, int]]:

@@ -4,7 +4,10 @@ Anneals over double-edge swaps, which keep every student's in- and
 out-degree fixed while reshaping who talks to whom.  The objective
 rewards clustering and penalizes long finite geodesics; proposals are
 applied to and undone from one mutable swap state over node positions,
-and only the best state becomes a :class:`SocialGraph`.
+and only the best state becomes a :class:`SocialGraph`.  The state keeps
+the graph's reach levels (:func:`~moocteams.graph.reach_levels`) and
+repairs them after each swap, recomputing only the entries that the two
+rewritten out-rows can change, so no proposal reruns the all-pairs BFS.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import ParameterError
-from .graph import SocialGraph, hop_sums
+from .graph import SocialGraph, reach_levels, reach_step
 from .metrics import neighbourhood_clustering
 
 
@@ -34,42 +37,117 @@ class RewireResult:
 
 
 class _SwapState:
-    """Out-neighbour position lists and tie-neighbour sets that swaps edit in
-    place, and each node's clustering coefficient; scores equal those of the
-    equivalent graph."""
+    """Out-neighbour position lists and in- and tie-neighbour sets that swaps
+    edit in place, each node's clustering coefficient, and the reach levels
+    with each level's total bit count; scores equal those of the equivalent
+    graph."""
 
     def __init__(self, g: SocialGraph, alpha: float, beta: float):
         if not (0.0 <= alpha < math.inf and 0.0 <= beta < math.inf):
             raise ParameterError("alpha and beta must be non-negative and finite")
         self.alpha, self.beta = alpha, beta
-        self.out = [list(row) for row in g.index().out]
-        self.ties = [set(row) for row in g.index().ties]
+        index = g.index()
+        self.out = [list(row) for row in index.out]
+        self.into = [set(row) for row in index.into]
+        self.ties = [set(row) for row in index.ties]
         self.coef = [self._clustering(v) for v in range(len(self.out))]
+        self.levels = list(reach_levels(self.out))
+        self.sizes = [sum(bits.bit_count() for bits in level) for level in self.levels]
 
     def _clustering(self, v: int) -> float:
         return neighbourhood_clustering(self.ties[v], self.out)
 
-    def swap(self, a: int, b: int, c: int, d: int,
-             restore: dict[int, float] | None = None) -> dict[int, float]:
-        """Replace edges (a,b),(c,d) with (a,d),(c,b); recompute the clustering
-        entries this can change, or set them from ``restore`` to undo a swap,
-        and return their old values.  Beyond a, b, c and d, those are the
+    def _rewrite(self, a: int, b: int, c: int, d: int) -> set[int]:
+        """Replace edges (a,b),(c,d) with (a,d),(c,b) in the rows and return
+        the positions whose clustering this can change: a, b, c, d and the
         common neighbours of a removed or added edge's ends."""
-        out, ties = self.out, self.ties
+        out, into, ties = self.out, self.into, self.ties
         ta, tb, tc, td = (ties[x] for x in (a, b, c, d))
         touched = {a, b, c, d} | (ta & tb) | (tc & td) | (ta & td) | (tc & tb)
         for x, old, new in ((a, b, d), (c, d, b)):
             out[x].remove(old)
             out[x].append(new)
+            into[old].remove(x)
+            into[new].add(x)
             if x not in out[old]:
                 ties[x].remove(old)
                 ties[old].remove(x)
             ties[x].add(new)
             ties[new].add(x)
-        saved = {v: self.coef[v] for v in touched}
+        return touched
+
+    def swap(self, a: int, b: int, c: int, d: int) -> tuple:
+        """Swap as :meth:`_rewrite` does, bring the clustering entries and
+        reach levels up to date, and return what :meth:`undo` needs."""
+        touched = self._rewrite(a, b, c, d)
+        coef = {v: self.coef[v] for v in touched}
         for v in touched:
-            self.coef[v] = restore[v] if restore else self._clustering(v)
-        return saved
+            self.coef[v] = self._clustering(v)
+        levels, sizes = self.levels[:], self.sizes[:]
+        return coef, levels, sizes, self._repair(a, c)
+
+    def undo(self, a: int, b: int, c: int, d: int, saved: tuple) -> None:
+        """Take back ``swap(a, b, c, d)``, which returned ``saved``."""
+        self._rewrite(a, d, c, b)
+        coef, self.levels, self.sizes, log = saved
+        for level, x, bits in log:
+            level[x] = bits
+        for v, value in coef.items():
+            self.coef[v] = value
+
+    def _repair(self, a: int, c: int) -> list[tuple[list[int], int, int]]:
+        """Bring the reach levels and their bit counts up to date after a swap
+        rewrote the out-rows of a and c; return each overwritten entry as
+        (level, position, old bits).  Level k can change only at a, c and
+        the in-neighbours of positions whose level k-1 entry changed.  Past
+        the closed level, a position can grow only if it is one of those or
+        its own entry changed; a closure that came sooner leaves equal levels
+        at the end, which are dropped."""
+        levels, sizes, into = self.levels, self.sizes, self.into
+        log = []
+        changed = []
+        for k in range(1, len(levels)):
+            dirty = {a, c}.union(*(into[x] for x, _ in changed))
+            changed, delta = self._recompute(levels[k - 1], levels[k], dirty)
+            log += ((levels[k], x, old) for x, old in changed)
+            sizes[k] += delta
+        dirty = {a, c}.union(*(into[x] for x, _ in changed), (x for x, _ in changed))
+        while True:
+            level = levels[-1][:]
+            grown, delta = self._recompute(levels[-1], level, dirty)
+            if not grown:
+                break
+            levels.append(level)
+            sizes.append(sizes[-1] + delta)
+            dirty = set().union(*(into[x] for x, _ in grown))
+        # each level holds the one before, so equal bit counts mean equal levels
+        while len(sizes) > 1 and sizes[-1] == sizes[-2]:
+            sizes.pop()
+            levels.pop()
+        return log
+
+    def _recompute(self, prev: list[int], level: list[int],
+                   dirty: set[int]) -> tuple[list[tuple[int, int]], int]:
+        """Set ``level``'s entries at ``dirty`` to :func:`reach_step` of
+        ``prev``; return (position, old bits) for each that changed, and the
+        change in the level's bit count."""
+        changed, delta = [], 0
+        for x in dirty:
+            bits = reach_step(prev, x, self.out[x])
+            old = level[x]
+            if bits != old:
+                changed.append((x, old))
+                level[x] = bits
+                delta += bits.bit_count() - old.bit_count()
+        return changed, delta
+
+    def distances(self) -> tuple[int, int]:
+        """Sum of hop counts over ordered pairs joined by a directed path, and
+        the number of such pairs: :func:`~moocteams.graph.hop_sums`'
+        reduction summed over all sources, read from the levels' bit counts
+        (level 0 counts each source once)."""
+        sizes = self.sizes
+        return (len(sizes) - 1) * sizes[-1] - sum(sizes[:-1]), sizes[-1] - sizes[0]
 
     def score(self) -> float:
         # left to right on every Python: 3.12+ sum() compensates float sums
@@ -77,7 +155,7 @@ class _SwapState:
         for c in self.coef:
             clustering += c
         clustering /= len(self.coef)
-        total, pairs = map(sum, zip(*hop_sums(self.out)))
+        total, pairs = self.distances()
         return self.alpha * clustering - self.beta * (total / pairs if pairs else 0.0)
 
 
@@ -145,7 +223,7 @@ def rewire_optimize(g: SocialGraph, alpha: float = 1.0, beta: float = 1.0,
                 best = candidate
                 best_slots = slots[:]
         else:
-            state.swap(a, d, c, b, restore=saved)
+            state.undo(a, b, c, d, saved)
 
     nodes = g.nodes
     return RewireResult(

@@ -278,6 +278,24 @@ def test_cli_skills_graph_refines_by_pagerank(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_skills_beta_zero_reads_no_ranks(tmp_path, monkeypatch, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    _corpus(corpus)
+    graph = tmp_path / "graph.csv"
+    assert main(["ingest", "--input", str(corpus), "--output", str(graph)]) == 0
+    plain, unboosted = tmp_path / "plain.json", tmp_path / "beta0.json"
+    assert main(["skills", "--input", str(corpus), "--output", str(plain)]) == 0
+
+    def no_pagerank(*args, **kwargs):
+        raise AssertionError("pagerank ran although --skill-beta is 0")
+
+    monkeypatch.setattr("moocteams.cli.pagerank", no_pagerank)
+    assert main(["skills", "--input", str(corpus), "--output", str(unboosted),
+                 "--graph", str(graph), "--skill-beta", "0"]) == 0
+    assert unboosted.read_bytes() == plain.read_bytes()
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("flag, value", [("--skill-beta", "nan"),
                                          ("--skill-beta", "inf"),
                                          ("--n-groups", "0")])
@@ -326,6 +344,24 @@ def test_cli_report_rejects_non_numeric_roster_objective(tmp_path, capsys):
     assert main(["report", "--graph", str(graph), "--teams", str(roster),
                  "--dot-out", str(tmp_path / "graph.dot")]) == 2
     assert "roster" in capsys.readouterr().err
+
+
+def test_cli_report_rejects_a_roster_from_another_cohort(tmp_path, capsys):
+    graph, metrics = _graph_and_metrics(tmp_path)
+    roster = tmp_path / "teams.json"
+    assert main(["teams", "--graph", str(graph), "--metrics", str(metrics),
+                 "--output", str(roster), "--restarts", "1"]) == 0
+    payload = json.loads(roster.read_text())
+    payload["teams"] = [["zz1", "zz2"]]
+    roster.write_text(json.dumps(payload))
+    other = tmp_path / "other.csv"
+    other.write_text("src,dst,weight\na,b,1\n")
+    dot = tmp_path / "graph.dot"
+    capsys.readouterr()
+    assert main(["report", "--graph", str(other), "--teams", str(roster),
+                 "--dot-out", str(dot)]) == 2
+    assert "zz1" in capsys.readouterr().err
+    assert not dot.exists()
 
 
 @pytest.mark.parametrize("teams", [True, False],

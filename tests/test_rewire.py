@@ -3,8 +3,9 @@ import math
 
 import pytest
 
+from moocteams import rewire
 from moocteams.errors import ParameterError
-from moocteams.graph import SocialGraph
+from moocteams.graph import SocialGraph, reach_levels
 from moocteams.rewire import graph_objective, rewire_optimize
 
 from oracles import brute_clustering, floyd_warshall, random_digraph
@@ -170,3 +171,52 @@ def test_rewire_outcomes_match_pinned_digests():
     got["ring-lattice"] = _outcome_digest(
         [rewire_optimize(ring_lattice(24), iterations=2000, seed=7)])
     assert got == PINNED_DIGESTS
+
+
+def _two_rings_and_isolated_nodes():
+    edges = {(f"{ring}{i}", f"{ring}{(i + step) % n}"): 1 + i % 3
+             for ring, n in (("a", 8), ("b", 10)) for i in range(n) for step in (1, 2)}
+    return SocialGraph(edges, nodes=["z0", "z1"])
+
+
+def _oracle_distances(out, nodes):
+    g = SocialGraph({(nodes[u], nodes[v]): 1 for u, row in enumerate(out) for v in row},
+                    nodes=nodes)
+    finite = [d for u, row in floyd_warshall(g).items()
+              for v, d in row.items() if u != v and d is not None]
+    return sum(finite), len(finite)
+
+
+@pytest.mark.parametrize("temperature", [1.0, 0.0])
+@pytest.mark.parametrize("g", [ring_lattice(20), ring_lattice(36),
+                               _two_rings_and_isolated_nodes()],
+                         ids=["ring20", "ring36", "two-components"])
+def test_repaired_levels_match_floyd_warshall_after_every_proposal(
+        monkeypatch, g, temperature):
+    # every swap and every undo of the annealer's own loop is checked
+    depths = {"swap": [], "undo": []}
+
+    class CheckedState(rewire._SwapState):
+        def _check(self, event, depth):
+            assert self.distances() == _oracle_distances(self.out, g.nodes)
+            assert self.levels == list(reach_levels(self.out))
+            depths[event].append((depth, len(self.levels)))
+
+        def swap(self, *edges):
+            depth = len(self.levels)
+            saved = super().swap(*edges)
+            self._check("swap", depth)
+            return saved
+
+        def undo(self, *edges_and_saved):
+            depth = len(self.levels)
+            super().undo(*edges_and_saved)
+            self._check("undo", depth)
+
+    monkeypatch.setattr(rewire, "_SwapState", CheckedState)
+    result = rewire_optimize(g, iterations=150, seed=3, initial_temperature=temperature)
+    assert depths["undo"] and result.accepted == len(depths["swap"]) - len(depths["undo"])
+    # swaps both deepen and shorten the longest geodesic, so levels are
+    # appended as well as dropped
+    assert any(after > before for before, after in depths["swap"])
+    assert any(after < before for before, after in depths["swap"])
