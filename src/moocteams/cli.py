@@ -6,11 +6,13 @@ one value reproduces a whole run.  Every flag for a RunConfig setting, in
 ``pipeline`` and in the stage subcommands, is generated from its field:
 named after it, with the field's default and type.  ``diffuse`` keeps
 FlowSpec's flags and defaults, apart from ``--mechanism`` and
-``--trajectory``, which default to the pipeline's; every flag must be
-spelled in full.  Every input file is read through ``read_file``, and a
-command's outputs go through one ``write_files`` call, which renames them
-into place only once all are written, so a failed command leaves no file
-behind.
+``--trajectory``, which default to the pipeline's, and ``synth`` has one
+flag per SynthParams field; no library default is repeated here.  Every
+flag must be spelled in full, and an output flag without its input
+(``report --summary-out`` without ``--opinions``) is a data error.  Every
+input file is read through ``read_file``, and a command's outputs go
+through one ``write_files`` call, so a failed command leaves no file
+behind and every earlier file as it was.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Iterable
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 
 from ._version import __version__
 from .diffusion import (FlowSpec, Mechanism, Trajectory, full_typology_specs,
@@ -33,8 +35,8 @@ from .metrics import (compute_node_metrics, pagerank, read_metrics_csv,
                       write_metrics_csv)
 from .pipeline import (SETTINGS, RunConfig, StageError, read_file,
                        run_pipeline, write_file, write_files)
-from .report import (aggregate_opinions, experiment_split, export_dot,
-                     read_opinions_jsonl)
+from .report import (SPLIT_SEED, aggregate_opinions, experiment_split,
+                     export_dot, read_opinions_jsonl)
 from .skills import (build_skill_profiles, read_partition_json, refine_by_rank,
                      skill_partition, write_partition_json, write_skills_json)
 from .teams import (ObjectiveWeights, brute_force_teams, form_teams,
@@ -42,6 +44,7 @@ from .teams import (ObjectiveWeights, brute_force_teams, form_teams,
 
 USAGE_ERROR, DATA_ERROR, STAGE_ERROR = 1, 2, 3
 _DEFAULTS = {f.name: f.default for f in SETTINGS}
+_SYNTH_DEFAULTS = {f.name: f.default for f in fields(SynthParams)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -157,6 +160,10 @@ def _cmd_report(args) -> int:
             if student not in graph:
                 raise MissingNodeError(student)
     summary = split = None
+    if args.summary_out and not args.opinions:
+        raise ParameterError("--summary-out needs --opinions")
+    if args.split_out and args.split is None:
+        raise ParameterError("--split-out needs --split")
     if args.opinions:
         if assignment is None:
             raise ParameterError("--opinions needs --teams")
@@ -170,9 +177,9 @@ def _cmd_report(args) -> int:
     if args.dot_out:
         outputs.append((args.dot_out, lambda text, fh: fh.write(text),
                         export_dot(graph, assignment)))
-    if summary is not None and args.summary_out:
+    if args.summary_out:
         outputs.append((args.summary_out, write_json, summary))
-    if split is not None and args.split_out:
+    if args.split_out:
         outputs.append((args.split_out, write_json, split))
     write_files(*outputs)
     if summary is not None and not args.summary_out:
@@ -183,11 +190,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    params = SynthParams(students=args.students, threads=args.threads,
-                         posts=args.posts, comments=args.comments,
-                         seed=args.seed,
-                         anonymous_fraction=args.anonymous_fraction)
-    messages = synth_corpus(params)
+    messages = synth_corpus(SynthParams(**{name: getattr(args, name)
+                                           for name in _SYNTH_DEFAULTS}))
     write_file(args.output, write_jsonl, messages)
     print(f"messages={len(messages)}")
     return 0
@@ -204,15 +208,19 @@ def _cmd_pipeline(args) -> int:
     return 0
 
 
-def _add_settings(p: argparse.ArgumentParser, names: Iterable[str]) -> None:
-    """One flag per named RunConfig setting: the field's name with ``_``
-    written as ``-``, its default and its type; booleans take
-    ``--name``/``--no-name``."""
+def _add_settings(p: argparse.ArgumentParser, names: Iterable[str],
+                  defaults: dict = _DEFAULTS) -> None:
+    """One flag per named field of ``defaults`` (RunConfig's settings unless
+    given): the field's name with ``_`` written as ``-``, its default and its
+    type; booleans take ``--name``/``--no-name``, and a field without a
+    default is a required int."""
     for name in names:
-        flag, default = "--" + name.replace("_", "-"), _DEFAULTS[name]
+        flag, default = "--" + name.replace("_", "-"), defaults[name]
         if isinstance(default, bool):
             p.add_argument(flag, action=argparse.BooleanOptionalAction,
                            default=default)
+        elif default is MISSING:
+            p.add_argument(flag, type=int, required=True)
         else:
             p.add_argument(flag, default=default, type=type(default))
 
@@ -291,17 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", type=float,
                    help="experimental fraction in (0,1)")
     p.add_argument("--split-out")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=SPLIT_SEED)
     p.set_defaults(fn=_cmd_report)
 
     p = sub.add_parser("synth", help="generate a synthetic forum corpus")
-    p.add_argument("--students", type=int, required=True)
-    p.add_argument("--threads", type=int, required=True)
-    p.add_argument("--posts", type=int, required=True)
-    p.add_argument("--comments", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--anonymous-fraction", type=float,
-                   default=SynthParams.anonymous_fraction)
+    _add_settings(p, _SYNTH_DEFAULTS, _SYNTH_DEFAULTS)
     p.add_argument("--output", required=True)
     p.set_defaults(fn=_cmd_synth)
 
@@ -323,15 +325,9 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else 0
     try:
         return args.fn(args)
-    except StageError as exc:
+    except (MoocteamsError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return STAGE_ERROR
-    except MoocteamsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_ERROR
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_ERROR
+        return STAGE_ERROR if isinstance(exc, StageError) else DATA_ERROR
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, product
 from typing import Mapping, Sequence
 
 from .errors import (DataFormatError, InsufficientDataError, MissingNodeError,
@@ -446,21 +446,16 @@ class TypologyMatrix:
 
 
 def full_typology_specs(sources: Sequence[StudentId], max_steps: int = 15,
-                        replications: int = 50, seed: int = 0,
-                        copy_cap: int | None = None,
-                        uniform: bool = False) -> list[FlowSpec]:
+                        replications: int = 50, seed: int = FlowSpec.seed,
+                        copy_cap: int | None = FlowSpec.copy_cap,
+                        uniform: bool = FlowSpec.uniform) -> list[FlowSpec]:
     """One spec per mechanism x trajectory cell, with decorrelated seeds."""
-    specs = []
-    index = 0
-    for mechanism in Mechanism:
-        for trajectory in Trajectory:
-            specs.append(FlowSpec(
-                mechanism=mechanism, trajectory=trajectory,
-                sources=tuple(sources), max_steps=max_steps,
-                replications=replications, seed=seed + index,
-                copy_cap=copy_cap, uniform=uniform))
-            index += 1
-    return specs
+    return [FlowSpec(mechanism=mechanism, trajectory=trajectory,
+                     sources=tuple(sources), max_steps=max_steps,
+                     replications=replications, seed=seed + index,
+                     copy_cap=copy_cap, uniform=uniform)
+            for index, (mechanism, trajectory)
+            in enumerate(product(Mechanism, Trajectory))]
 
 
 def typology_report(g: SocialGraph, specs: Sequence[FlowSpec],

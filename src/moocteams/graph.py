@@ -129,23 +129,11 @@ class SocialGraph:
         """New mapping of v -> w(u,v) + w(v,u) for every neighbor, canonical order."""
         return self._by_id(u, self._index.ties, self._index.tie_weights)
 
-    def neighbors(self, u: StudentId) -> set[StudentId]:
-        """Union of in- and out-neighbors, self excluded."""
-        return set(self.ties(u))
-
-    def _row_weight(self, u: StudentId, v: StudentId, rows, weights) -> int:
-        """Weight of v in u's row, or 0 when absent."""
-        i, j = map(self._index.position.get, (u, v))
-        row = () if i is None else rows[i]
-        return weights[i][row.index(j)] if j in row else 0
-
     def weight(self, u: StudentId, v: StudentId) -> int:
         """Weight of edge u -> v, or 0 when absent."""
-        return self._row_weight(u, v, self._index.out, self._index.out_weights)
-
-    def mutual_weight(self, u: StudentId, v: StudentId) -> int:
-        """Symmetrized tie strength w(u,v) + w(v,u)."""
-        return self._row_weight(u, v, self._index.ties, self._index.tie_weights)
+        i, j = map(self._index.position.get, (u, v))
+        row = () if i is None else self._index.out[i]
+        return self._index.out_weights[i][row.index(j)] if j in row else 0
 
     def edges(self) -> Iterator[tuple[StudentId, StudentId, int]]:
         """All edges as (src, dst, weight), canonically ordered."""
@@ -237,13 +225,6 @@ def hop_sums(out: Sequence[Iterable[int]]) -> list[tuple[int, int]]:
 def distance_sums(g: SocialGraph) -> dict[StudentId, tuple[int, int]]:
     """:func:`hop_sums` keyed by node: (hop total, nodes reached) for each."""
     return dict(zip(g.nodes, hop_sums(g.index().out)))
-
-
-def finite_distance_total(g: SocialGraph) -> tuple[int, int]:
-    """Sum of hop counts over ordered pairs s != v joined by a directed path,
-    and the number of such pairs."""
-    sums = distance_sums(g).values()
-    return sum(total for total, _ in sums), sum(reached for _, reached in sums)
 
 
 # -- serialization --------------------------------------------------------

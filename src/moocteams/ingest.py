@@ -124,6 +124,9 @@ class ReplyPolicy(enum.Enum):
     COMMENTS_ONLY = "comments-only"
 
 
+REPLY_POLICY = ReplyPolicy.STARTER_FALLBACK  #: the default policy
+
+
 @dataclass
 class BuildReport:
     """Diagnostics from reply-graph construction."""
@@ -135,7 +138,7 @@ class BuildReport:
 
 
 def build_reply_graph(messages: Iterable[ForumMessage],
-                      policy: ReplyPolicy = ReplyPolicy.STARTER_FALLBACK,
+                      policy: ReplyPolicy = REPLY_POLICY,
                       ) -> tuple[SocialGraph, BuildReport]:
     """Build the directed weighted reply graph.
 
@@ -212,7 +215,7 @@ class SynthParams:
     threads: int
     posts: int
     comments: int
-    seed: int
+    seed: int = 0
     anonymous_fraction: float = 0.05
 
     def validate(self) -> None:

@@ -47,6 +47,8 @@ PAGERANK_TOL = 1e-10
 PAGERANK_MAX_ITER = 200
 RANK_TOL = 1e-12
 RANK_MAX_ITER = 1000
+#: What each unreachable student adds to farness; None stands for the node count.
+FARNESS_PENALTY: float | None = None
 
 
 def _iterate(step, x, tol: float, max_iter: int) -> tuple[object, bool, int]:
@@ -164,7 +166,7 @@ def eigencentrality(g: SocialGraph, tol: float = RANK_TOL,
 
 # -- positional costs ------------------------------------------------------
 
-def farness(g: SocialGraph, node: StudentId, penalty: float | None = None) -> float:
+def farness(g: SocialGraph, node: StudentId, penalty: float | None = FARNESS_PENALTY) -> float:
     """Sum of hop distances from ``node`` to every other student.
 
     Each unreachable student contributes ``penalty`` (default: the node
@@ -349,7 +351,7 @@ class NodeMetrics:
 def compute_metrics_without_brokerage(g: SocialGraph,
                                       damping: float = DAMPING,
                                       pagerank_tol: float = PAGERANK_TOL,
-                                      farness_penalty: float | None = None,
+                                      farness_penalty: float | None = FARNESS_PENALTY,
                                       ) -> dict[StudentId, NodeMetrics]:
     """Every metric that needs no group partition; brokerage counts are 0.
 
@@ -398,7 +400,7 @@ def compute_node_metrics(g: SocialGraph,
                          partition: GroupPartition | None = None,
                          damping: float = DAMPING,
                          pagerank_tol: float = PAGERANK_TOL,
-                         farness_penalty: float | None = None,
+                         farness_penalty: float | None = FARNESS_PENALTY,
                          ) -> dict[StudentId, NodeMetrics]:
     """Compute the full metric table for every student.
 

@@ -10,12 +10,14 @@ wall-clock timings go to a separate file so they cannot break that
 reproducibility.
 
 Each stage is one ``with stage(name, seed) as st:`` block, handing its
-results on as plain locals; the block times the stage, hashes what
-``st.write`` wrote, and on an exception deletes those files and writes
-the manifest marked failed.  Every file, here and in the command line,
-is written through ``write_files`` (or its one-file form ``write_file``),
-so none is ever left half written, and read through ``read_file``; both
-open UTF-8 with no newline translation (see :mod:`moocteams.formats`).
+results on as plain locals; the block times the stage, hashes its
+``ARTIFACTS`` entry if ``st.write`` wrote it, and on an exception writes
+the manifest marked failed.  A run, complete or failed, ends by deleting
+every artifact its manifest does not record, so no earlier run's file is
+left behind.  Every file, here and in the command line, is written through
+``write_files`` (or its one-file form ``write_file``), so none is ever left
+half written, and read through ``read_file``; both open UTF-8 with no
+newline translation (see :mod:`moocteams.formats`).
 """
 
 from __future__ import annotations
@@ -34,17 +36,25 @@ from .diffusion import FlowSpec, simulate, write_trace_csv
 from .errors import MoocteamsError, ParameterError
 from .formats import write_json
 from .graph import SocialGraph, write_graph_csv
-from .ingest import ReplyPolicy, build_reply_graph, parse_forum_export
-from .metrics import (DAMPING, PAGERANK_MAX_ITER, PAGERANK_TOL, RANK_MAX_ITER,
-                      RANK_TOL, NodeMetrics, brokerage_counts,
+from .ingest import (REPLY_POLICY, ReplyPolicy, build_reply_graph,
+                     parse_forum_export)
+from .metrics import (DAMPING, FARNESS_PENALTY, PAGERANK_MAX_ITER, PAGERANK_TOL,
+                      RANK_MAX_ITER, RANK_TOL, NodeMetrics, brokerage_counts,
                       compute_metrics_without_brokerage, write_metrics_csv)
 from .report import export_dot
-from .skills import (UNOBSERVED_GROUP, build_skill_profiles, refine_by_rank,
-                     skill_partition, write_partition_json, write_skills_json)
-from .teams import ObjectiveWeights, form_teams, write_roster_json
+from .skills import (MIN_LEN, SKILL_BETA, SKILL_K, UNOBSERVED_GROUP, USE_IDF,
+                     build_skill_profiles, refine_by_rank, skill_partition,
+                     write_partition_json, write_skills_json)
+from .teams import (ALLOW_OVERSIZE, ITERATIONS, RESTARTS, S_MAX, S_MIN,
+                    ObjectiveWeights, form_teams, write_roster_json)
 
 MANIFEST_NAME = "manifest.json"
 TIMINGS_NAME = "timings.json"
+#: The artifact each stage writes; the metrics stage writes none.
+ARTIFACTS = {"ingest": "graph.csv", "skills": "skills.json",
+             "partition": "partition.json", "tabulate": "metrics.csv",
+             "teams": "teams.json", "diffusion": "trace.csv",
+             "export": "graph.dot"}
 
 
 def derive_seed(master: int, stage: str) -> int:
@@ -64,44 +74,44 @@ class StageError(MoocteamsError):
 
 @dataclass
 class RunConfig:
-    """Everything a pipeline run needs; round-trips through JSON.
+    """Everything a pipeline run needs.
 
     The two paths come first.  Every field after them is a setting: a
     ``moocteams pipeline`` flag and a key of the manifest's config block.
-    The class constants at the end are fixed settings; the solver ones
-    are the defaults declared in :mod:`moocteams.metrics`.
+    The class constants at the end are fixed settings.  A setting that a
+    library function takes defaults to the default that the library declares.
     """
 
     input_path: str
     output_dir: str
     seed: int = 0
-    reply_policy: str = "starter_fallback"
+    reply_policy: str = REPLY_POLICY.name.lower()
     damping: float = DAMPING
-    skill_k: int = 5
-    skill_beta: float = 1.0
-    skill_idf: bool = False
+    skill_k: int = SKILL_K
+    skill_beta: float = SKILL_BETA
+    skill_idf: bool = USE_IDF
     n_groups: int = 5
-    s_min: int = 3
-    s_max: int = 5
-    allow_oversize: bool = False
+    s_min: int = S_MIN
+    s_max: int = S_MAX
+    allow_oversize: bool = ALLOW_OVERSIZE
     w_cost: float = ObjectiveWeights.w_cost
     w_hole: float = ObjectiveWeights.w_hole
     w_balance: float = ObjectiveWeights.w_balance
-    restarts: int = 8
-    team_iterations: int = 300
+    restarts: int = RESTARTS
+    team_iterations: int = ITERATIONS
     run_diffusion: bool = True
     diffusion_mechanism: str = "TRANSFER"
     diffusion_trajectory: str = "WALK"
-    diffusion_steps: int = 20
+    diffusion_steps: int = FlowSpec.max_steps
     diffusion_replications: int = 50
 
     pagerank_tol: ClassVar[float] = PAGERANK_TOL
     pagerank_max_iter: ClassVar[int] = PAGERANK_MAX_ITER
     rank_tol: ClassVar[float] = RANK_TOL
     rank_max_iter: ClassVar[int] = RANK_MAX_ITER
-    farness_penalty: ClassVar[float | None] = None
-    skill_min_len: ClassVar[int] = 3
-    diffusion_uniform: ClassVar[bool] = False
+    farness_penalty: ClassVar[float | None] = FARNESS_PENALTY
+    skill_min_len: ClassVar[int] = MIN_LEN
+    diffusion_uniform: ClassVar[bool] = FlowSpec.uniform
 
     def weights(self) -> ObjectiveWeights:
         return ObjectiveWeights(self.w_cost, self.w_hole, self.w_balance)
@@ -136,17 +146,6 @@ class RunConfig:
         if self.s_min < 2 or self.s_max < self.s_min:
             raise ParameterError("team size bounds need 2 <= s_min <= s_max")
 
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "RunConfig":
-        names = {f.name for f in fields(cls)}
-        unknown = set(data) - names
-        if unknown:
-            raise ParameterError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data)
-
 
 SETTINGS = fields(RunConfig)[2:]
 
@@ -167,29 +166,50 @@ def _sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
+@contextmanager
+def _naming(path: Path) -> Iterator[None]:
+    """Re-raise an OSError as one about ``path``, not a file beside it."""
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+
+
 def write_files(*outputs: tuple[str | Path, Callable[[Any, TextIO], Any], Any]) -> None:
     """For each ``(path, writer, value)``: ``writer(value, fh)`` into a
     temporary UTF-8 file beside ``path``, lines untranslated.  Once every
-    writer has returned, each is renamed over its path; on any error all
-    are deleted."""
+    writer has returned, each is renamed over its path, any file there set
+    aside until every rename has succeeded; on any error every path gets
+    its old file back, or none, and no temporary remains."""
     staged: list[tuple[Path, Path]] = []
+    moved: list[tuple[Path, Path]] = []  # (set-aside file, its path)
+    placed: list[Path] = []
     try:
         for k, (path, writer, value) in enumerate(outputs):
             path = Path(path)
             tmp = path.with_name(f".{path.name}.{os.getpid()}.{k}.tmp")
-            try:
+            with _naming(path):
                 fh = open(tmp, "w", encoding="utf-8", newline="")
-            except OSError as exc:  # name the file asked for, not the temporary one
-                raise OSError(exc.errno, exc.strerror, str(path)) from exc
             staged.append((tmp, path))
             with fh:
                 writer(value, fh)
         for tmp, path in staged:
-            os.replace(tmp, path)
+            with _naming(path):
+                if path.is_file() or path.is_symlink():  # never a directory
+                    os.replace(path, tmp.with_suffix(".old"))
+                    moved.append((tmp.with_suffix(".old"), path))
+                os.replace(tmp, path)
+            placed.append(path)
     except BaseException:
+        for path in placed:
+            path.unlink()
+        for old, path in moved:
+            os.replace(old, path)
         for tmp, _ in staged:
             tmp.unlink(missing_ok=True)
         raise
+    for old, _ in moved:
+        old.unlink()
 
 
 def write_file(path: str | Path, writer: Callable[[Any, TextIO], Any],
@@ -205,27 +225,24 @@ def read_file(path: str | Path, reader: Callable[[TextIO], Any]) -> Any:
 
 
 class _Stage:
-    """What a running stage records: the artifacts it wrote, or why not."""
+    """What a running stage records: the artifact it wrote, or why none."""
 
-    def __init__(self, out_dir: Path):
-        self.out_dir = out_dir
-        self.paths: list[Path] = []
+    def __init__(self, path: Path | None):
+        self.path = path
+        self.artifacts: dict[str, str] = {}
         self.skip_reason: str | None = None
 
-    def write(self, filename: str, writer: Callable[[Any, TextIO], Any],
-              value: Any) -> None:
-        """``write_file`` into ``filename``, registered first so that a
-        failing stage also deletes the copy an earlier run left there."""
-        path = self.out_dir / filename
-        self.paths.append(path)
-        write_file(path, writer, value)
+    def write(self, writer: Callable[[Any, TextIO], Any], value: Any) -> None:
+        """``write_file`` into the stage's artifact, then record its digest."""
+        write_file(self.path, writer, value)
+        self.artifacts = {self.path.name: _sha256_file(self.path)}
 
 
 def run_pipeline(config: RunConfig) -> PipelineResult:
     """Execute every stage and write the manifest.
 
-    A failing stage has its partial artifacts deleted; the manifest is
-    still written, marked failed with the stage named, and a StageError
+    A failing stage's artifact is not recorded; the manifest is still
+    written, marked failed with the stage named, and a StageError
     propagates so the CLI can exit nonzero.
     """
     config.validate()
@@ -251,6 +268,9 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         for stage in ("partition", "teams", "diffusion"))
 
     def finish(status: str, failed_stage: str | None = None) -> Path:
+        recorded = {name for s in manifest["stages"] for name in s["artifacts"]}
+        for name in set(ARTIFACTS.values()) - recorded:
+            (out_dir / name).unlink(missing_ok=True)
         manifest["status"] = status
         manifest["failed_stage"] = failed_stage
         manifest_path = out_dir / MANIFEST_NAME
@@ -261,40 +281,31 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
 
     @contextmanager
     def stage(name: str, seed: int | None = None) -> Iterator[_Stage]:
-        st = _Stage(out_dir)
-        start = time.perf_counter()
+        st = _Stage(out_dir / ARTIFACTS[name] if name in ARTIFACTS else None)
+        start, failure = time.perf_counter(), None
         try:
             yield st
         except Exception as exc:
-            timings[name] = time.perf_counter() - start
-            for path in st.paths:
-                path.unlink(missing_ok=True)
-            manifest["stages"].append({
-                "name": name, "seed": seed, "status": "failed",
-                "reason": str(exc), "artifacts": {}})
-            finish("failed", name)
-            raise StageError(name, exc) from exc
+            failure = exc
         timings[name] = time.perf_counter() - start
         manifest["stages"].append({
             "name": name, "seed": seed,
-            "status": "skipped" if st.skip_reason else "ok",
-            "reason": st.skip_reason,
-            "artifacts": {p.name: _sha256_file(p) for p in st.paths}})
+            "status": "failed" if failure else "skipped" if st.skip_reason else "ok",
+            "reason": str(failure) if failure else st.skip_reason,
+            "artifacts": {} if failure else st.artifacts})
+        if failure:
+            finish("failed", name)
+            raise StageError(name, failure) from failure
 
     # ingest: corpus -> reply graph
     with stage("ingest") as st:
         parsed = read_file(input_path, parse_forum_export)
         g, report = build_reply_graph(parsed.messages, policy=config.policy())
-        st.write("graph.csv", write_graph_csv, g)
-        manifest["corpus"] = {
-            "messages": parsed.parsed,
-            "skipped_lines": parsed.skipped,
-            "anonymous_messages": parsed.anonymous,
-            "interactions": report.interactions,
-            "dropped_missing_parent": report.dropped_missing_parent,
-            "dropped_anonymous": report.dropped_anonymous,
-            "dropped_self_reply": report.dropped_self_reply,
-        }
+        st.write(write_graph_csv, g)
+        manifest["corpus"] = {"messages": parsed.parsed,
+                              "skipped_lines": parsed.skipped,
+                              "anonymous_messages": parsed.anonymous,
+                              **asdict(report)}
         manifest["graph"] = {
             "nodes": g.node_count,
             "edges": g.edge_count,
@@ -314,13 +325,13 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         if metrics:
             ranks = {s: m.pagerank for s, m in metrics.items()}
             profiles = refine_by_rank(profiles, ranks, beta=config.skill_beta)
-        st.write("skills.json", write_skills_json, profiles)
+        st.write(write_skills_json, profiles)
 
     with stage("partition", partition_seed) as st:
         partition = (skill_partition(profiles.values(),
                                      min(config.n_groups, len(profiles)),
                                      seed=partition_seed) if profiles else {})
-        st.write("partition.json", write_partition_json, partition)
+        st.write(write_partition_json, partition)
 
     # brokerage roles against the skill partition, then the full table
     with stage("tabulate") as st:
@@ -330,7 +341,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         roles = brokerage_counts(g, groups)
         for node, record in metrics.items():
             record.brokerage = roles[node]
-        st.write("metrics.csv", write_metrics_csv, metrics)
+        st.write(write_metrics_csv, metrics)
 
     with stage("teams", teams_seed) as st:
         assignment = None
@@ -343,7 +354,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
                 weights=config.weights(), restarts=config.restarts,
                 iterations=config.team_iterations, seed=teams_seed,
                 allow_oversize=config.allow_oversize)
-            st.write("teams.json", write_roster_json, assignment)
+            st.write(write_roster_json, assignment)
 
     with stage("diffusion", diffusion_seed) as st:
         if not config.run_diffusion:
@@ -360,11 +371,10 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
                 replications=config.diffusion_replications,
                 seed=diffusion_seed,
                 uniform=config.diffusion_uniform)
-            st.write("trace.csv", write_trace_csv, simulate(g, spec))
+            st.write(write_trace_csv, simulate(g, spec))
 
     with stage("export") as st:
-        st.write("graph.dot", lambda text, fh: fh.write(text),
-                 export_dot(g, assignment))
+        st.write(lambda text, fh: fh.write(text), export_dot(g, assignment))
 
     return PipelineResult(manifest=manifest, manifest_path=finish("complete"),
                           graph=g, metrics=metrics)

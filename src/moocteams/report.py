@@ -120,8 +120,12 @@ def aggregate_opinions(records: Sequence[OpinionRecord],
     return OpinionReport(summaries, overall, total_count, ignored)
 
 
+SPLIT_SEED = 0  #: the default seed of :func:`experiment_split`
+
+
 def experiment_split(students: Sequence[StudentId], fraction: float,
-                     seed: int) -> tuple[tuple[StudentId, ...], tuple[StudentId, ...]]:
+                     seed: int = SPLIT_SEED,
+                     ) -> tuple[tuple[StudentId, ...], tuple[StudentId, ...]]:
     """Seeded shuffle, then cut at round(fraction * n).
 
     Returns (experimental, control), each sorted; together they cover

@@ -20,6 +20,10 @@ from .errors import ParameterError
 from .graph import SocialGraph, reach_levels, reach_step
 from .metrics import neighbourhood_clustering
 
+#: Objective weights on mean clustering (alpha) and mean hop distance (beta).
+ALPHA = 1.0
+BETA = 1.0
+
 
 @dataclass(frozen=True)
 class RewireResult:
@@ -159,14 +163,14 @@ class _SwapState:
         return self.alpha * clustering - self.beta * (total / pairs if pairs else 0.0)
 
 
-def graph_objective(g: SocialGraph, alpha: float = 1.0, beta: float = 1.0) -> float:
+def graph_objective(g: SocialGraph, alpha: float = ALPHA, beta: float = BETA) -> float:
     """Clustering-vs-distance objective used by :func:`rewire_optimize`."""
     if g.node_count == 0:
         raise ParameterError("objective undefined on an empty graph")
     return _SwapState(g, alpha, beta).score()
 
 
-def rewire_optimize(g: SocialGraph, alpha: float = 1.0, beta: float = 1.0,
+def rewire_optimize(g: SocialGraph, alpha: float = ALPHA, beta: float = BETA,
                     iterations: int = 2000, seed: int = 0,
                     initial_temperature: float = 1.0,
                     cooling: float = 0.995) -> RewireResult:

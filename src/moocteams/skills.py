@@ -24,6 +24,12 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 #: Group label for students whose posts yield no usable terms.
 UNOBSERVED_GROUP = "unobserved"
 
+#: Profiling defaults: skills per student, shortest token, rank boost, IDF.
+SKILL_K = 5
+MIN_LEN = 3
+SKILL_BETA = 1.0
+USE_IDF = False
+
 
 def default_stopwords() -> frozenset[str]:
     """English stopword list shipped with the package."""
@@ -32,7 +38,7 @@ def default_stopwords() -> frozenset[str]:
 
 
 def tokenize(text: str, stopwords: frozenset[str] | set[str],
-             min_len: int = 3) -> list[str]:
+             min_len: int = MIN_LEN) -> list[str]:
     """Lowercase alphanumeric tokens, stopwords and short tokens removed."""
     return [t for t in _TOKEN_RE.findall(text.lower())
             if len(t) >= min_len and t not in stopwords]
@@ -40,7 +46,7 @@ def tokenize(text: str, stopwords: frozenset[str] | set[str],
 
 def term_distribution(messages: Iterable[ForumMessage],
                       stopwords: frozenset[str] | set[str],
-                      min_len: int = 3) -> dict[str, float]:
+                      min_len: int = MIN_LEN) -> dict[str, float]:
     """Relative frequency of each retained term across one author's posts.
 
     Returns an empty mapping when nothing survives filtering; otherwise
@@ -80,15 +86,9 @@ class SkillProfile:
     def dominant_term(self) -> str | None:
         return self.terms[0][0] if self.terms else None
 
-    def weight_of(self, term: str) -> float:
-        for t, w in self.terms:
-            if t == term:
-                return w
-        return 0.0
-
 
 def refine_skills(profile: SkillProfile, rank_score: float,
-                  beta: float = 1.0) -> SkillProfile:
+                  beta: float = SKILL_BETA) -> SkillProfile:
     """Boost every weight by (1 + beta * rank_score).
 
     ``rank_score`` is a graph rank (PageRank or authority) normalized to
@@ -106,7 +106,7 @@ def refine_skills(profile: SkillProfile, rank_score: float,
 
 def refine_by_rank(profiles: Mapping[StudentId, SkillProfile],
                    ranks: Mapping[StudentId, float],
-                   beta: float = 1.0) -> dict[StudentId, SkillProfile]:
+                   beta: float = SKILL_BETA) -> dict[StudentId, SkillProfile]:
     """:func:`refine_skills` every profile with its rank over the top rank.
 
     The score is 0 for a student without a rank, and for everyone when the
@@ -120,10 +120,10 @@ def refine_by_rank(profiles: Mapping[StudentId, SkillProfile],
             for s, p in profiles.items()}
 
 
-def build_skill_profiles(messages: Iterable[ForumMessage], k: int = 5,
-                         min_len: int = 3,
+def build_skill_profiles(messages: Iterable[ForumMessage], k: int = SKILL_K,
+                         min_len: int = MIN_LEN,
                          stopwords: frozenset[str] | set[str] | None = None,
-                         use_idf: bool = False) -> dict[StudentId, SkillProfile]:
+                         use_idf: bool = USE_IDF) -> dict[StudentId, SkillProfile]:
     """Profile every named author appearing in ``messages``.
 
     With ``use_idf`` the raw counts are weighted by log inverse document
@@ -170,14 +170,11 @@ def _cosine(a: Mapping[str, float], b: Mapping[str, float]) -> float:
     return dot / (na * nb)
 
 
+@dataclass
 class _Cluster:
-    __slots__ = ("key", "members", "vector")
-
-    def __init__(self, key: str, members: list[StudentId],
-                 vector: dict[str, float]):
-        self.key = key
-        self.members = members
-        self.vector = vector
+    key: str
+    members: list[StudentId]
+    vector: dict[str, float]
 
 
 def skill_partition(profiles: Iterable[SkillProfile], n_groups: int,

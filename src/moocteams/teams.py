@@ -24,6 +24,13 @@ from .metrics import BrokerageCounts, NodeMetrics
 _LOG5 = math.log(5.0)
 _Terms = tuple[float, float, tuple[int, int, int, int, int]]
 
+#: Search defaults: size bounds, climbs per team count, proposals per climb.
+S_MIN = 3
+S_MAX = 5
+RESTARTS = 8
+ITERATIONS = 300
+ALLOW_OVERSIZE = False
+
 
 @dataclass(frozen=True)
 class ObjectiveWeights:
@@ -65,12 +72,6 @@ class TeamAssignment:
     allow_oversize: bool
     seed: int
 
-    def team_of(self, student: StudentId) -> tuple[StudentId, ...]:
-        for team in self.teams:
-            if student in team:
-                return team
-        raise MissingNodeError(student, context="assignment")
-
 
 # -- size feasibility --------------------------------------------------------
 
@@ -104,7 +105,7 @@ def _lone_outsider_ok(s: int, n: int, s_min: int, s_max: int,
 
 
 def team_sizes(n: int, s_min: int, s_max: int,
-               allow_oversize: bool = False) -> list[int]:
+               allow_oversize: bool = ALLOW_OVERSIZE) -> list[int]:
     """Canonical team-size profile for n students.
 
     Fills teams of s_max; a residue becomes one smaller final team of at
@@ -316,10 +317,10 @@ def _better(cand: TeamAssignment, best: TeamAssignment | None) -> bool:
 # -- search ------------------------------------------------------------------
 
 def form_teams(g: SocialGraph, metrics: Mapping[StudentId, NodeMetrics],
-               s_min: int = 3, s_max: int = 5,
+               s_min: int = S_MIN, s_max: int = S_MAX,
                weights: ObjectiveWeights = ObjectiveWeights(),
-               restarts: int = 8, iterations: int = 300, seed: int = 0,
-               allow_oversize: bool = False) -> TeamAssignment:
+               restarts: int = RESTARTS, iterations: int = ITERATIONS, seed: int = 0,
+               allow_oversize: bool = ALLOW_OVERSIZE) -> TeamAssignment:
     """Seeded multi-restart hill climbing over swaps and moves.
 
     Every feasible team count near the canonical profile is tried;
@@ -469,7 +470,7 @@ def _feasible_size_vectors(n: int, k: int, s_min: int, s_max: int,
 def brute_force_teams(g: SocialGraph, metrics: Mapping[StudentId, NodeMetrics],
                       s_min: int, s_max: int,
                       weights: ObjectiveWeights = ObjectiveWeights(),
-                      allow_oversize: bool = False) -> TeamAssignment:
+                      allow_oversize: bool = ALLOW_OVERSIZE) -> TeamAssignment:
     """Exhaustive optimum over every size-feasible partition.
 
     Guarded to 10 nodes; ties break by lexicographically smallest

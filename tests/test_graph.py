@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moocteams.errors import DataFormatError, MissingNodeError, ParameterError
-from moocteams.graph import (SocialGraph, distance_sums, finite_distance_total,
-                             geodesic_distances, read_graph_csv, write_graph_csv)
+from moocteams.graph import (SocialGraph, distance_sums, geodesic_distances,
+                             read_graph_csv, write_graph_csv)
 from moocteams.metrics import (burt_constraint, compute_node_metrics,
                                effective_size, eigencentrality, hits, pagerank,
                                write_metrics_csv)
@@ -25,10 +25,8 @@ def test_edge_accessors():
     g = SocialGraph({("a", "b"): 3, ("b", "a"): 1, ("a", "c"): 2})
     assert g.weight("a", "b") == 3
     assert g.weight("b", "c") == 0
-    assert g.mutual_weight("a", "b") == 4
     assert g.out_neighbors("a") == {"b": 3, "c": 2}
     assert g.in_neighbors("a") == {"b": 1}
-    assert g.neighbors("a") == {"b", "c"}
     assert g.degree("a") == 3
     assert list(g.edges()) == [("a", "b", 3), ("a", "c", 2), ("b", "a", 1)]
     assert g.edge_count == 3
@@ -69,12 +67,6 @@ def test_geodesic_unreachable_is_none():
     assert {v: h for v, h in d.items() if h is not None} == {"a": 0, "b": 1}
 
 
-def _floyd_warshall_total(g):
-    finite = [d for u, row in floyd_warshall(g).items()
-              for v, d in row.items() if u != v and d is not None]
-    return sum(finite), len(finite)
-
-
 def _sparse_digraph(seed):
     """Random digraph; every third one gains a few isolated nodes."""
     rng = random.Random(seed)
@@ -84,12 +76,6 @@ def _sparse_digraph(seed):
         g = SocialGraph({(u, v): w for u, v, w in g.edges()},
                         nodes=g.nodes + tuple(extra))
     return g
-
-
-def test_finite_distance_total_matches_floyd_warshall():
-    for seed in range(20):
-        g = _sparse_digraph(seed)
-        assert finite_distance_total(g) == _floyd_warshall_total(g)
 
 
 def test_distance_sums_match_floyd_warshall():
@@ -106,11 +92,6 @@ def test_distance_sums_without_paths_are_zero():
     assert distance_sums(SocialGraph(nodes=["a", "b", "c"])) == {
         "a": (0, 0), "b": (0, 0), "c": (0, 0)}
     assert distance_sums(SocialGraph(nodes=["a"])) == {"a": (0, 0)}
-
-
-def test_finite_distance_total_without_paths_is_zero():
-    assert finite_distance_total(SocialGraph(nodes=["a", "b", "c"])) == (0, 0)
-    assert finite_distance_total(SocialGraph(nodes=["a"])) == (0, 0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -198,8 +179,6 @@ def test_neighbour_maps_are_canonical_whatever_the_insertion_order():
                 assert list(g.in_neighbors(u)) == sorted(g.in_neighbors(u))
                 assert list(g.ties(u)) == sorted(g.ties(u))
                 assert g.ties(u) == ties.get(u, {})
-                for v in g.nodes:
-                    assert g.mutual_weight(u, v) == ties.get(u, {}).get(v, 0)
 
 
 def test_metrics_are_identical_whatever_the_insertion_order():

@@ -1,17 +1,29 @@
 """Every name a package module imports is used in that module, and every
-private module-level function, class or constant it defines is used
-somewhere in the package.
+module-level function, class or constant it defines is used somewhere in
+the package: a private one always, a public one unless ``__all__`` exports
+it or ``ALLOWED_UNUSED`` says why it stays.
 
 ``__init__.py`` is exempt from the import check (its imports are
 re-exports), and so is ``from __future__``.  A quoted annotation counts as
-a use of the names it spells.  A private definition's uses inside its own
-body (recursion) do not count.
+a use of the names it spells.  A definition's uses inside its own body
+(recursion) do not count.
 """
 
 import ast
 from pathlib import Path
+from typing import Iterable
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "moocteams"
+
+#: Public names that no module reads and ``__all__`` leaves out, with why
+#: each stays in the package.
+ALLOWED_UNUSED = {
+    "read_skills_json": "reads back skills.json, which write_skills_json writes",
+    "read_trace_csv": "reads back trace.csv, which write_trace_csv writes",
+    "write_opinions_jsonl": "writes the opinions file that report --opinions reads",
+    "replicate_once": "runs one diffusion replication and returns its token "
+                      "routes, the hook for route audits",
+}
 
 
 def read_names(tree: ast.AST) -> set[str]:
@@ -56,10 +68,10 @@ def _defined_names(stmt: ast.stmt) -> list[str]:
     return [t.id for t in targets if isinstance(t, ast.Name)]
 
 
-def unused_private_definitions(sources: dict[str, str]) -> list[str]:
-    """``module:name`` for each private module-level function, class or
-    constant that no other top-level statement of any module reads, by bare
-    name, attribute name or ``from ... import``."""
+def unread_definitions(sources: dict[str, str], wanted) -> list[str]:
+    """``module:name`` for each module-level function, class or constant
+    whose name passes ``wanted`` and that no other top-level statement of any
+    module reads, by bare name, attribute name or ``from ... import``."""
     statements = [(module, stmt) for module, source in sources.items()
                   for stmt in ast.parse(source).body]
     reads = [read_names(stmt)
@@ -69,10 +81,32 @@ def unused_private_definitions(sources: dict[str, str]) -> list[str]:
              for _, stmt in statements]
     unused = []
     for k, (module, stmt) in enumerate(statements):
-        for name in filter(_is_private, _defined_names(stmt)):
+        for name in filter(wanted, _defined_names(stmt)):
             if not any(name in r for j, r in enumerate(reads) if j != k):
                 unused.append(f"{module}:{name}")
     return unused
+
+
+def unused_private_definitions(sources: dict[str, str]) -> list[str]:
+    return unread_definitions(sources, _is_private)
+
+
+def unused_public_definitions(sources: dict[str, str],
+                              allowed: Iterable[str]) -> list[str]:
+    """:func:`unread_definitions` for the public names that are neither in
+    the ``__all__`` of ``__init__.py`` nor ``allowed``."""
+    exported = set()
+    for stmt in ast.parse(sources.get("__init__.py", "")).body:
+        if "__all__" in _defined_names(stmt):
+            exported = set(ast.literal_eval(stmt.value))
+    exempt = exported | set(allowed)
+    return unread_definitions(
+        sources, lambda name: not name.startswith("_") and name not in exempt)
+
+
+def _package_sources() -> dict[str, str]:
+    return {path.name: path.read_text(encoding="utf-8")
+            for path in sorted(PACKAGE.glob("*.py"))}
 
 
 def test_the_check_finds_an_unused_import():
@@ -99,6 +133,23 @@ def test_the_check_finds_an_unused_private_definition():
 
 
 def test_no_module_defines_a_private_name_the_package_never_uses():
-    sources = {path.name: path.read_text(encoding="utf-8")
-               for path in sorted(PACKAGE.glob("*.py"))}
-    assert unused_private_definitions(sources) == []
+    assert unused_private_definitions(_package_sources()) == []
+
+
+def test_the_check_finds_an_unused_public_helper():
+    sources = {"__init__.py": "__all__ = ['exported']\n",
+               "a.py": ("LIMIT = 3\ndef exported():\n    return LIMIT\n"
+                        "def helper(n):\n    return helper(n - 1)\n"
+                        "def audit():\n    pass\n"
+                        "class Shared:\n    pass\n"),
+               "b.py": "from .a import Shared\n"}
+    assert unused_public_definitions(sources, ["audit"]) == ["a.py:helper"]
+    assert unused_public_definitions(sources, []) == ["a.py:helper", "a.py:audit"]
+
+
+def test_no_module_defines_a_public_name_the_package_never_uses():
+    sources = _package_sources()
+    assert unused_public_definitions(sources, ALLOWED_UNUSED) == []
+    # every allowed name is still defined and still unread
+    assert sorted(name.split(":")[1] for name in
+                  unused_public_definitions(sources, [])) == sorted(ALLOWED_UNUSED)

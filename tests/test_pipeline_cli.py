@@ -14,16 +14,22 @@ from hypothesis import strategies as st
 
 import moocteams
 from moocteams.cli import build_parser, main
-from moocteams.diffusion import FlowSpec
+from moocteams.diffusion import FlowSpec, full_typology_specs
 from moocteams.graph import read_graph_csv
-from moocteams.metrics import (compute_node_metrics, eigencentrality, farness,
+from moocteams.metrics import (compute_metrics_without_brokerage,
+                               compute_node_metrics, eigencentrality, farness,
                                hits, pagerank)
-from moocteams.ingest import SynthParams, synth_corpus, write_jsonl
+from moocteams.ingest import (SynthParams, build_reply_graph, synth_corpus,
+                              write_jsonl)
 from moocteams.errors import ParameterError
 from moocteams.pipeline import (SETTINGS, RunConfig, StageError, derive_seed,
                                 run_pipeline, write_file, write_files)
-from moocteams.skills import build_skill_profiles
-from moocteams.teams import ObjectiveWeights, brute_force_teams, form_teams
+from moocteams.report import experiment_split
+from moocteams.rewire import graph_objective, rewire_optimize
+from moocteams.skills import (build_skill_profiles, refine_by_rank,
+                              refine_skills, term_distribution, tokenize)
+from moocteams.teams import (ObjectiveWeights, brute_force_teams, form_teams,
+                             team_sizes)
 
 ARTIFACTS = ["graph.csv", "graph.dot", "manifest.json", "metrics.csv",
              "partition.json", "skills.json", "teams.json", "trace.csv"]
@@ -161,19 +167,62 @@ def test_write_files_renames_nothing_until_every_writer_returns(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
 
 
+def test_write_files_keeps_every_old_file_when_a_rename_fails(tmp_path):
+    def write(text, fh):
+        fh.write(text)
+
+    first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+    write_files((first, write, "old\n"))
+    second.mkdir()  # a directory cannot be replaced by a file
+    with pytest.raises(IsADirectoryError) as err:
+        write_files((first, write, "new\n"), (second, write, "x\n"))
+    assert err.value.filename == str(second)
+    assert first.read_text() == "old\n"
+    assert second.is_dir() and not any(second.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.txt"]
+
+
+def _holds_what_the_manifest_records(out):
+    manifest = json.loads((out / "manifest.json").read_text())
+    recorded = {name: digest for s in manifest["stages"]
+                for name, digest in s["artifacts"].items()}
+    assert sorted(p.name for p in out.iterdir()) == \
+        sorted([*recorded, "manifest.json", "timings.json"])
+    for name, digest in recorded.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+    return recorded
+
+
+def test_pipeline_rerun_deletes_what_the_new_run_did_not_write(tmp_path,
+                                                               monkeypatch):
+    corpus = tmp_path / "corpus.jsonl"
+    _corpus(corpus)
+    out = tmp_path / "run"
+
+    def rerun(**settings):
+        run_pipeline(RunConfig(str(corpus), str(out), seed=2,
+                               diffusion_replications=2, **settings))
+        return _holds_what_the_manifest_records(out)
+
+    assert sorted(rerun()) == sorted(set(ARTIFACTS) - {"manifest.json"})
+    assert "teams.json" not in rerun(s_min=30, s_max=40)  # teams skipped
+    rerun()
+    assert "trace.csv" not in rerun(run_diffusion=False)
+    rerun()
+
+    def failing_roster(assignment, fh):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("moocteams.pipeline.write_roster_json", failing_roster)
+    with pytest.raises(StageError):
+        rerun()
+    assert sorted(_holds_what_the_manifest_records(out)) == [
+        "graph.csv", "metrics.csv", "partition.json", "skills.json"]
+
+
 def test_pipeline_missing_input_is_a_config_error(tmp_path):
     with pytest.raises(ParameterError):
         run_pipeline(RunConfig(str(tmp_path / "nope.jsonl"), str(tmp_path / "run")))
-
-
-def test_config_round_trip_rejects_unknown_keys(tmp_path):
-    config = RunConfig("in.jsonl", "out", seed=3, s_min=3, s_max=4)
-    again = RunConfig.from_dict(config.to_dict())
-    assert again == config
-    bad = config.to_dict()
-    bad["mystery_knob"] = 1
-    with pytest.raises(Exception):
-        RunConfig.from_dict(bad)
 
 
 # -- command line ------------------------------------------------------------
@@ -380,6 +429,22 @@ def test_cli_report_failure_writes_no_dot_file(tmp_path, capsys, teams):
     assert not dot.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--summary-out", "summary.json"], "--summary-out needs --opinions"),
+    (["--split-out", "split.json"], "--split-out needs --split")],
+    ids=["summary-out", "split-out"])
+def test_cli_report_output_flag_needs_its_input(tmp_path, monkeypatch, capsys,
+                                                flags, message):
+    _graph_and_metrics(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert main(["report", "--graph", "graph.csv", "--dot-out", "graph.dot",
+                 *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
 @pytest.mark.parametrize("argv", [
     ["skills", "--input", "corpus.jsonl", "--output", "ok.json",
      "--partition-out", "nodir/p.json"],
@@ -547,23 +612,74 @@ def _default(fn, name):
     return inspect.signature(fn).parameters[name].default
 
 
+# every RunConfig setting or constant that feeds a library parameter, with
+# each function that takes it; the settings left out have no library default
+LIBRARY_DEFAULTS = {
+    "damping": [(pagerank, "damping"), (compute_node_metrics, "damping"),
+                (compute_metrics_without_brokerage, "damping")],
+    "pagerank_tol": [(pagerank, "tol"), (compute_node_metrics, "pagerank_tol"),
+                     (compute_metrics_without_brokerage, "pagerank_tol")],
+    "pagerank_max_iter": [(pagerank, "max_iter")],
+    "rank_tol": [(hits, "tol"), (eigencentrality, "tol")],
+    "rank_max_iter": [(hits, "max_iter"), (eigencentrality, "max_iter")],
+    "farness_penalty": [(farness, "penalty"),
+                        (compute_node_metrics, "farness_penalty"),
+                        (compute_metrics_without_brokerage, "farness_penalty")],
+    "skill_k": [(build_skill_profiles, "k")],
+    "skill_min_len": [(build_skill_profiles, "min_len"), (tokenize, "min_len"),
+                      (term_distribution, "min_len")],
+    "skill_beta": [(refine_by_rank, "beta"), (refine_skills, "beta")],
+    "skill_idf": [(build_skill_profiles, "use_idf")],
+    "s_min": [(form_teams, "s_min")],
+    "s_max": [(form_teams, "s_max")],
+    "allow_oversize": [(form_teams, "allow_oversize"), (team_sizes, "allow_oversize"),
+                       (brute_force_teams, "allow_oversize")],
+    "restarts": [(form_teams, "restarts")],
+    "team_iterations": [(form_teams, "iterations")],
+    "diffusion_steps": [(FlowSpec, "max_steps")],
+    "diffusion_uniform": [(FlowSpec, "uniform"), (full_typology_specs, "uniform")],
+}
+NO_LIBRARY_DEFAULT = {"seed", "n_groups", "run_diffusion", "diffusion_mechanism",
+                      "diffusion_trajectory", "diffusion_replications"}
+
+
+def _default(fn, name):
+    return inspect.signature(fn).parameters[name].default
+
+
+def _cli_default(argv, name):
+    return getattr(build_parser().parse_args(argv), name)
+
+
 def test_pipeline_fixed_settings_are_the_library_defaults():
-    assert RunConfig.pagerank_tol == _default(pagerank, "tol")
-    assert RunConfig.pagerank_max_iter == _default(pagerank, "max_iter")
-    for solver in (hits, eigencentrality):
-        assert RunConfig.rank_tol == _default(solver, "tol")
-        assert RunConfig.rank_max_iter == _default(solver, "max_iter")
-    assert RunConfig.farness_penalty == _default(compute_node_metrics,
-                                                 "farness_penalty")
-    assert RunConfig.farness_penalty == _default(farness, "penalty")
-    assert RunConfig.skill_min_len == _default(build_skill_profiles, "min_len")
-    assert RunConfig.diffusion_uniform == _default(FlowSpec, "uniform")
-    defaults = {f.name: f.default for f in SETTINGS}
-    for fn in (pagerank, compute_node_metrics):
-        assert defaults["damping"] == _default(fn, "damping")
+    settings = {f.name for f in SETTINGS}
+    weights = {"w_cost", "w_hole", "w_balance"}
+    assert settings == (set(LIBRARY_DEFAULTS) - set(CONSTANTS)) | weights \
+        | {"reply_policy"} | NO_LIBRARY_DEFAULT
+    for name, params in LIBRARY_DEFAULTS.items():
+        for fn, param in params:
+            assert getattr(RunConfig, name) == _default(fn, param), (name, fn)
+    assert RunConfig.reply_policy == \
+        _default(build_reply_graph, "policy").name.lower()
     for fn in (form_teams, brute_force_teams):
-        assert ObjectiveWeights(defaults["w_cost"], defaults["w_hole"],
-                                defaults["w_balance"]) == _default(fn, "weights")
+        assert ObjectiveWeights(RunConfig.w_cost, RunConfig.w_hole,
+                                RunConfig.w_balance) == _default(fn, "weights")
+
+
+def test_every_other_default_is_the_library_default():
+    for param in ("seed", "copy_cap"):
+        assert _default(full_typology_specs, param) == _default(FlowSpec, param)
+    for param in ("alpha", "beta"):
+        assert _default(graph_objective, param) == _default(rewire_optimize, param)
+    assert _cli_default(["report", "--graph", "g.csv"], "seed") == \
+        _default(experiment_split, "seed")
+    assert _cli_default(["synth", "--students", "1", "--threads", "1",
+                         "--posts", "1", "--comments", "1", "--output", "c"],
+                        "seed") == _default(SynthParams, "seed")
+    assert _cli_default(["skills", "--input", "c", "--output", "s"], "min_len") \
+        == _default(build_skill_profiles, "min_len")
+    assert _cli_default(["metrics", "--graph", "g", "--output", "m"],
+                        "pagerank_tol") == _default(pagerank, "tol")
 
 
 def test_cli_pipeline_fixed_settings_have_no_flag(tmp_path, capsys):

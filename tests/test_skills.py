@@ -63,7 +63,7 @@ def test_build_profiles_groups_by_author():
     profiles = build_skill_profiles(msgs, k=2, stopwords=STOP)
     assert set(profiles) == {"ann", "bob"}
     assert profiles["ann"].dominant_term() == "graphs"
-    assert profiles["ann"].weight_of("graphs") == pytest.approx(0.6)
+    assert dict(profiles["ann"].terms)["graphs"] == pytest.approx(0.6)
     assert not profiles["ann"].refined
 
 

@@ -318,4 +318,3 @@ def test_roster_json_round_trip(tmp_path):
     with open(path, encoding="utf-8") as fh:
         back = read_roster_json(fh)
     assert back == result
-    assert back.team_of("n000") == result.team_of("n000")
