@@ -18,6 +18,7 @@ behind and every earlier file as it was.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from collections.abc import Iterable
 from dataclasses import MISSING, asdict, fields
@@ -45,6 +46,7 @@ from .teams import (ObjectiveWeights, brute_force_teams, form_teams,
 USAGE_ERROR, DATA_ERROR, STAGE_ERROR = 1, 2, 3
 _DEFAULTS = {f.name: f.default for f in SETTINGS}
 _SYNTH_DEFAULTS = {f.name: f.default for f in fields(SynthParams)}
+_TYPOLOGY_DEFAULTS = inspect.signature(full_typology_specs).parameters
 
 
 class _Parser(argparse.ArgumentParser):
@@ -286,7 +288,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--uniform", action="store_true", default=FlowSpec.uniform,
                    help="uniform instead of weight-proportional hops")
     p.add_argument("--typology", action="store_true",
-                   help="run all mechanism x trajectory cells")
+                   help="run all mechanism x trajectory cells, each for --steps "
+                   "and --replications, which default to FlowSpec's "
+                   f"{FlowSpec.max_steps} and {FlowSpec.replications}; "
+                   "full_typology_specs() called alone defaults to "
+                   f"{_TYPOLOGY_DEFAULTS['max_steps'].default} and "
+                   f"{_TYPOLOGY_DEFAULTS['replications'].default}")
     p.add_argument("--metrics", help="metrics CSV (required for --typology)")
     p.set_defaults(fn=_cmd_diffuse)
 

@@ -18,7 +18,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from operator import mul, sub
-from typing import Collection, Iterable, Mapping, Sequence, TextIO
+from typing import Iterable, Mapping, Sequence, TextIO
 
 from .errors import (ConvergenceWarning, DataFormatError, MissingNodeError,
                      ParameterError, UndefinedMetricError)
@@ -190,19 +190,20 @@ def clustering_coefficient(g: SocialGraph, node: StudentId) -> float:
     with fewer than two neighbors score 0.
     """
     index = g.index()
-    return neighbourhood_clustering(set(index.ties[index.position[node]]), index.out)
+    nbrs = set(index.ties[index.position[node]])
+    return clustering_ratio(tie_links(nbrs, index.out), len(nbrs))
 
 
-def neighbourhood_clustering(nbrs: Collection[int], out: Sequence[Iterable[int]]) -> float:
-    """links / (k(k-1)) over the k positions of ``nbrs``, links counting each
-    j's out-row targets ``out[j]`` in ``nbrs``; exact ints, so order-free."""
-    k = len(nbrs)
-    if k < 2:
-        return 0.0
-    links = 0
-    for j in nbrs:
-        links += sum(1 for t in out[j] if t in nbrs)
-    return links / (k * (k - 1))
+def tie_links(nbrs: set[int], out: Sequence[Iterable[int]]) -> int:
+    """Ordered pairs of the positions ``nbrs`` joined by an out-edge: each
+    j's out-row targets ``out[j]`` in ``nbrs``; an exact int, so order-free."""
+    return sum(len(nbrs.intersection(out[j])) for j in nbrs)
+
+
+def clustering_ratio(links: int, k: int) -> float:
+    """Clustering of a neighbourhood of k positions with ``links`` of its
+    k(k-1) ordered pairs joined: 0 when k < 2."""
+    return links / (k * (k - 1)) if k > 1 else 0.0
 
 
 # -- structural holes ------------------------------------------------------

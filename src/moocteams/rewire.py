@@ -4,10 +4,11 @@ Anneals over double-edge swaps, which keep every student's in- and
 out-degree fixed while reshaping who talks to whom.  The objective
 rewards clustering and penalizes long finite geodesics; proposals are
 applied to and undone from one mutable swap state over node positions,
-and only the best state becomes a :class:`SocialGraph`.  The state keeps
-the graph's reach levels (:func:`~moocteams.graph.reach_levels`) and
-repairs them after each swap, recomputing only the entries that the two
-rewritten out-rows can change, so no proposal reruns the all-pairs BFS.
+and only the best state becomes a :class:`SocialGraph`.  The state updates
+each student's clustering link count from the four edges a swap changes,
+and repairs the graph's reach levels (:func:`~moocteams.graph.reach_levels`)
+at the entries the two rewritten out-rows can change, so no proposal
+recounts a neighbourhood or reruns the all-pairs BFS.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import ParameterError
 from .graph import SocialGraph, reach_levels, reach_step
-from .metrics import neighbourhood_clustering
+from .metrics import clustering_ratio, tie_links
 
 #: Objective weights on mean clustering (alpha) and mean hop distance (beta).
 ALPHA = 1.0
@@ -42,9 +43,10 @@ class RewireResult:
 
 class _SwapState:
     """Out-neighbour position lists and in- and tie-neighbour sets that swaps
-    edit in place, each node's clustering coefficient, and the reach levels
-    with each level's total bit count; scores equal those of the equivalent
-    graph."""
+    edit in place; each node's link count (ordered pairs of its tie
+    neighbours joined by an out-edge) and the clustering coefficient read
+    from it; and the reach levels with each level's total bit count.  Scores
+    equal those of the equivalent graph."""
 
     def __init__(self, g: SocialGraph, alpha: float, beta: float):
         if not (0.0 <= alpha < math.inf and 0.0 <= beta < math.inf):
@@ -54,50 +56,63 @@ class _SwapState:
         self.out = [list(row) for row in index.out]
         self.into = [set(row) for row in index.into]
         self.ties = [set(row) for row in index.ties]
-        self.coef = [self._clustering(v) for v in range(len(self.out))]
+        self.links = [tie_links(nbrs, self.out) for nbrs in self.ties]
+        self.coef = [clustering_ratio(n, len(nbrs))
+                     for n, nbrs in zip(self.links, self.ties)]
         self.levels = list(reach_levels(self.out))
         self.sizes = [sum(bits.bit_count() for bits in level) for level in self.levels]
 
-    def _clustering(self, v: int) -> float:
-        return neighbourhood_clustering(self.ties[v], self.out)
+    def _rewrite(self, a: int, b: int, c: int, d: int) -> None:
+        """Replace edges (a,b),(c,d) with (a,d),(c,b), one edge at a time,
+        and recompute the clustering of every position whose link count or
+        tie set this changed."""
+        touched = {a, b, c, d}
+        for x, y, sign in ((a, b, -1), (a, d, 1), (c, d, -1), (c, b, 1)):
+            touched |= self._edge(x, y, sign)
+        for v in touched:
+            self.coef[v] = clustering_ratio(self.links[v], len(self.ties[v]))
 
-    def _rewrite(self, a: int, b: int, c: int, d: int) -> set[int]:
-        """Replace edges (a,b),(c,d) with (a,d),(c,b) in the rows and return
-        the positions whose clustering this can change: a, b, c, d and the
-        common neighbours of a removed or added edge's ends."""
-        out, into, ties = self.out, self.into, self.ties
-        ta, tb, tc, td = (ties[x] for x in (a, b, c, d))
-        touched = {a, b, c, d} | (ta & tb) | (tc & td) | (ta & td) | (tc & tb)
-        for x, old, new in ((a, b, d), (c, d, b)):
-            out[x].remove(old)
-            out[x].append(new)
-            into[old].remove(x)
-            into[new].add(x)
-            if x not in out[old]:
-                ties[x].remove(old)
-                ties[old].remove(x)
-            ties[x].add(new)
-            ties[new].add(x)
-        return touched
+    def _edge(self, x: int, y: int, sign: int) -> set[int]:
+        """Remove (sign -1) or add (+1) the edge x->y and update the link
+        counts; return the common tie neighbours of x and y, whose counts
+        the edge itself changes.  Without y->x, the tie {x, y} goes or comes
+        with the edge, and x's count changes by the edges between y and x's
+        other tie neighbours, y's likewise."""
+        out, into, ties, links = self.out, self.into, self.ties, self.links
+        common = ties[x] & ties[y]
+        for w in common:
+            links[w] += sign
+        if x not in out[y]:
+            links[x] += sign * (len(ties[x].intersection(out[y])) + len(ties[x] & into[y]))
+            links[y] += sign * (len(ties[y].intersection(out[x])) + len(ties[y] & into[x]))
+            if sign > 0:
+                ties[x].add(y)
+                ties[y].add(x)
+            else:
+                ties[x].remove(y)
+                ties[y].remove(x)
+        if sign > 0:
+            out[x].append(y)
+            into[y].add(x)
+        else:
+            out[x].remove(y)
+            into[y].remove(x)
+        return common
 
     def swap(self, a: int, b: int, c: int, d: int) -> tuple:
-        """Swap as :meth:`_rewrite` does, bring the clustering entries and
-        reach levels up to date, and return what :meth:`undo` needs."""
-        touched = self._rewrite(a, b, c, d)
-        coef = {v: self.coef[v] for v in touched}
-        for v in touched:
-            self.coef[v] = self._clustering(v)
+        """Swap as :meth:`_rewrite` does, bring the reach levels up to date,
+        and return what :meth:`undo` needs."""
+        self._rewrite(a, b, c, d)
         levels, sizes = self.levels[:], self.sizes[:]
-        return coef, levels, sizes, self._repair(a, c)
+        return levels, sizes, self._repair(a, c)
 
     def undo(self, a: int, b: int, c: int, d: int, saved: tuple) -> None:
-        """Take back ``swap(a, b, c, d)``, which returned ``saved``."""
+        """Take back ``swap(a, b, c, d)``, which returned ``saved``; the
+        inverse rewrite restores every link count exactly."""
         self._rewrite(a, d, c, b)
-        coef, self.levels, self.sizes, log = saved
+        self.levels, self.sizes, log = saved
         for level, x, bits in log:
             level[x] = bits
-        for v, value in coef.items():
-            self.coef[v] = value
 
     def _repair(self, a: int, c: int) -> list[tuple[list[int], int, int]]:
         """Bring the reach levels and their bit counts up to date after a swap

@@ -146,17 +146,17 @@ def svd_hits(g: SocialGraph) -> tuple[dict[str, float], dict[str, float]]:
             {v: float(h[i]) for i, v in enumerate(nodes)})
 
 
-def brute_clustering(g: SocialGraph, node: str) -> float:
+def brute_links(g: SocialGraph, node: str) -> int:
+    """Ordered pairs of the node's in- and out-neighbours joined by an edge."""
     nbrs = set(g.out_neighbors(node)) | set(g.in_neighbors(node))
-    k = len(nbrs)
+    return sum(1 for a in nbrs for b in nbrs if a != b and g.weight(a, b) > 0)
+
+
+def brute_clustering(g: SocialGraph, node: str) -> float:
+    k = len(set(g.out_neighbors(node)) | set(g.in_neighbors(node)))
     if k < 2:
         return 0.0
-    realized = 0
-    for a in nbrs:
-        for b in nbrs:
-            if a != b and g.weight(a, b) > 0:
-                realized += 1
-    return realized / (k * (k - 1))
+    return brute_links(g, node) / (k * (k - 1))
 
 
 _ROLE_TABLE = {

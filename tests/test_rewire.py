@@ -2,13 +2,15 @@ import hashlib
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from moocteams import rewire
 from moocteams.errors import ParameterError
 from moocteams.graph import SocialGraph, reach_levels
 from moocteams.rewire import graph_objective, rewire_optimize
 
-from oracles import brute_clustering, floyd_warshall, random_digraph
+from oracles import brute_clustering, brute_links, floyd_warshall, random_digraph
 
 
 def _degree_profile(g):
@@ -179,28 +181,45 @@ def _two_rings_and_isolated_nodes():
     return SocialGraph(edges, nodes=["z0", "z1"])
 
 
-def _oracle_distances(out, nodes):
-    g = SocialGraph({(nodes[u], nodes[v]): 1 for u, row in enumerate(out) for v in row},
-                    nodes=nodes)
-    finite = [d for u, row in floyd_warshall(g).items()
+def _rows_graph(out, nodes):
+    return SocialGraph({(nodes[u], nodes[v]): 1 for u, row in enumerate(out) for v in row},
+                       nodes=nodes)
+
+
+def _oracle_distances(h):
+    finite = [d for u, row in floyd_warshall(h).items()
               for v, d in row.items() if u != v and d is not None]
     return sum(finite), len(finite)
 
 
+def _check_clustering(state, h):
+    assert state.links == [brute_links(h, v) for v in h.nodes]
+    assert state.coef == [brute_clustering(h, v) for v in h.nodes]
+
+
 @pytest.mark.parametrize("temperature", [1.0, 0.0])
 @pytest.mark.parametrize("g", [ring_lattice(20), ring_lattice(36),
-                               _two_rings_and_isolated_nodes()],
-                         ids=["ring20", "ring36", "two-components"])
+                               _two_rings_and_isolated_nodes(),
+                               random_digraph(24, 0.25, seed=0)],
+                         ids=["ring20", "ring36", "two-components", "reciprocal"])
 def test_repaired_levels_match_floyd_warshall_after_every_proposal(
         monkeypatch, g, temperature):
     # every swap and every undo of the annealer's own loop is checked
     depths = {"swap": [], "undo": []}
+    # (sign, reverse edge present) of each edge change: the four tie cases
+    tie_cases = set()
 
     class CheckedState(rewire._SwapState):
         def _check(self, event, depth):
-            assert self.distances() == _oracle_distances(self.out, g.nodes)
+            h = _rows_graph(self.out, g.nodes)
+            assert self.distances() == _oracle_distances(h)
             assert self.levels == list(reach_levels(self.out))
+            _check_clustering(self, h)
             depths[event].append((depth, len(self.levels)))
+
+        def _edge(self, x, y, sign):
+            tie_cases.add((sign, x in self.out[y]))
+            return super()._edge(x, y, sign)
 
         def swap(self, *edges):
             depth = len(self.levels)
@@ -220,3 +239,31 @@ def test_repaired_levels_match_floyd_warshall_after_every_proposal(
     # appended as well as dropped
     assert any(after > before for before, after in depths["swap"])
     assert any(after < before for before, after in depths["swap"])
+    assert tie_cases == {(-1, True), (-1, False), (1, True), (1, False)}
+
+
+@st.composite
+def _graph_and_swap(draw):
+    n = draw(st.integers(min_value=4, max_value=9))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = set(draw(st.lists(st.sampled_from(pairs), min_size=2, max_size=3 * n)))
+    # mirror some edges so reciprocal pairs, and ties that outlive an edge, occur
+    edges |= {(v, u) for u, v in draw(st.lists(st.sampled_from(sorted(edges))))}
+    swaps = [(a, b, c, d) for a, b in edges for c, d in edges
+             if len({a, b, c, d}) == 4 and (a, d) not in edges and (c, b) not in edges]
+    assume(swaps)
+    nodes = [f"s{i}" for i in range(n)]
+    g = SocialGraph({(nodes[u], nodes[v]): 1 for u, v in edges}, nodes=nodes)
+    return g, draw(st.sampled_from(sorted(swaps)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graph_and_swap())
+def test_swap_updates_link_counts_and_undo_restores_them(case):
+    g, (a, b, c, d) = case
+    state = rewire._SwapState(g, 1.0, 1.0)
+    links, coef = state.links[:], state.coef[:]
+    saved = state.swap(a, b, c, d)
+    _check_clustering(state, _rows_graph(state.out, g.nodes))
+    state.undo(a, b, c, d, saved)
+    assert state.links == links and state.coef == coef
