@@ -149,7 +149,7 @@ def _cmd_diffuse(args) -> int:
     write_file(args.output, write_trace_csv, trace)
     reached = sum(1 for v in trace.first_arrival.values() if v is not None)
     print(f"reached={reached} steps={trace.steps_run} "
-          f"truncated={trace.truncated}")
+          f"truncated={trace.truncated} dropped={trace.spawns_dropped}")
     return 0
 
 

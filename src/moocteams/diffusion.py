@@ -10,8 +10,13 @@ weight-proportional by default.  Parallel duplication draws no random
 numbers, so its replications are identical and are computed once.
 
 Replications run on node positions from :meth:`SocialGraph.index`, over a
-hop table built once per :func:`simulate` call; ids come back only in the
-outcome of each replication.
+hop table made once per :func:`simulate` call, whose hop options for a node
+are built the first time a token stands there; ids come back only in the
+outcome of each replication.  A route is an immutable ``int`` bitset: one
+bit per node position on a PATH, one per edge id on a TRAIL, and 0 on the
+other trajectories.  A sender sets the bit of each send-mark before it
+spawns the copy, so the copy holds the sender's route object itself and
+nothing is copied.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from itertools import accumulate, product
 from typing import Mapping, Sequence
 
@@ -108,6 +114,8 @@ class DiffusionTrace:
     the node (None = never); ``receipts`` totals every delivery event,
     initial source placement included.  ``arrival_sum``/``arrival_count``
     accumulate per-replication first arrivals so the mean is available.
+    ``spawns_dropped`` counts the copies the copy cap refused, totalled
+    and scaled like ``receipts``.
     """
 
     spec: FlowSpec
@@ -117,6 +125,7 @@ class DiffusionTrace:
     arrival_count: dict[StudentId, int]
     steps_run: int
     truncated: bool
+    spawns_dropped: int = 0
 
     def mean_first_arrival(self, node: StudentId) -> float | None:
         count = self.arrival_count[node]
@@ -126,13 +135,16 @@ class DiffusionTrace:
 
 
 class _Token:
-    __slots__ = ("holder", "origin", "lineage", "route")
+    __slots__ = ("holder", "options", "lineage", "route")
 
-    def __init__(self, holder, origin, lineage, route):
+    def __init__(self, holder, options, lineage, route):
         self.holder = holder
-        self.origin = origin
+        # the hop options of the lineage's source, spec.sources[lineage]
+        self.options = options
         self.lineage = lineage
-        # PATH: visited node positions; TRAIL: used edge ids; else None
+        # an int bitset, never mutated, so a copy shares its sender's: bit v
+        # for each visited node position on a PATH, bit e for each used edge
+        # id on a TRAIL, 0 on a GEODESIC or WALK
         self.route = route
 
 
@@ -152,16 +164,50 @@ class _RepOutcome:
     receipts: dict[StudentId, int]
     steps: int
     truncated: bool
+    dropped: int
     histories: list[TokenRecord] = field(default_factory=list)
 
 
+class _HopOptions(dict):
+    """One source's hop options by node position, each built on first read.
+
+    ``self[u]`` holds the edge ids a token may take out of u before route
+    exclusions (all of them, or with ``dist``, the source's hop counts, those
+    into the next distance shell), their running weight totals, and the mask
+    the route is tested against: on a PATH the bits of their heads, on a
+    TRAIL the bits of their ids, 0 otherwise.
+    """
+
+    def __init__(self, base: list[int], head: list[int], weight: list[int],
+                 trajectory: Trajectory, dist: Sequence[int | None] | None = None):
+        super().__init__()
+        self.base, self.head, self.weight = base, head, weight
+        self.trajectory, self.dist = trajectory, dist
+
+    def __missing__(self, u: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        edges = range(self.base[u], self.base[u + 1])
+        dist = self.dist
+        if dist is not None:
+            d = dist[u]
+            edges = () if d is None else [e for e in edges if dist[self.head[e]] == d + 1]
+        edges = tuple(edges)
+        mask = 0
+        if self.trajectory is Trajectory.PATH:
+            for e in edges:
+                mask |= 1 << self.head[e]
+        elif self.trajectory is Trajectory.TRAIL:
+            mask = (1 << len(edges)) - 1 << self.base[u]
+        totals = tuple(accumulate(map(self.weight.__getitem__, edges)))
+        option = self[u] = edges, totals, mask
+        return option
+
+
 class _HopTable:
-    """The graph's out-edges as ints, and each source's hop options.
+    """The graph's out-edges as ints, and each source's :class:`_HopOptions`.
 
     Out-edge k of node u has id ``base[u] + k``, end ``head[e]`` and weight
-    ``weight[e]``.  ``options[s][u]`` pairs the edge ids a token from source
-    s may take out of u before route exclusions (all of them, or for
-    GEODESIC those into the next distance shell) with their running totals.
+    ``weight[e]``; ``options[s]`` holds source s's hop options, shared by
+    every source unless the trajectory is GEODESIC.
     """
 
     def __init__(self, g: SocialGraph, spec: FlowSpec):
@@ -171,22 +217,12 @@ class _HopTable:
         self.base = list(accumulate(map(len, index.out), initial=0))
         self.head = [v for nbrs in index.out for v in nbrs]
         self.weight = [w for weights in index.out_weights for w in weights]
-        edges = list(map(range, self.base, self.base[1:]))
+        options = partial(_HopOptions, self.base, self.head, self.weight, spec.trajectory)
         sources = [self.position[s] for s in spec.sources]
         if spec.trajectory is not Trajectory.GEODESIC:
-            self.options = dict.fromkeys(sources, list(map(self._option, edges)))
+            self.options = dict.fromkeys(sources, options())
             return
-        self.options = {}
-        for s in sources:
-            dist = hop_counts(self.out, s)
-            self.options[s] = [
-                self._option(() if d is None else
-                             [e for e in out if dist[self.head[e]] == d + 1])
-                for out, d in zip(edges, dist)]
-
-    def _option(self, edges) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        edges = tuple(edges)
-        return edges, tuple(accumulate(map(self.weight.__getitem__, edges)))
+        self.options = {s: options(hop_counts(self.out, s)) for s in sources}
 
 
 def _pick(rng: random.Random, edges: Sequence[int], totals: Sequence[int],
@@ -220,7 +256,7 @@ def _replicate(hops: _HopTable, spec: FlowSpec, rep_index: int,
     track_nodes = spec.trajectory is Trajectory.PATH
     track_edges = spec.trajectory is Trajectory.TRAIL
     target = -1 if spec.target is None else hops.position[spec.target]
-    out, head, weight, options = hops.out, hops.head, hops.weight, hops.options
+    head, weight = hops.head, hops.weight
 
     arrival: list[int | None] = [None] * len(hops.nodes)
     receipts = [0] * len(hops.nodes)
@@ -228,8 +264,7 @@ def _replicate(hops: _HopTable, spec: FlowSpec, rep_index: int,
     dead: set[int] = set()
     for lineage, source in enumerate(spec.sources):
         s = hops.position[source]
-        tokens.append(_Token(s, s, lineage,
-                             {s} if track_nodes else set() if track_edges else None))
+        tokens.append(_Token(s, hops.options[s], lineage, 1 << s if track_nodes else 0))
         arrival[s] = 0
         receipts[s] = 1
         if s == target:
@@ -237,8 +272,7 @@ def _replicate(hops: _HopTable, spec: FlowSpec, rep_index: int,
     # filled only for route histories: it keeps every spawned token alive
     all_tokens = tokens[:] if collect_histories else []
     tokens = [t for t in tokens if t.lineage not in dead]
-    truncated = False
-    steps = 0
+    steps = copies = 0
 
     for step in range(1, spec.max_steps + 1):
         if not tokens:
@@ -254,12 +288,12 @@ def _replicate(hops: _HopTable, spec: FlowSpec, rep_index: int,
                 continue
             u = token.holder
             route = token.route
-            edges, totals = options[token.origin][u]
-            if track_nodes and not route.isdisjoint(out[u]):
-                edges = [e for e, v in zip(edges, out[u]) if v not in route]
-                totals = list(accumulate(map(weight.__getitem__, edges)))
-            elif track_edges and not route.isdisjoint(edges):
-                edges = [e for e in edges if e not in route]
+            edges, totals, mask = token.options[u]
+            if taken := route & mask:
+                if track_nodes:
+                    edges = [e for e in edges if not taken >> head[e] & 1]
+                else:
+                    edges = [e for e in edges if not taken >> e & 1]
                 totals = list(accumulate(map(weight.__getitem__, edges)))
             if not edges:
                 live -= 1
@@ -270,50 +304,63 @@ def _replicate(hops: _HopTable, spec: FlowSpec, rep_index: int,
                 receipts[v] += 1
                 if arrival[v] is None:
                     arrival[v] = step
-                mark = v if track_nodes else e
-                if not transfer:
-                    if live >= cap:
-                        # the delivery above still counts; only the copy record
-                        # is dropped, so the item cannot travel onward from v
-                        truncated = True
-                    else:
-                        child = _Token(v, token.origin, lineage,
-                                       None if route is None else route | {mark})
-                        spawned.append(child)
-                        if collect_histories:
-                            all_tokens.append(child)
-                        live += 1
-                if route is not None:
-                    route.add(mark)
+                if track_nodes:
+                    route |= 1 << v
+                elif track_edges:
+                    route |= 1 << e
+                # at the cap the delivery above still counts, but the copy
+                # is dropped, so the item cannot travel onward from v
+                if not transfer and live < cap:
+                    child = _Token(v, token.options, lineage, route)
+                    spawned.append(child)
+                    if collect_histories:
+                        all_tokens.append(child)
+                    live += 1
                 if v == target:
                     dead.add(lineage)
                     break
+            token.route = route
             if transfer:
                 token.holder = v
             if lineage in dead:
                 live -= 1
                 continue
             survivors.append(token)
+        copies += len(spawned)
         tokens = [t for t in survivors if t.lineage not in dead]
         tokens += [t for t in spawned if t.lineage not in dead]
         if target >= 0 and len(dead) == len(spec.sources):
             break
 
+    # every delivery of a duplicating mechanism after the sources' own is a
+    # copy made or a copy dropped
+    dropped = 0 if transfer else sum(receipts) - len(spec.sources) - copies
     nodes = hops.nodes
     outcome = _RepOutcome(
         arrival={nodes[v]: a for v, a in enumerate(arrival) if a is not None},
         receipts={nodes[v]: c for v, c in enumerate(receipts) if c},
         steps=steps,
-        truncated=truncated or (steps == spec.max_steps and bool(tokens)),
+        truncated=bool(dropped) or (steps == spec.max_steps and bool(tokens)),
+        dropped=dropped,
     )
     if collect_histories:
-        tail = [u for u, nbrs in enumerate(out) for _ in nbrs]
+        tail = [u for u, nbrs in enumerate(hops.out) for _ in nbrs]
         outcome.histories = [TokenRecord(
-            nodes[t.origin], nodes[t.holder],
-            frozenset(nodes[v] for v in t.route) if track_nodes else frozenset(),
-            frozenset((nodes[tail[e]], nodes[head[e]]) for e in t.route)
+            spec.sources[t.lineage], nodes[t.holder],
+            frozenset(nodes[v] for v in _bits(t.route)) if track_nodes else frozenset(),
+            frozenset((nodes[tail[e]], nodes[head[e]]) for e in _bits(t.route))
             if track_edges else frozenset()) for t in all_tokens]
     return outcome
+
+
+def _bits(route: int) -> list[int]:
+    """The positions of the set bits of ``route``, lowest first."""
+    out = []
+    while route:
+        low = route & -route
+        out.append(low.bit_length() - 1)
+        route ^= low
+    return out
 
 
 def simulate(g: SocialGraph, spec: FlowSpec) -> DiffusionTrace:
@@ -338,7 +385,7 @@ def simulate(g: SocialGraph, spec: FlowSpec) -> DiffusionTrace:
     receipts = {v: 0 for v in nodes}
     arrival_sum = {v: 0 for v in nodes}
     arrival_count = {v: 0 for v in nodes}
-    steps_run = 0
+    steps_run = dropped = 0
     truncated = False
     for rep in range(reps_to_run):
         outcome = _replicate(hops, spec, rep)
@@ -352,8 +399,9 @@ def simulate(g: SocialGraph, spec: FlowSpec) -> DiffusionTrace:
             receipts[v] += count * scale
         steps_run = max(steps_run, outcome.steps)
         truncated = truncated or outcome.truncated
+        dropped += outcome.dropped * scale
     return DiffusionTrace(spec, first_arrival, receipts, arrival_sum,
-                          arrival_count, steps_run, truncated)
+                          arrival_count, steps_run, truncated, dropped)
 
 
 # -- rank correlation --------------------------------------------------------

@@ -7,6 +7,7 @@ formulas, triple loops) precisely so it shares no code with the library.
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import numpy as np
 
@@ -37,6 +38,113 @@ def _weighted_choice(rng: random.Random, cands: dict[StudentId, int],
         if x < acc:
             return v
     return v
+
+
+def bfs_hops(g: SocialGraph, source: StudentId) -> dict[StudentId, int]:
+    """Hop count from ``source`` to every node it reaches."""
+    hops = {source: 0}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in g.out_neighbors(u):
+            if v not in hops:
+                hops[v] = hops[u] + 1
+                queue.append(v)
+    return hops
+
+
+def reference_replicate(g: SocialGraph, spec, rep_index: int) -> dict:
+    """One replication of a flow spec with id-keyed candidate dicts, set
+    routes and the linear-scan :func:`_weighted_choice`.
+
+    A token is a dict holding its node, source, lineage, the nodes its
+    route has visited and the edges it has used.  On a send the copy gets
+    the sender's sets plus the new mark, and the sender keeps the mark
+    too.  ``live`` counts this step's tokens not yet retired plus the
+    copies made so far; a copy is refused while it is at the cap.  Returns
+    the replication's arrivals, receipts, steps, truncation, refused
+    copies and, for every token ever made in order, its (source, holder,
+    visited, used edges) with the sets its trajectory keeps.
+    """
+    mechanism, trajectory = spec.mechanism.value, spec.trajectory.value
+    cap = 10 * g.node_count if spec.copy_cap is None else spec.copy_cap
+    rng = random.Random(spec.seed + rep_index)
+    hops = {s: bfs_hops(g, s) for s in spec.sources}
+    arrival, receipts = {}, {}
+    dead, made = set(), []
+    for lineage, s in enumerate(spec.sources):
+        made.append({"at": s, "source": s, "lineage": lineage,
+                     "visited": {s}, "used": set()})
+        arrival[s], receipts[s] = 0, 1
+        if s == spec.target:
+            dead.add(lineage)
+    tokens = [t for t in made if t["lineage"] not in dead]
+    steps = dropped = 0
+    for step in range(1, spec.max_steps + 1):
+        if not tokens:
+            break
+        steps = step
+        live, kept, copies = len(tokens), [], []
+        for token in tokens:
+            if token["lineage"] in dead:
+                live -= 1
+                continue
+            u = token["at"]
+            cands = {}
+            for v, w in g.out_neighbors(u).items():
+                if trajectory == "GEODESIC" and hops[token["source"]].get(v) != hops[token["source"]][u] + 1:
+                    continue
+                if trajectory == "PATH" and v in token["visited"]:
+                    continue
+                if trajectory == "TRAIL" and (u, v) in token["used"]:
+                    continue
+                cands[v] = w
+            if not cands:
+                live -= 1
+                continue
+            if mechanism == "PARALLEL_DUP":
+                chosen = list(cands)
+            else:
+                chosen = [_weighted_choice(rng, cands, spec.uniform)]
+            for v in chosen:
+                receipts[v] = receipts.get(v, 0) + 1
+                arrival.setdefault(v, step)
+                if mechanism != "TRANSFER":
+                    if live >= cap:
+                        dropped += 1
+                    else:
+                        copy = {"at": v, "source": token["source"],
+                                "lineage": token["lineage"],
+                                "visited": token["visited"] | {v},
+                                "used": token["used"] | {(u, v)}}
+                        copies.append(copy)
+                        made.append(copy)
+                        live += 1
+                token["visited"].add(v)
+                token["used"].add((u, v))
+                if v == spec.target:
+                    dead.add(token["lineage"])
+                    break
+            if mechanism == "TRANSFER":
+                token["at"] = v
+            if token["lineage"] in dead:
+                live -= 1
+                continue
+            kept.append(token)
+        tokens = [t for t in kept + copies if t["lineage"] not in dead]
+        if spec.target is not None and len(dead) == len(spec.sources):
+            break
+    return {
+        "arrival": arrival,
+        "receipts": receipts,
+        "steps": steps,
+        "truncated": dropped > 0 or (steps == spec.max_steps and bool(tokens)),
+        "dropped": dropped,
+        "histories": [(t["source"], t["at"],
+                       frozenset(t["visited"]) if trajectory == "PATH" else frozenset(),
+                       frozenset(t["used"]) if trajectory == "TRAIL" else frozenset())
+                      for t in made],
+    }
 
 
 def strongly_connected_digraph(n: int, p: float, seed: int,

@@ -185,6 +185,12 @@ def test_copy_cap_truncates_but_still_delivers():
     assert trace.first_arrival == {"a": 0, "b": 1, "c": 1}
     # the capped parent keeps broadcasting each step
     assert trace.receipts == {"a": 1, "b": 3, "c": 3}
+    # and neither of its two copies a step is kept
+    assert trace.spawns_dropped == 6
+    # scaled by the replications, as receipts are
+    scaled = simulate(g, FlowSpec("PARALLEL_DUP", "WALK", ("a",), max_steps=3,
+                                  copy_cap=1, replications=4))
+    assert (scaled.receipts["b"], scaled.spawns_dropped) == (12, 24)
 
 
 def test_max_steps_with_live_tokens_flags_truncation():

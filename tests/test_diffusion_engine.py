@@ -1,4 +1,5 @@
-"""The diffusion engine against fixed outputs and the linear-scan hop pick.
+"""The diffusion engine against fixed outputs, the linear-scan hop pick and
+a set-based reference replication.
 
 The digests below are the sha256 of ``write_trace_csv`` for each spec of
 ``_pinned_specs``, recorded with the dict-keyed engine that preceded the
@@ -14,9 +15,9 @@ from itertools import accumulate
 import pytest
 
 from moocteams.diffusion import (FlowSpec, _pick, full_typology_specs,
-                                 simulate, write_trace_csv)
+                                 replicate_once, simulate, write_trace_csv)
 
-from oracles import _weighted_choice, random_digraph
+from oracles import _weighted_choice, random_digraph, reference_replicate
 
 PINNED = [
     ("TRANSFER", "GEODESIC", "755e9474a2f75418395c543549ad7ee38dd36c15e52cb4afb74b62be651c496d"),
@@ -108,3 +109,45 @@ def test_pick_matches_linear_scan_on_boundary_draws():
         got = _pick(_FixedDraw(value), [0, 1, 2, 3], totals, False)
         assert "abcd"[got] == expected
     assert _pick(_FixedDraw(1.0), [0, 1, 2, 3], totals, False) == 3
+
+
+def _reference_specs(g):
+    src = g.nodes[3]
+    specs = full_typology_specs((src,), max_steps=11, replications=2, seed=30)
+    return specs + [
+        FlowSpec("SERIAL_DUP", "TRAIL", (src,), target=g.nodes[40],
+                 max_steps=11, seed=31),
+        FlowSpec("PARALLEL_DUP", "PATH", (src, g.nodes[70]), target=g.nodes[55],
+                 max_steps=6, seed=32),
+        FlowSpec("TRANSFER", "TRAIL", (src,), target=g.nodes[12],
+                 max_steps=40, seed=33),
+        FlowSpec("SERIAL_DUP", "PATH", (src, g.nodes[88]), max_steps=11,
+                 seed=34, copy_cap=7),
+        FlowSpec("PARALLEL_DUP", "TRAIL", (src,), max_steps=5, copy_cap=7),
+        FlowSpec("SERIAL_DUP", "GEODESIC", (src,), max_steps=11, seed=35,
+                 copy_cap=7, uniform=True),
+    ]
+
+
+@pytest.mark.parametrize("graph_seed", [2, 8])
+def test_replications_match_the_set_based_reference(graph_seed):
+    # over 64 nodes and 1 000 edges, so node and edge routes span many
+    # int digits; every dup cell reaches the 10 * n cap within 11 steps
+    g = random_digraph(90, 0.14, seed=graph_seed)
+    assert g.node_count > 64 and g.edge_count > 1000
+    seen = set()
+    for spec in _reference_specs(g):
+        for rep in range(2):
+            got = replicate_once(g, spec, rep, collect_histories=True)
+            want = reference_replicate(g, spec, rep)
+            case = (spec.mechanism.value, spec.trajectory.value, spec.target, rep)
+            assert got.arrival == want["arrival"], case
+            assert got.receipts == want["receipts"], case
+            assert (got.steps, got.truncated, got.dropped) == (
+                want["steps"], want["truncated"], want["dropped"]), case
+            assert [(r.origin, r.holder, r.visited, r.used_edges)
+                    for r in got.histories] == want["histories"], case
+            seen.add((spec.mechanism.value, spec.copy_cap is None, got.dropped > 0))
+    # the default cap and the small one both refuse copies somewhere
+    assert {("SERIAL_DUP", True, True), ("PARALLEL_DUP", True, True),
+            ("SERIAL_DUP", False, True), ("PARALLEL_DUP", False, True)} <= seen

@@ -1,7 +1,9 @@
 """Every name a package module imports is used in that module, and every
 module-level function, class or constant it defines is used somewhere in
 the package: a private one always, a public one unless ``__all__`` exports
-it or ``ALLOWED_UNUSED`` says why it stays.
+it or ``ALLOWED_UNUSED`` says why it stays.  Every public method of a
+package class is called somewhere in the package or the bench, unless
+``ALLOWED_UNREAD_METHODS`` says why it stays.
 
 ``__init__.py`` is exempt from the import check (its imports are
 re-exports), and so is ``from __future__``.  A quoted annotation counts as
@@ -10,10 +12,12 @@ a use of the names it spells.  A definition's uses inside its own body
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 from typing import Iterable
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "moocteams"
+BENCH = PACKAGE.parents[1] / "bench"
 
 #: Public names that no module reads and ``__all__`` leaves out, with why
 #: each stays in the package.
@@ -23,6 +27,19 @@ ALLOWED_UNUSED = {
     "write_opinions_jsonl": "writes the opinions file that report --opinions reads",
     "replicate_once": "runs one diffusion replication and returns its token "
                       "routes, the hook for route audits",
+}
+
+#: Public methods that neither the package nor the bench calls, with why
+#: each stays.
+ALLOWED_UNREAD_METHODS = {
+    "SocialGraph.weight": "looks up one edge's weight by student id, which "
+                          "the dense test oracles are written with",
+    "SocialGraph.ties": "gives one student's symmetrized ties by id, the "
+                        "neighbourhood constraint and effective size sum over",
+    "BrokerageCounts.total": "adds a broker's five role counts, the sum the "
+                             "brokerage conservation criterion checks",
+    "_Parser.error": "overrides ArgumentParser.error, which argparse calls "
+                     "on a usage error",
 }
 
 
@@ -104,6 +121,61 @@ def unused_public_definitions(sources: dict[str, str],
         sources, lambda name: not name.startswith("_") and name not in exempt)
 
 
+def _called(tree: ast.AST) -> Counter:
+    """How often each name is called as an attribute, ``x.name(...)``."""
+    return Counter(node.func.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Attribute))
+
+
+def _read(tree: ast.AST) -> Counter:
+    """How often each name is read as an attribute, ``x.name``."""
+    return Counter(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.ctx, ast.Load))
+
+
+def _public_methods(tree: ast.AST):
+    """(class name, method definition) for each public method, dunders
+    excluded, of each class in ``tree``."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for stmt in cls.body:
+                if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not stmt.name.startswith("_")):
+                    yield cls.name, stmt
+
+
+def unread_methods(sources: dict[str, str], bench: dict[str, str]) -> list[str]:
+    """``Class.method`` for each public method of a class in ``sources``
+    that no statement of ``sources`` or ``bench`` uses outside the method's
+    own body: a method must be called as ``x.method(...)``, a property read
+    as ``x.method``.  A call in ``bench`` of a name that a ``bench`` class
+    defines as a method is taken as a call of the bench's own method."""
+    trees = [ast.parse(source) for source in sources.values()]
+    bench_trees = [ast.parse(source) for source in bench.values()]
+    bench_methods = {m.name for tree in bench_trees for _, m in _public_methods(tree)}
+    calls, reads = Counter(), Counter()
+    for tree in trees:
+        calls += _called(tree)
+    for tree in bench_trees:
+        calls += Counter({name: n for name, n in _called(tree).items()
+                          if name not in bench_methods})
+    for tree in trees + bench_trees:
+        reads += _read(tree)
+    unread = []
+    for tree in trees:
+        for cls, method in _public_methods(tree):
+            if any(isinstance(d, ast.Name) and d.id == "property"
+                   for d in method.decorator_list):
+                uses, own = reads, _read(method)
+            else:
+                uses, own = calls, _called(method)
+            if uses[method.name] == own[method.name]:
+                unread.append(f"{cls}.{method.name}")
+    return unread
+
+
 def _package_sources() -> dict[str, str]:
     return {path.name: path.read_text(encoding="utf-8")
             for path in sorted(PACKAGE.glob("*.py"))}
@@ -153,3 +225,27 @@ def test_no_module_defines_a_public_name_the_package_never_uses():
     # every allowed name is still defined and still unread
     assert sorted(name.split(":")[1] for name in
                   unused_public_definitions(sources, [])) == sorted(ALLOWED_UNUSED)
+
+
+def test_the_check_finds_an_unread_public_method():
+    sources = {"a.py": ("class Graph:\n"
+                        "    @property\n    def size(self):\n        return 1\n"
+                        "    def called(self):\n        return self.size\n"
+                        "    def recurse(self):\n        return self.recurse()\n"
+                        "    def referenced(self):\n        pass\n"
+                        "    def total(self):\n        pass\n"
+                        "    def __len__(self):\n        return 0\n"),
+               "b.py": ("def f(g):\n    g.called()\n"
+                        "    return g.referenced, g.size\n")}
+    bench = {"spans.py": ("class Tracer:\n    def total(self):\n        pass\n"
+                          "def g(tracer):\n    return tracer.total()\n")}
+    assert unread_methods(sources, bench) == [
+        "Graph.recurse", "Graph.referenced", "Graph.total"]
+    assert unread_methods(sources, {"run.py": "def g(x):\n    return x.total()\n"}) == [
+        "Graph.recurse", "Graph.referenced"]
+
+
+def test_no_package_class_has_a_public_method_nothing_calls():
+    bench = {path.name: path.read_text(encoding="utf-8")
+             for path in sorted(BENCH.glob("*.py"))}
+    assert sorted(unread_methods(_package_sources(), bench)) == sorted(ALLOWED_UNREAD_METHODS)

@@ -283,6 +283,9 @@ def test_cli_diffuse_and_report(tmp_path, capsys):
                  "--steps", "8", "--replications", "20", "--seed", "3",
                  "--output", str(trace)]) == 0
     assert trace.read_text().startswith("student,first_arrival,receipts")
+    # a transfer never copies, so the copy cap drops nothing
+    assert capsys.readouterr().out.splitlines()[-1].endswith(
+        " truncated=True dropped=0")
     dot = tmp_path / "graph.dot"
     assert main(["report", "--graph", str(graph), "--dot-out", str(dot)]) == 0
     assert dot.read_text().startswith("digraph replies {")
