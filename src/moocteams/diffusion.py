@@ -16,7 +16,9 @@ outcome of each replication.  A route is an immutable ``int`` bitset: one
 bit per node position on a PATH, one per edge id on a TRAIL, and 0 on the
 other trajectories.  A sender sets the bit of each send-mark before it
 spawns the copy, so the copy holds the sender's route object itself and
-nothing is copied.
+nothing is copied.  A hop never rebuilds its holder's options: the route
+gives the local indices of the options it excludes, and the pick steps
+over them in the shared edge list and running totals.
 """
 
 from __future__ import annotations
@@ -174,8 +176,11 @@ class _HopOptions(dict):
     ``self[u]`` holds the edge ids a token may take out of u before route
     exclusions (all of them, or with ``dist``, the source's hop counts, those
     into the next distance shell), their running weight totals, and the mask
-    the route is tested against: on a PATH the bits of their heads, on a
-    TRAIL the bits of their ids, 0 otherwise.
+    the route is tested against: on a PATH the bits of their heads, which a
+    row holds in ascending position order, so the rank of a head's bit in
+    the mask is its option's local index; on a TRAIL the option's k local
+    bits, tested against the route shifted down by ``base[u]``, since u's
+    edge ids are consecutive; 0 otherwise.
     """
 
     def __init__(self, base: list[int], head: list[int], weight: list[int],
@@ -196,7 +201,7 @@ class _HopOptions(dict):
             for e in edges:
                 mask |= 1 << self.head[e]
         elif self.trajectory is Trajectory.TRAIL:
-            mask = (1 << len(edges)) - 1 << self.base[u]
+            mask = (1 << len(edges)) - 1
         totals = tuple(accumulate(map(self.weight.__getitem__, edges)))
         option = self[u] = edges, totals, mask
         return option
@@ -226,18 +231,45 @@ class _HopTable:
 
 
 def _pick(rng: random.Random, edges: Sequence[int], totals: Sequence[int],
-          uniform: bool) -> int:
-    """One of ``edges``, weight-proportional (``totals`` holds their running
-    weight totals) unless ``uniform``.  Integer totals compare exactly with
-    the float draw, so bisection picks what a linear scan adding up the
-    weights would from the same draw, down to the scan's fallthrough."""
+          uniform: bool, gone: Sequence[int] = ()) -> int:
+    """One of ``edges`` but those at the local indices ``gone`` (ascending),
+    weight-proportional (``totals`` holds the running weight totals of all
+    of ``edges``) unless ``uniform``, with the RNG calls a pick over the
+    remaining edges alone makes, and the edge a linear scan adding up their
+    weights would pick from the same draw, down to the scan's fallthrough.
+
+    An int total exceeds a non-negative draw exactly when it exceeds the
+    draw's floor ``q``, so the edge picked is the first remaining one whose
+    total, less the excluded weight before it, exceeds ``q``: bisect for
+    ``q`` and, for each excluded edge at or before the answer, add its
+    weight to ``q`` and bisect again."""
     k = len(edges)
-    if k == 1:
-        return edges[0]
-    if uniform:
-        return edges[rng.randrange(k)]
-    i = bisect_right(totals, rng.random() * totals[-1])
-    return edges[i if i < k else k - 1]
+    left = k - len(gone)
+    if uniform or left == 1:
+        i = rng.randrange(left) if left > 1 else 0
+        for g in gone:
+            if g > i:
+                break
+            i += 1
+        return edges[i]
+    remaining = totals[-1]
+    for g in gone:
+        remaining -= totals[g] - totals[g - 1] if g else totals[0]
+    q = int(rng.random() * remaining)
+    i = bisect_right(totals, q)
+    for g in gone:
+        if g > i:
+            break
+        q += totals[g] - totals[g - 1] if g else totals[0]
+        i = bisect_right(totals, q, i)
+    if i == k:
+        # the scan's fallthrough: the last remaining edge
+        i -= 1
+        for g in reversed(gone):
+            if g < i:
+                break
+            i -= 1
+    return edges[i]
 
 
 def replicate_once(g: SocialGraph, spec: FlowSpec, rep_index: int,
@@ -256,7 +288,7 @@ def _replicate(hops: _HopTable, spec: FlowSpec, rep_index: int,
     track_nodes = spec.trajectory is Trajectory.PATH
     track_edges = spec.trajectory is Trajectory.TRAIL
     target = -1 if spec.target is None else hops.position[spec.target]
-    head, weight = hops.head, hops.weight
+    base, head = hops.base, hops.head
 
     arrival: list[int | None] = [None] * len(hops.nodes)
     receipts = [0] * len(hops.nodes)
@@ -289,16 +321,30 @@ def _replicate(hops: _HopTable, spec: FlowSpec, rep_index: int,
             u = token.holder
             route = token.route
             edges, totals, mask = token.options[u]
-            if taken := route & mask:
-                if track_nodes:
-                    edges = [e for e in edges if not taken >> head[e] & 1]
-                else:
-                    edges = [e for e in edges if not taken >> e & 1]
-                totals = list(accumulate(map(weight.__getitem__, edges)))
             if not edges:
                 live -= 1
                 continue
-            chosen = edges if parallel else (_pick(rng, edges, totals, uniform),)
+            # the options the route excludes, as bits: of heads on a PATH,
+            # of local indices on a TRAIL
+            taken = route >> base[u] & mask if track_edges else route & mask
+            if not taken:
+                chosen = edges if parallel else (_pick(rng, edges, totals, uniform),)
+            elif taken == mask:
+                live -= 1
+                continue
+            elif parallel:
+                if track_nodes:
+                    chosen = [e for e in edges if not taken >> head[e] & 1]
+                else:
+                    chosen = [e for k, e in enumerate(edges) if not taken >> k & 1]
+            else:
+                gone = []
+                while taken:
+                    low = taken & -taken
+                    gone.append((mask & low - 1).bit_count() if track_nodes
+                                else low.bit_length() - 1)
+                    taken ^= low
+                chosen = (_pick(rng, edges, totals, uniform, gone),)
             for e in chosen:
                 v = head[e]
                 receipts[v] += 1

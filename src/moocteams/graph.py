@@ -33,8 +33,10 @@ class _Positions(dict):
 
 class GraphIndex(NamedTuple):
     """Adjacency by node position: ``out[i]`` holds node i's out-neighbour
-    positions and ``out_weights[i]`` their weights, in canonical order; the
-    ``into`` and ``ties`` rows do the same for in-neighbours and ties."""
+    positions and ``out_weights[i]`` their weights, in ascending position
+    order; the ``into`` and ``ties`` rows do the same for in-neighbours and
+    ties.  Diffusion relies on that order: on a PATH, the rank of a head's
+    bit among a row's head bits is its index in the row."""
 
     position: Mapping[StudentId, int]
     out: tuple[tuple[int, ...], ...]

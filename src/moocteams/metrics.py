@@ -46,7 +46,7 @@ DAMPING = 0.85
 PAGERANK_TOL = 1e-10
 PAGERANK_MAX_ITER = 200
 RANK_TOL = 1e-12
-RANK_MAX_ITER = 1000
+RANK_MAX_ITER = 5000
 #: What each unreachable student adds to farness; None stands for the node count.
 FARNESS_PENALTY: float | None = None
 

@@ -1,5 +1,5 @@
-"""The diffusion engine against fixed outputs, the linear-scan hop pick and
-a set-based reference replication.
+"""The diffusion engine against fixed outputs, the linear-scan hop pick (with
+and without excluded edges) and a set-based reference replication.
 
 The digests below are the sha256 of ``write_trace_csv`` for each spec of
 ``_pinned_specs``, recorded with the dict-keyed engine that preceded the
@@ -9,8 +9,9 @@ them.
 
 import hashlib
 import io
+import math
 import random
-from itertools import accumulate
+from itertools import accumulate, product
 
 import pytest
 
@@ -111,6 +112,65 @@ def test_pick_matches_linear_scan_on_boundary_draws():
     assert _pick(_FixedDraw(1.0), [0, 1, 2, 3], totals, False) == 3
 
 
+def _exclusion_cases(gen, count):
+    """(weights, gone) pairs: random weights, and a random ascending set of
+    excluded indices that leaves at least one edge."""
+    for _ in range(count):
+        k = gen.randint(2, 18)
+        weights = [gen.randint(1, 50) for _ in range(k)]
+        share = gen.choice((0.2, 0.5, 0.8))
+        gone = [i for i in range(k) if gen.random() < share]
+        if gone and len(gone) < k:
+            yield weights, gone
+
+
+def _kept(weights, gone):
+    return {f"v{i:02d}": w for i, w in enumerate(weights) if i not in gone}
+
+
+@pytest.mark.parametrize("uniform", [False, True])
+def test_pick_with_exclusions_matches_linear_scan_over_kept_edges(uniform):
+    gen = random.Random(11 + uniform)
+    checked = 0
+    for weights, gone in _exclusion_cases(gen, 6000):
+        seed = gen.getrandbits(32)
+        scan_rng, pick_rng = random.Random(seed), random.Random(seed)
+        expected = _weighted_choice(scan_rng, _kept(weights, gone), uniform)
+        got = _pick(pick_rng, range(len(weights)), tuple(accumulate(weights)),
+                    uniform, gone)
+        assert f"v{got:02d}" == expected, (weights, gone)
+        assert pick_rng.getstate() == scan_rng.getstate()
+        checked += 1
+    assert checked > 3000
+
+
+def test_pick_with_exclusions_on_boundary_draws():
+    # draws at, just below and just above each running total of the kept
+    # edges, and a draw of 1.0, which falls through the scan to the last
+    # kept edge even when the last edge is excluded
+    gen = random.Random(5)
+    checked = 0
+    last_excluded = False
+    for weights, gone in _exclusion_cases(gen, 2000):
+        kept = _kept(weights, gone)
+        remaining = sum(kept.values())
+        values = {1.0}
+        for t in accumulate(kept.values(), initial=0):
+            value = t / remaining
+            values.update((value, math.nextafter(value, 0.0), math.nextafter(value, 2.0)))
+        for value in sorted(values):
+            expected = _weighted_choice(_FixedDraw(value), kept, False)
+            got = _pick(_FixedDraw(value), range(len(weights)),
+                        tuple(accumulate(weights)), False, gone)
+            assert f"v{got:02d}" == expected, (weights, gone, value)
+            checked += 1
+        got = _pick(_FixedDraw(1.0), range(len(weights)), tuple(accumulate(weights)),
+                    False, gone)
+        assert f"v{got:02d}" == list(kept)[-1]
+        last_excluded |= gone[-1] == len(weights) - 1 and len(kept) > 1
+    assert checked > 10000 and last_excluded
+
+
 def _reference_specs(g):
     src = g.nodes[3]
     specs = full_typology_specs((src,), max_steps=11, replications=2, seed=30)
@@ -129,6 +189,21 @@ def _reference_specs(g):
     ]
 
 
+def _replicate_like_reference(g, spec, rep):
+    """One replication with route histories, asserted equal to
+    ``reference_replicate``'s."""
+    got = replicate_once(g, spec, rep, collect_histories=True)
+    want = reference_replicate(g, spec, rep)
+    case = (spec.mechanism.value, spec.trajectory.value, spec.target, rep)
+    assert got.arrival == want["arrival"], case
+    assert got.receipts == want["receipts"], case
+    assert (got.steps, got.truncated, got.dropped) == (
+        want["steps"], want["truncated"], want["dropped"]), case
+    assert [(r.origin, r.holder, r.visited, r.used_edges)
+            for r in got.histories] == want["histories"], case
+    return got
+
+
 @pytest.mark.parametrize("graph_seed", [2, 8])
 def test_replications_match_the_set_based_reference(graph_seed):
     # over 64 nodes and 1 000 edges, so node and edge routes span many
@@ -138,16 +213,29 @@ def test_replications_match_the_set_based_reference(graph_seed):
     seen = set()
     for spec in _reference_specs(g):
         for rep in range(2):
-            got = replicate_once(g, spec, rep, collect_histories=True)
-            want = reference_replicate(g, spec, rep)
-            case = (spec.mechanism.value, spec.trajectory.value, spec.target, rep)
-            assert got.arrival == want["arrival"], case
-            assert got.receipts == want["receipts"], case
-            assert (got.steps, got.truncated, got.dropped) == (
-                want["steps"], want["truncated"], want["dropped"]), case
-            assert [(r.origin, r.holder, r.visited, r.used_edges)
-                    for r in got.histories] == want["histories"], case
+            got = _replicate_like_reference(g, spec, rep)
             seen.add((spec.mechanism.value, spec.copy_cap is None, got.dropped > 0))
     # the default cap and the small one both refuse copies somewhere
     assert {("SERIAL_DUP", True, True), ("PARALLEL_DUP", True, True),
             ("SERIAL_DUP", False, True), ("PARALLEL_DUP", False, True)} <= seen
+
+
+@pytest.mark.parametrize("graph_seed", [2, 8])
+def test_uniform_route_cells_match_the_set_based_reference(graph_seed):
+    # uniform hops over the route-constrained cells; with 7 live tokens at
+    # most, a token that stays put spends its holder's edges and dies
+    g = random_digraph(90, 0.14, seed=graph_seed)
+    src = g.nodes[3]
+    exhausted = set()
+    for index, (mechanism, trajectory) in enumerate(product(
+            ("SERIAL_DUP", "TRANSFER", "PARALLEL_DUP"), ("PATH", "TRAIL"))):
+        spec = FlowSpec(mechanism, trajectory, (src, g.nodes[60]), max_steps=30,
+                        seed=40 + index, copy_cap=7, uniform=True)
+        for rep in range(2):
+            for token in _replicate_like_reference(g, spec, rep).histories:
+                out = g.out_neighbors(token.holder)
+                if out and (token.visited >= set(out) if trajectory == "PATH" else
+                            token.used_edges >= {(token.holder, v) for v in out}):
+                    exhausted.add((mechanism, trajectory))
+    assert {("SERIAL_DUP", "PATH"), ("SERIAL_DUP", "TRAIL"),
+            ("PARALLEL_DUP", "PATH"), ("PARALLEL_DUP", "TRAIL")} <= exhausted

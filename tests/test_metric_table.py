@@ -4,7 +4,10 @@ The digests are of ``write_metrics_csv(compute_node_metrics(g))``, recorded
 with every solver looping over the graph's neighbour dicts and every
 structural-hole measure built from per-node tie shares.  Values are written
 at 9 significant digits, and the digests are the same on CPython 3.10, 3.11
-and 3.12.
+and 3.12.  Two were re-pinned when ``RANK_MAX_ITER`` rose from 1 000 to
+5 000 iterations: on 15-0.1-6 HITS now converges (1 368 iterations), and
+on 20-0.05-8 four eigenvector scores that do not converge decay from
+1.6e-308 to 0.
 """
 
 import hashlib
@@ -51,9 +54,9 @@ PINNED = {
     "8-0.2-3": "5423320836e4ad1b60800ca806712bf575e882eccad10daf162646609630bf46",
     "10-0.15-4": "03c5bdc6dc490583f3f27d68fae8b8b9a4d417faf5cdae3490df9a4801d3c45c",
     "12-0.3-5": "c8ed6787d64a8ca0e6b9a78e0bee3f8bf11e9ada8bb7c2910c6f9fcf68ac43a0",
-    "15-0.1-6": "a4b8d4fdf40dda7a7b7e30067e43d4f1f9567193e0a25936b74e16536d25b242",
+    "15-0.1-6": "e8f788d4e1c656d51e596ece2e2a24da3b73910b332af5c6088c40c85c74765b",
     "16-0.25-7": "2dc8ed11d6563018c788a9261eb70442a61d0b4f7fef659545d749b0c3224c64",
-    "20-0.05-8": "c88a9df9f44c1d6010df4652a2a0b0f83e0aea7d7740e18bdfbebec61bae2349",
+    "20-0.05-8": "0ec6e84fb36a020b65858c59092086b687efa7c7bb2cb7c111925d03c1cb2164",
     "20-0.2-9": "a43c341dbad809041174d2ebf2142d75b0167ac7a44761b1d51021fc15583a57",
     "25-0.2-10": "f1d73d22d0a5876ca164e0d263bb6387ac673ef375db7061c3acf7f17e10c499",
     "25-0.4-11": "93bebb8a0de6286cd6c70ace522ac1ec50af36c5c68d7cacdbdce64ddb1f1bb1",
@@ -128,7 +131,7 @@ def test_solver_stopping_at_max_iter_warns():
     star = EDGE_CASES["star"]
     assert not eigencentrality(star).converged
     with pytest.warns(ConvergenceWarning,
-                      match="eigencentrality did not converge in 1000 iterations"):
+                      match="eigencentrality did not converge in 5000 iterations"):
         compute_metrics_without_brokerage(star)
 
 
