@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import mul, sub
 from typing import Iterable, Mapping, Sequence, TextIO
@@ -79,7 +80,8 @@ def pagerank(g: SocialGraph, damping: float = DAMPING, tol: float = PAGERANK_TOL
     if n == 0:
         raise ParameterError("pagerank is undefined on an empty graph")
     index = g.index()
-    rows = list(zip(index.out, index.out_weights, map(sum, index.out_weights)))
+    rows = list(zip(index.out, _unit_rows_marked(index.out_weights),
+                    map(sum, index.out_weights)))
 
     def step(x: list) -> tuple[list, float]:
         nxt = [0.0] * n
@@ -89,8 +91,12 @@ def pagerank(g: SocialGraph, damping: float = DAMPING, tol: float = PAGERANK_TOL
                 dangling += xu
                 continue
             share = xu / s
-            for v, w in zip(row, weights):
-                nxt[v] += share * w
+            if weights is None:
+                for v in row:
+                    nxt[v] += share
+            else:
+                for v, w in zip(row, weights):
+                    nxt[v] += share * w
         base = (1.0 - damping) / n + damping * dangling / n
         nxt = [base + damping * t for t in nxt]
         return nxt, sum(map(abs, map(sub, nxt, x)))
@@ -104,10 +110,22 @@ def _l2_normalized(vec: list) -> list:
     return [t / norm for t in vec] if norm > 0.0 else vec
 
 
+def _unit_rows_marked(weight_rows: Sequence[tuple[int, ...]]) -> list:
+    """Each weight row, or None where every weight in it is 1.
+
+    A solver sums x[u] over a None row where it sums w * x[u] over another:
+    a float times 1 is that float, so the same floats are added in the same
+    order and every score is bit for bit what the weighted sum gives."""
+    return [None if weights.count(1) == len(weights) else weights
+            for weights in weight_rows]
+
+
 def _weighted_sums(rows: list, x: list) -> list:
-    """For each (positions, weights) row, sum() of weight * x[position]."""
+    """For each (positions, weights) row, sum() of weight * x[position];
+    sum() of x[position] on a row whose weights are None (all 1)."""
     get = x.__getitem__
-    return [sum(map(mul, weights, map(get, row))) for row, weights in rows]
+    return [sum(map(get, row)) if weights is None
+            else sum(map(mul, weights, map(get, row))) for row, weights in rows]
 
 
 def hits(g: SocialGraph, tol: float = RANK_TOL,
@@ -121,8 +139,8 @@ def hits(g: SocialGraph, tol: float = RANK_TOL,
     if g.edge_count == 0:
         raise UndefinedMetricError("HITS scores are undefined on an edgeless graph")
     index = g.index()
-    into = list(zip(index.into, index.in_weights))
-    out = list(zip(index.out, index.out_weights))
+    into = list(zip(index.into, _unit_rows_marked(index.in_weights)))
+    out = list(zip(index.out, _unit_rows_marked(index.out_weights)))
 
     def step(pair: tuple[list, list]) -> tuple[tuple[list, list], float]:
         auth, hub = pair
@@ -147,14 +165,19 @@ def eigencentrality(g: SocialGraph, tol: float = RANK_TOL,
     """
     if g.edge_count == 0:
         raise UndefinedMetricError("eigenvector centrality is undefined on an edgeless graph")
-    rows = list(zip(g.index().ties, g.index().tie_weights))
+    index = g.index()
+    rows = list(zip(index.ties, _unit_rows_marked(index.tie_weights)))
 
     def step(x: list) -> tuple[list, float]:
         nxt = []
         for row, weights in rows:
             total = 0.0
-            for u, w in zip(row, weights):
-                total += w * x[u]
+            if weights is None:
+                for u in row:
+                    total += x[u]
+            else:
+                for u, w in zip(row, weights):
+                    total += w * x[u]
             nxt.append(total)
         nxt = _l2_normalized(nxt)
         return nxt, sum(map(abs, map(sub, nxt, x)))
@@ -291,38 +314,36 @@ class BrokerageCounts:
 ROLE_NAMES = ("coordinator", "gatekeeper", "representative", "consultant", "liaison")
 
 
-def classify_two_path(g_src: str, g_broker: str, g_dst: str) -> str:
-    """Role of the middle node on a directed 2-path, by group membership."""
-    if g_src == g_broker == g_dst:
-        return "coordinator"
-    if g_src != g_broker and g_broker == g_dst:
-        return "gatekeeper"
-    if g_src == g_broker:
-        return "representative"
-    if g_src == g_dst:
-        return "consultant"
-    return "liaison"
-
-
 def brokerage_counts(g: SocialGraph,
                      partition: GroupPartition) -> dict[StudentId, BrokerageCounts]:
     """Count every directed 2-path i -> b -> k (i != k) at its broker b.
 
-    Each 2-path is classified exactly once, so the counts summed over all
-    brokers equal the number of such paths in the graph.
+    Each 2-path counts in exactly one role, so the counts summed over all
+    brokers equal the number of such paths in the graph.  A broker's counts
+    are products of its in- and out-neighbours tallied by group, less the
+    round trips i -> b -> i through its mutual neighbours: exact ints.
     """
     for node in g.nodes:
         if node not in partition:
             raise MissingNodeError(node, context="partition")
-    group = [partition[node] for node in g.nodes]
-    counts = [BrokerageCounts() for _ in g.nodes]
-    for gb, c, into, out in zip(group, counts, g.index().into, g.index().out):
-        for i in into:
-            gi = group[i]
-            for k in out:
-                if i != k:
-                    role = classify_two_path(gi, gb, group[k])
-                    setattr(c, role, getattr(c, role) + 1)
+    labels: dict[str, int] = {}
+    group = [labels.setdefault(partition[node], len(labels)) for node in g.nodes]
+    of = group.__getitem__
+    counts = []
+    for gb, into, out in zip(group, g.index().into, g.index().out):
+        ins, outs = Counter(map(of, into)), Counter(map(of, out))
+        in_b, out_b = ins.pop(gb, 0), outs.pop(gb, 0)
+        in_other, out_other = len(into) - in_b, len(out) - out_b
+        # pairs through b with i, k outside b's group and in one group
+        same = sum(n * outs[gi] for gi, n in ins.items())
+        coordinator, consultant = in_b * out_b, same
+        for m in set(into).intersection(out):
+            if group[m] == gb:
+                coordinator -= 1
+            else:
+                consultant -= 1
+        counts.append(BrokerageCounts(coordinator, in_other * out_b, in_b * out_other,
+                                      consultant, in_other * out_other - same))
     return dict(zip(g.nodes, counts))
 
 

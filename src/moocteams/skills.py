@@ -217,21 +217,24 @@ def skill_partition(profiles: Iterable[SkillProfile], n_groups: int,
     clusters = [buckets[k] for k in sorted(buckets)]
     target = min(n_groups, sum(len(c.members) for c in clusters))
 
+    # Each pair's cosine, keyed (smaller key, larger key) and computed with
+    # the smaller-keyed vector first.  A merge keeps the smaller key, so the
+    # keys stay unique and only the merged cluster's pairs change.
+    sims = {(a.key, b.key): _cosine(a.vector, b.vector)
+            for i, a in enumerate(clusters) for b in clusters[i + 1:]}
     while len(clusters) > target:
-        best = None
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                sim = _cosine(clusters[i].vector, clusters[j].vector)
-                cand = (-sim, clusters[i].key, clusters[j].key, i, j)
-                if best is None or cand < best:
-                    best = cand
-        _, _, _, i, j = best
-        a, b = clusters[i], clusters[j]
+        _, key_a, key_b = min((-sim, ka, kb) for (ka, kb), sim in sims.items())
+        a, b = buckets[key_a], buckets[key_b]
         a.members.extend(b.members)
         for t, w in b.vector.items():
             a.vector[t] = a.vector.get(t, 0.0) + w
-        a.key = min(a.key, b.key)
-        del clusters[j]
+        clusters.remove(b)
+        sims = {pair: sim for pair, sim in sims.items() if key_b not in pair}
+        for c in clusters:
+            if c.key < key_a:
+                sims[c.key, key_a] = _cosine(c.vector, a.vector)
+            elif c.key > key_a:
+                sims[key_a, c.key] = _cosine(a.vector, c.vector)
 
     rng = random.Random(seed)
     while len(clusters) < target:

@@ -14,6 +14,7 @@ import itertools
 import math
 import random
 from dataclasses import asdict, dataclass
+from operator import add, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DataFormatError, MissingNodeError, ParameterError
@@ -198,8 +199,13 @@ def _term_table(metrics: Mapping[StudentId, NodeMetrics]) -> dict[StudentId, _Te
     return table
 
 
-def _balance(role_rows: Iterable[Sequence[int]]) -> float:
-    pooled = [sum(column) for column in zip(*role_rows)]
+def _pool(role_rows: Iterable[Sequence[int]]) -> list[int]:
+    """Role counts summed column by column: exact ints, so order-free."""
+    return [sum(column) for column in zip(*role_rows)]
+
+
+def _entropy(pooled: Sequence[int]) -> float:
+    """Normalized entropy of pooled role counts; 0 when they are all 0."""
     total = sum(pooled)
     if total == 0:
         return 0.0
@@ -211,14 +217,20 @@ def _balance(role_rows: Iterable[Sequence[int]]) -> float:
     return entropy / _LOG5
 
 
-def _team_terms(members: Sequence[StudentId],
-                table: Mapping[StudentId, _Terms]) -> tuple[float, float, float]:
-    rows = [table[s] for s in members]
+def _mean_terms(members: Sequence[StudentId],
+                table: Mapping[StudentId, _Terms]) -> tuple[float, float]:
+    """Mean cost and hole terms, each summed over the members in order."""
     cost = hole = 0.0
-    for c, h, _ in rows:
+    for s in members:
+        c, h, _ = table[s]
         cost += c
         hole += h
-    return cost / len(rows), hole / len(rows), _balance(r[2] for r in rows)
+    return cost / len(members), hole / len(members)
+
+
+def _team_terms(members: Sequence[StudentId],
+                table: Mapping[StudentId, _Terms]) -> tuple[float, float, float]:
+    return (*_mean_terms(members, table), _entropy(_pool(table[s][2] for s in members)))
 
 
 def _value(weights: ObjectiveWeights, cost: float, hole: float,
@@ -260,7 +272,7 @@ def brokerage_balance(team: Iterable[StudentId],
     for s in members:
         if s not in brokerage:
             raise MissingNodeError(s, context="brokerage table")
-    return _balance(brokerage[s].as_tuple() for s in members)
+    return _entropy(_pool(brokerage[s].as_tuple() for s in members))
 
 
 def _evaluate(teams: Sequence[Sequence[StudentId]],
@@ -371,13 +383,15 @@ def _hill_climb(teams: list[list[StudentId]],
     if k < 2:
         return teams
 
-    def score(members: Sequence[StudentId]) -> float:
-        return _value(weights, *_team_terms(members, table))
+    def score(members: Sequence[StudentId], pooled: Sequence[int]) -> float:
+        return _value(weights, *_mean_terms(members, table), _entropy(pooled))
 
     def off(size: int) -> bool:
         return not s_min <= size <= s_max
 
-    scores = [score(t) for t in teams]
+    # each team's pooled role counts, adjusted by the rows a proposal moves
+    pools = [_pool(table[s][2] for s in t) for t in teams]
+    scores = [score(t, p) for t, p in zip(teams, pools)]
     # sizes always pass _sizes_feasible, so a move is decided by the two it changes
     sizes = [len(t) for t in teams]
     outside = sum(map(off, sizes))
@@ -392,6 +406,9 @@ def _hill_climb(teams: list[list[StudentId]],
             ti = teams[i][:]
             tj = teams[j][:]
             ti[a], tj[b] = tj[b], ti[a]
+            leaves_i, leaves_j = table[tj[b]][2], table[ti[a]][2]
+            pi = [p - x + y for p, x, y in zip(pools[i], leaves_i, leaves_j)]
+            pj = [p + x - y for p, x, y in zip(pools[j], leaves_i, leaves_j)]
             count = outside
         else:
             if sizes[i] <= 2:
@@ -404,9 +421,13 @@ def _hill_climb(teams: list[list[StudentId]],
             a = rng.randrange(len(teams[i]))
             ti = teams[i][:a] + teams[i][a + 1:]
             tj = teams[j] + [teams[i][a]]
-        si, sj = score(ti), score(tj)
+            row = table[teams[i][a]][2]
+            pi = list(map(sub, pools[i], row))
+            pj = list(map(add, pools[j], row))
+        si, sj = score(ti, pi), score(tj, pj)
         if si + sj > scores[i] + scores[j]:
             teams[i], teams[j] = ti, tj
+            pools[i], pools[j] = pi, pj
             scores[i], scores[j] = si, sj
             sizes[i], sizes[j] = len(ti), len(tj)
             outside = count

@@ -6,6 +6,7 @@ formulas, triple loops) precisely so it shares no code with the library.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 
@@ -354,3 +355,113 @@ def pairwise_structural_holes(g: SocialGraph, ego: str) -> tuple[float, float]:
         constraint += (share(ego, j) + indirect) ** 2
         size += 1.0 - redundancy
     return constraint, size
+
+
+def _cosine(a: dict[str, float], b: dict[str, float]) -> float:
+    """Cosine of two term vectors, with the library's float operations in
+    the library's order, so that equal inputs give equal floats."""
+    if len(b) < len(a):
+        a, b = b, a
+    dot = sum(w * b[t] for t, w in a.items() if t in b)
+    if dot == 0.0:
+        return 0.0
+    return dot / (math.sqrt(sum(w * w for w in a.values()))
+                  * math.sqrt(sum(w * w for w in b.values())))
+
+
+def reference_skill_partition(profiles, n_groups: int) -> dict[str, str]:
+    """Bucket students by dominant term, then merge the most similar pair of
+    buckets, recomputing every pair's cosine each round, until ``n_groups``
+    remain.  Ties go to the pair of smallest (key, key).  Only for n_groups
+    up to the number of buckets, where no bucket is split."""
+    partition, buckets = {}, {}
+    for p in sorted(profiles, key=lambda p: p.student):
+        if not p.terms:
+            partition[p.student] = "unobserved"
+            continue
+        members, vector = buckets.setdefault(p.terms[0][0], ([], {}))
+        members.append(p.student)
+        for t, w in p.terms:
+            vector[t] = vector.get(t, 0.0) + w
+    clusters = [(key, *buckets[key]) for key in sorted(buckets)]
+    assert n_groups <= len(clusters)
+    while len(clusters) > n_groups:
+        best = None
+        for i in range(len(clusters)):
+            for j in range(i + 1, len(clusters)):
+                cand = (-_cosine(clusters[i][2], clusters[j][2]),
+                        clusters[i][0], clusters[j][0], i, j)
+                if best is None or cand < best:
+                    best = cand
+        _, members, vector = clusters[best[3]]
+        _, more, other = clusters.pop(best[4])
+        members.extend(more)
+        for t, w in other.items():
+            vector[t] = vector.get(t, 0.0) + w
+    clusters.sort(key=lambda c: min(c[1]))
+    for idx, (_, members, _) in enumerate(clusters):
+        for s in members:
+            partition[s] = f"g{idx:02d}"
+    return partition
+
+
+def reference_hill_climb(teams, table, weights, n, s_min, s_max, allow_oversize,
+                         iterations, rng):
+    """The team search's climb with each proposed team scored from scratch:
+    its cost and hole terms summed over the members in order, and its role
+    counts pooled over the members again.  Same signature, random draws and
+    acceptance rule as ``moocteams.teams._hill_climb``."""
+    def score(members):
+        cost = hole = 0.0
+        for s in members:
+            cost += table[s][0]
+            hole += table[s][1]
+        pooled = [sum(table[s][2][r] for s in members) for r in range(5)]
+        total = sum(pooled)
+        balance = 0.0
+        if total:
+            entropy = 0.0
+            for v in pooled:
+                if v:
+                    p = v / total
+                    entropy -= p * math.log(p)
+            balance = entropy / math.log(5.0)
+        return (weights.w_hole * (hole / len(members)) + weights.w_balance * balance
+                - weights.w_cost * (cost / len(members)))
+
+    def off(size):
+        return not s_min <= size <= s_max
+
+    k = len(teams)
+    if k < 2:
+        return teams
+    scores = [score(t) for t in teams]
+    for _ in range(iterations):
+        i = rng.randrange(k)
+        j = rng.randrange(k - 1)
+        if j >= i:
+            j += 1
+        if rng.random() < 0.5:
+            a = rng.randrange(len(teams[i]))
+            b = rng.randrange(len(teams[j]))
+            ti, tj = teams[i][:], teams[j][:]
+            ti[a], tj[b] = tj[b], ti[a]
+        else:
+            if len(teams[i]) <= 2:
+                continue
+            sizes = [len(t) for t in teams]
+            sizes[i] -= 1
+            sizes[j] += 1
+            outside = [s for s in sizes if off(s)]
+            if len(outside) > 1 or (outside and not (
+                    outside[0] < s_min
+                    or (allow_oversize and outside[0] <= s_max + n % s_max))):
+                continue
+            a = rng.randrange(len(teams[i]))
+            ti = teams[i][:a] + teams[i][a + 1:]
+            tj = teams[j] + [teams[i][a]]
+        si, sj = score(ti), score(tj)
+        if si + sj > scores[i] + scores[j]:
+            teams[i], teams[j] = ti, tj
+            scores[i], scores[j] = si, sj
+    return teams

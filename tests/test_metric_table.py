@@ -95,6 +95,13 @@ def _csv_digest(g):
 
 def test_metric_table_matches_pinned_digests():
     graphs = {**_random_graphs(), **EDGE_CASES}
+    # the rank solvers sum x[u] over a row of unit weights and w * x[u] over
+    # any other: the pinned graphs hold non-empty all-unit rows and rows that
+    # mix unit and other weights, among their out-, in- and tie-rows each
+    for rows in ("out_weights", "in_weights", "tie_weights"):
+        kinds = {frozenset(row) == {1} for g in graphs.values()
+                 for row in getattr(g.index(), rows) if 1 in row}
+        assert kinds == {True, False}, rows
     assert {name: _csv_digest(g) for name, g in graphs.items()} == PINNED
 
 

@@ -74,6 +74,41 @@ def test_pipeline_rerun_is_bit_identical(tmp_path):
     assert first == second
 
 
+#: sha256 of each artifact of ``run_pipeline`` on the 1x synthetic corpus
+#: (corpus seed 1), by pipeline seed; ``manifest.json`` and ``timings.json``
+#: are left out.
+PINNED_PIPELINE = {
+    1: {"graph.csv": "bbeea0771f1ef2dfa9054ef5ba73a67a8f5f5f233a799852bf11b2f68823aeba",
+        "graph.dot": "2d82aa1ad8b540abdd26798223ad1d1898cf6c36246eec3d9b02d757a4d70939",
+        "metrics.csv": "6fd20e1c6e7aaaf729298d3482c7bc5fa57c5bf1c6d92893ac2c01518c51ec22",
+        "partition.json": "a651885e41e0564dc67876bbf496ee7739f8d0c17ad7566a8d0938ebfc5da2b7",
+        "skills.json": "c9bd5a931d80fac62dcfb1bd73e13aa8cd37486a275dc5eb4284a70c75258532",
+        "teams.json": "1ee091fae56d0fc3ad1027e300b1d307abf08f13c003e946c6e7150e3e8dc71c",
+        "trace.csv": "024670b9977fbbf4361a732bf7edd2b711a3fb598fb02692a8d3aaa00c26c62e"},
+    7: {"graph.csv": "bbeea0771f1ef2dfa9054ef5ba73a67a8f5f5f233a799852bf11b2f68823aeba",
+        "graph.dot": "3a68d7544d36665a90147f47822652261adb9fff9ede2ec04333b4e6e4ed6b2c",
+        "metrics.csv": "6fd20e1c6e7aaaf729298d3482c7bc5fa57c5bf1c6d92893ac2c01518c51ec22",
+        "partition.json": "a651885e41e0564dc67876bbf496ee7739f8d0c17ad7566a8d0938ebfc5da2b7",
+        "skills.json": "c9bd5a931d80fac62dcfb1bd73e13aa8cd37486a275dc5eb4284a70c75258532",
+        "teams.json": "ddd8ac57956c65b732385beb62658446b8b7bb7b7f4d3c5d6f1138211533ffd5",
+        "trace.csv": "6d21f2bf987b4a6cb3aef563238d35aa064476b697958941021791db2c270b25"},
+}
+
+
+def test_corpus_pipeline_artifacts_match_pinned_digests(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    with open(corpus, "w", encoding="utf-8") as fh:
+        write_jsonl(synth_corpus(SynthParams(students=771, threads=665, posts=1800,
+                                             comments=7000, seed=1)), fh)
+    got = {}
+    for seed in PINNED_PIPELINE:
+        out = tmp_path / f"seed{seed}"
+        run_pipeline(RunConfig(str(corpus), str(out), seed=seed))
+        got[seed] = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                     for name in PINNED_PIPELINE[seed]}
+    assert got == PINNED_PIPELINE
+
+
 def test_pipeline_seed_changes_propagate(tmp_path):
     corpus = tmp_path / "corpus.jsonl"
     _corpus(corpus)

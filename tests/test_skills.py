@@ -1,11 +1,13 @@
 import io
 import math
+import random
 
 import pytest
 
 from moocteams.errors import DataFormatError, ParameterError
 from moocteams.ingest import TOPIC_VOCABULARY, ForumMessage, SynthParams, synth_corpus
 from moocteams.skills import (
+    SkillProfile,
     build_skill_profiles,
     default_stopwords,
     read_partition_json,
@@ -18,6 +20,8 @@ from moocteams.skills import (
     write_partition_json,
     write_skills_json,
 )
+
+from oracles import reference_skill_partition
 
 STOP = frozenset({"the", "and", "for"})
 
@@ -125,6 +129,42 @@ def test_partition_covers_all_profiles_and_is_deterministic():
     assert p1 == p2
     assert set(p1) == set(profiles)
     assert len(set(p1.values())) <= 4
+
+
+def _random_profiles(seed):
+    """Profiles over a small vocabulary with weights from {1, 0.5, 0.25},
+    plus six students whose terms no one else uses, all at one weight.  Two
+    hold "kappa" and "lambda" in the two orders, so their buckets' vectors
+    are identical.  Four make the crossed tie cos(mu, xi) == cos(nu, omicron)."""
+    rng = random.Random(seed)
+    vocab = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"]
+    profiles = []
+    for i in range(rng.randint(6, 30)):
+        terms = rng.sample(vocab, rng.randint(0, 4))
+        weights = sorted((rng.choice([1.0, 0.5, 0.25]) for _ in terms), reverse=True)
+        profiles.append(SkillProfile(f"s{i:03d}", tuple(zip(terms, weights)), k=4))
+    w = rng.choice([1.0, 0.5])
+    for i, terms in enumerate([("kappa", "lambda"), ("lambda", "kappa"), ("mu", "omega"),
+                               ("xi", "omega"), ("nu", "psi"), ("omicron", "psi")]):
+        profiles.append(SkillProfile(f"t{i:03d}", tuple((t, w) for t in terms), k=4))
+    return profiles
+
+
+def test_partition_matches_the_recompute_every_pair_reference():
+    saw_twins = False
+    for seed in range(30):
+        profiles = _random_profiles(seed)
+        vectors = {}
+        for p in profiles:
+            if p.terms:
+                vector = vectors.setdefault(p.dominant_term(), {})
+                for t, w in p.terms:
+                    vector[t] = vector.get(t, 0.0) + w
+        saw_twins |= len({tuple(sorted(v.items())) for v in vectors.values()}) < len(vectors)
+        for n_groups in range(1, len(vectors) + 1):
+            assert skill_partition(profiles, n_groups, seed=seed) == \
+                reference_skill_partition(profiles, n_groups), (seed, n_groups)
+    assert saw_twins
 
 
 def test_partition_validates_inputs():

@@ -122,6 +122,29 @@ def test_brokerage_matches_brute_force():
             assert {r: getattr(got[v], r) for r in ROLE_NAMES} == want[v]
 
 
+def _reciprocal_digraph(n, p, seed):
+    """A random digraph with about half of its edges also run backwards."""
+    g = random_digraph(n, p, seed=seed)
+    rng = random.Random(seed)
+    edges = {(u, v): w for u, v, w in g.edges()}
+    for u, v, _ in g.edges():
+        if rng.random() < 0.5:
+            edges.setdefault((v, u), rng.randint(1, 3))
+    return SocialGraph(edges, nodes=g.nodes)
+
+
+def test_brokerage_matches_brute_force_with_reciprocal_edges():
+    for seed in range(8):
+        g = _reciprocal_digraph(20, 0.2, seed)
+        mutual = sum(1 for u, v, _ in g.edges() if g.weight(v, u))
+        assert mutual > g.edge_count // 3
+        for partition in (_random_partition(g.nodes, 3, seed),
+                          {v: "all" for v in g.nodes}, {v: v for v in g.nodes}):
+            got = brokerage_counts(g, partition)
+            assert {v: {r: getattr(got[v], r) for r in ROLE_NAMES} for v in g.nodes} \
+                == brute_brokerage(g, partition)
+
+
 def test_brokerage_roles_conserve_two_paths():
     for seed in range(10):
         g = random_digraph(18, 0.25, seed=seed)

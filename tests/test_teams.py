@@ -4,6 +4,7 @@ import statistics
 
 import pytest
 
+from moocteams import teams as teams_module
 from moocteams.errors import ParameterError
 from moocteams.graph import SocialGraph
 from moocteams.metrics import ROLE_NAMES, compute_node_metrics
@@ -25,7 +26,7 @@ from moocteams.teams import (
     read_roster_json,
 )
 
-from oracles import random_digraph
+from oracles import random_digraph, reference_hill_climb
 
 
 def _prepared(n, p, seed, groups=3):
@@ -318,3 +319,19 @@ def test_roster_json_round_trip(tmp_path):
     with open(path, encoding="utf-8") as fh:
         back = read_roster_json(fh)
     assert back == result
+
+
+@pytest.mark.parametrize("allow_oversize", [False, True])
+@pytest.mark.parametrize("weights", [ObjectiveWeights(), ObjectiveWeights(0.5, 0.2, 0.3)])
+def test_form_teams_matches_the_re_pooling_reference_climb(monkeypatch, allow_oversize,
+                                                          weights):
+    for seed in range(4):
+        # 17, 23, 29 and 35 students: remainders 2, 3, 4 and 0 of s_max
+        g, metrics = _prepared(17 + 6 * seed, 0.15, seed=600 + seed, groups=4)
+        search = dict(s_min=3, s_max=5, weights=weights, restarts=3, iterations=300,
+                      seed=seed, allow_oversize=allow_oversize)
+        got = form_teams(g, metrics, **search)
+        with monkeypatch.context() as patch:
+            patch.setattr(teams_module, "_hill_climb", reference_hill_climb)
+            want = form_teams(g, metrics, **search)
+        assert (got.teams, got.objective) == (want.teams, want.objective)
