@@ -568,6 +568,9 @@ def typology_report(g: SocialGraph, specs: Sequence[FlowSpec],
     """
     if not specs:
         raise ParameterError("typology report needs at least one flow spec")
+    for v in g.nodes:
+        if v not in metrics:
+            raise MissingNodeError(v, context="metrics table")
     columns = {
         "closeness": {v: -metrics[v].farness for v in g.nodes},
         "eigencentrality": {v: metrics[v].eigencentrality for v in g.nodes},

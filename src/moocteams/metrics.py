@@ -80,25 +80,15 @@ def pagerank(g: SocialGraph, damping: float = DAMPING, tol: float = PAGERANK_TOL
     if n == 0:
         raise ParameterError("pagerank is undefined on an empty graph")
     index = g.index()
-    rows = list(zip(index.out, _unit_rows_marked(index.out_weights),
-                    map(sum, index.out_weights)))
+    into = list(zip(index.into, _unit_rows_marked(index.in_weights)))
+    strength = list(map(sum, index.out_weights))
+    # the dangling positions, summed as one more row of unit weights
+    dangling = [([u for u, s in enumerate(strength) if s == 0], None)]
 
     def step(x: list) -> tuple[list, float]:
-        nxt = [0.0] * n
-        dangling = 0.0
-        for xu, (row, weights, s) in zip(x, rows):
-            if s == 0:
-                dangling += xu
-                continue
-            share = xu / s
-            if weights is None:
-                for v in row:
-                    nxt[v] += share
-            else:
-                for v, w in zip(row, weights):
-                    nxt[v] += share * w
-        base = (1.0 - damping) / n + damping * dangling / n
-        nxt = [base + damping * t for t in nxt]
+        shares = [xu / s if s else 0.0 for xu, s in zip(x, strength)]
+        base = (1.0 - damping) / n + damping * _weighted_sums(dangling, x)[0] / n
+        nxt = [base + damping * t for t in _weighted_sums(into, shares)]
         return nxt, sum(map(abs, map(sub, nxt, x)))
 
     x, converged, iterations = _iterate(step, [1.0 / n] * n, tol, max_iter)
@@ -121,11 +111,21 @@ def _unit_rows_marked(weight_rows: Sequence[tuple[int, ...]]) -> list:
 
 
 def _weighted_sums(rows: list, x: list) -> list:
-    """For each (positions, weights) row, sum() of weight * x[position];
-    sum() of x[position] on a row whose weights are None (all 1)."""
-    get = x.__getitem__
-    return [sum(map(get, row)) if weights is None
-            else sum(map(mul, weights, map(get, row))) for row, weights in rows]
+    """The rank solvers' one neighbour-row sum: for each (positions, weights)
+    row, weight * x[position], or x[position] where weights is None (all 1),
+    added left to right from 0.0 on every Python (from CPython 3.12 on, sum()
+    compensates floats)."""
+    sums = []
+    for row, weights in rows:
+        total = 0.0
+        if weights is None:
+            for u in row:
+                total += x[u]
+        else:
+            for u, w in zip(row, weights):
+                total += w * x[u]
+        sums.append(total)
+    return sums
 
 
 def hits(g: SocialGraph, tol: float = RANK_TOL,
@@ -160,8 +160,10 @@ def eigencentrality(g: SocialGraph, tol: float = RANK_TOL,
                     max_iter: int = RANK_MAX_ITER) -> ScoreMap:
     """Power iteration on the symmetrized weighted adjacency.
 
-    Symmetrization (w(u,v) + w(v,u)) guarantees a non-negative dominant
-    eigenvector and stable convergence regardless of edge direction.
+    Symmetrization (w(u,v) + w(v,u)) makes the scores blind to edge
+    direction, but not convergent: on a bipartite tie graph (a star, an even
+    cycle) the iterate swings between two vectors until ``max_iter`` and the
+    map is returned with its ``converged`` flag cleared.
     """
     if g.edge_count == 0:
         raise UndefinedMetricError("eigenvector centrality is undefined on an edgeless graph")
@@ -169,17 +171,7 @@ def eigencentrality(g: SocialGraph, tol: float = RANK_TOL,
     rows = list(zip(index.ties, _unit_rows_marked(index.tie_weights)))
 
     def step(x: list) -> tuple[list, float]:
-        nxt = []
-        for row, weights in rows:
-            total = 0.0
-            if weights is None:
-                for u in row:
-                    total += x[u]
-            else:
-                for u, w in zip(row, weights):
-                    total += w * x[u]
-            nxt.append(total)
-        nxt = _l2_normalized(nxt)
+        nxt = _l2_normalized(_weighted_sums(rows, x))
         return nxt, sum(map(abs, map(sub, nxt, x)))
 
     start = [1.0 / math.sqrt(g.node_count)] * g.node_count
@@ -459,7 +451,9 @@ def write_metrics_csv(table: Mapping[StudentId, NodeMetrics],
 
 
 def read_metrics_csv(stream: TextIO) -> dict[StudentId, NodeMetrics]:
-    """Inverse of :func:`write_metrics_csv` (up to float formatting)."""
+    """Inverse of :func:`write_metrics_csv` (up to float formatting).  A value
+    that is infinite, NaN outside constraint and effective size (isolated
+    students), or a negative constraint or role count is a DataFormatError."""
     table: dict[StudentId, NodeMetrics] = {}
     for row in read_csv(stream, METRICS_HEADER, "metrics"):
         node = row[0]
@@ -468,5 +462,9 @@ def read_metrics_csv(stream: TextIO) -> dict[StudentId, NodeMetrics]:
             roles = [int(v) for v in row[9:]]
         except ValueError:
             raise DataFormatError(f"non-numeric cell in metrics row: {row}") from None
+        for name, v in zip(METRICS_HEADER[1:], (*reals, *roles)):
+            if (math.isinf(v) or math.isnan(v) and name not in ("constraint", "effective_size")
+                    or v < 0 and name in ("constraint", *ROLE_NAMES)):
+                raise DataFormatError(f"metrics row {node!r}: {name} {v} is out of range")
         table[node] = NodeMetrics(node, *reals, brokerage=BrokerageCounts(*roles))
     return table

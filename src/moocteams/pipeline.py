@@ -42,9 +42,9 @@ from .metrics import (DAMPING, FARNESS_PENALTY, PAGERANK_MAX_ITER, PAGERANK_TOL,
                       RANK_MAX_ITER, RANK_TOL, NodeMetrics, brokerage_counts,
                       compute_metrics_without_brokerage, write_metrics_csv)
 from .report import export_dot
-from .skills import (MIN_LEN, SKILL_BETA, SKILL_K, UNOBSERVED_GROUP, USE_IDF,
-                     build_skill_profiles, refine_by_rank, skill_partition,
-                     write_partition_json, write_skills_json)
+from .skills import (MIN_LEN, SKILL_BETA, SKILL_K, USE_IDF, build_skill_profiles,
+                     refine_by_rank, skill_partition, write_partition_json,
+                     write_skills_json)
 from .teams import (ALLOW_OVERSIZE, ITERATIONS, RESTARTS, S_MAX, S_MIN,
                     ObjectiveWeights, form_teams, write_roster_json)
 
@@ -333,12 +333,10 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
                                      seed=partition_seed) if profiles else {})
         st.write(write_partition_json, partition)
 
-    # brokerage roles against the skill partition, then the full table
+    # brokerage roles against the skill partition, which labels every named
+    # author and so every graph node, then the full table
     with stage("tabulate") as st:
-        groups = dict(partition)
-        for node in g.nodes:
-            groups.setdefault(node, UNOBSERVED_GROUP)
-        roles = brokerage_counts(g, groups)
+        roles = brokerage_counts(g, partition)
         for node, record in metrics.items():
             record.brokerage = roles[node]
         st.write(write_metrics_csv, metrics)

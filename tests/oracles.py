@@ -203,6 +203,33 @@ def dense_pagerank(g: SocialGraph, damping: float = 0.85,
     return {u: float(x[i]) for i, u in enumerate(nodes)}
 
 
+def push_pagerank(g: SocialGraph, damping: float = 0.85, tol: float = 1e-10,
+                  max_iter: int = 200) -> tuple[dict[str, float], int]:
+    """PageRank the textbook way: each student in turn pushes its share of
+    rank along its out-edges, dangling mass is spread evenly, and the walk
+    stops when the L1 change is under ``tol``.  Returns (scores, steps)."""
+    nodes = list(g.nodes)
+    n = len(nodes)
+    x = {u: 1.0 / n for u in nodes}
+    for step in range(1, max_iter + 1):
+        nxt = {v: 0.0 for v in nodes}
+        dangling = 0.0
+        for u in nodes:
+            out = g.out_neighbors(u)
+            strength = sum(out.values())
+            if strength == 0:
+                dangling += x[u]
+            for v, w in out.items():
+                nxt[v] += x[u] / strength * w
+        base = (1.0 - damping) / n + damping * dangling / n
+        nxt = {v: base + damping * nxt[v] for v in nodes}
+        change = sum(abs(nxt[v] - x[v]) for v in nodes)
+        x = nxt
+        if change < tol:
+            break
+    return x, step
+
+
 def dense_hits(g: SocialGraph,
                iterations: int = 2000) -> tuple[dict[str, float], dict[str, float]]:
     nodes, w = adjacency(g)

@@ -27,9 +27,9 @@ from moocteams.graph import SocialGraph, write_graph_csv
 from moocteams.ingest import SynthParams, build_reply_graph, synth_corpus
 from moocteams.metrics import (burt_constraint, compute_metrics_without_brokerage,
                                compute_node_metrics, effective_size,
-                               eigencentrality, write_metrics_csv)
+                               eigencentrality, pagerank, write_metrics_csv)
 
-from oracles import pairwise_structural_holes, random_digraph
+from oracles import pairwise_structural_holes, push_pagerank, random_digraph
 
 #: (students, edge probability) per seed, seeds 0-19 in order.
 RANDOM_CASES = [(2, 0.5), (3, 0.5), (5, 0.3), (8, 0.2), (10, 0.15), (12, 0.3),
@@ -112,6 +112,13 @@ def test_corpus_metric_table_matches_pinned_digests():
                                             comments=7000, seed=seed))
         got[seed] = _csv_digest(build_reply_graph(messages)[0])
     assert got == PINNED_CORPUS
+
+
+def test_pagerank_equals_the_push_oracle_bit_for_bit():
+    # a pull over in-rows adds the same products in the same order as a push
+    for g in [*_random_graphs().values(), *EDGE_CASES.values()]:
+        scores = pagerank(g)
+        assert (dict(scores), scores.iterations) == push_pagerank(g)
 
 
 def test_per_node_structural_holes_equal_the_table():

@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -118,6 +119,22 @@ def test_pipeline_seed_changes_propagate(tmp_path):
     b = json.loads((tmp_path / "b" / "manifest.json").read_text())
     assert a["seed"] != b["seed"]
     assert [s["seed"] for s in a["stages"]] != [s["seed"] for s in b["stages"]]
+
+
+def test_pipeline_labels_an_author_without_terms_unobserved(tmp_path):
+    # an author whose only post is stopwords is a graph node with no skill
+    corpus = tmp_path / "corpus.jsonl"
+    _corpus(corpus)
+    with open(corpus, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"author": "quiet", "body": "the and of", "id": "pq",
+                             "parent_id": None, "thread_id": "t0000",
+                             "timestamp": 1600000000}) + "\n")
+    out = tmp_path / "run"
+    result = run_pipeline(RunConfig(str(corpus), str(out), seed=11))
+    assert result.manifest["status"] == "complete"
+    partition = json.loads((out / "partition.json").read_text())
+    assert partition["quiet"] == "unobserved"
+    assert sorted(partition) == list(result.graph.nodes)
 
 
 def test_pipeline_small_corpus_skips_teams_and_diffusion(tmp_path):
@@ -418,6 +435,33 @@ def test_cli_teams_rejects_non_numeric_metrics_cell(tmp_path, capsys):
     assert main(["teams", "--graph", str(graph), "--metrics", str(metrics),
                  "--output", str(tmp_path / "teams.json")]) == 2
     assert "metrics row" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, command", [
+    ("constraint=-1", "teams"), ("consultant=-1", "teams"),
+    ("drop", "diffuse")])
+def test_cli_rejects_a_metrics_table_it_cannot_use(tmp_path, capsys, edit,
+                                                   command):
+    # unchecked, these reach a ZeroDivisionError, a math domain error, a KeyError
+    graph, metrics = _graph_and_metrics(tmp_path)
+    with open(metrics, encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    if edit == "drop":
+        rows.pop()
+    else:
+        column, value = edit.split("=")
+        rows[0][header.index(column)] = value
+    with open(metrics, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    out = tmp_path / "out"
+    argv = {"teams": ["teams", "--restarts", "1"],
+            "diffuse": ["diffuse", "--typology", "--sources", rows[0][0]]}[command]
+    capsys.readouterr()
+    assert main([*argv, "--graph", str(graph), "--metrics", str(metrics),
+                 "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_cli_report_rejects_non_numeric_roster_objective(tmp_path, capsys):
@@ -915,6 +959,10 @@ READERS = {
     "metrics": ("metrics.csv", ["teams", "--graph", "{valid}/graph.csv",
                                 "--metrics", "{bad}", "--restarts", "1",
                                 "--output", "{out}/teams.json"]),
+    "typology": ("metrics.csv", ["diffuse", "--graph", "{valid}/graph.csv",
+                                 "--sources", "s00000", "--typology",
+                                 "--metrics", "{bad}", "--steps", "3",
+                                 "--output", "{out}/typology.csv"]),
     "partition": ("partition.json", ["metrics", "--graph", "{valid}/graph.csv",
                                      "--partition", "{bad}",
                                      "--output", "{out}/metrics.csv"]),
@@ -962,3 +1010,29 @@ def test_cli_mutated_input_exits_with_a_documented_code(reader, edits,
     code = main(argv)
     assert code in (0, 1, 2)
     assert set(out.iterdir()) == ({bad, target} if code == 0 else {bad})
+
+
+@pytest.mark.parametrize("value", ["", "nan", "-1", "1e309", "x", "-0"])
+def test_cli_metrics_cell_edits_exit_0_or_2(value, valid_inputs, capsys):
+    """``value`` in each column of ``metrics.csv``, one cell at a time, at a
+    seeded row, read by ``teams`` and by ``diffuse --typology``."""
+    with open(valid_inputs / "metrics.csv", encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    rng = random.Random(f"cells-{value}")
+    out = valid_inputs / "out-cells"
+    out.mkdir(exist_ok=True)
+    bad = out / "metrics.csv"
+    for column in range(len(header)):
+        edited = [row[:] for row in rows]
+        edited[rng.randrange(len(rows))][column] = value
+        with open(bad, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *edited])
+        for reader in ("metrics", "typology"):
+            argv = [arg.format(bad=bad, out=out, valid=valid_inputs)
+                    for arg in READERS[reader][1]]
+            target = Path(argv[-1])
+            code = main(argv)
+            assert code in (0, 2), (header[column], reader, capsys.readouterr())
+            assert "Traceback" not in capsys.readouterr().err
+            assert set(out.iterdir()) == ({bad, target} if code == 0 else {bad})
+            target.unlink(missing_ok=True)

@@ -4,7 +4,7 @@ import pytest
 
 from moocteams.errors import ParameterError, UndefinedMetricError
 from moocteams.graph import SocialGraph
-from moocteams.metrics import eigencentrality, hits, pagerank
+from moocteams.metrics import _weighted_sums, eigencentrality, hits, pagerank
 
 from oracles import (dense_eigencentrality, dense_hits, dense_pagerank,
                      eigh_eigencentrality, random_digraph, svd_hits)
@@ -162,3 +162,10 @@ def test_eigencentrality_matches_eigh_oracle():
     for seed in range(10):
         g = random_digraph(25, 0.2, seed=seed)
         _close(eigencentrality(g), eigh_eigencentrality(g), 1e-9)
+
+
+@pytest.mark.parametrize("weights", [None, (1,) * 5], ids=["unit", "weighted"])
+def test_weighted_sums_add_left_to_right(weights):
+    # a compensated sum gives 1 + 2**-51; left to right, each tiny term rounds away
+    x = [1.0] + [2.0 ** -53] * 4
+    assert _weighted_sums([(tuple(range(5)), weights)], x) == [1.0]
