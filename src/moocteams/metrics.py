@@ -451,12 +451,14 @@ def write_metrics_csv(table: Mapping[StudentId, NodeMetrics],
 
 
 def read_metrics_csv(stream: TextIO) -> dict[StudentId, NodeMetrics]:
-    """Inverse of :func:`write_metrics_csv` (up to float formatting).  A value
-    that is infinite, NaN outside constraint and effective size (isolated
-    students), or a negative constraint or role count is a DataFormatError."""
+    """Inverse of :func:`write_metrics_csv` (up to float formatting).  A second
+    row for a student, or a value that is negative, infinite, or NaN outside
+    constraint and effective size (isolated students), is a DataFormatError."""
     table: dict[StudentId, NodeMetrics] = {}
     for row in read_csv(stream, METRICS_HEADER, "metrics"):
         node = row[0]
+        if node in table:
+            raise DataFormatError(f"metrics table has two rows for {node!r}")
         try:
             reals = [float(v) for v in row[1:9]]
             roles = [int(v) for v in row[9:]]
@@ -464,7 +466,7 @@ def read_metrics_csv(stream: TextIO) -> dict[StudentId, NodeMetrics]:
             raise DataFormatError(f"non-numeric cell in metrics row: {row}") from None
         for name, v in zip(METRICS_HEADER[1:], (*reals, *roles)):
             if (math.isinf(v) or math.isnan(v) and name not in ("constraint", "effective_size")
-                    or v < 0 and name in ("constraint", *ROLE_NAMES)):
+                    or v < 0):
                 raise DataFormatError(f"metrics row {node!r}: {name} {v} is out of range")
         table[node] = NodeMetrics(node, *reals, brokerage=BrokerageCounts(*roles))
     return table

@@ -322,9 +322,8 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         profiles = build_skill_profiles(
             parsed.messages, k=config.skill_k, min_len=config.skill_min_len,
             use_idf=config.skill_idf)
-        if metrics:
-            ranks = {s: m.pagerank for s, m in metrics.items()}
-            profiles = refine_by_rank(profiles, ranks, beta=config.skill_beta)
+        ranks = {s: m.pagerank for s, m in metrics.items()}
+        profiles = refine_by_rank(profiles, ranks, beta=config.skill_beta)
         st.write(write_skills_json, profiles)
 
     with stage("partition", partition_seed) as st:

@@ -80,44 +80,35 @@ class OpinionReport:
     ignored: int
 
 
+def _mean(values: Sequence[float]) -> float | None:
+    """Mean added left to right from 0.0 (``sum`` compensates on 3.12+);
+    None when there are no values."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values) if values else None
+
+
 def aggregate_opinions(records: Sequence[OpinionRecord],
                        assignment: TeamAssignment) -> OpinionReport:
     """Per-team sentiment summary; holders outside the roster are counted
     separately rather than dropped silently."""
-    team_of: dict[StudentId, int] = {}
-    for idx, team in enumerate(assignment.teams):
-        for s in team:
-            team_of[s] = idx
-    sums = [0.0] * len(assignment.teams)
-    counts = [0] * len(assignment.teams)
-    earliest: list[int | None] = [None] * len(assignment.teams)
-    latest: list[int | None] = [None] * len(assignment.teams)
-    ignored = 0
-    total_sum = 0.0
-    total_count = 0
-    for r in records:
-        idx = team_of.get(r.holder)
-        if idx is None:
-            ignored += 1
-            continue
-        sums[idx] += r.sentiment
-        counts[idx] += 1
-        total_sum += r.sentiment
-        total_count += 1
-        if earliest[idx] is None or r.time < earliest[idx]:
-            earliest[idx] = r.time
-        if latest[idx] is None or r.time > latest[idx]:
-            latest[idx] = r.time
+    # a student listed in two teams counts for the later one
+    team_of = {s: idx for idx, team in enumerate(assignment.teams) for s in team}
+    groups: list[list[OpinionRecord]] = [[] for _ in assignment.teams]
+    matched = [r for r in records if r.holder in team_of]
+    for r in matched:
+        groups[team_of[r.holder]].append(r)
     summaries = tuple(
         TeamOpinionSummary(
-            team=assignment.teams[i],
-            count=counts[i],
-            mean_sentiment=sums[i] / counts[i] if counts[i] else None,
-            earliest=earliest[i],
-            latest=latest[i])
-        for i in range(len(assignment.teams)))
-    overall = total_sum / total_count if total_count else None
-    return OpinionReport(summaries, overall, total_count, ignored)
+            team=team,
+            count=len(group),
+            mean_sentiment=_mean([r.sentiment for r in group]),
+            earliest=min((r.time for r in group), default=None),
+            latest=max((r.time for r in group), default=None))
+        for team, group in zip(assignment.teams, groups))
+    return OpinionReport(summaries, _mean([r.sentiment for r in matched]),
+                         len(matched), len(records) - len(matched))
 
 
 SPLIT_SEED = 0  #: the default seed of :func:`experiment_split`

@@ -320,10 +320,9 @@ def _assignment(teams: Sequence[Sequence[StudentId]],
                           s_min, s_max, allow_oversize, seed)
 
 
-def _better(cand: TeamAssignment, best: TeamAssignment | None) -> bool:
-    """Higher objective wins; equal objectives go to the smaller roster."""
-    return (best is None or cand.objective > best.objective
-            or (cand.objective == best.objective and cand.teams < best.teams))
+def _rank(assignment: TeamAssignment) -> tuple:
+    """Search order: higher objective (negated exactly) first, then the smaller roster."""
+    return -assignment.objective, assignment.teams
 
 
 # -- search ------------------------------------------------------------------
@@ -336,10 +335,11 @@ def form_teams(g: SocialGraph, metrics: Mapping[StudentId, NodeMetrics],
     """Seeded multi-restart hill climbing over swaps and moves.
 
     Every feasible team count near the canonical profile is tried;
-    ``restarts`` applies per candidate count, and run j draws from
-    ``random.Random(seed + j)``, so restarts can be distributed without
-    changing the result.  Ties between runs break toward the
-    lexicographically smallest roster.
+    ``restarts`` applies per candidate count.  Climb j takes the counts in
+    turn (count j mod their number), shuffles with ``random.Random(seed + j)``
+    and cuts the shuffle at that count's initial sizes, so it depends on j
+    alone and climbs can be distributed without changing the result.  The
+    best climb wins by objective, then by the lexicographically smaller roster.
     """
     weights.validate()
     if restarts < 1 or iterations < 0:
@@ -350,28 +350,19 @@ def form_teams(g: SocialGraph, metrics: Mapping[StudentId, NodeMetrics],
     _require_members(nodes, metrics)
     counts = _candidate_team_counts(n, s_min, s_max, allow_oversize)
     table = _term_table(metrics)
+    cuts = [list(itertools.accumulate(
+        _initial_sizes(n, k, s_min, s_max, allow_oversize), initial=0)) for k in counts]
 
-    best: TeamAssignment | None = None
-    run_index = 0
-    for _ in range(restarts):
-        for k in counts:
-            rng = random.Random(seed + run_index)
-            run_index += 1
-            sizes = _initial_sizes(n, k, s_min, s_max, allow_oversize)
-            shuffled = nodes[:]
-            rng.shuffle(shuffled)
-            teams: list[list[StudentId]] = []
-            start = 0
-            for size in sizes:
-                teams.append(shuffled[start:start + size])
-                start += size
-            teams = _hill_climb(teams, table, weights, n,
-                                s_min, s_max, allow_oversize, iterations, rng)
-            cand = _assignment(teams, table, weights, s_min, s_max,
-                               allow_oversize, seed)
-            if _better(cand, best):
-                best = cand
-    return best
+    def climb(j: int) -> TeamAssignment:
+        rng = random.Random(seed + j)
+        shuffled = nodes[:]
+        rng.shuffle(shuffled)
+        teams = [shuffled[a:b] for a, b in itertools.pairwise(cuts[j % len(cuts)])]
+        teams = _hill_climb(teams, table, weights, n,
+                            s_min, s_max, allow_oversize, iterations, rng)
+        return _assignment(teams, table, weights, s_min, s_max, allow_oversize, seed)
+
+    return min(map(climb, range(restarts * len(counts))), key=_rank)
 
 
 def _hill_climb(teams: list[list[StudentId]],
@@ -504,14 +495,11 @@ def brute_force_teams(g: SocialGraph, metrics: Mapping[StudentId, NodeMetrics],
         raise ParameterError(f"brute force is limited to 10 nodes, got {n}")
     _validate_bounds(n, s_min, s_max)
     table = _term_table(metrics)
-    best: TeamAssignment | None = None
-    for k in _feasible_team_counts(n, s_min, s_max, allow_oversize):
-        for sizes in _feasible_size_vectors(n, k, s_min, s_max, allow_oversize):
-            for partition in enumerate_partitions(nodes, sizes):
-                cand = _assignment(partition, table, weights, s_min, s_max,
-                                   allow_oversize, 0)
-                if _better(cand, best):
-                    best = cand
+    best = min((_assignment(partition, table, weights, s_min, s_max, allow_oversize, 0)
+                for k in _feasible_team_counts(n, s_min, s_max, allow_oversize)
+                for sizes in _feasible_size_vectors(n, k, s_min, s_max, allow_oversize)
+                for partition in enumerate_partitions(nodes, sizes)),
+               key=_rank, default=None)
     if best is None:
         raise ParameterError(
             f"no feasible team sizes for n={n} within [{s_min}, {s_max}]")

@@ -464,6 +464,35 @@ def test_cli_rejects_a_metrics_table_it_cannot_use(tmp_path, capsys, edit,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["teams", "diffuse"])
+@pytest.mark.parametrize("edit", [
+    "repeat", "farness=-1", "clustering=-1", "pagerank=-1", "authority=-1", "hub=-1",
+    "eigencentrality=-1", "effective_size=-1"])
+def test_cli_rejects_a_repeated_row_or_a_negative_metric(tmp_path, capsys, edit,
+                                                         command):
+    # unchecked, the last of two rows wins and a negative value feeds the search
+    graph, metrics = _graph_and_metrics(tmp_path)
+    with open(metrics, encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    if edit == "repeat":
+        rows.insert(1, rows[0][:])
+    else:
+        column, value = edit.split("=")
+        rows[0][header.index(column)] = value
+    with open(metrics, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    out = tmp_path / "out"
+    argv = {"teams": ["teams", "--restarts", "1"],
+            "diffuse": ["diffuse", "--typology", "--sources", rows[0][0]]}[command]
+    capsys.readouterr()
+    assert main([*argv, "--graph", str(graph), "--metrics", str(metrics),
+                 "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(rows[0][0]) in err
+    assert not out.exists()
+
+
 def test_cli_report_rejects_non_numeric_roster_objective(tmp_path, capsys):
     graph, metrics = _graph_and_metrics(tmp_path)
     roster = tmp_path / "teams.json"

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import statistics
@@ -283,6 +284,35 @@ def test_form_teams_is_deterministic():
     b = form_teams(g, metrics, s_min=3, s_max=5, restarts=6, seed=9)
     assert a.teams == b.teams
     assert a.objective == b.objective
+
+
+def test_equal_objectives_go_to_the_smaller_roster():
+    # on a directed 9-cycle every student's metric row is the same, so every
+    # roster of three teams of 3 scores the same float
+    nodes = "abcdefghi"
+    g = SocialGraph({(u, v): 1 for u, v in zip(nodes, nodes[1:] + nodes[0])},
+                    nodes=list(nodes))
+    metrics = compute_node_metrics(g)
+    assert brute_force_teams(g, metrics, 3, 3).teams == (
+        ("a", "b", "c"), ("d", "e", "f"), ("g", "h", "i"))
+    winners = {}
+    for seed in range(3):
+        found = [form_teams(g, metrics, s_min=3, s_max=3, restarts=r, seed=seed).teams
+                 for r in range(1, 7)]
+        assert found == list(itertools.accumulate(found, min))
+        winners[seed] = found
+    # a later climb's roster does win, so the first climb is not kept by default
+    assert winners[0][0] != winners[0][1]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_more_restarts_return_the_best_of_fewer(seed):
+    # climb j depends only on j, so restarts=R runs the climbs of every r < R
+    g, metrics = _prepared(14, 0.2, seed=900 + seed)
+    found = [form_teams(g, metrics, restarts=r, seed=seed) for r in range(1, 6)]
+    for r in range(1, len(found) + 1):
+        smallest_first = sorted(found[:r], key=lambda a: a.teams)
+        assert found[r - 1] == max(smallest_first, key=lambda a: a.objective)
 
 
 def test_form_teams_covers_everyone_once():
