@@ -27,7 +27,7 @@ from ._version import __version__
 from .diffusion import (FlowSpec, Mechanism, Trajectory, full_typology_specs,
                         simulate, typology_report, write_trace_csv,
                         write_typology_csv)
-from .errors import MissingNodeError, MoocteamsError, ParameterError
+from .errors import MoocteamsError, ParameterError, require_known
 from .formats import write_json
 from .graph import read_graph_csv, write_graph_csv
 from .ingest import (SynthParams, build_reply_graph, parse_forum_export,
@@ -155,12 +155,9 @@ def _cmd_diffuse(args) -> int:
 
 def _cmd_report(args) -> int:
     graph = read_file(args.graph, read_graph_csv)
-    assignment = (read_file(args.teams, read_roster_json)
-                  if args.teams else None)
-    for team in assignment.teams if assignment else ():
-        for student in team:
-            if student not in graph:
-                raise MissingNodeError(student)
+    assignment = read_file(args.teams, read_roster_json) if args.teams else None
+    if assignment:
+        require_known((s for team in assignment.teams for s in team), graph)
     summary = split = None
     if args.summary_out and not args.opinions:
         raise ParameterError("--summary-out needs --opinions")

@@ -32,8 +32,8 @@ from functools import partial
 from itertools import accumulate, product
 from typing import Mapping, Sequence
 
-from .errors import (DataFormatError, InsufficientDataError, MissingNodeError,
-                     ParameterError)
+from .errors import (DataFormatError, InsufficientDataError, ParameterError,
+                     require_known)
 from .formats import read_csv, write_csv
 from .graph import SocialGraph, StudentId, hop_counts
 from .metrics import NodeMetrics
@@ -94,9 +94,7 @@ class FlowSpec:
     def validate(self, g: SocialGraph) -> None:
         if not self.sources:
             raise ParameterError("flow spec needs at least one source")
-        missing = [s for s in (*self.sources, self.target) if s is not None and s not in g]
-        if missing:
-            raise MissingNodeError(missing[0])
+        require_known((s for s in (*self.sources, self.target) if s is not None), g)
         if self.max_steps < 1:
             raise ParameterError(f"max_steps must be >= 1, got {self.max_steps}")
         if self.replications < 1:
@@ -568,9 +566,8 @@ def typology_report(g: SocialGraph, specs: Sequence[FlowSpec],
     """
     if not specs:
         raise ParameterError("typology report needs at least one flow spec")
-    for v in g.nodes:
-        if v not in metrics:
-            raise MissingNodeError(v, context="metrics table")
+    require_known(g.nodes, metrics, context="metrics table")
+    require_known(metrics, g)
     columns = {
         "closeness": {v: -metrics[v].farness for v in g.nodes},
         "eigencentrality": {v: metrics[v].eigencentrality for v in g.nodes},

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from typing import Container, Iterable
+
 
 class MoocteamsError(Exception):
     """Base class for all errors raised by this package."""
@@ -23,6 +25,14 @@ class MissingNodeError(MoocteamsError, KeyError):
 
     def __str__(self) -> str:
         return f"unknown student {self.node!r} (not in {self.context})"
+
+
+def require_known(students: Iterable[str], known: Container[str],
+                  context: str = "graph") -> None:
+    """Raise MissingNodeError for the first of ``students`` not in ``known``."""
+    for s in students:
+        if s not in known:
+            raise MissingNodeError(s, context)
 
 
 class UndefinedMetricError(MoocteamsError, ValueError):

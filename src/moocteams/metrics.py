@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from operator import mul, sub
 from typing import Iterable, Mapping, Sequence, TextIO
 
-from .errors import (ConvergenceWarning, DataFormatError, MissingNodeError,
-                     ParameterError, UndefinedMetricError)
+from .errors import (ConvergenceWarning, DataFormatError, ParameterError,
+                     UndefinedMetricError, require_known)
 from .formats import read_csv, write_csv
 from .graph import (GraphIndex, SocialGraph, StudentId, distance_sums,
                     geodesic_distances)
@@ -315,9 +315,7 @@ def brokerage_counts(g: SocialGraph,
     are products of its in- and out-neighbours tallied by group, less the
     round trips i -> b -> i through its mutual neighbours: exact ints.
     """
-    for node in g.nodes:
-        if node not in partition:
-            raise MissingNodeError(node, context="partition")
+    require_known(g.nodes, partition, context="partition")
     labels: dict[str, int] = {}
     group = [labels.setdefault(partition[node], len(labels)) for node in g.nodes]
     of = group.__getitem__

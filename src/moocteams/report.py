@@ -93,7 +93,6 @@ def aggregate_opinions(records: Sequence[OpinionRecord],
                        assignment: TeamAssignment) -> OpinionReport:
     """Per-team sentiment summary; holders outside the roster are counted
     separately rather than dropped silently."""
-    # a student listed in two teams counts for the later one
     team_of = {s: idx for idx, team in enumerate(assignment.teams) for s in team}
     groups: list[list[OpinionRecord]] = [[] for _ in assignment.teams]
     matched = [r for r in records if r.holder in team_of]

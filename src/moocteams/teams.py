@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 from operator import add, sub
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DataFormatError, MissingNodeError, ParameterError
+from .errors import DataFormatError, ParameterError, require_known
 from .formats import read_json, write_json
 from .graph import SocialGraph, StudentId
 from .metrics import BrokerageCounts, NodeMetrics
@@ -173,21 +173,16 @@ def _candidate_team_counts(n: int, s_min: int, s_max: int,
 
 # -- per-team scoring --------------------------------------------------------
 
-def _require_members(team: Iterable[StudentId],
-                     metrics: Mapping[StudentId, NodeMetrics]) -> list[StudentId]:
-    members = list(team)
-    for m in members:
-        if m not in metrics:
-            raise MissingNodeError(m, context="metrics table")
-    return members
-
-
-def _term_table(metrics: Mapping[StudentId, NodeMetrics]) -> dict[StudentId, _Terms]:
+def _term_table(g: SocialGraph,
+                metrics: Mapping[StudentId, NodeMetrics]) -> dict[StudentId, _Terms]:
     """Each student's cost term, hole term and brokerage role counts.
 
     Cost is (farness / graph-wide max farness + 1 - clustering) / 2; the
-    hole term is 1 / (1 + constraint), or 1 where constraint is NaN.
+    hole term is 1 / (1 + constraint), or 1 where constraint is NaN.  The
+    table must hold a row for each student of ``g`` and for no one else.
     """
+    require_known(g.nodes, metrics, context="metrics table")
+    require_known(metrics, g)
     max_far = max((m.farness for m in metrics.values()), default=0.0)
     table = {}
     for s, m in metrics.items():
@@ -245,22 +240,21 @@ def collaboration_cost(g: SocialGraph, team: Iterable[StudentId],
     Farness is normalized by the graph-wide maximum; lower cost means
     the team sits closer to everyone and in denser neighborhoods.
     """
-    members = _require_members(team, metrics)
+    members = list(team)
     if len(members) < 2:
         raise ParameterError("collaboration cost needs a team of at least 2")
-    for s in members:
-        if s not in g:
-            raise MissingNodeError(s)
-    return _team_terms(members, _term_table(metrics))[0]
+    require_known(members, g)
+    return _team_terms(members, _term_table(g, metrics))[0]
 
 
 def structural_hole_score(g: SocialGraph, team: Iterable[StudentId],
                           metrics: Mapping[StudentId, NodeMetrics]) -> float:
     """Mean of 1/(1 + constraint); isolated members count as 1."""
-    members = _require_members(team, metrics)
+    members = list(team)
     if not members:
         raise ParameterError("structural hole score needs a non-empty team")
-    return _team_terms(members, _term_table(metrics))[1]
+    require_known(members, g)
+    return _team_terms(members, _term_table(g, metrics))[1]
 
 
 def brokerage_balance(team: Iterable[StudentId],
@@ -269,9 +263,7 @@ def brokerage_balance(team: Iterable[StudentId],
     members = list(team)
     if not members:
         raise ParameterError("brokerage balance needs a non-empty team")
-    for s in members:
-        if s not in brokerage:
-            raise MissingNodeError(s, context="brokerage table")
+    require_known(members, brokerage, context="brokerage table")
     return _entropy(_pool(brokerage[s].as_tuple() for s in members))
 
 
@@ -305,8 +297,8 @@ def objective(g: SocialGraph, teams: Iterable[Iterable[StudentId]],
             if s in seen:
                 raise ParameterError(f"student {s!r} appears in two teams")
             seen.add(s)
-        _require_members(team, metrics)
-    value, _ = _evaluate(team_lists, _term_table(metrics), weights)
+        require_known(team, g)
+    value, _ = _evaluate(team_lists, _term_table(g, metrics), weights)
     return value
 
 
@@ -347,9 +339,8 @@ def form_teams(g: SocialGraph, metrics: Mapping[StudentId, NodeMetrics],
     nodes = list(g.nodes)
     n = len(nodes)
     _validate_bounds(n, s_min, s_max)
-    _require_members(nodes, metrics)
+    table = _term_table(g, metrics)
     counts = _candidate_team_counts(n, s_min, s_max, allow_oversize)
-    table = _term_table(metrics)
     cuts = [list(itertools.accumulate(
         _initial_sizes(n, k, s_min, s_max, allow_oversize), initial=0)) for k in counts]
 
@@ -494,7 +485,7 @@ def brute_force_teams(g: SocialGraph, metrics: Mapping[StudentId, NodeMetrics],
     if n > 10:
         raise ParameterError(f"brute force is limited to 10 nodes, got {n}")
     _validate_bounds(n, s_min, s_max)
-    table = _term_table(metrics)
+    table = _term_table(g, metrics)
     best = min((_assignment(partition, table, weights, s_min, s_max, allow_oversize, 0)
                 for k in _feasible_team_counts(n, s_min, s_max, allow_oversize)
                 for sizes in _feasible_size_vectors(n, k, s_min, s_max, allow_oversize)
@@ -524,6 +515,7 @@ def write_roster_json(assignment: TeamAssignment, stream) -> None:
 
 
 def read_roster_json(stream) -> TeamAssignment:
+    """Inverse of :func:`write_roster_json`; a student listed twice is an error."""
     payload = read_json(stream, "roster")
     try:
         teams = payload["teams"]
@@ -533,7 +525,7 @@ def read_roster_json(stream) -> TeamAssignment:
             raise DataFormatError("roster teams must be lists of student ids")
         weights = ObjectiveWeights(**payload["params"]["weights"])
         breakdown = ObjectiveBreakdown(**payload["breakdown"])
-        return TeamAssignment(
+        assignment = TeamAssignment(
             teams=tuple(map(tuple, teams)),
             objective=float(payload["objective"]),
             breakdown=breakdown,
@@ -545,3 +537,9 @@ def read_roster_json(stream) -> TeamAssignment:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"bad roster JSON structure: {exc}") from exc
+    seen: set[StudentId] = set()
+    for s in itertools.chain.from_iterable(assignment.teams):
+        if s in seen:
+            raise DataFormatError(f"roster lists student {s!r} twice")
+        seen.add(s)
+    return assignment

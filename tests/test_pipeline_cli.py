@@ -439,15 +439,20 @@ def test_cli_teams_rejects_non_numeric_metrics_cell(tmp_path, capsys):
 
 @pytest.mark.parametrize("edit, command", [
     ("constraint=-1", "teams"), ("consultant=-1", "teams"),
-    ("drop", "diffuse")])
+    ("drop", "diffuse"), ("extra", "teams"), ("extra", "diffuse")])
 def test_cli_rejects_a_metrics_table_it_cannot_use(tmp_path, capsys, edit,
                                                    command):
-    # unchecked, these reach a ZeroDivisionError, a math domain error, a KeyError
+    # unchecked, these reach a ZeroDivisionError, a math domain error, a
+    # KeyError, and a roster scaled by the farness of a student outside the graph
     graph, metrics = _graph_and_metrics(tmp_path)
     with open(metrics, encoding="utf-8", newline="") as fh:
         header, *rows = csv.reader(fh)
     if edit == "drop":
         rows.pop()
+    elif edit == "extra":
+        extra = rows[-1][:]
+        extra[0], extra[header.index("farness")] = "zz_other", "900"
+        rows.append(extra)
     else:
         column, value = edit.split("=")
         rows[0][header.index(column)] = value
@@ -521,6 +526,26 @@ def test_cli_report_rejects_a_roster_from_another_cohort(tmp_path, capsys):
     assert main(["report", "--graph", str(other), "--teams", str(roster),
                  "--dot-out", str(dot)]) == 2
     assert "zz1" in capsys.readouterr().err
+    assert not dot.exists()
+
+
+def test_cli_report_rejects_a_student_in_two_teams(tmp_path, capsys):
+    # unchecked, the student counts for, and is drawn in, the later team only
+    graph, metrics = _graph_and_metrics(tmp_path)
+    roster = tmp_path / "teams.json"
+    assert main(["teams", "--graph", str(graph), "--metrics", str(metrics),
+                 "--output", str(roster), "--restarts", "1"]) == 0
+    payload = json.loads(roster.read_text())
+    first, second = payload["teams"][:2]
+    second.append(first[0])
+    roster.write_text(json.dumps(payload))
+    dot = tmp_path / "graph.dot"
+    capsys.readouterr()
+    assert main(["report", "--graph", str(graph), "--teams", str(roster),
+                 "--dot-out", str(dot)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(first[0]) in err
     assert not dot.exists()
 
 
@@ -988,6 +1013,10 @@ READERS = {
     "metrics": ("metrics.csv", ["teams", "--graph", "{valid}/graph.csv",
                                 "--metrics", "{bad}", "--restarts", "1",
                                 "--output", "{out}/teams.json"]),
+    "brute-force": ("metrics.csv", ["teams", "--graph", "{valid}/graph.csv",
+                                    "--metrics", "{bad}", "--brute-force",
+                                    "--s-min", "5", "--s-max", "5",
+                                    "--output", "{out}/teams.json"]),
     "typology": ("metrics.csv", ["diffuse", "--graph", "{valid}/graph.csv",
                                  "--sources", "s00000", "--typology",
                                  "--metrics", "{bad}", "--steps", "3",
@@ -1037,14 +1066,15 @@ def test_cli_mutated_input_exits_with_a_documented_code(reader, edits,
     target = Path(argv[-1])
     target.unlink(missing_ok=True)
     code = main(argv)
-    assert code in (0, 1, 2)
+    assert code in (0, 2)
     assert set(out.iterdir()) == ({bad, target} if code == 0 else {bad})
 
 
 @pytest.mark.parametrize("value", ["", "nan", "-1", "1e309", "x", "-0"])
 def test_cli_metrics_cell_edits_exit_0_or_2(value, valid_inputs, capsys):
     """``value`` in each column of ``metrics.csv``, one cell at a time, at a
-    seeded row, read by ``teams`` and by ``diffuse --typology``."""
+    seeded row, read by ``teams``, by ``teams --brute-force`` and by
+    ``diffuse --typology``."""
     with open(valid_inputs / "metrics.csv", encoding="utf-8", newline="") as fh:
         header, *rows = csv.reader(fh)
     rng = random.Random(f"cells-{value}")
@@ -1056,7 +1086,7 @@ def test_cli_metrics_cell_edits_exit_0_or_2(value, valid_inputs, capsys):
         edited[rng.randrange(len(rows))][column] = value
         with open(bad, "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerows([header, *edited])
-        for reader in ("metrics", "typology"):
+        for reader in ("metrics", "brute-force", "typology"):
             argv = [arg.format(bad=bad, out=out, valid=valid_inputs)
                     for arg in READERS[reader][1]]
             target = Path(argv[-1])

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -6,7 +7,7 @@ import statistics
 import pytest
 
 from moocteams import teams as teams_module
-from moocteams.errors import ParameterError
+from moocteams.errors import MissingNodeError, ParameterError
 from moocteams.graph import SocialGraph
 from moocteams.metrics import ROLE_NAMES, compute_node_metrics
 from moocteams.teams import (
@@ -338,6 +339,24 @@ def test_brute_force_refuses_large_instances():
     g, metrics = _prepared(11, 0.2, seed=0)
     with pytest.raises(ParameterError):
         brute_force_teams(g, metrics, s_min=3, s_max=5)
+
+
+@pytest.mark.parametrize("search", [form_teams, brute_force_teams])
+@pytest.mark.parametrize("edit", ["missing", "extra"])
+def test_searches_refuse_a_table_that_does_not_match_the_graph(search, edit):
+    # unchecked, a missing row reaches a bare KeyError in the brute-force
+    # search, and an extra row rescales every farness by an outsider's
+    g, metrics = _prepared(6, 0.4, seed=1)
+    table = dict(metrics)
+    if edit == "missing":
+        student = g.nodes[0]
+        table.pop(student)
+    else:
+        student = "zz_other"
+        table[student] = dataclasses.replace(metrics[g.nodes[0]], student=student,
+                                             farness=900.0)
+    with pytest.raises(MissingNodeError, match=repr(student)):
+        search(g, table, s_min=3, s_max=3)
 
 
 def test_roster_json_round_trip(tmp_path):
