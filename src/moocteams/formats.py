@@ -2,13 +2,16 @@
 
 Writers end every line in ``\\n`` and the files are opened with no newline
 translation, so the bytes are the same on every platform.  A malformed
-file raises :class:`DataFormatError`.
+file raises :class:`DataFormatError`: one that is not JSON, nests too deep
+for the decoder, or holds a field or number too long to read.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
+from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Iterator, Sequence, TextIO
 
 from .errors import DataFormatError
@@ -26,23 +29,97 @@ def read_csv(stream: TextIO, header: Sequence[str],
     """The non-blank rows after ``header`` (matched with each cell
     stripped), each as wide as the header; ``what`` names the file kind."""
     reader = csv.reader(stream)
-    first = next(reader, None)
-    if first is None or [cell.strip() for cell in first] != list(header):
-        raise DataFormatError(f"expected {what} header {list(header)}, got {first}")
-    for row in filter(None, reader):  # blank lines read as empty rows
-        if len(row) != len(header):
-            raise DataFormatError(f"bad {what} row: {row}")
-        yield row
+    try:
+        first = next(reader, None)
+        if first is None or [cell.strip() for cell in first] != list(header):
+            raise DataFormatError(f"expected {what} header {list(header)}, got {first}")
+        for row in filter(None, reader):  # blank lines read as empty rows
+            if len(row) != len(header):
+                raise DataFormatError(f"bad {what} row: {row}")
+            yield row
+    except csv.Error as exc:  # a field past csv's size limit, for one
+        raise DataFormatError(f"unreadable {what} CSV: {exc}") from exc
+
+
+def _scalar(o: Any) -> str | None:
+    """JSON text of a scalar as :mod:`json` writes it (floats by
+    ``float.__repr__``, NaN and the infinities as their JavaScript names),
+    or None for anything else."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if math.isfinite(o):
+            return float.__repr__(o)
+        return "NaN" if o != o else "Infinity" if o > 0 else "-Infinity"
+    return None
+
+
+#: How many pieces of JSON text :func:`write_json` gathers before it writes them.
+_PIECES_PER_WRITE = 256
+
+
+def _layout(o: Any, parts: list[str], indent: str, stream: TextIO) -> None:
+    """Append the JSON text of ``o`` to ``parts``, a container's items each
+    on a new line opened by ``indent`` (a newline, then two spaces per level)
+    plus two spaces; after any item that leaves ``parts`` holding
+    ``_PIECES_PER_WRITE`` pieces, they go to ``stream``."""
+    if isinstance(o, dict):
+        opening, closing, items = "{", "}", sorted(o.items())
+    elif isinstance(o, (list, tuple)):
+        opening, closing, items = "[", "]", o
+    else:
+        text = _scalar(o)
+        if text is None:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        parts.append(text)
+        return
+    if not items:
+        parts.append(opening + closing)
+        return
+    inner = indent + "  "
+    parts.append(opening)
+    separator = inner
+    for item in items:
+        if opening == "{":
+            key, item = item
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts.append(separator + encode_basestring_ascii(key) + ": ")
+        else:
+            parts.append(separator)
+        text = _scalar(item)
+        if text is None:
+            _layout(item, parts, inner, stream)
+        else:
+            parts.append(text)
+        if len(parts) >= _PIECES_PER_WRITE:
+            stream.write("".join(parts))
+            parts.clear()
+        separator = "," + inner
+    parts.append(indent + closing)
 
 
 def write_json(payload: Any, stream: TextIO) -> None:
-    """``payload`` as indented JSON with sorted keys, then a newline."""
-    json.dump(payload, stream, indent=2, sort_keys=True)
-    stream.write("\n")
+    """``payload`` as indented JSON with sorted keys, then a newline: the
+    bytes of ``json.dump(payload, stream, indent=2, sort_keys=True)`` where
+    every key is a str (any other key is a TypeError).  The text goes to
+    ``stream`` a few hundred pieces at a time, so it is never held whole."""
+    parts: list[str] = []
+    _layout(payload, parts, "\n", stream)
+    parts.append("\n")
+    stream.write("".join(parts))
 
 
 def read_json(stream: TextIO, what: str) -> Any:
     try:
         return json.load(stream)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise DataFormatError(f"invalid {what} JSON: {exc}") from exc

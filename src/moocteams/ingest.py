@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import json
+import json.scanner
 import random
 from dataclasses import dataclass
 from typing import IO, Iterable
@@ -18,9 +19,11 @@ from .errors import DataFormatError, ParameterError
 from .graph import SocialGraph, StudentId
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForumMessage:
-    """One post or comment from a forum export."""
+    """One post or comment from a forum export.  A corpus holds thousands of
+    these through the whole pipeline, so they keep their fields in slots,
+    without a per-instance dict."""
 
     id: str
     thread_id: str
@@ -72,11 +75,19 @@ def _coerce_message(obj: object) -> ForumMessage | None:
 def parse_forum_export(stream: IO[str] | IO[bytes] | Iterable[str]) -> ParseResult:
     """Parse a JSON-Lines forum export, one object per line.
 
-    Malformed lines (bad JSON, missing/ill-typed required fields, or a
-    duplicate message id) are skipped and counted.  More than half the
-    non-blank lines being malformed is treated as the wrong file and
-    raises :class:`DataFormatError`.
+    Malformed lines (bad JSON, JSON nested too deep to decode, a number
+    too long to read, missing/ill-typed required fields, or a duplicate
+    message id) are skipped and counted.  More than half the non-blank
+    lines being malformed is treated as the wrong file and raises
+    :class:`DataFormatError`.
+
+    Each stripped line is decoded by one call of json's scanner, the C call
+    behind ``json.loads``, which accepts the same lines: the strip has
+    removed the whitespace ``json.loads`` would skip, the scanner finds no
+    value at a BOM, which ``json.loads`` refuses, and trailing data leaves
+    the value's end short of the line's.
     """
+    scan = json.scanner.make_scanner(json.JSONDecoder())
     result = ParseResult(messages=[])
     seen_ids: set[str] = set()
     total = 0
@@ -88,8 +99,10 @@ def parse_forum_export(stream: IO[str] | IO[bytes] | Iterable[str]) -> ParseResu
             continue
         total += 1
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
+            obj, end = scan(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = None  # no value at 0; or JSONDecodeError, a ValueError
+        if end != len(line):
             result.skipped += 1
             continue
         msg = _coerce_message(obj)

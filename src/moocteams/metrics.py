@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import Iterable, Mapping, Sequence, TextIO
 
 from .errors import (ConvergenceWarning, DataFormatError, ParameterError,
@@ -146,8 +147,8 @@ def hits(g: SocialGraph, tol: float = RANK_TOL,
         auth, hub = pair
         new_auth = _l2_normalized(_weighted_sums(into, hub))
         new_hub = _l2_normalized(_weighted_sums(out, auth))
-        delta = sum(abs(a - b) + abs(c - d)
-                    for a, b, c, d in zip(new_auth, auth, new_hub, hub))
+        delta = sum(map(add, map(abs, map(sub, new_auth, auth)),
+                        map(abs, map(sub, new_hub, hub))))
         return (new_auth, new_hub), delta
 
     start = [1.0 / math.sqrt(g.node_count)] * g.node_count
@@ -250,36 +251,46 @@ def _ego_structural_holes(g: SocialGraph, node: StudentId,
         raise UndefinedMetricError(f"{name} undefined for isolated student {node!r}")
     near = {q: index.tie_weights[q] for q in (ego, *index.ties[ego])}
     return _structural_holes(index, ego, {q: float(sum(w)) for q, w in near.items()},
-                             {q: max(w) for q, w in near.items()})
+                             {q: max(w) for q, w in near.items()})[:2]
 
 
-def _structural_holes(index: GraphIndex, ego: int, tie_total, tie_max) -> tuple[float, float]:
-    """(constraint, effective size) of a non-isolated ego, from each node q's
-    tie total ``tie_total[q]`` (a float) and strongest tie ``tie_max[q]``.
+def _structural_holes(index: GraphIndex, ego: int, tie_total,
+                      tie_max) -> tuple[float, float, int]:
+    """(constraint, effective size, clustering link count) of ``ego``, from
+    each node q's tie total ``tie_total[q]`` (a float) and strongest tie
+    ``tie_max[q]``; an isolated ego gives (0.0, 0.0, 0).
 
-    One walk over the 2-paths ego -> q -> j, q in canonical order, adds
-    p(ego,q) p(q,j) to alter j's indirect share and p(ego,q) w(q,j) / tie_max[j]
-    to its redundancy, p(u,v) being w(u,v) / tie_total[u].  The alter pairs
-    it skips (q not tied to j) would add exact zeros to non-negative sums, so
-    each float equals the literal double loop's.
+    One walk over the 2-paths ego -> q -> j between alters, q in canonical
+    order, adds p(ego,q) p(q,j) to alter j's indirect share and
+    p(ego,q) w(q,j) / tie_max[j] to its redundancy, p(u,v) being
+    w(u,v) / tie_total[u].  Each of j's sums gets one term per q, in q's
+    order, and the alter pairs it skips (q not tied to j) would add exact
+    zeros to non-negative sums, so each float equals the literal double
+    loop's.  The link count adds up the alters each alter's out-row reaches,
+    an exact int, as :func:`tie_links` does.
     """
     alters = index.ties[ego]
     slot = {j: k for k, j in enumerate(alters)}
+    among = slot.keys()
     shares = [w / tie_total[ego] for w in index.tie_weights[ego]]
     indirect = [0.0] * len(alters)
     redundancy = [0.0] * len(alters)
+    links = 0
     for q, p in zip(alters, shares):
         q_total = tie_total[q]
-        for j, w in zip(index.ties[q], index.tie_weights[q]):
-            k = slot.get(j)
-            if k is not None:
-                indirect[k] += p * (w / q_total)
-                redundancy[k] += p * (w / tie_max[j])
+        row, weights = index.ties[q], index.tie_weights[q]
+        # the alters q is tied to, found in C; a row is sorted, so bisect finds w
+        for j in among & row:
+            w = weights[bisect_left(row, j)]
+            k = slot[j]
+            indirect[k] += p * (w / q_total)
+            redundancy[k] += p * (w / tie_max[j])
+        links += len(among & index.out[q])
     constraint = size = 0.0
     for p, c, r in zip(shares, indirect, redundancy):
         constraint += (p + c) ** 2
         size += 1.0 - r
-    return constraint, size
+    return constraint, size, links
 
 
 # -- brokerage roles -------------------------------------------------------
@@ -390,9 +401,8 @@ def compute_metrics_without_brokerage(g: SocialGraph,
     tie_max = [max(row, default=0) for row in index.tie_weights]
     table: dict[StudentId, NodeMetrics] = {}
     for ego, node in enumerate(g.nodes):
-        if index.ties[ego]:
-            constraint, eff = _structural_holes(index, ego, tie_total, tie_max)
-        else:
+        constraint, eff, links = _structural_holes(index, ego, tie_total, tie_max)
+        if not index.ties[ego]:
             constraint = eff = math.nan
         table[node] = NodeMetrics(
             student=node,
@@ -400,7 +410,7 @@ def compute_metrics_without_brokerage(g: SocialGraph,
             authority=auth[node],
             hub=hub[node],
             farness=_farness(*sums[node], g.node_count, farness_penalty),
-            clustering=clustering_coefficient(g, node),
+            clustering=clustering_ratio(links, len(index.ties[ego])),
             eigencentrality=eig[node],
             constraint=constraint,
             effective_size=eff,

@@ -35,7 +35,8 @@ class OpinionRecord:
 
 
 def read_opinions_jsonl(stream) -> list[OpinionRecord]:
-    """Parse one JSON opinion object per line; malformed input is an error."""
+    """Parse one JSON opinion object per line; malformed input, nesting too
+    deep to decode included, is a DataFormatError."""
     records = []
     for lineno, raw in enumerate(stream, start=1):
         line = raw.strip()
@@ -50,7 +51,8 @@ def read_opinions_jsonl(stream) -> list[OpinionRecord]:
                 holder=str(obj["holder"]),
                 time=int(obj["time"]),
             ))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        # JSONDecodeError is a ValueError; RecursionError is nesting too deep
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise DataFormatError(f"bad opinion record on line {lineno}: {exc}") from exc
     return records
 

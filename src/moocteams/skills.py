@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Mapping
 
@@ -52,10 +53,10 @@ def term_distribution(messages: Iterable[ForumMessage],
     Returns an empty mapping when nothing survives filtering; otherwise
     the probabilities sum to 1.
     """
-    counts: dict[str, int] = {}
-    for msg in messages:
-        for token in tokenize(msg.body, stopwords, min_len=min_len):
-            counts[token] = counts.get(token, 0) + 1
+    # one tokenize call over the bodies joined by a space: a token never
+    # spans the space, so the counts are those of each body's tokens
+    counts = Counter(tokenize(" ".join([msg.body for msg in messages]),
+                              stopwords, min_len=min_len))
     total = sum(counts.values())
     if total == 0:
         return {}
@@ -101,7 +102,7 @@ def refine_skills(profile: SkillProfile, rank_score: float,
         raise ParameterError(f"rank_score must lie in [0, 1], got {rank_score}")
     factor = 1.0 + beta * rank_score
     boosted = tuple((t, w * factor) for t, w in profile.terms)
-    return replace(profile, terms=boosted, refined=True)
+    return SkillProfile(profile.student, boosted, profile.k, refined=True)
 
 
 def refine_by_rank(profiles: Mapping[StudentId, SkillProfile],

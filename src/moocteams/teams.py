@@ -223,11 +223,6 @@ def _mean_terms(members: Sequence[StudentId],
     return cost / len(members), hole / len(members)
 
 
-def _team_terms(members: Sequence[StudentId],
-                table: Mapping[StudentId, _Terms]) -> tuple[float, float, float]:
-    return (*_mean_terms(members, table), _entropy(_pool(table[s][2] for s in members)))
-
-
 def _value(weights: ObjectiveWeights, cost: float, hole: float,
            balance: float) -> float:
     return weights.w_hole * hole + weights.w_balance * balance - weights.w_cost * cost
@@ -244,7 +239,7 @@ def collaboration_cost(g: SocialGraph, team: Iterable[StudentId],
     if len(members) < 2:
         raise ParameterError("collaboration cost needs a team of at least 2")
     require_known(members, g)
-    return _team_terms(members, _term_table(g, metrics))[0]
+    return _mean_terms(members, _term_table(g, metrics))[0]
 
 
 def structural_hole_score(g: SocialGraph, team: Iterable[StudentId],
@@ -254,7 +249,7 @@ def structural_hole_score(g: SocialGraph, team: Iterable[StudentId],
     if not members:
         raise ParameterError("structural hole score needs a non-empty team")
     require_known(members, g)
-    return _team_terms(members, _term_table(g, metrics))[1]
+    return _mean_terms(members, _term_table(g, metrics))[1]
 
 
 def brokerage_balance(team: Iterable[StudentId],
@@ -267,12 +262,21 @@ def brokerage_balance(team: Iterable[StudentId],
     return _entropy(_pool(brokerage[s].as_tuple() for s in members))
 
 
-def _evaluate(teams: Sequence[Sequence[StudentId]],
+def _balances(teams: Iterable[Iterable[StudentId]],
+              table: Mapping[StudentId, _Terms]) -> list[float]:
+    """Each team's balance term: the entropy of its pooled role counts."""
+    return [_entropy(_pool(table[s][2] for s in team)) for team in teams]
+
+
+def _evaluate(teams: Sequence[Sequence[StudentId]], balances: Iterable[float],
               table: Mapping[StudentId, _Terms],
               weights: ObjectiveWeights) -> tuple[float, ObjectiveBreakdown]:
+    """The objective and its breakdown: each term's mean over ``teams``, a
+    team's cost and hole means summed over its members in order, and its
+    balance term ``balances[i]``."""
     cost = hole = balance = 0.0
-    for team in teams:
-        c, h, b = _team_terms(team, table)
+    for team, b in zip(teams, balances):
+        c, h = _mean_terms(team, table)
         cost += c
         hole += h
         balance += b
@@ -298,16 +302,22 @@ def objective(g: SocialGraph, teams: Iterable[Iterable[StudentId]],
                 raise ParameterError(f"student {s!r} appears in two teams")
             seen.add(s)
         require_known(team, g)
-    value, _ = _evaluate(team_lists, _term_table(g, metrics), weights)
+    table = _term_table(g, metrics)
+    value, _ = _evaluate(team_lists, _balances(team_lists, table), table, weights)
     return value
 
 
-def _assignment(teams: Sequence[Sequence[StudentId]],
+def _assignment(teams: Sequence[Sequence[StudentId]], balances: Sequence[float],
                 table: Mapping[StudentId, _Terms],
                 weights: ObjectiveWeights, s_min: int, s_max: int,
                 allow_oversize: bool, seed: int) -> TeamAssignment:
-    canonical = tuple(sorted(tuple(sorted(t)) for t in teams))
-    value, breakdown = _evaluate(canonical, table, weights)
+    """The roster in canonical order, scored; ``balances[i]`` is the balance
+    term of ``teams[i]``, which its member order cannot change: the entropy
+    of exact int role counts."""
+    # disjoint teams are distinct, so the sort never compares two balances
+    canonical, balances = zip(*sorted(
+        (tuple(sorted(t)), b) for t, b in zip(teams, balances)))
+    value, breakdown = _evaluate(canonical, balances, table, weights)
     return TeamAssignment(canonical, value, breakdown, weights,
                           s_min, s_max, allow_oversize, seed)
 
@@ -349,9 +359,10 @@ def form_teams(g: SocialGraph, metrics: Mapping[StudentId, NodeMetrics],
         shuffled = nodes[:]
         rng.shuffle(shuffled)
         teams = [shuffled[a:b] for a, b in itertools.pairwise(cuts[j % len(cuts)])]
-        teams = _hill_climb(teams, table, weights, n,
-                            s_min, s_max, allow_oversize, iterations, rng)
-        return _assignment(teams, table, weights, s_min, s_max, allow_oversize, seed)
+        teams, balances = _hill_climb(teams, table, weights, n, s_min, s_max,
+                                      allow_oversize, iterations, rng)
+        return _assignment(teams, balances, table, weights, s_min, s_max,
+                           allow_oversize, seed)
 
     return min(map(climb, range(restarts * len(counts))), key=_rank)
 
@@ -360,20 +371,24 @@ def _hill_climb(teams: list[list[StudentId]],
                 table: Mapping[StudentId, _Terms],
                 weights: ObjectiveWeights, n: int,
                 s_min: int, s_max: int, allow_oversize: bool,
-                iterations: int, rng: random.Random) -> list[list[StudentId]]:
+                iterations: int, rng: random.Random,
+                ) -> tuple[list[list[StudentId]], list[float]]:
+    """The climbed teams and each one's balance term."""
     k = len(teams)
     if k < 2:
-        return teams
+        return teams, _balances(teams, table)
 
-    def score(members: Sequence[StudentId], pooled: Sequence[int]) -> float:
-        return _value(weights, *_mean_terms(members, table), _entropy(pooled))
+    def score(members: Sequence[StudentId], balance: float) -> float:
+        return _value(weights, *_mean_terms(members, table), balance)
 
     def off(size: int) -> bool:
         return not s_min <= size <= s_max
 
-    # each team's pooled role counts, adjusted by the rows a proposal moves
+    # each team's pooled role counts, adjusted by the rows a proposal moves,
+    # and their entropy, its balance term
     pools = [_pool(table[s][2] for s in t) for t in teams]
-    scores = [score(t, p) for t, p in zip(teams, pools)]
+    balances = list(map(_entropy, pools))
+    scores = list(map(score, teams, balances))
     # sizes always pass _sizes_feasible, so a move is decided by the two it changes
     sizes = [len(t) for t in teams]
     outside = sum(map(off, sizes))
@@ -406,14 +421,16 @@ def _hill_climb(teams: list[list[StudentId]],
             row = table[teams[i][a]][2]
             pi = list(map(sub, pools[i], row))
             pj = list(map(add, pools[j], row))
-        si, sj = score(ti, pi), score(tj, pj)
+        bi, bj = _entropy(pi), _entropy(pj)
+        si, sj = score(ti, bi), score(tj, bj)
         if si + sj > scores[i] + scores[j]:
             teams[i], teams[j] = ti, tj
             pools[i], pools[j] = pi, pj
+            balances[i], balances[j] = bi, bj
             scores[i], scores[j] = si, sj
             sizes[i], sizes[j] = len(ti), len(tj)
             outside = count
-    return teams
+    return teams, balances
 
 
 # -- exhaustive oracle -------------------------------------------------------
@@ -486,7 +503,8 @@ def brute_force_teams(g: SocialGraph, metrics: Mapping[StudentId, NodeMetrics],
         raise ParameterError(f"brute force is limited to 10 nodes, got {n}")
     _validate_bounds(n, s_min, s_max)
     table = _term_table(g, metrics)
-    best = min((_assignment(partition, table, weights, s_min, s_max, allow_oversize, 0)
+    best = min((_assignment(partition, _balances(partition, table), table, weights,
+                            s_min, s_max, allow_oversize, 0)
                 for k in _feasible_team_counts(n, s_min, s_max, allow_oversize)
                 for sizes in _feasible_size_vectors(n, k, s_min, s_max, allow_oversize)
                 for partition in enumerate_partitions(nodes, sizes)),

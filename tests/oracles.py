@@ -436,24 +436,27 @@ def reference_hill_climb(teams, table, weights, n, s_min, s_max, allow_oversize,
                          iterations, rng):
     """The team search's climb with each proposed team scored from scratch:
     its cost and hole terms summed over the members in order, and its role
-    counts pooled over the members again.  Same signature, random draws and
-    acceptance rule as ``moocteams.teams._hill_climb``."""
+    counts pooled over the members again.  Same signature, random draws,
+    acceptance rule and result as ``moocteams.teams._hill_climb``: the teams,
+    and each one's balance term, pooled from scratch too."""
+    def balance(members):
+        pooled = [sum(table[s][2][r] for s in members) for r in range(5)]
+        total = sum(pooled)
+        if not total:
+            return 0.0
+        entropy = 0.0
+        for v in pooled:
+            if v:
+                p = v / total
+                entropy -= p * math.log(p)
+        return entropy / math.log(5.0)
+
     def score(members):
         cost = hole = 0.0
         for s in members:
             cost += table[s][0]
             hole += table[s][1]
-        pooled = [sum(table[s][2][r] for s in members) for r in range(5)]
-        total = sum(pooled)
-        balance = 0.0
-        if total:
-            entropy = 0.0
-            for v in pooled:
-                if v:
-                    p = v / total
-                    entropy -= p * math.log(p)
-            balance = entropy / math.log(5.0)
-        return (weights.w_hole * (hole / len(members)) + weights.w_balance * balance
+        return (weights.w_hole * (hole / len(members)) + weights.w_balance * balance(members)
                 - weights.w_cost * (cost / len(members)))
 
     def off(size):
@@ -461,7 +464,7 @@ def reference_hill_climb(teams, table, weights, n, s_min, s_max, allow_oversize,
 
     k = len(teams)
     if k < 2:
-        return teams
+        return teams, [balance(t) for t in teams]
     scores = [score(t) for t in teams]
     for _ in range(iterations):
         i = rng.randrange(k)
@@ -491,4 +494,4 @@ def reference_hill_climb(teams, table, weights, n, s_min, s_max, allow_oversize,
         if si + sj > scores[i] + scores[j]:
             teams[i], teams[j] = ti, tj
             scores[i], scores[j] = si, sj
-    return teams
+    return teams, [balance(t) for t in teams]

@@ -2,12 +2,16 @@
 
 import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moocteams.cli import main
 from moocteams.diffusion import TRACE_HEADER, read_trace_csv
 from moocteams.errors import DataFormatError
+from moocteams.formats import write_json
 from moocteams.graph import CSV_HEADER, read_graph_csv
 from moocteams.metrics import METRICS_HEADER, read_metrics_csv
 from moocteams.skills import read_partition_json, read_skills_json
@@ -45,6 +49,72 @@ def test_csv_readers_share_header_width_and_blank_rules(kind, case):
 def test_json_readers_reject_invalid_json(reader):
     with pytest.raises(DataFormatError):
         reader(io.StringIO('{"student": '))
+
+
+@pytest.mark.parametrize("reader", [read_skills_json, read_partition_json,
+                                    read_roster_json])
+@pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000,
+                                  '{"seed": ' + "9" * 5000 + "}"],
+                         ids=["deep nesting", "huge number"])
+def test_json_readers_reject_what_json_cannot_decode(reader, text):
+    with pytest.raises(DataFormatError):
+        reader(io.StringIO(text))
+
+
+@pytest.mark.parametrize("kind", CSV_READERS)
+def test_csv_readers_reject_a_field_past_the_size_limit(kind):
+    reader, header, _ = CSV_READERS[kind]
+    with pytest.raises(DataFormatError):
+        reader(_csv(header, ["x" * 200_000]))
+
+
+# every scalar json writes, with the awkward floats, huge ints and strings
+# (non-ASCII, control characters, lone surrogates) named
+SCALARS = (st.none() | st.booleans()
+           | st.integers() | st.sampled_from([10 ** 100, -(2 ** 200)])
+           | st.floats(allow_nan=True, allow_infinity=True)
+           | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-7, 1e16])
+           | st.text(st.characters(blacklist_categories=()), max_size=8))
+PAYLOADS = st.recursive(
+    SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(st.characters(blacklist_categories=()),
+                                             max_size=6), inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(PAYLOADS)
+def test_write_json_matches_json_dumps(payload):
+    stream = io.StringIO()
+    write_json(payload, stream)
+    assert stream.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_write_json_writes_as_it_lays_out():
+    class Recorder(io.StringIO):
+        def __init__(self):
+            super().__init__()
+            self.sizes = []
+
+        def write(self, text):
+            self.sizes.append(len(text))
+            return super().write(text)
+
+    # one top-level item, as the roster's "teams" list is
+    payload = {"teams": [[f"s{k:05d}", f"s{k + 1:05d}", 0.5] for k in range(500)]}
+    stream = Recorder()
+    write_json(payload, stream)
+    assert stream.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert max(stream.sizes) < len(stream.getvalue()) / 10
+
+
+@pytest.mark.parametrize("payload", [{1: "x"}, {"a": [{None: 0}]}, [object()],
+                                     {"a": {1, 2}}])
+def test_write_json_refuses_what_it_cannot_lay_out(payload):
+    with pytest.raises(TypeError):
+        write_json(payload, io.StringIO())
 
 
 ROSTER = {

@@ -3,6 +3,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moocteams.errors import DataFormatError, ParameterError
 from moocteams.ingest import (
@@ -51,6 +53,63 @@ def test_parse_skips_malformed_and_duplicates():
     assert result.parsed == 4
     assert result.skipped == 3
     assert [m.id for m in result.messages] == ["m1", "m3", "m4", "m5"]
+
+
+# three good lines, so that one malformed line more is not a wrong file
+_GOOD = [_line(id=f"g{k}", author="a") for k in range(3)]
+
+
+def _parsed_as_json_loads_would(line: str):
+    """The parse of ``line`` after the good lines, deciding whether ``line``
+    is JSON the way ``json.loads`` does on the stripped line, and then
+    handing the record on re-encoded (malformed lines as ``{``)."""
+    try:
+        canonical = json.dumps(json.loads(line.strip()))
+    except (ValueError, RecursionError):  # JSONDecodeError is a ValueError
+        canonical = "{"
+    return parse_forum_export([*_GOOD, canonical])
+
+
+_M = _line(id="m1", author="alice")
+EDGE_LINES = {
+    "trailing garbage": _M + " x",
+    "trailing brace": _M + "}",
+    "two objects": _M + _M,
+    "BOM": "\ufeff" + _M,
+    "bare string": '"m1"',
+    "bare number": "42",
+    "bare null": "null",
+    "bare array": "[" + _M + "]",
+    "NaN literal": _M[:-1] + ', "score": NaN}',
+    "Infinity literal": _M[:-1] + ', "score": -Infinity}',
+    "NaN timestamp": _line(id="m1", author="alice").replace("100", "NaN"),
+    "duplicate keys": '{"id": "m0", "thread_id": "t1", "timestamp": 1, "id": "m1"}',
+    "nbsp padding": "\u00a0" + _M + "\u00a0\t",
+    "nbsp inside": _M.replace(", ", ",\u00a0", 1),
+    "bad escape": _M.replace('"hi"', '"h\\qi"'),
+    "lone surrogate escape": _M.replace('"hi"', '"\\ud800"'),
+    "raw control character": _M.replace('"hi"', '"h\x01i"'),
+    "huge integer": _M.replace("100", "1" * 5000),
+    "deep nesting": "[" * 100_000 + "]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("name", EDGE_LINES)
+def test_parse_decodes_edge_lines_as_json_loads_does(name):
+    got = parse_forum_export([*_GOOD, EDGE_LINES[name]])
+    want = _parsed_as_json_loads_would(EDGE_LINES[name])
+    assert (got.messages, got.skipped) == (want.messages, want.skipped)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=' \t\u00a0\ufeff{}[]":,.-+0123456789eEnulltrfasNIiy\\x', max_size=30))
+def test_parse_decodes_any_line_as_json_loads_does(line):
+    got = parse_forum_export([*_GOOD, line])
+    want = _parsed_as_json_loads_would(line)
+    if not line.strip():  # a blank line is not counted at all
+        assert (got.messages, got.skipped) == (want.messages[:3], 0)
+    else:
+        assert (got.messages, got.skipped) == (want.messages, want.skipped)
 
 
 def test_parse_mostly_garbage_raises():

@@ -110,6 +110,30 @@ def test_corpus_pipeline_artifacts_match_pinned_digests(tmp_path):
     assert got == PINNED_PIPELINE
 
 
+#: sha256 of each artifact of ``run_pipeline`` at seed 1 on the 4x synthetic
+#: corpus (every count of the 1x one times four, corpus seed 1);
+#: ``manifest.json`` and ``timings.json`` are left out.
+PINNED_PIPELINE_4X = {
+    "graph.csv": "548ab3ae0feb6239ae6b8fe765840ef2243724a86b5e779f2d457dbc35bf3b75",
+    "graph.dot": "2ff4f913c296a1c36399f5573e1502e276203118b5e2dfa2c628eedb8ae314c0",
+    "metrics.csv": "915c38a82fa4f865790507ec7f9167a3d317da61c085323debef4a6837ac1531",
+    "partition.json": "b87719f4ba46cd69aef85a1c662cf842d4537a6bca5f955e97948e782da0837e",
+    "skills.json": "2e817394b46fbdaaea1950ade26cc4558d885756a8ade31655d797280456ab5d",
+    "teams.json": "9db9bb2922b7da2cbca938b2c59e324bca6a76346bfe1c5e0b39c7eecfdbb0e5",
+    "trace.csv": "c6f5897da591525bb10030024eaa95ed465169e94db4861052f50b1d34463433"}
+
+
+def test_4x_corpus_pipeline_artifacts_match_pinned_digests(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    with open(corpus, "w", encoding="utf-8") as fh:
+        write_jsonl(synth_corpus(SynthParams(students=3084, threads=2660, posts=7200,
+                                             comments=28000, seed=1)), fh)
+    out = tmp_path / "run"
+    run_pipeline(RunConfig(str(corpus), str(out), seed=1))
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in PINNED_PIPELINE_4X} == PINNED_PIPELINE_4X
+
+
 def test_pipeline_seed_changes_propagate(tmp_path):
     corpus = tmp_path / "corpus.jsonl"
     _corpus(corpus)
@@ -1068,6 +1092,34 @@ def test_cli_mutated_input_exits_with_a_documented_code(reader, edits,
     code = main(argv)
     assert code in (0, 2)
     assert set(out.iterdir()) == ({bad, target} if code == 0 else {bad})
+
+
+#: a JSON document nested past every decoder's depth limit
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_cli_deeply_nested_input_exits_0_or_2(reader, valid_inputs, capsys):
+    """A JSON-Lines input keeps its first two lines before the deep one;
+    any other input is the deep document alone."""
+    name, template = READERS[reader]
+    out = valid_inputs / f"out-deep-{reader}"
+    out.mkdir(exist_ok=True)
+    bad = out / name
+    lines = (valid_inputs / name).read_text(encoding="utf-8").splitlines(True)
+    bad.write_text("".join(lines[:2] if name.endswith(".jsonl") else []) + DEEP + "\n",
+                   encoding="utf-8")
+    argv = [arg.format(bad=bad, out=out, valid=valid_inputs) for arg in template]
+    target = Path(argv[-1])
+    target.unlink(missing_ok=True)
+    code = main(argv)
+    printed = capsys.readouterr()
+    assert code in (0, 2)
+    assert "Traceback" not in printed.err
+    assert set(out.iterdir()) == ({bad, target} if code == 0 else {bad})
+    if reader == "corpus":
+        assert code == 0
+        assert printed.out.startswith("messages=2 skipped=1 ")
 
 
 @pytest.mark.parametrize("value", ["", "nan", "-1", "1e309", "x", "-0"])
