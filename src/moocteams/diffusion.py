@@ -32,9 +32,8 @@ from functools import partial
 from itertools import accumulate, product
 from typing import Mapping, Sequence
 
-from .errors import (DataFormatError, InsufficientDataError, ParameterError,
-                     require_known)
-from .formats import read_csv, write_csv
+from .errors import InsufficientDataError, ParameterError, require_known
+from .formats import read_csv, refused_as, write_csv
 from .graph import SocialGraph, StudentId, hop_counts
 from .metrics import NodeMetrics
 
@@ -604,11 +603,9 @@ def read_trace_csv(stream) -> dict[StudentId, tuple[int | None, int]]:
     out: dict[StudentId, tuple[int | None, int]] = {}
     for row in read_csv(stream, TRACE_HEADER, "trace"):
         student, arrival, receipts = row
-        try:
+        with refused_as("bad trace row: {}", row):
             out[student] = (None if arrival == NEVER else int(arrival),
                             int(receipts))
-        except ValueError as exc:
-            raise DataFormatError(f"bad trace row: {row}") from exc
     return out
 
 

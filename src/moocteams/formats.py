@@ -1,9 +1,13 @@
 """The CSV and JSON layout of every artifact, declared once.
 
 Writers end every line in ``\\n`` and the files are opened with no newline
-translation, so the bytes are the same on every platform.  A malformed
-file raises :class:`DataFormatError`: one that is not JSON, nests too deep
-for the decoder, or holds a field or number too long to read.
+translation, so the bytes are the same on every platform.  Readers refuse a
+bad value by one rule, :func:`refused_as`: a ``KeyError``, ``TypeError``,
+``ValueError``, ``OverflowError``, ``RecursionError`` or ``csv.Error`` while
+reading is a :class:`DataFormatError` naming the file kind and the row, line
+or entry.  Text that is not JSON or nests too deep for the decoder, a field
+or number too long to read, and ``Infinity`` or a 400-digit integer where an
+int or a float belongs are all data errors, never a crash.
 """
 
 from __future__ import annotations
@@ -11,10 +15,23 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Iterator, Sequence, TextIO
 
 from .errors import DataFormatError
+
+
+@contextmanager
+def refused_as(message: str, *args: Any) -> Iterator[None]:
+    """Raise ``DataFormatError("<message>: <cause>")`` for a ``cause`` of the
+    kinds below, ``message.format(*args)`` built only then.  A DataFormatError
+    is a ValueError, so one raised in the block gets the message put first."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError,
+            csv.Error) as cause:
+        raise DataFormatError(f"{message.format(*args)}: {cause}") from cause
 
 
 def write_csv(stream: TextIO, header: Sequence[str],
@@ -29,16 +46,14 @@ def read_csv(stream: TextIO, header: Sequence[str],
     """The non-blank rows after ``header`` (matched with each cell
     stripped), each as wide as the header; ``what`` names the file kind."""
     reader = csv.reader(stream)
-    try:
+    with refused_as("bad {} CSV", what):  # csv.Error: a field past its size limit, for one
         first = next(reader, None)
         if first is None or [cell.strip() for cell in first] != list(header):
-            raise DataFormatError(f"expected {what} header {list(header)}, got {first}")
+            raise DataFormatError(f"expected header {list(header)}, got {first}")
         for row in filter(None, reader):  # blank lines read as empty rows
             if len(row) != len(header):
-                raise DataFormatError(f"bad {what} row: {row}")
+                raise DataFormatError(f"row {row} is not {len(header)} cells wide")
             yield row
-    except csv.Error as exc:  # a field past csv's size limit, for one
-        raise DataFormatError(f"unreadable {what} CSV: {exc}") from exc
 
 
 def _scalar(o: Any) -> str | None:
@@ -119,7 +134,5 @@ def write_json(payload: Any, stream: TextIO) -> None:
 
 
 def read_json(stream: TextIO, what: str) -> Any:
-    try:
+    with refused_as("invalid {} JSON", what):
         return json.load(stream)
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
-        raise DataFormatError(f"invalid {what} JSON: {exc}") from exc

@@ -19,7 +19,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 from .errors import DataFormatError, MissingNodeError, ParameterError
-from .formats import read_csv, write_csv
+from .formats import read_csv, refused_as, write_csv
 
 StudentId = str
 
@@ -253,10 +253,8 @@ def read_graph_csv(stream: TextIO) -> SocialGraph:
         if dst == "":
             isolated.add(src)
             continue
-        try:
+        with refused_as("non-integer weight in row {}", row):
             weight = int(w)
-        except ValueError:
-            raise DataFormatError(f"non-integer weight in row {row}") from None
         if (src, dst) in edges:
             raise DataFormatError(f"repeated edge {src!r}->{dst!r} in row {row}")
         edges[(src, dst)] = weight

@@ -18,13 +18,13 @@ import math
 import warnings
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
-from operator import add, mul, sub
+from dataclasses import dataclass, field, fields
+from operator import add, attrgetter, mul, sub
 from typing import Iterable, Mapping, Sequence, TextIO
 
 from .errors import (ConvergenceWarning, DataFormatError, ParameterError,
                      UndefinedMetricError, require_known)
-from .formats import read_csv, write_csv
+from .formats import read_csv, refused_as, write_csv
 from .graph import (GraphIndex, SocialGraph, StudentId, distance_sums,
                     geodesic_distances)
 
@@ -306,15 +306,15 @@ class BrokerageCounts:
     liaison: int = 0
 
     def total(self) -> int:
-        return (self.coordinator + self.gatekeeper + self.representative
-                + self.consultant + self.liaison)
+        return sum(self.as_tuple())
 
-    def as_tuple(self) -> tuple[int, int, int, int, int]:
-        return (self.coordinator, self.gatekeeper, self.representative,
-                self.consultant, self.liaison)
+    def as_tuple(self) -> tuple[int, ...]:
+        """The counts in ``ROLE_NAMES`` order."""
+        return _role_counts(self)
 
 
-ROLE_NAMES = ("coordinator", "gatekeeper", "representative", "consultant", "liaison")
+ROLE_NAMES = tuple(f.name for f in fields(BrokerageCounts))
+_role_counts = attrgetter(*ROLE_NAMES)
 
 
 def brokerage_counts(g: SocialGraph,
@@ -441,20 +441,18 @@ def compute_node_metrics(g: SocialGraph,
     return table
 
 
-METRICS_HEADER = ["student", "pagerank", "authority", "hub", "farness",
-                  "clustering", "eigencentrality", "constraint",
-                  "effective_size", *ROLE_NAMES]
+#: The metric table's reals: the NodeMetrics fields between the student and
+#: the brokerage counts, in column order.
+_REALS = tuple(f.name for f in fields(NodeMetrics))[1:-1]
+_real_values = attrgetter(*_REALS)
+METRICS_HEADER = ["student", *_REALS, *ROLE_NAMES]
 
 
 def write_metrics_csv(table: Mapping[StudentId, NodeMetrics],
                       stream: TextIO) -> None:
     """One row per student, reals at 9 significant digits."""
     write_csv(stream, METRICS_HEADER, (
-        [node,
-         *(f"{v:.9g}" for v in (m.pagerank, m.authority, m.hub, m.farness,
-                                m.clustering, m.eigencentrality,
-                                m.constraint, m.effective_size)),
-         *m.brokerage.as_tuple()]
+        [node, *(f"{v:.9g}" for v in _real_values(m)), *m.brokerage.as_tuple()]
         for node, m in sorted(table.items())))
 
 
@@ -467,11 +465,9 @@ def read_metrics_csv(stream: TextIO) -> dict[StudentId, NodeMetrics]:
         node = row[0]
         if node in table:
             raise DataFormatError(f"metrics table has two rows for {node!r}")
-        try:
-            reals = [float(v) for v in row[1:9]]
-            roles = [int(v) for v in row[9:]]
-        except ValueError:
-            raise DataFormatError(f"non-numeric cell in metrics row: {row}") from None
+        with refused_as("non-numeric cell in metrics row: {}", row):
+            reals = [float(v) for v in row[1:1 + len(_REALS)]]
+            roles = [int(v) for v in row[1 + len(_REALS):]]
         for name, v in zip(METRICS_HEADER[1:], (*reals, *roles)):
             if (math.isinf(v) or math.isnan(v) and name not in ("constraint", "effective_size")
                     or v < 0):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DataFormatError, ParameterError
+from .formats import refused_as
 from .graph import SocialGraph, StudentId
 from .teams import TeamAssignment
 
@@ -42,7 +43,7 @@ def read_opinions_jsonl(stream) -> list[OpinionRecord]:
         line = raw.strip()
         if not line:
             continue
-        try:
+        with refused_as("bad opinion record on line {}", lineno):
             obj = json.loads(line)
             records.append(OpinionRecord(
                 entity=str(obj["entity"]),
@@ -51,9 +52,6 @@ def read_opinions_jsonl(stream) -> list[OpinionRecord]:
                 holder=str(obj["holder"]),
                 time=int(obj["time"]),
             ))
-        # JSONDecodeError is a ValueError; RecursionError is nesting too deep
-        except (KeyError, TypeError, ValueError, RecursionError) as exc:
-            raise DataFormatError(f"bad opinion record on line {lineno}: {exc}") from exc
     return records
 
 

@@ -16,7 +16,7 @@ from importlib import resources
 from typing import Iterable, Mapping
 
 from .errors import DataFormatError, ParameterError
-from .formats import read_json, write_json
+from .formats import read_json, refused_as, write_json
 from .graph import StudentId
 from .ingest import ForumMessage
 
@@ -278,13 +278,11 @@ def read_skills_json(stream) -> dict[StudentId, SkillProfile]:
         raise DataFormatError("skills JSON must be an array of profiles")
     profiles: dict[StudentId, SkillProfile] = {}
     for entry in payload:
-        try:
+        with refused_as("bad skill profile entry: {!r}", entry):
             terms = tuple((d["term"], float(d["weight"])) for d in entry["terms"])
             profiles[entry["student"]] = SkillProfile(
                 entry["student"], terms, k=int(entry["k"]),
                 refined=bool(entry["refined"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataFormatError(f"bad skill profile entry: {entry!r}") from exc
     return profiles
 
 

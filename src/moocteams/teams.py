@@ -18,7 +18,7 @@ from operator import add, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DataFormatError, ParameterError, require_known
-from .formats import read_json, write_json
+from .formats import read_json, refused_as, write_json
 from .graph import SocialGraph, StudentId
 from .metrics import BrokerageCounts, NodeMetrics
 
@@ -535,26 +535,25 @@ def write_roster_json(assignment: TeamAssignment, stream) -> None:
 def read_roster_json(stream) -> TeamAssignment:
     """Inverse of :func:`write_roster_json`; a student listed twice is an error."""
     payload = read_json(stream, "roster")
-    try:
+    with refused_as("bad roster JSON structure"):
         teams = payload["teams"]
         if not isinstance(teams, list) or not all(
                 isinstance(team, list) and all(isinstance(s, str) for s in team)
                 for team in teams):
             raise DataFormatError("roster teams must be lists of student ids")
-        weights = ObjectiveWeights(**payload["params"]["weights"])
-        breakdown = ObjectiveBreakdown(**payload["breakdown"])
+        params = payload["params"]
+        numbers = {}
+        for key, convert, holder in (("objective", float, payload), ("s_min", int, params),
+                                     ("s_max", int, params), ("seed", int, payload)):
+            with refused_as(key):
+                numbers[key] = convert(holder[key])
         assignment = TeamAssignment(
             teams=tuple(map(tuple, teams)),
-            objective=float(payload["objective"]),
-            breakdown=breakdown,
-            weights=weights,
-            s_min=int(payload["params"]["s_min"]),
-            s_max=int(payload["params"]["s_max"]),
-            allow_oversize=bool(payload["params"]["allow_oversize"]),
-            seed=int(payload["seed"]),
+            breakdown=ObjectiveBreakdown(**payload["breakdown"]),
+            weights=ObjectiveWeights(**params["weights"]),
+            allow_oversize=bool(params["allow_oversize"]),
+            **numbers,
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"bad roster JSON structure: {exc}") from exc
     seen: set[StudentId] = set()
     for s in itertools.chain.from_iterable(assignment.teams):
         if s in seen:

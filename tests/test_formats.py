@@ -1,5 +1,6 @@
 """The shared reader rules of every CSV and JSON artifact, and roster shape."""
 
+import csv
 import io
 import json
 import math
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from moocteams.cli import main
 from moocteams.diffusion import TRACE_HEADER, read_trace_csv
 from moocteams.errors import DataFormatError
-from moocteams.formats import write_json
+from moocteams.formats import refused_as, write_json
 from moocteams.graph import CSV_HEADER, read_graph_csv
 from moocteams.metrics import METRICS_HEADER, read_metrics_csv
 from moocteams.skills import read_partition_json, read_skills_json
@@ -28,6 +29,18 @@ CSV_READERS = {
 
 def _csv(*lines):
     return io.StringIO("".join(",".join(line) + "\n" for line in lines))
+
+
+@pytest.mark.parametrize("cause", [
+    KeyError("seed"), TypeError("not a list"), ValueError("not a number"),
+    OverflowError("too large"), RecursionError("too deep"), csv.Error("too long"),
+    DataFormatError("out of range")])
+def test_refused_as_names_what_it_was_reading_and_the_cause(cause):
+    with pytest.raises(DataFormatError) as err:
+        with refused_as("bad record on line 3"):
+            raise cause
+    assert str(err.value) == f"bad record on line 3: {cause}"
+    assert err.value.__cause__ is cause
 
 
 @pytest.mark.parametrize("kind", CSV_READERS)

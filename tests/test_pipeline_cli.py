@@ -883,6 +883,28 @@ def test_cli_pipeline_no_run_diffusion_skips_the_stage(tmp_path, capsys):
     assert not (out / "trace.csv").exists()
 
 
+def test_cli_pipeline_on_a_graph_with_no_edges_skips_diffusion(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["synth", "--students", "10", "--threads", "10", "--posts", "10",
+                 "--comments", "0", "--seed", "1", "--output", str(corpus)]) == 0
+    out = tmp_path / "run"
+    argv = ["pipeline", "--input", str(corpus), "--output-dir", str(out), "--seed", "1"]
+    runs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        runs.append({p.name: p.read_bytes() for p in out.iterdir()
+                     if p.name != "timings.json"})
+    capsys.readouterr()
+    manifest = json.loads(runs[0]["manifest.json"])
+    assert manifest["status"] == "complete"
+    assert (manifest["graph"]["nodes"], manifest["graph"]["edges"]) == (9, 0)
+    diffusion, = (s for s in manifest["stages"] if s["name"] == "diffusion")
+    assert diffusion["status"] == "skipped"
+    assert diffusion["reason"] == "graph has no edges"
+    assert "trace.csv" not in runs[0]
+    assert runs[1] == runs[0]
+
+
 # the settings each stage subcommand shares with the pipeline, besides --seed
 STAGE_SETTINGS = {
     "ingest": ["reply_policy"],
@@ -1147,3 +1169,55 @@ def test_cli_metrics_cell_edits_exit_0_or_2(value, valid_inputs, capsys):
             assert "Traceback" not in capsys.readouterr().err
             assert set(out.iterdir()) == ({bad, target} if code == 0 else {bad})
             target.unlink(missing_ok=True)
+
+
+def _scalar_paths(payload, path=()):
+    """The key path of each scalar in a JSON object, nested objects included."""
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            yield from _scalar_paths(value, (*path, key))
+        elif not isinstance(value, list):
+            yield (*path, key)
+
+
+#: where the edited value goes, before its JSON text replaces the quoted marker
+MARKER = "@value@"
+
+
+@pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN", "1e999", "9" * 400,
+                                   "-1", "1.5", '"x"', "null", "[]", "{}", "true"])
+def test_cli_json_field_edits_exit_0_or_2(value, valid_inputs, capsys):
+    """``value``, as JSON text, in each scalar field of ``teams.json`` (read by
+    ``report --dot-out``) and in each field of the first ``opinions.jsonl``
+    line (read by ``report --summary-out``), one field at a time."""
+    roster = json.loads((valid_inputs / "teams.json").read_text(encoding="utf-8"))
+    first, *rest = (valid_inputs / "opinions.jsonl").read_text(
+        encoding="utf-8").splitlines(True)
+    opinion = json.loads(first)
+    out = valid_inputs / "out-fields"
+    out.mkdir(exist_ok=True)
+    edits = [("roster", roster, path) for path in _scalar_paths(roster)]
+    edits += [("opinions", opinion, (key,)) for key in sorted(opinion)]
+    for reader, payload, path in edits:
+        edited = json.loads(json.dumps(payload))
+        *parents, key = path
+        holder = edited
+        for parent in parents:
+            holder = holder[parent]
+        holder[key] = MARKER
+        text = json.dumps(edited).replace(json.dumps(MARKER), value)
+        name, template = READERS[reader]
+        bad = out / name
+        bad.write_text(text + "\n" if reader == "roster" else "".join([text + "\n", *rest]),
+                       encoding="utf-8")
+        argv = [arg.format(bad=bad, out=out, valid=valid_inputs) for arg in template]
+        target = Path(argv[-1])
+        code = main(argv)
+        printed = capsys.readouterr()
+        assert code in (0, 2), (reader, path, printed)
+        assert "Traceback" not in printed.err
+        if code == 2:
+            assert printed.err.startswith("error: ") and printed.err.count("\n") == 1
+        assert set(out.iterdir()) == ({bad, target} if code == 0 else {bad}), (reader, path)
+        target.unlink(missing_ok=True)
+        bad.unlink()

@@ -7,6 +7,7 @@ import pytest
 from moocteams.errors import DataFormatError, ParameterError
 from moocteams.ingest import TOPIC_VOCABULARY, ForumMessage, SynthParams, synth_corpus
 from moocteams.skills import (
+    UNOBSERVED_GROUP,
     SkillProfile,
     build_skill_profiles,
     default_stopwords,
@@ -131,6 +132,30 @@ def test_partition_covers_all_profiles_and_is_deterministic():
     assert len(set(p1.values())) <= 4
 
 
+@pytest.mark.parametrize("n_groups", [4, 7])
+def test_partition_splits_buckets_when_dominant_terms_run_short(n_groups):
+    """Two dominant terms (five students on graphs, two on poetry) and one
+    student with no terms: the buckets are split until there are
+    ``n_groups`` groups, each inside one bucket."""
+    profiles = [SkillProfile(f"g{i}", (("graphs", 0.6), ("poetry", 0.1 * i)), k=2)
+                for i in range(5)]
+    profiles += [SkillProfile(f"p{i}", (("poetry", 0.7), ("graphs", 0.2)), k=2)
+                 for i in range(2)]
+    profiles.append(SkillProfile("quiet", (), k=2))
+    partition = skill_partition(profiles, n_groups=n_groups, seed=4)
+    assert set(partition) == {p.student for p in profiles}
+    assert partition["quiet"] == UNOBSERVED_GROUP
+    groups = {}
+    for student, label in partition.items():
+        groups.setdefault(label, set()).add(student)
+    del groups[UNOBSERVED_GROUP]
+    assert len(groups) == n_groups
+    dominant = {p.student: p.dominant_term() for p in profiles}
+    for members in groups.values():
+        assert len({dominant[s] for s in members}) == 1, members
+    assert skill_partition(profiles, n_groups=n_groups, seed=4) == partition
+
+
 def _random_profiles(seed):
     """Profiles over a small vocabulary with weights from {1, 0.5, 0.25},
     plus six students whose terms no one else uses, all at one weight.  Two
@@ -193,6 +218,14 @@ def test_skills_json_rejects_non_numeric_weight():
     # no subcommand reads skills JSON, so the reader is called directly
     text = '[{"student": "a", "terms": [{"term": "x", "weight": "heavy"}], "k": 5, "refined": false}]'
     with pytest.raises(DataFormatError):
+        read_skills_json(io.StringIO(text))
+
+
+@pytest.mark.parametrize("k, weight", [("Infinity", "0.5"), ("5", "9" * 400)])
+def test_skills_json_rejects_a_number_too_large_to_convert(k, weight):
+    text = ('[{"student": "a", "terms": [{"term": "x", "weight": %s}], "k": %s, '
+            '"refined": false}]' % (weight, k))
+    with pytest.raises(DataFormatError, match="bad skill profile entry"):
         read_skills_json(io.StringIO(text))
 
 

@@ -384,3 +384,25 @@ def test_form_teams_matches_the_re_pooling_reference_climb(monkeypatch, allow_ov
             patch.setattr(teams_module, "_hill_climb", reference_hill_climb)
             want = form_teams(g, metrics, **search)
         assert (got.teams, got.objective) == (want.teams, want.objective)
+
+
+def test_form_teams_matches_brute_force_when_one_team_can_hold_everyone(monkeypatch):
+    # compare objectives, not rosters: at n=4, seeds 3 and 5, the two searches
+    # reach the same objective with different rosters
+    sizes = []
+
+    def spy(teams, *args):
+        sizes.append(len(teams))
+        return climb(teams, *args)
+
+    climb = teams_module._hill_climb
+    monkeypatch.setattr(teams_module, "_hill_climb", spy)
+    for n in (3, 4, 5):
+        for seed in range(6):
+            g = random_digraph(n, 0.5, seed=seed)
+            metrics = compute_node_metrics(g)
+            for s_max in range(n, 6):
+                best = brute_force_teams(g, metrics, s_min=2, s_max=s_max)
+                found = form_teams(g, metrics, s_min=2, s_max=s_max, seed=seed)
+                assert found.objective == best.objective, (n, seed, s_max)
+    assert 1 in sizes  # the single-team climb ran
