@@ -11,14 +11,15 @@ numbers, so its replications are identical and are computed once.
 
 Replications run on node positions from :meth:`SocialGraph.index`, over a
 hop table made once per :func:`simulate` call, whose hop options for a node
-are built the first time a token stands there; ids come back only in the
-outcome of each replication.  A route is an immutable ``int`` bitset: one
-bit per node position on a PATH, one per edge id on a TRAIL, and 0 on the
-other trajectories.  A sender sets the bit of each send-mark before it
-spawns the copy, so the copy holds the sender's route object itself and
-nothing is copied.  A hop never rebuilds its holder's options: the route
-gives the local indices of the options it excludes, and the pick steps
-over them in the shared edge list and running totals.
+are built the first time a token stands there.  A token is its holder, its
+route and its exclusions, kept in parallel lists.  A route is an immutable
+``int`` bitset: a bit per node position on a PATH, per edge id on a TRAIL,
+else 0.  The exclusions are the holder's options the token may not take, as
+bits of their local indices: derived from the route at its first hop from
+the holder, then updated with its sends.  A PATH sender marks each send in
+its route, which a copy shares; a TRAIL sender marks its exclusions only,
+and writes them into a route just for a copy or a move, so a copy the cap
+refuses costs no route.  The pick steps over the excluded indices.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from itertools import accumulate, product
+from itertools import accumulate, compress, product
 from typing import Mapping, Sequence
 
 from .errors import InsufficientDataError, ParameterError, require_known
@@ -133,20 +134,6 @@ class DiffusionTrace:
         return self.arrival_sum[node] / count
 
 
-class _Token:
-    __slots__ = ("holder", "options", "lineage", "route")
-
-    def __init__(self, holder, options, lineage, route):
-        self.holder = holder
-        # the hop options of the lineage's source, spec.sources[lineage]
-        self.options = options
-        self.lineage = lineage
-        # an int bitset, never mutated, so a copy shares its sender's: bit v
-        # for each visited node position on a PATH, bit e for each used edge
-        # id on a TRAIL, 0 on a GEODESIC or WALK
-        self.route = route
-
-
 @dataclass
 class TokenRecord:
     """Final state of one token, for route audits in tests."""
@@ -172,12 +159,13 @@ class _HopOptions(dict):
 
     ``self[u]`` holds the edge ids a token may take out of u before route
     exclusions (all of them, or with ``dist``, the source's hop counts, those
-    into the next distance shell), their running weight totals, and the mask
-    the route is tested against: on a PATH the bits of their heads, which a
-    row holds in ascending position order, so the rank of a head's bit in
-    the mask is its option's local index; on a TRAIL the option's k local
-    bits, tested against the route shifted down by ``base[u]``, since u's
-    edge ids are consecutive; 0 otherwise.
+    into the next distance shell), their running weight totals, a mask and
+    ``full``, the bits of all k local indices.  A token's exclusions at u
+    are derived from its route: on a PATH the mask holds the bits of the
+    heads, which a row holds in ascending position order, so the rank of a
+    visited head's bit in the mask is its option's local index; on a TRAIL,
+    where the mask is 0 as elsewhere, they are the route's k bits from
+    ``base[u]`` on, since u's edge ids are consecutive.
     """
 
     def __init__(self, base: list[int], head: list[int], weight: list[int],
@@ -186,30 +174,30 @@ class _HopOptions(dict):
         self.base, self.head, self.weight = base, head, weight
         self.trajectory, self.dist = trajectory, dist
 
-    def __missing__(self, u: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    def __missing__(self, u: int) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
         edges = range(self.base[u], self.base[u + 1])
         dist = self.dist
         if dist is not None:
             d = dist[u]
             edges = () if d is None else [e for e in edges if dist[self.head[e]] == d + 1]
         edges = tuple(edges)
+        full = (1 << len(edges)) - 1
         mask = 0
         if self.trajectory is Trajectory.PATH:
             for e in edges:
                 mask |= 1 << self.head[e]
-        elif self.trajectory is Trajectory.TRAIL:
-            mask = (1 << len(edges)) - 1
         totals = tuple(accumulate(map(self.weight.__getitem__, edges)))
-        option = self[u] = edges, totals, mask
+        option = self[u] = edges, totals, mask, full
         return option
 
 
 class _HopTable:
     """The graph's out-edges as ints, and each source's :class:`_HopOptions`.
 
-    Out-edge k of node u has id ``base[u] + k``, end ``head[e]`` and weight
-    ``weight[e]``; ``options[s]`` holds source s's hop options, shared by
-    every source unless the trajectory is GEODESIC.
+    Out-edge k of node u has id ``base[u] + k`` (u's option k, but on a
+    GEODESIC), end ``head[e]`` and weight ``weight[e]``; ``options[s]``
+    holds source s's hop options, shared by every source unless the
+    trajectory is GEODESIC.
     """
 
     def __init__(self, g: SocialGraph, spec: FlowSpec):
@@ -227,20 +215,20 @@ class _HopTable:
         self.options = {s: options(hop_counts(self.out, s)) for s in sources}
 
 
-def _pick(rng: random.Random, edges: Sequence[int], totals: Sequence[int],
-          uniform: bool, gone: Sequence[int] = ()) -> int:
-    """One of ``edges`` but those at the local indices ``gone`` (ascending),
-    weight-proportional (``totals`` holds the running weight totals of all
-    of ``edges``) unless ``uniform``, with the RNG calls a pick over the
-    remaining edges alone makes, and the edge a linear scan adding up their
-    weights would pick from the same draw, down to the scan's fallthrough.
+def _pick(rng: random.Random, totals: Sequence[int], uniform: bool,
+          gone: Sequence[int] = ()) -> int:
+    """The local index of an edge but those at the local indices ``gone``
+    (ascending), weight-proportional (``totals`` holds the running weight
+    totals of all the edges) unless ``uniform``, with the RNG calls a pick
+    over the remaining edges alone makes, and the edge a linear scan adding
+    up their weights would pick from the same draw, down to its fallthrough.
 
     An int total exceeds a non-negative draw exactly when it exceeds the
     draw's floor ``q``, so the edge picked is the first remaining one whose
     total, less the excluded weight before it, exceeds ``q``: bisect for
     ``q`` and, for each excluded edge at or before the answer, add its
     weight to ``q`` and bisect again."""
-    k = len(edges)
+    k = len(totals)
     left = k - len(gone)
     if uniform or left == 1:
         i = rng.randrange(left) if left > 1 else 0
@@ -248,7 +236,7 @@ def _pick(rng: random.Random, edges: Sequence[int], totals: Sequence[int],
             if g > i:
                 break
             i += 1
-        return edges[i]
+        return i
     remaining = totals[-1]
     for g in gone:
         remaining -= totals[g] - totals[g - 1] if g else totals[0]
@@ -266,7 +254,7 @@ def _pick(rng: random.Random, edges: Sequence[int], totals: Sequence[int],
             if g < i:
                 break
             i -= 1
-    return edges[i]
+    return i
 
 
 def replicate_once(g: SocialGraph, spec: FlowSpec, rep_index: int,
@@ -279,69 +267,81 @@ def replicate_once(g: SocialGraph, spec: FlowSpec, rep_index: int,
 def _replicate(hops: _HopTable, spec: FlowSpec, rep_index: int,
                collect_histories: bool = False) -> _RepOutcome:
     rng = random.Random(spec.seed + rep_index)
+    draw = rng.random
     parallel = spec.mechanism is Mechanism.PARALLEL_DUP
     transfer = spec.mechanism is Mechanism.TRANSFER
     cap, uniform = hops.cap, spec.uniform
     track_nodes = spec.trajectory is Trajectory.PATH
     track_edges = spec.trajectory is Trajectory.TRAIL
+    # a token's exclusions, None until its first hop from its holder
+    fresh = None if track_nodes or track_edges else 0
+    # a sender excludes each option it sends on, but a parallel PATH sender
+    # has sent on all it may take, so it excludes them all after the hop
+    marking = track_edges or track_nodes and not parallel
+    exhausts = track_nodes and parallel
+    # a moving TRAIL token carries its send-marks on in its route
+    carries = track_edges and transfer
     target = -1 if spec.target is None else hops.position[spec.target]
     base, head = hops.base, hops.head
+    starts = [hops.position[s] for s in spec.sources]
+    options = [hops.options[s] for s in starts]
 
     arrival: list[int | None] = [None] * len(hops.nodes)
     receipts = [0] * len(hops.nodes)
-    tokens: list[_Token] = []
-    dead: set[int] = set()
-    for lineage, source in enumerate(spec.sources):
-        s = hops.position[source]
-        tokens.append(_Token(s, hops.options[s], lineage, 1 << s if track_nodes else 0))
-        arrival[s] = 0
-        receipts[s] = 1
-        if s == target:
-            dead.add(lineage)
-    # filled only for route histories: it keeps every spawned token alive
-    all_tokens = tokens[:] if collect_histories else []
-    tokens = [t for t in tokens if t.lineage not in dead]
+    for s in starts:
+        arrival[s], receipts[s] = 0, 1
+    dead = {lineage for lineage, s in enumerate(starts) if s == target}
+    # the live tokens as columns: holder position, route, the local indices
+    # of the holder's options it excludes (as bits), lineage and its
+    # [lineage, holder, route] record, kept for route histories only
+    lineages = [lineage for lineage in range(len(starts)) if lineage not in dead]
+    at = [starts[lineage] for lineage in lineages]
+    routes = [1 << s if track_nodes else 0 for s in at]
+    excluded = [fresh] * len(at)
+    made = [[lineage, s, 1 << s if track_nodes else 0]
+            for lineage, s in enumerate(starts)] if collect_histories else []
+    records = [made[lineage] for lineage in lineages] if collect_histories else []
     steps = copies = 0
 
     for step in range(1, spec.max_steps + 1):
-        if not tokens:
+        if not at:
             break
         steps = step
-        live = len(tokens)
-        survivors: list[_Token] = []
-        spawned: list[_Token] = []
-        for token in tokens:
-            lineage = token.lineage
-            if lineage in dead:
+        live = len(at)
+        kept = 0
+        copy_at, copy_routes, copy_lineages, copy_records = [], [], [], []
+        # without histories the holders stand in for the records column
+        for u, route, local, lineage, record in zip(
+                at, routes, excluded, lineages, records if collect_histories else at):
+            if target >= 0 and lineage in dead:
                 live -= 1
                 continue
-            u = token.holder
-            route = token.route
-            edges, totals, mask = token.options[u]
-            if not edges:
-                live -= 1
-                continue
-            # the options the route excludes, as bits: of heads on a PATH,
-            # of local indices on a TRAIL
-            taken = route >> base[u] & mask if track_edges else route & mask
-            if not taken:
-                chosen = edges if parallel else (_pick(rng, edges, totals, uniform),)
-            elif taken == mask:
-                live -= 1
-                continue
-            elif parallel:
-                if track_nodes:
-                    chosen = [e for e in edges if not taken >> head[e] & 1]
+            edges, totals, mask, full = options[lineage][u]
+            if local is None:
+                if track_edges:
+                    local = route >> base[u] & full
                 else:
-                    chosen = [e for k, e in enumerate(edges) if not taken >> k & 1]
+                    # the rank of a head's bit in the mask is its local index
+                    local = 0
+                    taken = route & mask
+                    while taken:
+                        low = taken & -taken
+                        local |= 1 << (mask & low - 1).bit_count()
+                        taken ^= low
+            if local == full:
+                # every option is excluded, or there are none
+                live -= 1
+                continue
+            if parallel:
+                chosen = edges if not local else [
+                    e for i, e in enumerate(edges) if not local >> i & 1]
+            elif local or uniform or full == 1:
+                gone = _LOW_BITS[local] if local < 256 else _bits(local)
+                chosen = (edges[_pick(rng, totals, uniform, gone)],)
             else:
-                gone = []
-                while taken:
-                    low = taken & -taken
-                    gone.append((mask & low - 1).bit_count() if track_nodes
-                                else low.bit_length() - 1)
-                    taken ^= low
-                chosen = (_pick(rng, edges, totals, uniform, gone),)
+                i = bisect_right(totals, int(draw() * totals[-1]))
+                # past the end is the scan's fallthrough: the last edge
+                chosen = edges[i:i + 1] or edges[-1:]
             for e in chosen:
                 v = head[e]
                 receipts[v] += 1
@@ -349,31 +349,48 @@ def _replicate(hops: _HopTable, spec: FlowSpec, rep_index: int,
                     arrival[v] = step
                 if track_nodes:
                     route |= 1 << v
-                elif track_edges:
-                    route |= 1 << e
+                if marking:
+                    local |= 1 << e - base[u]
                 # at the cap the delivery above still counts, but the copy
                 # is dropped, so the item cannot travel onward from v
                 if not transfer and live < cap:
-                    child = _Token(v, token.options, lineage, route)
-                    spawned.append(child)
+                    # a TRAIL copy gets its sender's send-marks written in
+                    copy_route = route | local << base[u] if track_edges else route
+                    copy_at.append(v)
+                    copy_routes.append(copy_route)
+                    copy_lineages.append(lineage)
                     if collect_histories:
-                        all_tokens.append(child)
+                        copy_records.append([lineage, v, copy_route])
                     live += 1
                 if v == target:
                     dead.add(lineage)
                     break
-            token.route = route
+            if collect_histories:
+                record[1:] = (v if transfer else u,
+                              route | local << base[u] if track_edges else route)
+                records[kept] = record
+            if carries:
+                route |= local << base[u]
+            if exhausts:
+                local = full
             if transfer:
-                token.holder = v
-            if lineage in dead:
+                u, local = v, fresh
+            if target >= 0 and lineage in dead:
+                # dropped with the rest of its lineage after the step
                 live -= 1
-                continue
-            survivors.append(token)
-        copies += len(spawned)
-        tokens = [t for t in survivors if t.lineage not in dead]
-        tokens += [t for t in spawned if t.lineage not in dead]
-        if target >= 0 and len(dead) == len(spec.sources):
-            break
+            # the survivors are compacted in place, ahead of the tokens read
+            at[kept], routes[kept], excluded[kept], lineages[kept] = u, route, local, lineage
+            kept += 1
+        for column, spawned in ((at, copy_at), (routes, copy_routes),
+                                (excluded, [fresh] * len(copy_at)),
+                                (lineages, copy_lineages), (records, copy_records)):
+            column[kept:] = spawned
+        copies += len(copy_at)
+        made += copy_records
+        if dead:
+            keep = [lineage not in dead for lineage in lineages]
+            at, routes, excluded, lineages, records = (list(compress(column, keep)) for column
+                                                       in (at, routes, excluded, lineages, records))
 
     # every delivery of a duplicating mechanism after the sources' own is a
     # copy made or a copy dropped
@@ -383,16 +400,16 @@ def _replicate(hops: _HopTable, spec: FlowSpec, rep_index: int,
         arrival={nodes[v]: a for v, a in enumerate(arrival) if a is not None},
         receipts={nodes[v]: c for v, c in enumerate(receipts) if c},
         steps=steps,
-        truncated=bool(dropped) or (steps == spec.max_steps and bool(tokens)),
+        truncated=bool(dropped) or (steps == spec.max_steps and bool(at)),
         dropped=dropped,
     )
     if collect_histories:
         tail = [u for u, nbrs in enumerate(hops.out) for _ in nbrs]
         outcome.histories = [TokenRecord(
-            spec.sources[t.lineage], nodes[t.holder],
-            frozenset(nodes[v] for v in _bits(t.route)) if track_nodes else frozenset(),
-            frozenset((nodes[tail[e]], nodes[head[e]]) for e in _bits(t.route))
-            if track_edges else frozenset()) for t in all_tokens]
+            spec.sources[lineage], nodes[u],
+            frozenset(nodes[v] for v in _bits(route)) if track_nodes else frozenset(),
+            frozenset((nodes[tail[e]], nodes[head[e]]) for e in _bits(route))
+            if track_edges else frozenset()) for lineage, u, route in made]
     return outcome
 
 
@@ -404,6 +421,10 @@ def _bits(route: int) -> list[int]:
         out.append(low.bit_length() - 1)
         route ^= low
     return out
+
+
+#: the set bits of each byte, for the exclusions of a node's first 8 options
+_LOW_BITS = [tuple(_bits(x)) for x in range(256)]
 
 
 def simulate(g: SocialGraph, spec: FlowSpec) -> DiffusionTrace:

@@ -3,8 +3,9 @@ and without excluded edges) and a set-based reference replication.
 
 The digests below are the sha256 of ``write_trace_csv`` for each spec of
 ``_pinned_specs``, recorded with the dict-keyed engine that preceded the
-integer hop table.  Any change to candidate order or to RNG use moves
-them.
+integer hop table, and for the 12 typology cells on the 771-student synth
+corpus, recorded with the engine that kept a token as an object.  Any
+change to candidate order or to RNG use moves them.
 """
 
 import hashlib
@@ -17,6 +18,9 @@ import pytest
 
 from moocteams.diffusion import (FlowSpec, _pick, full_typology_specs,
                                  replicate_once, simulate, write_trace_csv)
+from moocteams.graph import SocialGraph
+from moocteams.ingest import SynthParams, build_reply_graph, synth_corpus
+from moocteams.metrics import pagerank
 
 from oracles import _weighted_choice, random_digraph, reference_replicate
 
@@ -40,6 +44,31 @@ PINNED = [
 ]
 
 
+#: the 12 typology cells, two replications each, from the top-PageRank student
+#: of the 771-student synth corpus at seed 1, where the default cap holds
+#: 7 710 tokens and a TRAIL route spans more than 7 000 edge ids
+PINNED_1X = {
+    ("TRANSFER", "GEODESIC"): "34d396af273c8a1bd4674ae557a62c7c2fbc8a5d13d197311de85bd24acde660",
+    ("TRANSFER", "PATH"): "5e4b8c54243393829e612e3025511757b48f4ea247b475aab46183c28908bfb1",
+    ("TRANSFER", "TRAIL"): "c2624d4b599ca1c7a6eecdc750fe3bdd0c8519eca722f99afe979262404b117e",
+    ("TRANSFER", "WALK"): "0d74d0f80bbdfe6ebef79933bf175d0bb2057d9cddbaf3475efe8ec06d8c13ca",
+    ("SERIAL_DUP", "GEODESIC"): "93221f58212ab7aa87090822e62dd90f83181624385250cc6fe1d8f8d7ef4f42",
+    ("SERIAL_DUP", "PATH"): "219da13cf27b3c437d322b072620b07b231f9d94c0ce91c7c0669ed4f5ec5a61",
+    ("SERIAL_DUP", "TRAIL"): "9bee7e04444142db6e988eb52298681fb953dc8591bb1deaac1897fae476e4e5",
+    ("SERIAL_DUP", "WALK"): "ed33b30590d29646d03e81ea965b85761498be61644c14060225f3e6b8637c56",
+    ("PARALLEL_DUP", "GEODESIC"): "77dcf85b94daae363061fd573fb983d3fe822c3b5257dc46cd5c396aa9213c5c",
+    ("PARALLEL_DUP", "PATH"): "c3eb804f7a68cda2274ff57016924c0415a8a35d3250782d2db5dfcf6ecce7f0",
+    ("PARALLEL_DUP", "TRAIL"): "f22628f6810ad4a49dd14512187a9a8c1204dbde72a59067e370546dde7e559b",
+    ("PARALLEL_DUP", "WALK"): "b056705444a1fc789fec288bf977520fcbbe15cf220cde872baa1fbd2345ece6",
+}
+
+
+def _trace_digest(g, spec):
+    buf = io.StringIO()
+    write_trace_csv(simulate(g, spec), buf)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
 def _pinned_specs(g):
     src = g.nodes[0]
     specs = full_typology_specs((src,), max_steps=8, replications=6, seed=21)
@@ -59,10 +88,19 @@ def test_traces_match_pinned_digests():
     assert len(specs) == len(PINNED)
     for spec, (mechanism, trajectory, digest) in zip(specs, PINNED):
         assert (spec.mechanism.value, spec.trajectory.value) == (mechanism, trajectory)
-        buf = io.StringIO()
-        write_trace_csv(simulate(g, spec), buf)
-        got = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+        got = _trace_digest(g, spec)
         assert got == digest, (mechanism, trajectory, spec.target, spec.sources)
+
+
+def test_typology_at_corpus_scale_matches_pinned_digests():
+    g, _ = build_reply_graph(synth_corpus(SynthParams(
+        students=771, threads=665, posts=1800, comments=7000, seed=1)))
+    assert g.node_count == 771 and g.edge_count > 7000
+    scores = pagerank(g)
+    source = min(scores, key=lambda v: (-scores[v], v))
+    got = {(spec.mechanism.value, spec.trajectory.value): _trace_digest(g, spec)
+           for spec in full_typology_specs((source,), replications=2, seed=1)}
+    assert got == PINNED_1X
 
 
 @pytest.mark.parametrize("uniform", [False, True])
@@ -80,8 +118,8 @@ def test_pick_matches_linear_scan(uniform):
         scan_rng, pick_rng = random.Random(seed), random.Random(seed)
         expected = _weighted_choice(
             scan_rng, {f"v{i:02d}": weights[i] for i in kept}, uniform)
-        got = _pick(pick_rng, kept, list(accumulate(weights[i] for i in kept)),
-                    uniform)
+        got = kept[_pick(pick_rng, list(accumulate(weights[i] for i in kept)),
+                         uniform)]
         assert f"v{got:02d}" == expected
         assert pick_rng.getstate() == scan_rng.getstate()
         checked += 1
@@ -107,9 +145,9 @@ def test_pick_matches_linear_scan_on_boundary_draws():
     totals = list(accumulate(weights.values()))
     for value in [t / totals[-1] for t in [0, *totals]]:
         expected = _weighted_choice(_FixedDraw(value), weights, False)
-        got = _pick(_FixedDraw(value), [0, 1, 2, 3], totals, False)
+        got = _pick(_FixedDraw(value), totals, False)
         assert "abcd"[got] == expected
-    assert _pick(_FixedDraw(1.0), [0, 1, 2, 3], totals, False) == 3
+    assert _pick(_FixedDraw(1.0), totals, False) == 3
 
 
 def _exclusion_cases(gen, count):
@@ -136,8 +174,7 @@ def test_pick_with_exclusions_matches_linear_scan_over_kept_edges(uniform):
         seed = gen.getrandbits(32)
         scan_rng, pick_rng = random.Random(seed), random.Random(seed)
         expected = _weighted_choice(scan_rng, _kept(weights, gone), uniform)
-        got = _pick(pick_rng, range(len(weights)), tuple(accumulate(weights)),
-                    uniform, gone)
+        got = _pick(pick_rng, tuple(accumulate(weights)), uniform, gone)
         assert f"v{got:02d}" == expected, (weights, gone)
         assert pick_rng.getstate() == scan_rng.getstate()
         checked += 1
@@ -160,12 +197,10 @@ def test_pick_with_exclusions_on_boundary_draws():
             values.update((value, math.nextafter(value, 0.0), math.nextafter(value, 2.0)))
         for value in sorted(values):
             expected = _weighted_choice(_FixedDraw(value), kept, False)
-            got = _pick(_FixedDraw(value), range(len(weights)),
-                        tuple(accumulate(weights)), False, gone)
+            got = _pick(_FixedDraw(value), tuple(accumulate(weights)), False, gone)
             assert f"v{got:02d}" == expected, (weights, gone, value)
             checked += 1
-        got = _pick(_FixedDraw(1.0), range(len(weights)), tuple(accumulate(weights)),
-                    False, gone)
+        got = _pick(_FixedDraw(1.0), tuple(accumulate(weights)), False, gone)
         assert f"v{got:02d}" == list(kept)[-1]
         last_excluded |= gone[-1] == len(weights) - 1 and len(kept) > 1
     assert checked > 10000 and last_excluded
@@ -244,3 +279,23 @@ def test_uniform_route_cells_match_the_set_based_reference(graph_seed):
                     exhausted.add((mechanism, trajectory))
     assert {("SERIAL_DUP", "PATH"), ("SERIAL_DUP", "TRAIL"),
             ("PARALLEL_DUP", "PATH"), ("PARALLEL_DUP", "TRAIL")} <= exhausted
+
+
+@pytest.mark.parametrize("trajectory", ["PATH", "TRAIL"])
+def test_a_copy_made_after_a_refused_one_matches_the_reference(trajectory):
+    # a hub whose spokes end at sinks, under a cap of 2: the hub's first copy
+    # fills the cap, so its next send is refused; that copy dies at its sink,
+    # and the hub's send after that makes a copy whose route holds the
+    # refused send's mark, a spoke no token stands at
+    g = SocialGraph({("hub", f"s{i}"): 1 + i % 3 for i in range(7)})
+    seen = 0
+    for seed in range(6):
+        spec = FlowSpec("SERIAL_DUP", trajectory, ("hub",), max_steps=9,
+                        seed=seed, copy_cap=2)
+        for rep in range(2):
+            got = _replicate_like_reference(g, spec, rep)
+            held = {r.holder for r in got.histories}
+            for r in got.histories[1:]:
+                marks = r.visited if trajectory == "PATH" else {v for _, v in r.used_edges}
+                seen += bool(marks - held - {"hub"})
+    assert seen >= 12
