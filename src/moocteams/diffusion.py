@@ -275,10 +275,8 @@ def _replicate(hops: _HopTable, spec: FlowSpec, rep_index: int,
     track_edges = spec.trajectory is Trajectory.TRAIL
     # a token's exclusions, None until its first hop from its holder
     fresh = None if track_nodes or track_edges else 0
-    # a sender excludes each option it sends on, but a parallel PATH sender
-    # has sent on all it may take, so it excludes them all after the hop
-    marking = track_edges or track_nodes and not parallel
-    exhausts = track_nodes and parallel
+    # a sender excludes each option it sends on
+    marking = track_edges or track_nodes
     # a moving TRAIL token carries its send-marks on in its route
     carries = track_edges and transfer
     target = -1 if spec.target is None else hops.position[spec.target]
@@ -336,8 +334,7 @@ def _replicate(hops: _HopTable, spec: FlowSpec, rep_index: int,
                 chosen = edges if not local else [
                     e for i, e in enumerate(edges) if not local >> i & 1]
             elif local or uniform or full == 1:
-                gone = _LOW_BITS[local] if local < 256 else _bits(local)
-                chosen = (edges[_pick(rng, totals, uniform, gone)],)
+                chosen = (edges[_pick(rng, totals, uniform, _bits(local))],)
             else:
                 i = bisect_right(totals, int(draw() * totals[-1]))
                 # past the end is the scan's fallthrough: the last edge
@@ -371,8 +368,6 @@ def _replicate(hops: _HopTable, spec: FlowSpec, rep_index: int,
                 records[kept] = record
             if carries:
                 route |= local << base[u]
-            if exhausts:
-                local = full
             if transfer:
                 u, local = v, fresh
             if target >= 0 and lineage in dead:
@@ -421,10 +416,6 @@ def _bits(route: int) -> list[int]:
         out.append(low.bit_length() - 1)
         route ^= low
     return out
-
-
-#: the set bits of each byte, for the exclusions of a node's first 8 options
-_LOW_BITS = [tuple(_bits(x)) for x in range(256)]
 
 
 def simulate(g: SocialGraph, spec: FlowSpec) -> DiffusionTrace:
