@@ -1,18 +1,21 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 pipeline stage
-failure.  A single --seed per command derives any stage-level seeds, so
-one value reproduces a whole run.  Every flag for a RunConfig setting, in
-``pipeline`` and in the stage subcommands, is generated from its field:
-named after it, with the field's default and type.  ``diffuse`` keeps
-FlowSpec's flags and defaults, apart from ``--mechanism`` and
-``--trajectory``, which default to the pipeline's, and ``synth`` has one
-flag per SynthParams field; no library default is repeated here.  Every
-flag must be spelled in full, and an output flag without its input
-(``report --summary-out`` without ``--opinions``) is a data error.  Every
-input file is read through ``read_file``, and a command's outputs go
-through one ``write_files`` call, so a failed command leaves no file
-behind and every earlier file as it was.
+failure.  Every flag for a RunConfig setting, in ``pipeline`` and in the
+stage subcommands, is generated from its field: named after it, with the
+field's default and type.  ``ingest``, ``skills`` and ``teams`` run the
+pipeline's stage functions on a RunConfig of their flags, so their
+``--seed`` is the master seed and one value reproduces a whole run.
+``diffuse``'s ``--seed`` is FlowSpec's (the pipeline's trace is ``--seed
+derive_seed(seed, "diffusion")``), and it keeps FlowSpec's flags and
+defaults, apart from ``--mechanism`` and ``--trajectory``, which default
+to the pipeline's; ``synth`` has one flag per SynthParams field; no
+library default is repeated here.  Every flag must be spelled in full,
+and an output flag without its input (``report --summary-out`` without
+``--opinions``) is a data error.  Every input file is read through
+``read_file``, and a command's outputs go through one ``write_files``
+call, so a failed command leaves no file behind and every earlier file
+as it was.
 """
 
 from __future__ import annotations
@@ -30,18 +33,16 @@ from .diffusion import (FlowSpec, Mechanism, Trajectory, full_typology_specs,
 from .errors import MoocteamsError, ParameterError, require_known
 from .formats import write_json
 from .graph import read_graph_csv, write_graph_csv
-from .ingest import (SynthParams, build_reply_graph, parse_forum_export,
-                     synth_corpus, write_jsonl)
+from .ingest import SynthParams, parse_forum_export, synth_corpus, write_jsonl
 from .metrics import (compute_node_metrics, pagerank, read_metrics_csv,
                       write_metrics_csv)
-from .pipeline import (SETTINGS, RunConfig, StageError, read_file,
-                       run_pipeline, write_file, write_files)
+from .pipeline import (SETTINGS, RunConfig, StageError, ingest_stage,
+                       partition_stage, read_file, run_pipeline, skills_stage,
+                       teams_stage, write_file, write_files)
 from .report import (SPLIT_SEED, aggregate_opinions, experiment_split,
                      export_dot, read_opinions_jsonl)
-from .skills import (build_skill_profiles, read_partition_json, refine_by_rank,
-                     skill_partition, write_partition_json, write_skills_json)
-from .teams import (ObjectiveWeights, brute_force_teams, form_teams,
-                    read_roster_json, write_roster_json)
+from .skills import read_partition_json, write_partition_json, write_skills_json
+from .teams import brute_force_teams, read_roster_json, write_roster_json
 
 USAGE_ERROR, DATA_ERROR, STAGE_ERROR = 1, 2, 3
 _DEFAULTS = {f.name: f.default for f in SETTINGS}
@@ -61,11 +62,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
+def _config(args) -> RunConfig:
+    """The validated RunConfig of a command's paths and setting flags; every
+    setting the command has no flag for keeps its default."""
+    given = vars(args)
+    config = RunConfig(given.get("input"), given.get("output_dir"),
+                       **{name: given[name] for name in _DEFAULTS.keys() & given.keys()})
+    config.validate()
+    return config
+
+
 def _cmd_ingest(args) -> int:
-    parsed = read_file(args.input, parse_forum_export)
-    policy = RunConfig(args.input, args.output,
-                       reply_policy=args.reply_policy).policy()
-    graph, report = build_reply_graph(parsed.messages, policy=policy)
+    parsed, graph, report = ingest_stage(_config(args))
     write_file(args.output, write_graph_csv, graph)
     print(f"messages={parsed.parsed} skipped={parsed.skipped} "
           f"anonymous={parsed.anonymous} interactions={report.interactions} "
@@ -86,40 +94,34 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_skills(args) -> int:
+    config = _config(args)
+    config.skill_min_len = args.min_len
     parsed = read_file(args.input, parse_forum_export)
-    profiles = build_skill_profiles(parsed.messages, k=args.skill_k,
-                                    min_len=args.min_len,
-                                    use_idf=args.skill_idf)
-    if args.graph and args.skill_beta:  # a beta of 0 ignores the ranks
+    ranks = None  # without --graph, or at a beta of 0, no profile is refined
+    if args.graph and config.skill_beta:
         graph = read_file(args.graph, read_graph_csv)
-        ranks = pagerank(graph) if graph.node_count else {}
-        profiles = refine_by_rank(profiles, ranks, beta=args.skill_beta)
+        ranks = pagerank(graph, config.damping, config.pagerank_tol) \
+            if graph.node_count else {}
+    profiles = skills_stage(parsed.messages, ranks, config)
     outputs = [(args.output, write_skills_json, profiles)]
     if args.partition_out:
-        partition = skill_partition(profiles.values(),
-                                    min(args.n_groups, len(profiles)),
-                                    seed=args.seed) if profiles else {}
-        outputs.append((args.partition_out, write_partition_json, partition))
+        outputs.append((args.partition_out, write_partition_json,
+                        partition_stage(profiles, config)))
     write_files(*outputs)
     print(f"profiles={len(profiles)}")
     return 0
 
 
 def _cmd_teams(args) -> int:
+    config = _config(args)
     graph = read_file(args.graph, read_graph_csv)
     table = read_file(args.metrics, read_metrics_csv)
-    weights = ObjectiveWeights(args.w_cost, args.w_hole, args.w_balance)
     if args.brute_force:
-        assignment = brute_force_teams(graph, table, args.s_min, args.s_max,
-                                       weights=weights,
-                                       allow_oversize=args.allow_oversize)
+        assignment = brute_force_teams(graph, table, config.s_min, config.s_max,
+                                       weights=config.weights(),
+                                       allow_oversize=config.allow_oversize)
     else:
-        assignment = form_teams(graph, table, s_min=args.s_min,
-                                s_max=args.s_max, weights=weights,
-                                restarts=args.restarts,
-                                iterations=args.team_iterations,
-                                seed=args.seed,
-                                allow_oversize=args.allow_oversize)
+        assignment = teams_stage(graph, table, config)
     write_file(args.output, write_roster_json, assignment)
     print(f"teams={len(assignment.teams)} objective={assignment.objective:.9g}")
     return 0
@@ -197,9 +199,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    config = RunConfig(args.input, args.output_dir,
-                       **{name: getattr(args, name) for name in _DEFAULTS})
-    result = run_pipeline(config)
+    result = run_pipeline(_config(args))
     graph_info = result.manifest.get("graph", {})
     print(f"status={result.manifest['status']} "
           f"nodes={graph_info.get('nodes')} edges={graph_info.get('edges')} "
@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", help="reply graph CSV; enables rank refinement")
     p.add_argument("--partition-out")
     _add_settings(p, ["skill_k", "skill_idf", "skill_beta", "n_groups",
-                      "seed"])
+                      "damping", "seed"])
     p.set_defaults(fn=_cmd_skills)
 
     p = sub.add_parser("teams", help="search for a team assignment")

@@ -5,9 +5,10 @@ translation, so the bytes are the same on every platform.  Readers refuse a
 bad value by one rule, :func:`refused_as`: a ``KeyError``, ``TypeError``,
 ``ValueError``, ``OverflowError``, ``RecursionError`` or ``csv.Error`` while
 reading is a :class:`DataFormatError` naming the file kind and the row, line
-or entry.  Text that is not JSON or nests too deep for the decoder, a field
-or number too long to read, and ``Infinity`` or a 400-digit integer where an
-int or a float belongs are all data errors, never a crash.
+or entry, and :func:`json_field` reads a JSON field only as its writer's type.
+Text that is not JSON or nests too deep for the decoder, a field or number
+too long to read, and ``Infinity`` or a 400-digit integer where an int or a
+float belongs are all data errors, never a crash.
 """
 
 from __future__ import annotations
@@ -32,6 +33,20 @@ def refused_as(message: str, *args: Any) -> Iterator[None]:
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError,
             csv.Error) as cause:
         raise DataFormatError(f"{message.format(*args)}: {cause}") from cause
+
+
+def json_field(payload: Any, path: str, kind: type) -> Any:
+    """The field at the dotted ``path`` of decoded JSON, as ``kind``: a finite
+    int or float for float, else exactly ``kind`` (a bool is no int, an int
+    no bool); any other value, or none, is a DataFormatError naming ``path``."""
+    with refused_as("{}", path):
+        value = payload
+        for key in path.split("."):
+            value = value[key]
+        if type(value) not in ((int, float) if kind is float else (kind,)) or (
+                kind is float and not math.isfinite(value)):
+            raise DataFormatError(f"expected a JSON {kind.__name__}, got {value!r}")
+        return kind(value)
 
 
 def write_csv(stream: TextIO, header: Sequence[str],

@@ -9,15 +9,18 @@ settings and seed, wherever the corpus and the output directory live;
 wall-clock timings go to a separate file so they cannot break that
 reproducibility.
 
-Each stage is one ``with stage(name, seed) as st:`` block, handing its
-results on as plain locals; the block times the stage, hashes its
-``ARTIFACTS`` entry if ``st.write`` wrote it, and on an exception writes
-the manifest marked failed.  A run, complete or failed, ends by deleting
-every artifact its manifest does not record, so no earlier run's file is
-left behind.  Every file, here and in the command line, is written through
-``write_files`` (or its one-file form ``write_file``), so none is ever left
-half written, and read through ``read_file``; both open UTF-8 with no
-newline translation (see :mod:`moocteams.formats`).
+Each stage is one ``with stage(name) as st:`` block, handing its results
+on as plain locals; the block times the stage, records a ``SEEDED``
+stage's seed, hashes its ``ARTIFACTS`` entry if ``st.write`` wrote it,
+and on an exception writes the manifest marked failed.  The ingest,
+skills, partition and teams blocks each call one ``*_stage`` function of
+their inputs and a ``RunConfig``, which the stage commands call too.
+A run, complete or failed, ends by deleting every artifact its manifest
+does not record, so no earlier run's file is left behind.  Every file,
+here and in the command line, is written through ``write_files`` (or its
+one-file form ``write_file``), so none is ever left half written, and
+read through ``read_file``; both open UTF-8 with no newline translation
+(see :mod:`moocteams.formats`).
 """
 
 from __future__ import annotations
@@ -29,24 +32,24 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Any, Callable, ClassVar, Iterator, TextIO
+from typing import Any, Callable, ClassVar, Iterator, Mapping, TextIO
 
 from ._version import __version__
 from .diffusion import FlowSpec, simulate, write_trace_csv
 from .errors import MoocteamsError, ParameterError
 from .formats import write_json
 from .graph import SocialGraph, write_graph_csv
-from .ingest import (REPLY_POLICY, ReplyPolicy, build_reply_graph,
-                     parse_forum_export)
+from .ingest import (REPLY_POLICY, BuildReport, ForumMessage, ParseResult,
+                     ReplyPolicy, build_reply_graph, parse_forum_export)
 from .metrics import (DAMPING, FARNESS_PENALTY, PAGERANK_MAX_ITER, PAGERANK_TOL,
                       RANK_MAX_ITER, RANK_TOL, NodeMetrics, brokerage_counts,
                       compute_metrics_without_brokerage, write_metrics_csv)
 from .report import export_dot
-from .skills import (MIN_LEN, SKILL_BETA, SKILL_K, USE_IDF, build_skill_profiles,
-                     refine_by_rank, skill_partition, write_partition_json,
-                     write_skills_json)
-from .teams import (ALLOW_OVERSIZE, ITERATIONS, RESTARTS, S_MAX, S_MIN,
-                    ObjectiveWeights, form_teams, write_roster_json)
+from .skills import (MIN_LEN, SKILL_BETA, SKILL_K, USE_IDF, SkillProfile,
+                     build_skill_profiles, refine_by_rank, skill_partition,
+                     write_partition_json, write_skills_json)
+from .teams import (ALLOW_OVERSIZE, ITERATIONS, RESTARTS, S_MAX, S_MIN, ObjectiveWeights,
+                    TeamAssignment, form_teams, write_roster_json)
 
 MANIFEST_NAME = "manifest.json"
 TIMINGS_NAME = "timings.json"
@@ -55,6 +58,8 @@ ARTIFACTS = {"ingest": "graph.csv", "skills": "skills.json",
              "partition": "partition.json", "tabulate": "metrics.csv",
              "teams": "teams.json", "diffusion": "trace.csv",
              "export": "graph.dot"}
+#: The stages that draw random numbers, each from ``derive_seed(seed, name)``.
+SEEDED = ("partition", "teams", "diffusion")
 
 
 def derive_seed(master: int, stage: str) -> int:
@@ -74,12 +79,14 @@ class StageError(MoocteamsError):
 
 @dataclass
 class RunConfig:
-    """Everything a pipeline run needs.
+    """Everything a pipeline run, or a stage command, needs.
 
     The two paths come first.  Every field after them is a setting: a
-    ``moocteams pipeline`` flag and a key of the manifest's config block.
-    The class constants at the end are fixed settings.  A setting that a
-    library function takes defaults to the default that the library declares.
+    ``moocteams pipeline`` flag and a key of the manifest's config block
+    (``seed`` is the master seed, from which each ``SEEDED`` stage derives
+    its own).  The class constants at the end are fixed settings.  A setting
+    that a library function takes defaults to the default that the library
+    declares; a stage command sets only the settings it has flags for.
     """
 
     input_path: str
@@ -224,6 +231,36 @@ def read_file(path: str | Path, reader: Callable[[TextIO], Any]) -> Any:
         return reader(fh)
 
 
+def ingest_stage(config: RunConfig) -> tuple[ParseResult, SocialGraph, BuildReport]:
+    """The corpus at ``config.input_path`` parsed, and its reply graph."""
+    parsed = read_file(config.input_path, parse_forum_export)
+    return (parsed, *build_reply_graph(parsed.messages, policy=config.policy()))
+
+
+def skills_stage(messages: list[ForumMessage], ranks: Mapping[str, float] | None,
+                 config: RunConfig) -> dict[str, SkillProfile]:
+    """Every named author's skill profile, refined by ``ranks`` unless None."""
+    profiles = build_skill_profiles(messages, k=config.skill_k, use_idf=config.skill_idf,
+                                    min_len=config.skill_min_len)
+    return profiles if ranks is None else refine_by_rank(profiles, ranks, config.skill_beta)
+
+
+def partition_stage(profiles: Mapping[str, SkillProfile], config: RunConfig) -> dict[str, str]:
+    """The profiled students in at most ``n_groups`` skill groups."""
+    return skill_partition(profiles.values(), min(config.n_groups, len(profiles)),
+                           seed=derive_seed(config.seed, "partition")) if profiles else {}
+
+
+def teams_stage(graph: SocialGraph, table: Mapping[str, NodeMetrics],
+                config: RunConfig) -> TeamAssignment:
+    """The searched team assignment of the graph's students."""
+    return form_teams(graph, table, s_min=config.s_min, s_max=config.s_max,
+                      weights=config.weights(), restarts=config.restarts,
+                      iterations=config.team_iterations,
+                      seed=derive_seed(config.seed, "teams"),
+                      allow_oversize=config.allow_oversize)
+
+
 class _Stage:
     """What a running stage records: the artifact it wrote, or why none."""
 
@@ -263,9 +300,6 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         "failed_stage": None,
     }
     timings: dict[str, float] = {}
-    partition_seed, teams_seed, diffusion_seed = (
-        derive_seed(config.seed, stage)
-        for stage in ("partition", "teams", "diffusion"))
 
     def finish(status: str, failed_stage: str | None = None) -> Path:
         recorded = {name for s in manifest["stages"] for name in s["artifacts"]}
@@ -280,7 +314,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         return manifest_path
 
     @contextmanager
-    def stage(name: str, seed: int | None = None) -> Iterator[_Stage]:
+    def stage(name: str) -> Iterator[_Stage]:
         st = _Stage(out_dir / ARTIFACTS[name] if name in ARTIFACTS else None)
         start, failure = time.perf_counter(), None
         try:
@@ -289,7 +323,8 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             failure = exc
         timings[name] = time.perf_counter() - start
         manifest["stages"].append({
-            "name": name, "seed": seed,
+            "name": name,
+            "seed": derive_seed(config.seed, name) if name in SEEDED else None,
             "status": "failed" if failure else "skipped" if st.skip_reason else "ok",
             "reason": str(failure) if failure else st.skip_reason,
             "artifacts": {} if failure else st.artifacts})
@@ -299,8 +334,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
 
     # ingest: corpus -> reply graph
     with stage("ingest") as st:
-        parsed = read_file(input_path, parse_forum_export)
-        g, report = build_reply_graph(parsed.messages, policy=config.policy())
+        parsed, g, report = ingest_stage(config)
         st.write(write_graph_csv, g)
         manifest["corpus"] = {"messages": parsed.parsed,
                               "skipped_lines": parsed.skipped,
@@ -319,17 +353,12 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             farness_penalty=config.farness_penalty)
 
     with stage("skills") as st:
-        profiles = build_skill_profiles(
-            parsed.messages, k=config.skill_k, min_len=config.skill_min_len,
-            use_idf=config.skill_idf)
-        ranks = {s: m.pagerank for s, m in metrics.items()}
-        profiles = refine_by_rank(profiles, ranks, beta=config.skill_beta)
+        profiles = skills_stage(parsed.messages,
+                                {s: m.pagerank for s, m in metrics.items()}, config)
         st.write(write_skills_json, profiles)
 
-    with stage("partition", partition_seed) as st:
-        partition = (skill_partition(profiles.values(),
-                                     min(config.n_groups, len(profiles)),
-                                     seed=partition_seed) if profiles else {})
+    with stage("partition") as st:
+        partition = partition_stage(profiles, config)
         st.write(write_partition_json, partition)
 
     # brokerage roles against the skill partition, which labels every named
@@ -340,20 +369,16 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             record.brokerage = roles[node]
         st.write(write_metrics_csv, metrics)
 
-    with stage("teams", teams_seed) as st:
+    with stage("teams") as st:
         assignment = None
         if g.node_count < config.s_min:
             st.skip_reason = (f"{g.node_count} students cannot fill a team "
                               f"of {config.s_min}")
         else:
-            assignment = form_teams(
-                g, metrics, s_min=config.s_min, s_max=config.s_max,
-                weights=config.weights(), restarts=config.restarts,
-                iterations=config.team_iterations, seed=teams_seed,
-                allow_oversize=config.allow_oversize)
+            assignment = teams_stage(g, metrics, config)
             st.write(write_roster_json, assignment)
 
-    with stage("diffusion", diffusion_seed) as st:
+    with stage("diffusion") as st:
         if not config.run_diffusion:
             st.skip_reason = "disabled by config"
         elif g.edge_count == 0:
@@ -366,7 +391,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
                 sources=(source,),
                 max_steps=config.diffusion_steps,
                 replications=config.diffusion_replications,
-                seed=diffusion_seed,
+                seed=derive_seed(config.seed, "diffusion"),
                 uniform=config.diffusion_uniform)
             st.write(write_trace_csv, simulate(g, spec))
 

@@ -14,11 +14,12 @@ import itertools
 import math
 import random
 from dataclasses import asdict, dataclass
+from functools import partial
 from operator import add, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DataFormatError, ParameterError, require_known
-from .formats import read_json, refused_as, write_json
+from .formats import json_field, read_json, refused_as, write_json
 from .graph import SocialGraph, StudentId
 from .metrics import BrokerageCounts, NodeMetrics
 
@@ -533,7 +534,8 @@ def write_roster_json(assignment: TeamAssignment, stream) -> None:
 
 
 def read_roster_json(stream) -> TeamAssignment:
-    """Inverse of :func:`write_roster_json`; a student listed twice is an error."""
+    """Inverse of :func:`write_roster_json`; a field not of the JSON type
+    written there, or a student listed twice, is an error."""
     payload = read_json(stream, "roster")
     with refused_as("bad roster JSON structure"):
         teams = payload["teams"]
@@ -541,19 +543,16 @@ def read_roster_json(stream) -> TeamAssignment:
                 isinstance(team, list) and all(isinstance(s, str) for s in team)
                 for team in teams):
             raise DataFormatError("roster teams must be lists of student ids")
-        params = payload["params"]
-        numbers = {}
-        for key, convert, holder in (("objective", float, payload), ("s_min", int, params),
-                                     ("s_max", int, params), ("seed", int, payload)):
-            with refused_as(key):
-                numbers[key] = convert(holder[key])
+        field = partial(json_field, payload)
+        floats = {name: {key: field(f"{name}.{key}", float) for key in field(name, dict)}
+                  for name in ("breakdown", "params.weights")}
         assignment = TeamAssignment(
             teams=tuple(map(tuple, teams)),
-            breakdown=ObjectiveBreakdown(**payload["breakdown"]),
-            weights=ObjectiveWeights(**params["weights"]),
-            allow_oversize=bool(params["allow_oversize"]),
-            **numbers,
-        )
+            objective=field("objective", float),
+            breakdown=ObjectiveBreakdown(**floats["breakdown"]),
+            weights=ObjectiveWeights(**floats["params.weights"]),
+            s_min=field("params.s_min", int), s_max=field("params.s_max", int),
+            allow_oversize=field("params.allow_oversize", bool), seed=field("seed", int))
     seen: set[StudentId] = set()
     for s in itertools.chain.from_iterable(assignment.teams):
         if s in seen:

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from moocteams.cli import main
 from moocteams.diffusion import TRACE_HEADER, read_trace_csv
 from moocteams.errors import DataFormatError
-from moocteams.formats import refused_as, write_json
+from moocteams.formats import json_field, refused_as, write_json
 from moocteams.graph import CSV_HEADER, read_graph_csv
 from moocteams.metrics import METRICS_HEADER, read_metrics_csv
 from moocteams.skills import read_partition_json, read_skills_json
-from moocteams.teams import read_roster_json
+from moocteams.teams import read_roster_json, write_roster_json
 
 # each CSV reader with its header and one valid row
 CSV_READERS = {
@@ -41,6 +41,29 @@ def test_refused_as_names_what_it_was_reading_and_the_cause(cause):
             raise cause
     assert str(err.value) == f"bad record on line 3: {cause}"
     assert err.value.__cause__ is cause
+
+
+@pytest.mark.parametrize("kind, value, read", [
+    (bool, True, True), (bool, False, False), (int, 7, 7), (int, -(10 ** 400), -(10 ** 400)),
+    (float, 0.25, 0.25), (float, 3, 3.0), (dict, {"a": 1}, {"a": 1}), (str, "x", "x")])
+def test_json_field_reads_a_field_of_its_writers_type(kind, value, read):
+    got = json_field({"outer": {"inner": value}}, "outer.inner", kind)
+    assert got == read and type(got) is kind
+
+
+@pytest.mark.parametrize("kind, value", [
+    (bool, "false"), (bool, 0), (bool, None), (int, 2.7), (int, 2.0), (int, True),
+    (int, "1"), (float, True), (float, "0.5"), (float, None), (float, math.inf),
+    (float, math.nan), (float, 10 ** 400), (float, [1]), (dict, [1]), (str, 1)])
+def test_json_field_refuses_any_other_type_and_names_the_field(kind, value):
+    with pytest.raises(DataFormatError, match=r"^outer\.inner: "):
+        json_field({"outer": {"inner": value}}, "outer.inner", kind)
+
+
+@pytest.mark.parametrize("payload", [{}, {"outer": 1}, {"outer": []}, {"outer": "inner"}])
+def test_json_field_refuses_a_path_that_is_not_there(payload):
+    with pytest.raises(DataFormatError, match=r"^outer\.inner: "):
+        json_field(payload, "outer.inner", int)
 
 
 @pytest.mark.parametrize("kind", CSV_READERS)
@@ -157,3 +180,50 @@ def test_roster_teams_must_be_lists_of_student_ids(tmp_path, capsys, teams):
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "graph.dot").exists()
+
+
+def test_a_roster_that_teams_wrote_reads_back_equal(tmp_path, capsys):
+    corpus, graph = tmp_path / "corpus.jsonl", tmp_path / "graph.csv"
+    metrics, roster = tmp_path / "metrics.csv", tmp_path / "teams.json"
+    assert main(["synth", "--students", "12", "--threads", "4", "--posts", "12",
+                 "--comments", "40", "--seed", "2", "--output", str(corpus)]) == 0
+    assert main(["ingest", "--input", str(corpus), "--output", str(graph)]) == 0
+    assert main(["metrics", "--graph", str(graph), "--output", str(metrics)]) == 0
+    for oversize in ("--allow-oversize", "--no-allow-oversize"):
+        assert main(["teams", "--graph", str(graph), "--metrics", str(metrics),
+                     "--output", str(roster), "--restarts", "2", oversize]) == 0
+        text = roster.read_text(encoding="utf-8")
+        rewritten = io.StringIO()
+        write_roster_json(read_roster_json(io.StringIO(text)), rewritten)
+        assert rewritten.getvalue() == text
+    capsys.readouterr()
+
+
+# each roster field set to a value of a type its writer never gives it
+@pytest.mark.parametrize("path, value", [
+    ("params.allow_oversize", "false"), ("params.allow_oversize", 1),
+    ("params.s_min", 2.7), ("params.s_max", "2"), ("params.s_max", None),
+    ("seed", True), ("seed", 1.0), ("seed", "x"),
+    ("objective", True), ("objective", "x"), ("objective", None),
+    ("objective", math.inf), ("breakdown.cost_term", "x"),
+    ("breakdown.hole_term", None), ("breakdown.balance_term", True),
+    ("params.weights.w_cost", "x"), ("params.weights.w_hole", None),
+    ("params.weights.w_balance", [1]), ("breakdown", [0.5, 0.5, 0.5]),
+    ("params.weights", None)])
+def test_report_refuses_a_roster_field_of_another_type(tmp_path, capsys, path, value):
+    payload = json.loads(json.dumps(ROSTER))
+    *parents, key = path.split(".")
+    holder = payload
+    for parent in parents:
+        holder = holder[parent]
+    holder[key] = value
+    graph, roster = tmp_path / "graph.csv", tmp_path / "teams.json"
+    dot = tmp_path / "graph.dot"
+    graph.write_text("src,dst,weight\ns1,s2,1\n", encoding="utf-8")
+    roster.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["report", "--graph", str(graph), "--teams", str(roster),
+                 "--dot-out", str(dot)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{path}: " in err
+    assert not dot.exists()

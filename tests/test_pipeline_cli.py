@@ -908,7 +908,7 @@ def test_cli_pipeline_on_a_graph_with_no_edges_skips_diffusion(tmp_path, capsys)
 # the settings each stage subcommand shares with the pipeline, besides --seed
 STAGE_SETTINGS = {
     "ingest": ["reply_policy"],
-    "skills": ["skill_k", "skill_beta", "skill_idf", "n_groups"],
+    "skills": ["skill_k", "skill_beta", "skill_idf", "n_groups", "damping"],
     "metrics": ["damping"],
     "teams": ["s_min", "s_max", "allow_oversize", "w_cost", "w_hole",
               "w_balance", "restarts", "team_iterations"],
@@ -917,15 +917,16 @@ STAGE_SETTINGS = {
 
 def test_cli_stages_reproduce_the_pipeline(tmp_path, capsys):
     # a zero skill_beta leaves every profile unrefined in both
-    for skill_beta in (NON_DEFAULT["skill_beta"], 0.0):
-        _stages_reproduce_the_pipeline(tmp_path / f"beta{skill_beta}", capsys,
-                                       skill_beta)
+    for seed in (1, 7):
+        for skill_beta in (NON_DEFAULT["skill_beta"], 0.0):
+            _stages_reproduce_the_pipeline(tmp_path / f"seed{seed}-beta{skill_beta}",
+                                           capsys, seed, skill_beta)
 
 
-def _stages_reproduce_the_pipeline(tmp_path, capsys, skill_beta):
-    # skills ranks with the default damping; trace.csv needs diffusion on
-    values = {**NON_DEFAULT, "damping": RunConfig.damping,
-              "run_diffusion": True, "skill_beta": skill_beta}
+def _stages_reproduce_the_pipeline(tmp_path, capsys, seed, skill_beta):
+    # trace.csv needs diffusion on
+    values = {**NON_DEFAULT, "seed": seed, "run_diffusion": True,
+              "skill_beta": skill_beta}
     tmp_path.mkdir()
     corpus = tmp_path / "corpus.jsonl"
     _corpus(corpus)
@@ -933,10 +934,11 @@ def _stages_reproduce_the_pipeline(tmp_path, capsys, skill_beta):
     result = run_pipeline(RunConfig(str(corpus), str(run), **values))
     out.mkdir()
 
-    def stage(command, *argv, seed=None):
+    def stage(command, *argv, seeded=False):
+        # a seeded command takes the pipeline's master seed
         settings = {n: values[n] for n in STAGE_SETTINGS.get(command, [])}
-        if seed is not None:
-            settings["seed"] = derive_seed(values["seed"], seed)
+        if seeded:
+            settings["seed"] = values["seed"]
         assert main([command, *map(str, argv), *_flags(settings)]) == 0
 
     # the pipeline starts diffusion from the top-PageRank student
@@ -944,13 +946,13 @@ def _stages_reproduce_the_pipeline(tmp_path, capsys, skill_beta):
     stage("ingest", "--input", corpus, "--output", out / "graph.csv")
     stage("skills", "--input", corpus, "--output", out / "skills.json",
           "--graph", out / "graph.csv",
-          "--partition-out", out / "partition.json", seed="partition")
+          "--partition-out", out / "partition.json", seeded=True)
     stage("metrics", "--graph", out / "graph.csv",
           "--partition", out / "partition.json",
           "--output", out / "metrics.csv")
     stage("teams", "--graph", out / "graph.csv",
           "--metrics", out / "metrics.csv", "--output", out / "teams.json",
-          seed="teams")
+          seeded=True)
     stage("report", "--graph", out / "graph.csv",
           "--teams", out / "teams.json", "--dot-out", out / "graph.dot")
     stage("diffuse", "--graph", out / "graph.csv", "--sources", source,
