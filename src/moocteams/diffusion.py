@@ -12,14 +12,17 @@ numbers, so its replications are identical and are computed once.
 Replications run on node positions from :meth:`SocialGraph.index`, over a
 hop table made once per :func:`simulate` call, whose hop options for a node
 are built the first time a token stands there.  A token is its holder, its
-route and its exclusions, kept in parallel lists.  A route is an immutable
-``int`` bitset: a bit per node position on a PATH, per edge id on a TRAIL,
-else 0.  The exclusions are the holder's options the token may not take, as
-bits of their local indices: derived from the route at its first hop from
-the holder, then updated with its sends.  A PATH sender marks each send in
-its route, which a copy shares; a TRAIL sender marks its exclusions only,
-and writes them into a route just for a copy or a move, so a copy the cap
-refuses costs no route.  The pick steps over the excluded indices.
+route and its exclusions, kept in parallel lists.  The exclusions are the
+holder's options the token may not take, as bits of their local indices:
+derived from the route at its first hop from the holder, then updated with
+its sends.  A PATH route is an ``int`` over node positions (about 100 bytes
+at 771 students), which a sender marks each send in and a copy shares.  A
+TRAIL sender marks its exclusions only.  A moving token writes them into
+its ``int`` over edge ids, read at each holder, where a chain would be
+walked anew.  A copy gets a link ``(route, holder, marks)`` to its sender's
+chain, ending in 0, not an ``int`` over every edge id (1 KB at 7 240 edges)
+for a few dozen marks.  Other routes are 0.  The pick steps over the
+excluded indices.
 """
 
 from __future__ import annotations
@@ -163,9 +166,9 @@ class _HopOptions(dict):
     ``full``, the bits of all k local indices.  A token's exclusions at u
     are derived from its route: on a PATH the mask holds the bits of the
     heads, which a row holds in ascending position order, so the rank of a
-    visited head's bit in the mask is its option's local index; on a TRAIL,
-    where the mask is 0 as elsewhere, they are the route's k bits from
-    ``base[u]`` on, since u's edge ids are consecutive.
+    visited head's bit in the mask is its option's local index; on a TRAIL
+    (mask 0) they are an ``int`` route's k bits from ``base[u]`` on, u's edge
+    ids being consecutive, or the marks of a chain's latest link at u.
     """
 
     def __init__(self, base: list[int], head: list[int], weight: list[int],
@@ -277,8 +280,10 @@ def _replicate(hops: _HopTable, spec: FlowSpec, rep_index: int,
     fresh = None if track_nodes or track_edges else 0
     # a sender excludes each option it sends on
     marking = track_edges or track_nodes
-    # a moving TRAIL token carries its send-marks on in its route
+    # a moving TRAIL token carries its send-marks on in its int route
     carries = track_edges and transfer
+    # a duplicating one's route is a chain of (route, holder, marks) links
+    chains = track_edges and not transfer
     target = -1 if spec.target is None else hops.position[spec.target]
     base, head = hops.base, hops.head
     starts = [hops.position[s] for s in spec.sources]
@@ -316,8 +321,14 @@ def _replicate(hops: _HopTable, spec: FlowSpec, rep_index: int,
                 continue
             edges, totals, mask, full = options[lineage][u]
             if local is None:
-                if track_edges:
+                if carries:
                     local = route >> base[u] & full
+                elif chains:
+                    # the latest link made at u holds every mark made there
+                    link = route
+                    while link and link[1] != u:
+                        link = link[0]
+                    local = link[2] if link else 0
                 else:
                     # the rank of a head's bit in the mask is its local index
                     local = 0
@@ -351,8 +362,8 @@ def _replicate(hops: _HopTable, spec: FlowSpec, rep_index: int,
                 # at the cap the delivery above still counts, but the copy
                 # is dropped, so the item cannot travel onward from v
                 if not transfer and live < cap:
-                    # a TRAIL copy gets its sender's send-marks written in
-                    copy_route = route | local << base[u] if track_edges else route
+                    # a TRAIL copy gets a link to its sender's route and marks
+                    copy_route = (route, u, local) if chains else route
                     copy_at.append(v)
                     copy_routes.append(copy_route)
                     copy_lineages.append(lineage)
@@ -362,12 +373,11 @@ def _replicate(hops: _HopTable, spec: FlowSpec, rep_index: int,
                 if v == target:
                     dead.add(lineage)
                     break
-            if collect_histories:
-                record[1:] = (v if transfer else u,
-                              route | local << base[u] if track_edges else route)
-                records[kept] = record
             if carries:
                 route |= local << base[u]
+            if collect_histories:
+                record[1:] = v if transfer else u, (route, u, local) if chains else route
+                records[kept] = record
             if transfer:
                 u, local = v, fresh
             if target >= 0 and lineage in dead:
@@ -403,9 +413,18 @@ def _replicate(hops: _HopTable, spec: FlowSpec, rep_index: int,
         outcome.histories = [TokenRecord(
             spec.sources[lineage], nodes[u],
             frozenset(nodes[v] for v in _bits(route)) if track_nodes else frozenset(),
-            frozenset((nodes[tail[e]], nodes[head[e]]) for e in _bits(route))
+            frozenset((nodes[tail[e]], nodes[head[e]]) for e in _used_edges(route, base))
             if track_edges else frozenset()) for lineage, u, route in made]
     return outcome
+
+
+def _used_edges(route: int | tuple, base: list[int]) -> list[int]:
+    """The edge ids of a TRAIL route, an int or a chain of links, lowest first."""
+    edges = 0
+    while isinstance(route, tuple):
+        route, u, marks = route
+        edges |= marks << base[u]
+    return _bits(edges | route)
 
 
 def _bits(route: int) -> list[int]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DataFormatError, ParameterError
-from .formats import refused_as
+from .formats import json_field, refused_as
 from .graph import SocialGraph, StudentId
 from .teams import TeamAssignment
 
@@ -46,11 +46,11 @@ def read_opinions_jsonl(stream) -> list[OpinionRecord]:
         with refused_as("bad opinion record on line {}", lineno):
             obj = json.loads(line)
             records.append(OpinionRecord(
-                entity=str(obj["entity"]),
-                aspect=str(obj["aspect"]),
-                sentiment=float(obj["sentiment"]),
-                holder=str(obj["holder"]),
-                time=int(obj["time"]),
+                entity=json_field(obj, "entity", str),
+                aspect=json_field(obj, "aspect", str),
+                sentiment=json_field(obj, "sentiment", float),
+                holder=json_field(obj, "holder", str),
+                time=json_field(obj, "time", int),
             ))
     return records
 

@@ -16,7 +16,7 @@ from importlib import resources
 from typing import Iterable, Mapping
 
 from .errors import DataFormatError, ParameterError
-from .formats import read_json, refused_as, write_json
+from .formats import json_field, read_json, refused_as, write_json
 from .graph import StudentId
 from .ingest import ForumMessage
 
@@ -279,10 +279,11 @@ def read_skills_json(stream) -> dict[StudentId, SkillProfile]:
     profiles: dict[StudentId, SkillProfile] = {}
     for entry in payload:
         with refused_as("bad skill profile entry: {!r}", entry):
-            terms = tuple((d["term"], float(d["weight"])) for d in entry["terms"])
-            profiles[entry["student"]] = SkillProfile(
-                entry["student"], terms, k=int(entry["k"]),
-                refined=bool(entry["refined"]))
+            student = json_field(entry, "student", str)
+            terms = tuple((json_field(d, "term", str), json_field(d, "weight", float))
+                          for d in json_field(entry, "terms", list))
+            profiles[student] = SkillProfile(student, terms, json_field(entry, "k", int),
+                                             json_field(entry, "refined", bool))
     return profiles
 
 

@@ -535,7 +535,7 @@ def write_roster_json(assignment: TeamAssignment, stream) -> None:
 
 def read_roster_json(stream) -> TeamAssignment:
     """Inverse of :func:`write_roster_json`; a field not of the JSON type
-    written there, or a student listed twice, is an error."""
+    written there, a student listed twice, or a value form_teams refuses is an error."""
     payload = read_json(stream, "roster")
     with refused_as("bad roster JSON structure"):
         teams = payload["teams"]
@@ -553,6 +553,11 @@ def read_roster_json(stream) -> TeamAssignment:
             weights=ObjectiveWeights(**floats["params.weights"]),
             s_min=field("params.s_min", int), s_max=field("params.s_max", int),
             allow_oversize=field("params.allow_oversize", bool), seed=field("seed", int))
+        assignment.weights.validate()
+        if not 2 <= assignment.s_min <= assignment.s_max:
+            raise DataFormatError("team-size bounds need 2 <= params.s_min <= params.s_max")
+        if min(map(len, teams), default=2) < 2:
+            raise DataFormatError("a team has fewer than 2 students")
     seen: set[StudentId] = set()
     for s in itertools.chain.from_iterable(assignment.teams):
         if s in seen:

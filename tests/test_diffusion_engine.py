@@ -12,6 +12,7 @@ import hashlib
 import io
 import math
 import random
+import tracemalloc
 from itertools import accumulate, product
 
 import pytest
@@ -46,7 +47,7 @@ PINNED = [
 
 #: the 12 typology cells, two replications each, from the top-PageRank student
 #: of the 771-student synth corpus at seed 1, where the default cap holds
-#: 7 710 tokens and a TRAIL route spans more than 7 000 edge ids
+#: 7 710 tokens over more than 7 000 edge ids
 PINNED_1X = {
     ("TRANSFER", "GEODESIC"): "34d396af273c8a1bd4674ae557a62c7c2fbc8a5d13d197311de85bd24acde660",
     ("TRANSFER", "PATH"): "5e4b8c54243393829e612e3025511757b48f4ea247b475aab46183c28908bfb1",
@@ -92,15 +93,40 @@ def test_traces_match_pinned_digests():
         assert got == digest, (mechanism, trajectory, spec.target, spec.sources)
 
 
-def test_typology_at_corpus_scale_matches_pinned_digests():
+@pytest.fixture(scope="module")
+def corpus_1x():
+    """The 771-student synth corpus's graph at seed 1 and its top-PageRank
+    student."""
     g, _ = build_reply_graph(synth_corpus(SynthParams(
         students=771, threads=665, posts=1800, comments=7000, seed=1)))
     assert g.node_count == 771 and g.edge_count > 7000
     scores = pagerank(g)
-    source = min(scores, key=lambda v: (-scores[v], v))
+    return g, min(scores, key=lambda v: (-scores[v], v))
+
+
+def test_typology_at_corpus_scale_matches_pinned_digests(corpus_1x):
+    g, source = corpus_1x
     got = {(spec.mechanism.value, spec.trajectory.value): _trace_digest(g, spec)
            for spec in full_typology_specs((source,), replications=2, seed=1)}
     assert got == PINNED_1X
+
+
+@pytest.mark.parametrize("mechanism", ["SERIAL_DUP", "PARALLEL_DUP"])
+def test_a_trail_replication_peaks_near_a_path_one(corpus_1x, mechanism):
+    # a duplicating TRAIL copy shares its ancestors' marks; were it to hold
+    # an int over every edge id (about 1 KB here), its cell's peak would be
+    # several times the PATH cell's, whose routes are 771-bit ints
+    g, source = corpus_1x
+    peaks = {}
+    for spec in full_typology_specs((source,), replications=1, seed=1):
+        if spec.mechanism.value == mechanism and spec.trajectory.value in ("PATH", "TRAIL"):
+            tracemalloc.start()
+            try:
+                replicate_once(g, spec, 0)
+                peaks[spec.trajectory.value] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    assert peaks["TRAIL"] <= 1.25 * peaks["PATH"], peaks
 
 
 @pytest.mark.parametrize("uniform", [False, True])

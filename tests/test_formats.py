@@ -199,6 +199,30 @@ def test_a_roster_that_teams_wrote_reads_back_equal(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _roster_with(path, value):
+    """A copy of ``ROSTER`` with ``value`` at the dotted ``path``."""
+    payload = json.loads(json.dumps(ROSTER))
+    *parents, key = path.split(".")
+    holder = payload
+    for parent in parents:
+        holder = holder[parent]
+    holder[key] = value
+    return payload
+
+
+def _report_refuses(tmp_path, capsys, roster, flags, written):
+    """``report`` on a two-student graph with ``roster`` and ``flags`` exits 2
+    with one ``error:`` line, which it returns, and writes no ``written``."""
+    graph, path = tmp_path / "graph.csv", tmp_path / "teams.json"
+    graph.write_text("src,dst,weight\ns1,s2,1\n", encoding="utf-8")
+    path.write_text(json.dumps(roster), encoding="utf-8")
+    assert main(["report", "--graph", str(graph), "--teams", str(path), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not written.exists()
+    return err
+
+
 # each roster field set to a value of a type its writer never gives it
 @pytest.mark.parametrize("path, value", [
     ("params.allow_oversize", "false"), ("params.allow_oversize", 1),
@@ -211,19 +235,67 @@ def test_a_roster_that_teams_wrote_reads_back_equal(tmp_path, capsys):
     ("params.weights.w_balance", [1]), ("breakdown", [0.5, 0.5, 0.5]),
     ("params.weights", None)])
 def test_report_refuses_a_roster_field_of_another_type(tmp_path, capsys, path, value):
-    payload = json.loads(json.dumps(ROSTER))
-    *parents, key = path.split(".")
-    holder = payload
-    for parent in parents:
-        holder = holder[parent]
-    holder[key] = value
-    graph, roster = tmp_path / "graph.csv", tmp_path / "teams.json"
     dot = tmp_path / "graph.dot"
-    graph.write_text("src,dst,weight\ns1,s2,1\n", encoding="utf-8")
-    roster.write_text(json.dumps(payload), encoding="utf-8")
-    assert main(["report", "--graph", str(graph), "--teams", str(roster),
-                 "--dot-out", str(dot)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    err = _report_refuses(tmp_path, capsys, _roster_with(path, value),
+                          ["--dot-out", str(dot)], dot)
     assert f"{path}: " in err
-    assert not dot.exists()
+
+
+# the roster's types are right, but form_teams would refuse its values
+@pytest.mark.parametrize("path, value", [
+    ("params.weights.w_cost", 2.0), ("params.weights.w_hole", -1.0),
+    ("params.weights.w_balance", 0.5), ("params.s_min", 1), ("params.s_min", 3),
+    ("params.s_max", 1), ("teams", [["s1"], ["s2"]]), ("teams", [["s1", "s2"], []])])
+def test_report_refuses_a_roster_out_of_the_writers_range(tmp_path, capsys, path, value):
+    dot = tmp_path / "graph.dot"
+    err = _report_refuses(tmp_path, capsys, _roster_with(path, value),
+                          ["--dot-out", str(dot)], dot)
+    assert "bad roster JSON structure: " in err
+
+
+def test_report_refuses_a_roster_with_every_range_wrong(tmp_path, capsys):
+    # bounds crossed, weights out of [0, 1], a lone student and an empty team
+    roster = {**ROSTER, "teams": [["s1"], [], ["s2"]],
+              "params": {"s_min": 5, "s_max": 2, "allow_oversize": False,
+                         "weights": {"w_cost": 2.0, "w_hole": -1.0, "w_balance": 0.0}}}
+    dot = tmp_path / "graph.dot"
+    _report_refuses(tmp_path, capsys, roster, ["--dot-out", str(dot)], dot)
+
+
+OPINION = {"entity": "course", "aspect": "pace", "holder": "s1", "time": 3,
+           "sentiment": 0.5}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("entity", None), ("aspect", []), ("holder", 1), ("time", 1.9), ("time", True),
+    ("sentiment", "0.5"), ("sentiment", None)])
+def test_report_refuses_an_opinion_field_of_another_type(tmp_path, capsys, key, value):
+    opinions, summary = tmp_path / "opinions.jsonl", tmp_path / "summary.json"
+    flags = ["--opinions", str(opinions), "--summary-out", str(summary)]
+    opinions.write_text(json.dumps(OPINION) + "\n", encoding="utf-8")
+    graph = tmp_path / "graph.csv"
+    graph.write_text("src,dst,weight\ns1,s2,1\n", encoding="utf-8")
+    (tmp_path / "teams.json").write_text(json.dumps(ROSTER), encoding="utf-8")
+    assert main(["report", "--graph", str(graph), "--teams", str(tmp_path / "teams.json"),
+                 *flags]) == 0
+    summary.unlink()
+    capsys.readouterr()
+    opinions.write_text(json.dumps({**OPINION, key: value}) + "\n", encoding="utf-8")
+    err = _report_refuses(tmp_path, capsys, ROSTER, flags, summary)
+    assert f"line 1: {key}: " in err
+
+
+SKILL = {"student": "a", "terms": [{"term": "x", "weight": 0.5}], "k": 5, "refined": False}
+
+
+@pytest.mark.parametrize("path, value", [
+    ("student", 1), ("student", None), ("terms", {"x": 0.5}), ("term", None),
+    ("term", 3), ("weight", "0.5"), ("weight", True), ("k", 5.0), ("k", True),
+    ("refined", "false"), ("refined", 0)])
+def test_skills_reader_refuses_a_field_of_another_type(path, value):
+    # no subcommand reads skills JSON, so the reader is called directly
+    assert read_skills_json(io.StringIO(json.dumps([SKILL])))["a"].terms == (("x", 0.5),)
+    entry = json.loads(json.dumps(SKILL))
+    (entry["terms"][0] if path in ("term", "weight") else entry)[path] = value
+    with pytest.raises(DataFormatError, match=f"{path}: "):
+        read_skills_json(io.StringIO(json.dumps([entry])))
