@@ -40,7 +40,7 @@ from .pipeline import (SETTINGS, RunConfig, StageError, ingest_stage,
                        partition_stage, read_file, run_pipeline, skills_stage,
                        teams_stage, write_file, write_files)
 from .report import (SPLIT_SEED, aggregate_opinions, experiment_split,
-                     export_dot, read_opinions_jsonl)
+                     read_opinions_jsonl, write_dot)
 from .skills import read_partition_json, write_partition_json, write_skills_json
 from .teams import brute_force_teams, read_roster_json, write_roster_json
 
@@ -176,8 +176,8 @@ def _cmd_report(args) -> int:
         split = {"experimental": list(experimental), "control": list(control)}
     outputs = []
     if args.dot_out:
-        outputs.append((args.dot_out, lambda text, fh: fh.write(text),
-                        export_dot(graph, assignment)))
+        outputs.append((args.dot_out, lambda roster, fh: write_dot(graph, roster, fh),
+                        assignment))
     if args.summary_out:
         outputs.append((args.summary_out, write_json, summary))
     if args.split_out:

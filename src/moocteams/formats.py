@@ -16,9 +16,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii
-from typing import Any, Iterable, Iterator, Sequence, TextIO
+from typing import Any, TextIO
 
 from .errors import DataFormatError
 
@@ -100,10 +101,11 @@ def _layout(o: Any, parts: list[str], indent: str, stream: TextIO) -> None:
     """Append the JSON text of ``o`` to ``parts``, a container's items each
     on a new line opened by ``indent`` (a newline, then two spaces per level)
     plus two spaces; after any item that leaves ``parts`` holding
-    ``_PIECES_PER_WRITE`` pieces, they go to ``stream``."""
+    ``_PIECES_PER_WRITE`` pieces, they go to ``stream``.  A list, a tuple or
+    an iterator is an array."""
     if isinstance(o, dict):
         opening, closing, items = "{", "}", sorted(o.items())
-    elif isinstance(o, (list, tuple)):
+    elif isinstance(o, (list, tuple, Iterator)):
         opening, closing, items = "[", "]", o
     else:
         text = _scalar(o)
@@ -111,12 +113,8 @@ def _layout(o: Any, parts: list[str], indent: str, stream: TextIO) -> None:
             raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
         parts.append(text)
         return
-    if not items:
-        parts.append(opening + closing)
-        return
     inner = indent + "  "
-    parts.append(opening)
-    separator = inner
+    separator = opening + inner
     for item in items:
         if opening == "{":
             key, item = item
@@ -134,14 +132,16 @@ def _layout(o: Any, parts: list[str], indent: str, stream: TextIO) -> None:
             stream.write("".join(parts))
             parts.clear()
         separator = "," + inner
-    parts.append(indent + closing)
+    # the separator is still the opening one only when there was no item
+    parts.append(opening + closing if separator[0] == opening else indent + closing)
 
 
 def write_json(payload: Any, stream: TextIO) -> None:
     """``payload`` as indented JSON with sorted keys, then a newline: the
     bytes of ``json.dump(payload, stream, indent=2, sort_keys=True)`` where
-    every key is a str (any other key is a TypeError).  The text goes to
-    ``stream`` a few hundred pieces at a time, so it is never held whole."""
+    every key is a str (any other key is a TypeError), an iterator laid out
+    as the list of its items.  The text goes to ``stream`` a few hundred
+    pieces at a time, so it is never held whole."""
     parts: list[str] = []
     _layout(payload, parts, "\n", stream)
     parts.append("\n")

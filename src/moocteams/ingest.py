@@ -22,8 +22,8 @@ from .graph import SocialGraph, StudentId
 @dataclass(frozen=True, slots=True)
 class ForumMessage:
     """One post or comment from a forum export.  A corpus holds thousands of
-    these through the whole pipeline, so they keep their fields in slots,
-    without a per-instance dict."""
+    these until its skill profiles are built, so they keep their fields in
+    slots, without a per-instance dict."""
 
     id: str
     thread_id: str
@@ -46,8 +46,8 @@ class ParseResult:
         return len(self.messages)
 
 
-def _coerce_message(obj: object) -> ForumMessage | None:
-    """Validate one decoded JSONL record; None when malformed."""
+def _coerce_message(obj: object, names: dict[str, str]) -> ForumMessage | None:
+    """Validate one decoded JSONL record, its names drawn from ``names``; None if malformed."""
     if not isinstance(obj, dict):
         return None
     msg_id = obj.get("id")
@@ -68,8 +68,10 @@ def _coerce_message(obj: object) -> ForumMessage | None:
     body = obj.get("body", "")
     if not isinstance(body, str):
         return None
-    return ForumMessage(id=msg_id, thread_id=thread_id, timestamp=timestamp,
-                        body=body, parent_id=parent_id, author=author or None)
+    return ForumMessage(id=names.setdefault(msg_id, msg_id), timestamp=timestamp, body=body,
+                        thread_id=names.setdefault(thread_id, thread_id),
+                        parent_id=parent_id and names.setdefault(parent_id, parent_id),
+                        author=author and names.setdefault(author, author) or None)
 
 
 def parse_forum_export(stream: IO[str] | IO[bytes] | Iterable[str]) -> ParseResult:
@@ -86,10 +88,14 @@ def parse_forum_export(stream: IO[str] | IO[bytes] | Iterable[str]) -> ParseResu
     removed the whitespace ``json.loads`` would skip, the scanner finds no
     value at a BOM, which ``json.loads`` refuses, and trailing data leaves
     the value's end short of the line's.
+
+    Each distinct id, thread id, parent id or author is held as one string
+    object, so a ``parent_id`` is the ``id`` object of the message it names.
     """
     scan = json.scanner.make_scanner(json.JSONDecoder())
     result = ParseResult(messages=[])
     seen_ids: set[str] = set()
+    names: dict[str, str] = {}
     total = 0
     for raw in stream:
         if isinstance(raw, bytes):
@@ -105,7 +111,7 @@ def parse_forum_export(stream: IO[str] | IO[bytes] | Iterable[str]) -> ParseResu
         if end != len(line):
             result.skipped += 1
             continue
-        msg = _coerce_message(obj)
+        msg = _coerce_message(obj, names)
         if msg is None or msg.id in seen_ids:
             result.skipped += 1
             continue

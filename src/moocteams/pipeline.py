@@ -15,6 +15,8 @@ stage's seed, hashes its ``ARTIFACTS`` entry if ``st.write`` wrote it,
 and on an exception writes the manifest marked failed.  The ingest,
 skills, partition and teams blocks each call one ``*_stage`` function of
 their inputs and a ``RunConfig``, which the stage commands call too.
+The parsed messages are dropped once the skills stage has profiled them,
+and the DOT and JSON artifacts are streamed to their files, never held whole.
 A run, complete or failed, ends by deleting every artifact its manifest
 does not record, so no earlier run's file is left behind.  Every file,
 here and in the command line, is written through ``write_files`` (or its
@@ -44,7 +46,7 @@ from .ingest import (REPLY_POLICY, BuildReport, ForumMessage, ParseResult,
 from .metrics import (DAMPING, FARNESS_PENALTY, PAGERANK_MAX_ITER, PAGERANK_TOL,
                       RANK_MAX_ITER, RANK_TOL, NodeMetrics, brokerage_counts,
                       compute_metrics_without_brokerage, write_metrics_csv)
-from .report import export_dot
+from .report import write_dot
 from .skills import (MIN_LEN, SKILL_BETA, SKILL_K, USE_IDF, SkillProfile,
                      build_skill_profiles, refine_by_rank, skill_partition,
                      write_partition_json, write_skills_json)
@@ -356,6 +358,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         profiles = skills_stage(parsed.messages,
                                 {s: m.pagerank for s, m in metrics.items()}, config)
         st.write(write_skills_json, profiles)
+    del parsed  # nothing after skills reads the messages
 
     with stage("partition") as st:
         partition = partition_stage(profiles, config)
@@ -396,7 +399,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
             st.write(write_trace_csv, simulate(g, spec))
 
     with stage("export") as st:
-        st.write(lambda text, fh: fh.write(text), export_dot(g, assignment))
+        st.write(lambda roster, fh: write_dot(g, roster, fh), assignment)
 
     return PipelineResult(manifest=manifest, manifest_path=finish("complete"),
                           graph=g, metrics=metrics)

@@ -6,10 +6,12 @@ this module only aggregates them against a team assignment.
 
 from __future__ import annotations
 
+import io
 import json
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DataFormatError, ParameterError
 from .formats import json_field, refused_as
@@ -142,26 +144,36 @@ def _dot_id(s: StudentId) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def export_dot(g: SocialGraph, assignment: TeamAssignment | None = None) -> str:
-    """Graphviz text for the reply graph, byte-stable across calls.
+def write_dot(g: SocialGraph, assignment: TeamAssignment | None, stream) -> None:
+    """Graphviz text for the reply graph, byte-stable across calls, written
+    128 lines at a time.
 
     Edge weights become labels.  With an assignment, each rostered node
     carries a ``team`` attribute; isolated nodes are always declared so
     the node set survives the export.
     """
-    lines = ["digraph replies {"]
-    team_label: dict[StudentId, str] = {}
-    if assignment is not None:
-        for idx, team in enumerate(assignment.teams):
-            for s in team:
-                team_label[s] = f"t{idx:03d}"
-    for v in g.nodes:
-        label = team_label.get(v)
-        if label is not None:
-            lines.append(f'  {_dot_id(v)} [team="{label}"];')
-        elif g.degree(v) == 0:
-            lines.append(f'  {_dot_id(v)};')
-    for u, v, w in g.edges():
-        lines.append(f'  {_dot_id(u)} -> {_dot_id(v)} [label="{w}", weight={w}];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    team_of = {s: idx for idx, team in enumerate(assignment.teams)
+               for s in team} if assignment is not None else {}
+
+    def lines() -> Iterator[str]:
+        yield "digraph replies {\n"
+        for v in g.nodes:
+            idx = team_of.get(v)
+            if idx is not None:
+                yield f'  {_dot_id(v)} [team="t{idx:03d}"];\n'
+            elif g.degree(v) == 0:
+                yield f'  {_dot_id(v)};\n'
+        for u, v, w in g.edges():
+            yield f'  {_dot_id(u)} -> {_dot_id(v)} [label="{w}", weight={w}];\n'
+        yield "}\n"
+
+    pending = lines()
+    while text := "".join(islice(pending, 128)):
+        stream.write(text)
+
+
+def export_dot(g: SocialGraph, assignment: TeamAssignment | None = None) -> str:
+    """The text :func:`write_dot` writes."""
+    buffer = io.StringIO()
+    write_dot(g, assignment, buffer)
+    return buffer.getvalue()

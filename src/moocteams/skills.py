@@ -12,7 +12,9 @@ import random
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from importlib import resources
+from operator import add
 from typing import Iterable, Mapping
 
 from .errors import DataFormatError, ParameterError
@@ -121,6 +123,12 @@ def refine_by_rank(profiles: Mapping[StudentId, SkillProfile],
             for s, p in profiles.items()}
 
 
+def _left_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right from 0.0, the same on every Python
+    (``sum`` compensates floats from CPython 3.12 on)."""
+    return reduce(add, values, 0.0)
+
+
 def build_skill_profiles(messages: Iterable[ForumMessage], k: int = SKILL_K,
                          min_len: int = MIN_LEN,
                          stopwords: frozenset[str] | set[str] | None = None,
@@ -151,7 +159,7 @@ def build_skill_profiles(messages: Iterable[ForumMessage], k: int = SKILL_K,
         dist = term_distribution(by_author[author], stopwords, min_len=min_len)
         if use_idf and dist:
             weighted = {t: p * idf[t] for t, p in dist.items()}
-            total = sum(weighted.values())
+            total = _left_sum(weighted.values())
             dist = {t: w / total for t, w in sorted(weighted.items())}
         profiles[author] = SkillProfile(author, top_k_skills(dist, k) if dist else (),
                                         k=k)
@@ -163,11 +171,11 @@ def build_skill_profiles(messages: Iterable[ForumMessage], k: int = SKILL_K,
 def _cosine(a: Mapping[str, float], b: Mapping[str, float]) -> float:
     if len(b) < len(a):
         a, b = b, a
-    dot = sum(w * b[t] for t, w in a.items() if t in b)
+    dot = _left_sum(w * b[t] for t, w in a.items() if t in b)
     if dot == 0.0:
         return 0.0
-    na = math.sqrt(sum(w * w for w in a.values()))
-    nb = math.sqrt(sum(w * w for w in b.values()))
+    na = math.sqrt(_left_sum(w * w for w in a.values()))
+    nb = math.sqrt(_left_sum(w * w for w in b.values()))
     return dot / (na * nb)
 
 
@@ -260,16 +268,10 @@ def skill_partition(profiles: Iterable[SkillProfile], n_groups: int,
 # -- serialization -----------------------------------------------------------
 
 def write_skills_json(profiles: Mapping[StudentId, SkillProfile], stream) -> None:
-    payload = [
-        {
-            "student": s,
-            "terms": [{"term": t, "weight": w} for t, w in profiles[s].terms],
-            "k": profiles[s].k,
-            "refined": profiles[s].refined,
-        }
-        for s in sorted(profiles)
-    ]
-    write_json(payload, stream)
+    """The profiles in student order, each entry built as it is written."""
+    write_json(({"student": s, "k": profiles[s].k, "refined": profiles[s].refined,
+                 "terms": [{"term": t, "weight": w} for t, w in profiles[s].terms]}
+                for s in sorted(profiles)), stream)
 
 
 def read_skills_json(stream) -> dict[StudentId, SkillProfile]:
@@ -282,7 +284,14 @@ def read_skills_json(stream) -> dict[StudentId, SkillProfile]:
             student = json_field(entry, "student", str)
             terms = tuple((json_field(d, "term", str), json_field(d, "weight", float))
                           for d in json_field(entry, "terms", list))
-            profiles[student] = SkillProfile(student, terms, json_field(entry, "k", int),
+            k, weights = json_field(entry, "k", int), [w for _, w in terms]
+            if student in profiles:
+                raise DataFormatError(f"a second profile of {student!r}")
+            if k < 1 or len(terms) > k:
+                raise DataFormatError(f"{len(terms)} terms for k={k}")
+            if min(weights, default=0.0) < 0 or weights != sorted(weights, reverse=True):
+                raise DataFormatError(f"weights {weights} are negative or rise")
+            profiles[student] = SkillProfile(student, terms, k,
                                              json_field(entry, "refined", bool))
     return profiles
 

@@ -146,6 +146,19 @@ def test_write_json_writes_as_it_lays_out():
     assert max(stream.sizes) < len(stream.getvalue()) / 10
 
 
+@pytest.mark.parametrize("items", [[], [7], [{"a": [1, {"b": []}], "c": "x"}, [[], [2.5]], None],
+                                   [{"k": []}] * 300])
+def test_write_json_lays_out_an_iterator_as_a_list(items):
+    expected = json.dumps(items, indent=2, sort_keys=True) + "\n"
+    stream = io.StringIO()
+    write_json(iter(items), stream)
+    assert stream.getvalue() == expected
+    # iterators nested in a payload, each laid out as the list it yields
+    stream = io.StringIO()
+    write_json({"outer": (iter(x) if isinstance(x, list) else x for x in items)}, stream)
+    assert stream.getvalue() == json.dumps({"outer": items}, indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("payload", [{1: "x"}, {"a": [{None: 0}]}, [object()],
                                      {"a": {1, 2}}])
 def test_write_json_refuses_what_it_cannot_lay_out(payload):
@@ -299,3 +312,38 @@ def test_skills_reader_refuses_a_field_of_another_type(path, value):
     (entry["terms"][0] if path in ("term", "weight") else entry)[path] = value
     with pytest.raises(DataFormatError, match=f"{path}: "):
         read_skills_json(io.StringIO(json.dumps([entry])))
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"k": 0}, "1 terms for k=0"),
+    ({"k": -1, "terms": []}, "0 terms for k=-1"),
+    ({"k": 1, "terms": [{"term": "x", "weight": 0.5}, {"term": "y", "weight": 0.25}]},
+     "2 terms for k=1"),
+    ({"terms": [{"term": "x", "weight": -0.5}]}, "negative or rise"),
+    ({"terms": [{"term": "x", "weight": 0.5}, {"term": "y", "weight": -3.0}]}, "negative or rise"),
+    ({"terms": [{"term": "x", "weight": 0.25}, {"term": "y", "weight": 0.5}]}, "negative or rise"),
+    ({"terms": [{"term": "x", "weight": 0.5}, {"term": "y", "weight": 0.5},
+                {"term": "z", "weight": 0.75}]}, "negative or rise")])
+def test_skills_reader_refuses_a_profile_out_of_the_writers_range(change, message):
+    with pytest.raises(DataFormatError, match=message):
+        read_skills_json(io.StringIO(json.dumps([{**SKILL, **change}])))
+
+
+def test_skills_reader_refuses_a_student_listed_twice():
+    second = {**SKILL, "terms": [{"term": "y", "weight": 0.75}]}
+    with pytest.raises(DataFormatError, match="a second profile of 'a'"):
+        read_skills_json(io.StringIO(json.dumps([SKILL, second])))
+    # a repeat with negative, rising weights and k -1, once read as one profile
+    repeat = [{"student": "a", "terms": [{"term": "x", "weight": 0.5}], "k": 5, "refined": False},
+             {"student": "a", "terms": [{"term": "y", "weight": -3.0},
+                                        {"term": "z", "weight": 7.0}],
+              "k": -1, "refined": False}]
+    with pytest.raises(DataFormatError):
+        read_skills_json(io.StringIO(json.dumps(repeat)))
+
+
+def test_skills_reader_keeps_ties_and_zero_weights():
+    terms = [{"term": "x", "weight": 0.5}, {"term": "y", "weight": 0.5},
+             {"term": "z", "weight": 0.0}]
+    profile = read_skills_json(io.StringIO(json.dumps([{**SKILL, "k": 3, "terms": terms}])))["a"]
+    assert profile.terms == (("x", 0.5), ("y", 0.5), ("z", 0.0)) and profile.k == 3

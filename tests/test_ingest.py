@@ -214,3 +214,26 @@ def test_synth_corpus_validates():
     with pytest.raises(ParameterError):
         synth_corpus(SynthParams(students=5, threads=1, posts=2, comments=3, seed=0,
                                  anonymous_fraction=1.5))
+
+
+def test_parse_holds_one_object_per_distinct_name():
+    buf = io.StringIO()
+    write_jsonl(synth_corpus(SynthParams(students=12, threads=4, posts=30,
+                                         comments=80, seed=5)), buf)
+    # a comment that comes before the post it replies to
+    buf.write(_line(id="early-reply", thread_id="thread-9", parent_id="late-post",
+                    author="s00002") + "\n")
+    buf.write(_line(id="late-post", thread_id="thread-9", author="s00001") + "\n")
+    buf.seek(0)
+    messages = parse_forum_export(buf).messages
+    by_id = {m.id: m for m in messages}
+    for field in ("author", "thread_id"):
+        objects = {}
+        for m in messages:
+            value = getattr(m, field)
+            if value is not None:
+                assert objects.setdefault(value, value) is value, (field, value)
+    replies = [m for m in messages if m.parent_id is not None]
+    assert len(replies) > 50 and by_id["early-reply"] in replies
+    for m in replies:
+        assert m.parent_id is by_id[m.parent_id].id, m.id

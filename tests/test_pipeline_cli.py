@@ -1,12 +1,14 @@
 import csv
 import hashlib
 import inspect
+import io
 import json
 import os
 import random
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -25,10 +27,11 @@ from moocteams.ingest import (SynthParams, build_reply_graph, synth_corpus,
 from moocteams.errors import ParameterError
 from moocteams.pipeline import (SETTINGS, RunConfig, StageError, derive_seed,
                                 run_pipeline, write_file, write_files)
-from moocteams.report import experiment_split
+from moocteams.report import experiment_split, write_dot
 from moocteams.rewire import graph_objective, rewire_optimize
 from moocteams.skills import (build_skill_profiles, refine_by_rank,
-                              refine_skills, term_distribution, tokenize)
+                              refine_skills, term_distribution, tokenize,
+                              write_skills_json)
 from moocteams.teams import (ObjectiveWeights, brute_force_teams, form_teams,
                              team_sizes)
 
@@ -132,6 +135,55 @@ def test_4x_corpus_pipeline_artifacts_match_pinned_digests(tmp_path):
     run_pipeline(RunConfig(str(corpus), str(out), seed=1))
     assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in PINNED_PIPELINE_4X} == PINNED_PIPELINE_4X
+
+
+#: sha256 of ``skills.json`` and ``partition.json`` of ``run_pipeline`` with
+#: ``skill_idf`` at seed 1 on the 1x synthetic corpus (corpus seed 1).  The IDF
+#: weights and the partition's cosines are added left to right, so the bytes
+#: are these on CPython 3.10 to 3.13; ``sum`` would give other skills bytes
+#: from 3.12 on.
+PINNED_IDF = {
+    "skills.json": "40ad22ca70abea0d3bc2e608284e9ebab650d1a4b397dbf991b3b6f1e0950af3",
+    "partition.json": "a651885e41e0564dc67876bbf496ee7739f8d0c17ad7566a8d0938ebfc5da2b7"}
+
+
+def test_idf_pipeline_skills_match_pinned_digests(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    with open(corpus, "w", encoding="utf-8") as fh:
+        write_jsonl(synth_corpus(SynthParams(students=771, threads=665, posts=1800,
+                                             comments=7000, seed=1)), fh)
+    out = tmp_path / "run"
+    run_pipeline(RunConfig(str(corpus), str(out), seed=1, skill_idf=True,
+                           run_diffusion=False))
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in PINNED_IDF} == PINNED_IDF
+
+
+def test_dot_and_skills_writers_stream_at_corpus_scale():
+    class Discard:
+        def write(self, text):
+            return len(text)
+
+    messages = synth_corpus(SynthParams(students=771, threads=665, posts=1800,
+                                        comments=7000, seed=1))
+    g = build_reply_graph(messages)[0]
+    profiles = build_skill_profiles(messages)
+    del messages
+    assignment = form_teams(g, compute_node_metrics(g), restarts=1, seed=0)
+    for writer, value in ((lambda a, fh: write_dot(g, a, fh), assignment),
+                          (write_skills_json, profiles)):
+        text = io.StringIO()
+        writer(value, text)
+        size = len(text.getvalue())
+        del text
+        tracemalloc.start()
+        try:
+            writer(value, Discard())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # relative to the text, so the bound holds whatever a Python's object sizes
+        assert size > 100_000 and peak < size / 4, (writer, size, peak)
 
 
 def test_pipeline_seed_changes_propagate(tmp_path):

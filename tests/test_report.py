@@ -13,6 +13,7 @@ from moocteams.report import (
     experiment_split,
     export_dot,
     read_opinions_jsonl,
+    write_dot,
     write_opinions_jsonl,
 )
 from moocteams.teams import form_teams
@@ -149,3 +150,21 @@ def test_export_dot_with_teams_is_stable():
         for s in team:
             assert f'"{s}" [team="t{idx:03d}"];' in text
     assert text.count("->") == g.edge_count
+
+
+def test_write_dot_writes_export_dots_text_in_pieces():
+    writes = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    g = random_digraph(120, 0.2, seed=3)
+    metrics = compute_node_metrics(g)
+    for assignment in (None, form_teams(g, metrics, s_min=3, s_max=5, restarts=1, seed=0)):
+        writes.clear()
+        stream = Recorder()
+        write_dot(g, assignment, stream)
+        assert stream.getvalue() == export_dot(g, assignment)
+        assert len(writes) > 5 and all(text.endswith("\n") for text in writes)

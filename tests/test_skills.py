@@ -13,6 +13,7 @@ from moocteams.skills import (
     default_stopwords,
     read_partition_json,
     read_skills_json,
+    refine_by_rank,
     refine_skills,
     skill_partition,
     term_distribution,
@@ -212,6 +213,17 @@ def test_skills_json_round_trip(tmp_path):
         write_skills_json(profiles, fh)
     with open(path, encoding="utf-8") as fh:
         assert read_skills_json(fh) == profiles
+
+
+@pytest.mark.parametrize("k, use_idf, beta", [(1, False, 0.0), (5, True, 1.0), (40, True, 2.5)])
+def test_refined_skills_json_reads_back_equal(k, use_idf, beta):
+    msgs = synth_corpus(SynthParams(students=30, threads=6, posts=40, comments=120, seed=4))
+    profiles = build_skill_profiles(msgs, k=k, use_idf=use_idf)
+    ranks = {s: random.Random(s).random() for s in profiles}
+    profiles = refine_by_rank(profiles, ranks, beta)
+    buf = io.StringIO()
+    write_skills_json(profiles, buf)
+    assert read_skills_json(io.StringIO(buf.getvalue())) == profiles
 
 
 def test_skills_json_rejects_non_numeric_weight():
