@@ -39,7 +39,7 @@ from typing import Mapping, Sequence
 from .errors import InsufficientDataError, ParameterError, require_known
 from .formats import read_csv, refused_as, write_csv
 from .graph import SocialGraph, StudentId, hop_counts
-from .metrics import NodeMetrics
+from .metrics import NodeMetrics, left_sum
 
 #: CSV literal for nodes the flow never reached.
 NEVER = "NEVER"
@@ -520,11 +520,11 @@ def rank_correlation(x: Mapping[StudentId, float] | Sequence[float],
     rx = _average_ranks(xs)
     ry = _average_ranks(ys)
     n = len(rx)
-    mx = sum(rx) / n
-    my = sum(ry) / n
-    cov = sum((a - mx) * (b - my) for a, b in zip(rx, ry))
-    vx = sum((a - mx) ** 2 for a in rx)
-    vy = sum((b - my) ** 2 for b in ry)
+    mx = left_sum(rx) / n
+    my = left_sum(ry) / n
+    cov = left_sum((a - mx) * (b - my) for a, b in zip(rx, ry))
+    vx = left_sum((a - mx) ** 2 for a in rx)
+    vy = left_sum((b - my) ** 2 for b in ry)
     if vx == 0.0 or vy == 0.0:
         return 0.0
     return cov / math.sqrt(vx * vy)

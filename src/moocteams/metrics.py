@@ -90,14 +90,14 @@ def pagerank(g: SocialGraph, damping: float = DAMPING, tol: float = PAGERANK_TOL
         shares = [xu / s if s else 0.0 for xu, s in zip(x, strength)]
         base = (1.0 - damping) / n + damping * _weighted_sums(dangling, x)[0] / n
         nxt = [base + damping * t for t in _weighted_sums(into, shares)]
-        return nxt, sum(map(abs, map(sub, nxt, x)))
+        return nxt, left_sum(map(abs, map(sub, nxt, x)))
 
     x, converged, iterations = _iterate(step, [1.0 / n] * n, tol, max_iter)
     return ScoreMap(zip(g.nodes, x), converged, iterations)
 
 
 def _l2_normalized(vec: list) -> list:
-    norm = math.sqrt(sum(map(mul, vec, vec)))
+    norm = math.sqrt(left_sum(map(mul, vec, vec)))
     return [t / norm for t in vec] if norm > 0.0 else vec
 
 
@@ -111,11 +111,25 @@ def _unit_rows_marked(weight_rows: Sequence[tuple[int, ...]]) -> list:
             for weights in weight_rows]
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right from 0.0: the package's one float sum.
+
+    The builtin ``sum`` is not used for floats because from CPython 3.12 on
+    it compensates them, so its last bits depend on the Python that ran it;
+    this loop rounds after each addition, the same on every version."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _weighted_sums(rows: list, x: list) -> list:
     """The rank solvers' one neighbour-row sum: for each (positions, weights)
     row, weight * x[position], or x[position] where weights is None (all 1),
-    added left to right from 0.0 on every Python (from CPython 3.12 on, sum()
-    compensates floats)."""
+    added by :func:`left_sum`'s rule.  The loop is written inline, fused
+    with the products: a :func:`left_sum` per row gives the same floats in
+    about twice the time (1.1 against 0.6 ms per call on the 1x synthetic
+    corpus, 2-vCPU Xeon), and the solvers make 180 calls on that corpus."""
     sums = []
     for row, weights in rows:
         total = 0.0
@@ -147,8 +161,8 @@ def hits(g: SocialGraph, tol: float = RANK_TOL,
         auth, hub = pair
         new_auth = _l2_normalized(_weighted_sums(into, hub))
         new_hub = _l2_normalized(_weighted_sums(out, auth))
-        delta = sum(map(add, map(abs, map(sub, new_auth, auth)),
-                        map(abs, map(sub, new_hub, hub))))
+        delta = left_sum(map(add, map(abs, map(sub, new_auth, auth)),
+                             map(abs, map(sub, new_hub, hub))))
         return (new_auth, new_hub), delta
 
     start = [1.0 / math.sqrt(g.node_count)] * g.node_count
@@ -173,7 +187,7 @@ def eigencentrality(g: SocialGraph, tol: float = RANK_TOL,
 
     def step(x: list) -> tuple[list, float]:
         nxt = _l2_normalized(_weighted_sums(rows, x))
-        return nxt, sum(map(abs, map(sub, nxt, x)))
+        return nxt, left_sum(map(abs, map(sub, nxt, x)))
 
     start = [1.0 / math.sqrt(g.node_count)] * g.node_count
     x, converged, iterations = _iterate(step, start, tol, max_iter)

@@ -45,7 +45,7 @@ from .ingest import (REPLY_POLICY, BuildReport, ForumMessage, ParseResult,
                      ReplyPolicy, build_reply_graph, parse_forum_export)
 from .metrics import (DAMPING, FARNESS_PENALTY, PAGERANK_MAX_ITER, PAGERANK_TOL,
                       RANK_MAX_ITER, RANK_TOL, NodeMetrics, brokerage_counts,
-                      compute_metrics_without_brokerage, write_metrics_csv)
+                      compute_metrics_without_brokerage, left_sum, write_metrics_csv)
 from .report import write_dot
 from .skills import (MIN_LEN, SKILL_BETA, SKILL_K, USE_IDF, SkillProfile,
                      build_skill_profiles, refine_by_rank, skill_partition,
@@ -312,7 +312,7 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
         manifest_path = out_dir / MANIFEST_NAME
         write_file(manifest_path, write_json, manifest)
         write_file(out_dir / TIMINGS_NAME, write_json,
-                   {"stages": timings, "total": sum(timings.values())})
+                   {"stages": timings, "total": left_sum(timings.values())})
         return manifest_path
 
     @contextmanager

@@ -16,6 +16,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import DataFormatError, ParameterError
 from .formats import json_field, refused_as
 from .graph import SocialGraph, StudentId
+from .metrics import left_sum
 from .teams import TeamAssignment
 
 
@@ -83,12 +84,9 @@ class OpinionReport:
 
 
 def _mean(values: Sequence[float]) -> float | None:
-    """Mean added left to right from 0.0 (``sum`` compensates on 3.12+);
-    None when there are no values."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total / len(values) if values else None
+    """Mean by :func:`~moocteams.metrics.left_sum`; None when there are no
+    values."""
+    return left_sum(values) / len(values) if values else None
 
 
 def aggregate_opinions(records: Sequence[OpinionRecord],

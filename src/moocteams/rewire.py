@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import ParameterError
 from .graph import SocialGraph, reach_levels, reach_step
-from .metrics import clustering_ratio, tie_links
+from .metrics import clustering_ratio, left_sum, tie_links
 
 #: Objective weights on mean clustering (alpha) and mean hop distance (beta).
 ALPHA = 1.0
@@ -169,11 +169,7 @@ class _SwapState:
         return (len(sizes) - 1) * sizes[-1] - sum(sizes[:-1]), sizes[-1] - sizes[0]
 
     def score(self) -> float:
-        # left to right on every Python: 3.12+ sum() compensates float sums
-        clustering = 0.0
-        for c in self.coef:
-            clustering += c
-        clustering /= len(self.coef)
+        clustering = left_sum(self.coef) / len(self.coef)
         total, pairs = self.distances()
         return self.alpha * clustering - self.beta * (total / pairs if pairs else 0.0)
 

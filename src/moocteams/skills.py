@@ -12,15 +12,14 @@ import random
 import re
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
 from importlib import resources
-from operator import add
 from typing import Iterable, Mapping
 
 from .errors import DataFormatError, ParameterError
 from .formats import json_field, read_json, refused_as, write_json
 from .graph import StudentId
 from .ingest import ForumMessage
+from .metrics import left_sum
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -123,12 +122,6 @@ def refine_by_rank(profiles: Mapping[StudentId, SkillProfile],
             for s, p in profiles.items()}
 
 
-def _left_sum(values: Iterable[float]) -> float:
-    """``values`` added left to right from 0.0, the same on every Python
-    (``sum`` compensates floats from CPython 3.12 on)."""
-    return reduce(add, values, 0.0)
-
-
 def build_skill_profiles(messages: Iterable[ForumMessage], k: int = SKILL_K,
                          min_len: int = MIN_LEN,
                          stopwords: frozenset[str] | set[str] | None = None,
@@ -159,7 +152,7 @@ def build_skill_profiles(messages: Iterable[ForumMessage], k: int = SKILL_K,
         dist = term_distribution(by_author[author], stopwords, min_len=min_len)
         if use_idf and dist:
             weighted = {t: p * idf[t] for t, p in dist.items()}
-            total = _left_sum(weighted.values())
+            total = left_sum(weighted.values())
             dist = {t: w / total for t, w in sorted(weighted.items())}
         profiles[author] = SkillProfile(author, top_k_skills(dist, k) if dist else (),
                                         k=k)
@@ -171,11 +164,11 @@ def build_skill_profiles(messages: Iterable[ForumMessage], k: int = SKILL_K,
 def _cosine(a: Mapping[str, float], b: Mapping[str, float]) -> float:
     if len(b) < len(a):
         a, b = b, a
-    dot = _left_sum(w * b[t] for t, w in a.items() if t in b)
+    dot = left_sum(w * b[t] for t, w in a.items() if t in b)
     if dot == 0.0:
         return 0.0
-    na = math.sqrt(_left_sum(w * w for w in a.values()))
-    nb = math.sqrt(_left_sum(w * w for w in b.values()))
+    na = math.sqrt(left_sum(w * w for w in a.values()))
+    nb = math.sqrt(left_sum(w * w for w in b.values()))
     return dot / (na * nb)
 
 

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 from .errors import DataFormatError, ParameterError, require_known
 from .formats import json_field, read_json, refused_as, write_json
 from .graph import SocialGraph, StudentId
-from .metrics import BrokerageCounts, NodeMetrics
+from .metrics import BrokerageCounts, NodeMetrics, left_sum
 
 _LOG5 = math.log(5.0)
 _Terms = tuple[float, float, tuple[int, int, int, int, int]]
@@ -215,7 +215,10 @@ def _entropy(pooled: Sequence[int]) -> float:
 
 def _mean_terms(members: Sequence[StudentId],
                 table: Mapping[StudentId, _Terms]) -> tuple[float, float]:
-    """Mean cost and hole terms, each summed over the members in order."""
+    """Mean cost and hole terms, each summed over the members in order by
+    :func:`~moocteams.metrics.left_sum`'s rule.  The two sums share one loop,
+    written inline: a pipeline run on the 1x synthetic corpus calls this
+    about 15 000 times."""
     cost = hole = 0.0
     for s in members:
         c, h, _ = table[s]
@@ -274,15 +277,9 @@ def _evaluate(teams: Sequence[Sequence[StudentId]], balances: Iterable[float],
               weights: ObjectiveWeights) -> tuple[float, ObjectiveBreakdown]:
     """The objective and its breakdown: each term's mean over ``teams``, a
     team's cost and hole means summed over its members in order, and its
-    balance term ``balances[i]``."""
-    cost = hole = balance = 0.0
-    for team, b in zip(teams, balances):
-        c, h = _mean_terms(team, table)
-        cost += c
-        hole += h
-        balance += b
-    k = len(teams)
-    terms = (cost / k, hole / k, balance / k)
+    balance term ``balances[i]``; every sum by :func:`left_sum`."""
+    costs, holes = zip(*[_mean_terms(team, table) for team in teams])
+    terms = tuple(left_sum(column) / len(teams) for column in (costs, holes, balances))
     return _value(weights, *terms), ObjectiveBreakdown(*terms)
 
 

@@ -7,7 +7,9 @@ at 9 significant digits, and the digests are the same on CPython 3.10, 3.11
 and 3.12.  Two were re-pinned when ``RANK_MAX_ITER`` rose from 1 000 to
 5 000 iterations: on 15-0.1-6 HITS now converges (1 368 iterations), and
 on 20-0.05-8 four eigenvector scores that do not converge decay from
-1.6e-308 to 0.
+1.6e-308 to 0.  The 1x corpus tables are also pinned unrounded, by the
+sha256 of their ``repr``: every float sum adds left to right, so those
+digests are the same on CPython 3.10 to 3.13.
 """
 
 import hashlib
@@ -80,6 +82,11 @@ PINNED_CORPUS = {
     1: "faab9a3bdc7e718f58e2fa3fbfc8845daf4a861b559ae666c77150f21f08de2d",
     7: "ada68c7b9858df7bd568df7e1387dc8a4150ec1108129efd784089b473bf584b",
 }
+#: sha256 of ``repr(sorted(table.items()))`` for the same two tables.
+PINNED_CORPUS_REPR = {
+    1: "4065ef4b4c8de68473848bad72fb2aa2559d05d43286a29f5b43ad026295392b",
+    7: "db4eb71b32a377b4079ada64fc7d55a8a6b60311b9bd48332ccc6499ec9e3921",
+}
 
 
 def _random_graphs():
@@ -88,8 +95,12 @@ def _random_graphs():
 
 
 def _csv_digest(g):
+    return _table_digest(compute_node_metrics(g))
+
+
+def _table_digest(table):
     buf = io.StringIO()
-    write_metrics_csv(compute_node_metrics(g), buf)
+    write_metrics_csv(table, buf)
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
@@ -106,12 +117,15 @@ def test_metric_table_matches_pinned_digests():
 
 
 def test_corpus_metric_table_matches_pinned_digests():
-    got = {}
+    got, got_repr = {}, {}
     for seed in PINNED_CORPUS:
         messages = synth_corpus(SynthParams(students=771, threads=665, posts=1800,
                                             comments=7000, seed=seed))
-        got[seed] = _csv_digest(build_reply_graph(messages)[0])
+        table = compute_node_metrics(build_reply_graph(messages)[0])
+        got[seed] = _table_digest(table)
+        got_repr[seed] = hashlib.sha256(repr(sorted(table.items())).encode()).hexdigest()
     assert got == PINNED_CORPUS
+    assert got_repr == PINNED_CORPUS_REPR
 
 
 def test_pagerank_equals_the_push_oracle_bit_for_bit():

@@ -1,9 +1,12 @@
+import builtins
 import csv
 import hashlib
+import importlib
 import inspect
 import io
 import json
 import os
+import pkgutil
 import random
 import shlex
 import subprocess
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 
 import moocteams
 from moocteams.cli import build_parser, main
-from moocteams.diffusion import FlowSpec, full_typology_specs
+from moocteams.diffusion import FlowSpec, full_typology_specs, typology_report
 from moocteams.graph import read_graph_csv
 from moocteams.metrics import (compute_metrics_without_brokerage,
                                compute_node_metrics, eigencentrality, farness,
@@ -27,13 +30,14 @@ from moocteams.ingest import (SynthParams, build_reply_graph, synth_corpus,
 from moocteams.errors import ParameterError
 from moocteams.pipeline import (SETTINGS, RunConfig, StageError, derive_seed,
                                 run_pipeline, write_file, write_files)
-from moocteams.report import experiment_split, write_dot
+from moocteams.report import (OpinionRecord, aggregate_opinions, experiment_split,
+                              write_dot)
 from moocteams.rewire import graph_objective, rewire_optimize
 from moocteams.skills import (build_skill_profiles, refine_by_rank,
                               refine_skills, term_distribution, tokenize,
                               write_skills_json)
 from moocteams.teams import (ObjectiveWeights, brute_force_teams, form_teams,
-                             team_sizes)
+                             read_roster_json, team_sizes)
 
 ARTIFACTS = ["graph.csv", "graph.dot", "manifest.json", "metrics.csv",
              "partition.json", "skills.json", "teams.json", "trace.csv"]
@@ -157,6 +161,36 @@ def test_idf_pipeline_skills_match_pinned_digests(tmp_path):
                            run_diffusion=False))
     assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in PINNED_IDF} == PINNED_IDF
+
+
+def test_no_builtin_sum_adds_a_float(tmp_path, monkeypatch):
+    # from CPython 3.12 on sum() compensates floats, so every float sum goes
+    # through metrics.left_sum: here a sum() in any package module refuses one
+    def int_sum(values, start=0):
+        values = list(values)
+        if any(isinstance(v, float) for v in [start, *values]):
+            code = sys._getframe(1).f_code
+            raise AssertionError(f"sum() adds a float in {code.co_filename}, "
+                                 f"{code.co_name}")
+        return builtins.sum(values, start)
+
+    monkeypatch.setattr(moocteams, "sum", int_sum, raising=False)
+    for info in pkgutil.iter_modules(moocteams.__path__):
+        module = importlib.import_module(f"moocteams.{info.name}")
+        monkeypatch.setattr(module, "sum", int_sum, raising=False)
+    corpus = tmp_path / "corpus.jsonl"
+    _corpus(corpus, students=40, posts=80, comments=200)
+    for idf in (False, True):
+        out = tmp_path / f"idf{idf}"
+        result = run_pipeline(RunConfig(str(corpus), str(out), seed=2, skill_idf=idf))
+    specs = full_typology_specs((result.graph.nodes[0],), replications=2)
+    typology_report(result.graph, specs, result.metrics)
+    rewire_optimize(result.graph, iterations=50)
+    with open(out / "teams.json", encoding="utf-8") as fh:
+        assignment = read_roster_json(fh)
+    records = [OpinionRecord("course", "pace", 1 / (s + 3), student, s)
+               for s, student in enumerate(assignment.teams[0])]
+    assert aggregate_opinions(records, assignment).matched == len(records)
 
 
 def test_dot_and_skills_writers_stream_at_corpus_scale():

@@ -4,7 +4,8 @@ import pytest
 
 from moocteams.errors import ParameterError, UndefinedMetricError
 from moocteams.graph import SocialGraph
-from moocteams.metrics import _weighted_sums, eigencentrality, hits, pagerank
+from moocteams.metrics import (_l2_normalized, _weighted_sums, eigencentrality, hits,
+                               left_sum, pagerank)
 
 from oracles import (dense_eigencentrality, dense_hits, dense_pagerank,
                      eigh_eigencentrality, random_digraph, svd_hits)
@@ -164,8 +165,17 @@ def test_eigencentrality_matches_eigh_oracle():
         _close(eigencentrality(g), eigh_eigencentrality(g), 1e-9)
 
 
-@pytest.mark.parametrize("weights", [None, (1,) * 5], ids=["unit", "weighted"])
-def test_weighted_sums_add_left_to_right(weights):
+#: Each x's terms (the squares, for the norm) add to 1 + 2**-51 exactly.
+_TINY_TAIL = [1.0] + [2.0 ** -53] * 4
+_TINY_SQUARES = [1.0] + [2.0 ** -27] * 8
+
+
+@pytest.mark.parametrize("add, x, expected", [
+    (lambda x: _weighted_sums([(tuple(range(5)), None)], x), _TINY_TAIL, [1.0]),
+    (lambda x: _weighted_sums([(tuple(range(5)), (1,) * 5)], x), _TINY_TAIL, [1.0]),
+    (left_sum, _TINY_TAIL, 1.0),
+    (_l2_normalized, _TINY_SQUARES, _TINY_SQUARES),  # a norm of 1 changes no term
+], ids=["unit", "weighted", "left_sum", "l2_normalized"])
+def test_weighted_sums_add_left_to_right(add, x, expected):
     # a compensated sum gives 1 + 2**-51; left to right, each tiny term rounds away
-    x = [1.0] + [2.0 ** -53] * 4
-    assert _weighted_sums([(tuple(range(5)), weights)], x) == [1.0]
+    assert add(x) == expected
