@@ -31,12 +31,12 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import partial
 from itertools import accumulate, compress, product
 from typing import Mapping, Sequence
 
-from .errors import InsufficientDataError, ParameterError, require_known
+from .errors import (DataFormatError, InsufficientDataError, ParameterError, ParsedEnum,
+                     require_known)
 from .formats import read_csv, refused_as, write_csv
 from .graph import SocialGraph, StudentId, hop_counts
 from .metrics import NodeMetrics, left_sum
@@ -45,27 +45,13 @@ from .metrics import NodeMetrics, left_sum
 NEVER = "NEVER"
 
 
-class _ParsedEnum(Enum):
-    @classmethod
-    def parse(cls, value):
-        """The member named ``value`` (any case); members pass through."""
-        if isinstance(value, cls):
-            return value
-        try:
-            return cls(str(value).upper())
-        except ValueError:
-            raise ParameterError(
-                f"unknown {cls.__name__.lower()} {value!r}; expected one of "
-                f"{[m.value for m in cls]}") from None
-
-
-class Mechanism(_ParsedEnum):
+class Mechanism(ParsedEnum):
     TRANSFER = "TRANSFER"
     SERIAL_DUP = "SERIAL_DUP"
     PARALLEL_DUP = "PARALLEL_DUP"
 
 
-class Trajectory(_ParsedEnum):
+class Trajectory(ParsedEnum):
     GEODESIC = "GEODESIC"
     PATH = "PATH"
     TRAIL = "TRAIL"
@@ -631,12 +617,18 @@ def write_trace_csv(trace: DiffusionTrace, stream) -> None:
 
 
 def read_trace_csv(stream) -> dict[StudentId, tuple[int | None, int]]:
+    """Inverse of :func:`write_trace_csv`; a second row of one student, a negative
+    count, receipts with no arrival or an arrival with none is an error."""
     out: dict[StudentId, tuple[int | None, int]] = {}
     for row in read_csv(stream, TRACE_HEADER, "trace"):
         student, arrival, receipts = row
         with refused_as("bad trace row: {}", row):
-            out[student] = (None if arrival == NEVER else int(arrival),
-                            int(receipts))
+            first, count = None if arrival == NEVER else int(arrival), int(receipts)
+            if student in out:
+                raise DataFormatError(f"a second row of {student!r}")
+            if (first is None) != (count == 0) or min(first or 0, count) < 0:
+                raise DataFormatError("arrival and receipts disagree")
+            out[student] = (first, count)
     return out
 
 

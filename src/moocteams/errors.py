@@ -1,6 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the rules stated once for
+every module: a student is known (:func:`require_known`), nothing is listed
+twice (:func:`require_distinct`), and an enum is parsed by member name
+(:class:`ParsedEnum`).  The roster and team-size rules are in :mod:`.teams`."""
 
-from typing import Container, Iterable
+from enum import Enum
+from typing import Container, Hashable, Iterable
 
 
 class MoocteamsError(Exception):
@@ -33,6 +37,28 @@ def require_known(students: Iterable[str], known: Container[str],
     for s in students:
         if s not in known:
             raise MissingNodeError(s, context)
+
+
+def require_distinct(items: Iterable[Hashable], context: str) -> None:
+    """Raise ParameterError for the first of ``items`` listed twice in ``context``."""
+    seen: set[Hashable] = set()
+    for item in items:
+        if item in seen:
+            raise ParameterError(f"{item!r} is listed twice in {context}")
+        seen.add(item)
+
+
+class ParsedEnum(Enum):
+    @classmethod
+    def parse(cls, value):
+        """The member named ``value`` (any case); members pass through."""
+        if isinstance(value, cls):
+            return value
+        try:
+            return cls[str(value).upper()]
+        except KeyError:
+            raise ParameterError(f"unknown {cls.__name__} {value!r}; expected one of "
+                                 f"{[m.name for m in cls]}") from None
 
 
 class UndefinedMetricError(MoocteamsError, ValueError):

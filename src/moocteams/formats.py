@@ -8,7 +8,8 @@ reading is a :class:`DataFormatError` naming the file kind and the row, line
 or entry, and :func:`json_field` reads a JSON field only as its writer's type.
 Text that is not JSON or nests too deep for the decoder, a field or number
 too long to read, and ``Infinity`` or a 400-digit integer where an int or a
-float belongs are all data errors, never a crash.
+float belongs are all data errors, never a crash; so is a JSON object
+that repeats a key, which :mod:`json` would read as its last value.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii
 from typing import Any, TextIO
 
-from .errors import DataFormatError
+from .errors import DataFormatError, require_distinct
 
 
 @contextmanager
@@ -148,6 +149,11 @@ def write_json(payload: Any, stream: TextIO) -> None:
     stream.write("".join(parts))
 
 
+def _distinct_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    require_distinct((key for key, _ in pairs), "a JSON object")
+    return dict(pairs)
+
+
 def read_json(stream: TextIO, what: str) -> Any:
     with refused_as("invalid {} JSON", what):
-        return json.load(stream)
+        return json.load(stream, object_pairs_hook=_distinct_keys)

@@ -8,14 +8,13 @@ replied to.
 
 from __future__ import annotations
 
-import enum
 import json
 import json.scanner
 import random
 from dataclasses import dataclass
 from typing import IO, Iterable
 
-from .errors import DataFormatError, ParameterError
+from .errors import DataFormatError, ParameterError, ParsedEnum
 from .graph import SocialGraph, StudentId
 
 
@@ -134,7 +133,7 @@ def write_jsonl(messages: Iterable[ForumMessage], stream: IO[str]) -> None:
         }, sort_keys=True) + "\n")
 
 
-class ReplyPolicy(enum.Enum):
+class ReplyPolicy(ParsedEnum):
     """How a thread-level post (no parent_id) resolves its reply target."""
 
     #: A non-starter post replies to the thread starter's author.

@@ -51,7 +51,7 @@ from .skills import (MIN_LEN, SKILL_BETA, SKILL_K, USE_IDF, SkillProfile,
                      build_skill_profiles, refine_by_rank, skill_partition,
                      write_partition_json, write_skills_json)
 from .teams import (ALLOW_OVERSIZE, ITERATIONS, RESTARTS, S_MAX, S_MIN, ObjectiveWeights,
-                    TeamAssignment, form_teams, write_roster_json)
+                    TeamAssignment, check_size_bounds, form_teams, write_roster_json)
 
 MANIFEST_NAME = "manifest.json"
 TIMINGS_NAME = "timings.json"
@@ -126,11 +126,7 @@ class RunConfig:
         return ObjectiveWeights(self.w_cost, self.w_hole, self.w_balance)
 
     def policy(self) -> ReplyPolicy:
-        try:
-            return ReplyPolicy[self.reply_policy.upper()]
-        except KeyError:
-            raise ParameterError(
-                f"unknown reply policy {self.reply_policy!r}") from None
+        return ReplyPolicy.parse(self.reply_policy)
 
     def validate(self) -> None:
         """Reject invalid settings and respell the enum-valued ones in
@@ -152,8 +148,7 @@ class RunConfig:
             raise ParameterError("team_iterations must be non-negative")
         if not 0.0 <= self.skill_beta < math.inf:
             raise ParameterError("skill_beta must be non-negative and finite")
-        if self.s_min < 2 or self.s_max < self.s_min:
-            raise ParameterError("team size bounds need 2 <= s_min <= s_max")
+        check_size_bounds(self.s_min, self.s_max)
 
 
 SETTINGS = fields(RunConfig)[2:]

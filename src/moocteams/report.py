@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DataFormatError, ParameterError
+from .errors import DataFormatError, ParameterError, require_distinct
 from .formats import json_field, refused_as
 from .graph import SocialGraph, StudentId
 from .metrics import left_sum
@@ -124,8 +124,7 @@ def experiment_split(students: Sequence[StudentId], fraction: float,
     pool = list(students)
     if len(pool) < 2:
         raise ParameterError("experiment split needs at least 2 students")
-    if len(set(pool)) != len(pool):
-        raise ParameterError("student list contains duplicates")
+    require_distinct(pool, "the student list")
     if not 0.0 < fraction < 1.0:
         raise ParameterError(f"fraction must lie strictly in (0, 1), got {fraction}")
     cut = round(fraction * len(pool))

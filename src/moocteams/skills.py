@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Mapping
 
-from .errors import DataFormatError, ParameterError
+from .errors import DataFormatError, ParameterError, require_distinct
 from .formats import json_field, read_json, refused_as, write_json
 from .graph import StudentId
 from .ingest import ForumMessage
@@ -196,11 +196,7 @@ def skill_partition(profiles: Iterable[SkillProfile], n_groups: int,
     if n_groups > len(profiles):
         raise ParameterError(
             f"cannot form {n_groups} groups from {len(profiles)} students")
-    seen: set[StudentId] = set()
-    for p in profiles:
-        if p.student in seen:
-            raise ParameterError(f"duplicate profile for student {p.student!r}")
-        seen.add(p.student)
+    require_distinct((p.student for p in profiles), "the skill profiles")
 
     partition: dict[StudentId, str] = {}
     buckets: dict[str, _Cluster] = {}

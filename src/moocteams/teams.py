@@ -6,6 +6,10 @@ and clustering based, lower is better), structural-hole richness
 role counts).  A weighted mean over teams is maximized by seeded
 multi-restart hill climbing; an exhaustive enumerator serves as the
 small-instance oracle.
+
+What a roster may be is stated once, here: :func:`check_size_bounds` and
+:func:`check_roster`, which the search, the objective, the roster reader
+and ``RunConfig.validate`` all call.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from functools import partial
 from operator import add, sub
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DataFormatError, ParameterError, require_known
+from .errors import DataFormatError, ParameterError, require_distinct, require_known
 from .formats import json_field, read_json, refused_as, write_json
 from .graph import SocialGraph, StudentId
 from .metrics import BrokerageCounts, NodeMetrics, left_sum
@@ -77,11 +81,21 @@ class TeamAssignment:
 
 # -- size feasibility --------------------------------------------------------
 
+def check_size_bounds(s_min: int, s_max: int) -> None:
+    """Raise ParameterError unless ``2 <= s_min <= s_max``."""
+    if not 2 <= s_min <= s_max:
+        raise ParameterError(f"team size bounds need 2 <= s_min <= s_max, got {s_min}, {s_max}")
+
+
+def check_roster(teams: Sequence[Sequence[StudentId]]) -> None:
+    """Raise ParameterError unless there is a team, each of 2 or more students, none twice."""
+    if min(map(len, teams), default=0) < 2:
+        raise ParameterError("a roster needs at least one team, each of at least 2 students")
+    require_distinct(itertools.chain.from_iterable(teams), "the roster")
+
+
 def _validate_bounds(n: int, s_min: int, s_max: int) -> None:
-    if s_min < 2:
-        raise ParameterError(f"s_min must be at least 2, got {s_min}")
-    if s_max < s_min:
-        raise ParameterError(f"s_max ({s_max}) must be >= s_min ({s_min})")
+    check_size_bounds(s_min, s_max)
     if n < s_min:
         raise ParameterError(f"{n} students cannot fill a team of size {s_min}")
 
@@ -289,17 +303,8 @@ def objective(g: SocialGraph, teams: Iterable[Iterable[StudentId]],
     """Weighted hole/balance/cost objective, averaged over teams."""
     weights.validate()
     team_lists = [list(t) for t in teams]
-    if not team_lists:
-        raise ParameterError("objective needs at least one team")
-    seen: set[StudentId] = set()
-    for team in team_lists:
-        if len(team) < 2:
-            raise ParameterError("every team must have at least 2 members")
-        for s in team:
-            if s in seen:
-                raise ParameterError(f"student {s!r} appears in two teams")
-            seen.add(s)
-        require_known(team, g)
+    check_roster(team_lists)
+    require_known(itertools.chain.from_iterable(team_lists), g)
     table = _term_table(g, metrics)
     value, _ = _evaluate(team_lists, _balances(team_lists, table), table, weights)
     return value
@@ -532,7 +537,7 @@ def write_roster_json(assignment: TeamAssignment, stream) -> None:
 
 def read_roster_json(stream) -> TeamAssignment:
     """Inverse of :func:`write_roster_json`; a field not of the JSON type
-    written there, a student listed twice, or a value form_teams refuses is an error."""
+    written there, or a roster :func:`check_roster` or form_teams refuses, is an error."""
     payload = read_json(stream, "roster")
     with refused_as("bad roster JSON structure"):
         teams = payload["teams"]
@@ -551,13 +556,6 @@ def read_roster_json(stream) -> TeamAssignment:
             s_min=field("params.s_min", int), s_max=field("params.s_max", int),
             allow_oversize=field("params.allow_oversize", bool), seed=field("seed", int))
         assignment.weights.validate()
-        if not 2 <= assignment.s_min <= assignment.s_max:
-            raise DataFormatError("team-size bounds need 2 <= params.s_min <= params.s_max")
-        if min(map(len, teams), default=2) < 2:
-            raise DataFormatError("a team has fewer than 2 students")
-    seen: set[StudentId] = set()
-    for s in itertools.chain.from_iterable(assignment.teams):
-        if s in seen:
-            raise DataFormatError(f"roster lists student {s!r} twice")
-        seen.add(s)
+        check_size_bounds(assignment.s_min, assignment.s_max)
+        check_roster(assignment.teams)
     return assignment

@@ -258,6 +258,18 @@ def test_trace_csv_round_trip(tmp_path):
                     for v in trace.first_arrival}
 
 
+def test_every_typology_cell_trace_reads_back(tmp_path):
+    g = random_digraph(30, 0.1, seed=5)
+    path = tmp_path / "trace.csv"
+    for spec in full_typology_specs(("n000",), replications=3, seed=1):
+        trace = simulate(g, spec)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write_trace_csv(trace, fh)
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert read_trace_csv(fh) == {v: (trace.first_arrival[v], trace.receipts[v])
+                                          for v in trace.first_arrival}, spec
+
+
 def test_full_typology_covers_all_cells():
     specs = full_typology_specs(("a",), replications=5, seed=100)
     assert len(specs) == 12

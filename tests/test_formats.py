@@ -258,7 +258,8 @@ def test_report_refuses_a_roster_field_of_another_type(tmp_path, capsys, path, v
 @pytest.mark.parametrize("path, value", [
     ("params.weights.w_cost", 2.0), ("params.weights.w_hole", -1.0),
     ("params.weights.w_balance", 0.5), ("params.s_min", 1), ("params.s_min", 3),
-    ("params.s_max", 1), ("teams", [["s1"], ["s2"]]), ("teams", [["s1", "s2"], []])])
+    ("params.s_max", 1), ("teams", [["s1"], ["s2"]]), ("teams", [["s1", "s2"], []]),
+    ("teams", [])])
 def test_report_refuses_a_roster_out_of_the_writers_range(tmp_path, capsys, path, value):
     dot = tmp_path / "graph.dot"
     err = _report_refuses(tmp_path, capsys, _roster_with(path, value),
@@ -273,6 +274,35 @@ def test_report_refuses_a_roster_with_every_range_wrong(tmp_path, capsys):
                          "weights": {"w_cost": 2.0, "w_hole": -1.0, "w_balance": 0.0}}}
     dot = tmp_path / "graph.dot"
     _report_refuses(tmp_path, capsys, roster, ["--dot-out", str(dot)], dot)
+
+
+# each a JSON reader and a file whose one object repeats a key, which
+# json.load reads as the last value
+@pytest.mark.parametrize("reader, text", [
+    (read_partition_json, '{"a": "g1", "a": "g2"}'),
+    (read_roster_json, json.dumps(ROSTER)[:-1] + ', "teams": [["s1", "s2"]]}'),
+    (read_skills_json, '[{"student": "a", "student": "b", "terms": [], "k": 5, '
+                       '"refined": false}]')],
+    ids=["partition", "roster", "skills"])
+def test_json_readers_refuse_an_object_that_repeats_a_key(reader, text):
+    with pytest.raises(DataFormatError, match="is listed twice in a JSON object"):
+        reader(io.StringIO(text))
+
+
+def test_metrics_refuses_a_partition_that_repeats_a_student(tmp_path, capsys):
+    graph, partition = tmp_path / "graph.csv", tmp_path / "partition.json"
+    table = tmp_path / "metrics.csv"
+    graph.write_text("src,dst,weight\ns1,s2,1\n", encoding="utf-8")
+    argv = ["metrics", "--graph", str(graph), "--partition", str(partition),
+            "--output", str(table)]
+    partition.write_text('{"s1": "g1", "s2": "g1"}', encoding="utf-8")
+    assert main(argv) == 0
+    table.unlink()
+    partition.write_text('{"s1": "g1", "s2": "g1", "s1": "g2"}', encoding="utf-8")
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "'s1' is listed twice" in capsys.readouterr().err
+    assert not table.exists()
 
 
 OPINION = {"entity": "course", "aspect": "pace", "holder": "s1", "time": 3,
@@ -347,3 +377,16 @@ def test_skills_reader_keeps_ties_and_zero_weights():
              {"term": "z", "weight": 0.0}]
     profile = read_skills_json(io.StringIO(json.dumps([{**SKILL, "k": 3, "terms": terms}])))["a"]
     assert profile.terms == (("x", 0.5), ("y", 0.5), ("z", 0.0)) and profile.k == 3
+
+
+# each a trace file write_trace_csv never writes
+@pytest.mark.parametrize("rows", [
+    [["a", "1", "2"], ["a", "-4", "-7"]], [["a", "-1", "2"]], [["a", "1", "-2"]],
+    [["b", "NEVER", "3"]], [["a", "1", "0"]]],
+    ids=["second row", "negative arrival", "negative receipts",
+         "receipts never arrived", "arrival without receipts"])
+def test_trace_reader_refuses_a_row_its_writer_never_writes(rows):
+    assert read_trace_csv(_csv(TRACE_HEADER, ["a", "1", "2"], ["b", "NEVER", "0"])) == {
+        "a": (1, 2), "b": (None, 0)}
+    with pytest.raises(DataFormatError, match="bad trace row"):
+        read_trace_csv(_csv(TRACE_HEADER, *rows))

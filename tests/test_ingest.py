@@ -55,6 +55,14 @@ def test_parse_skips_malformed_and_duplicates():
     assert [m.id for m in result.messages] == ["m1", "m3", "m4", "m5"]
 
 
+@pytest.mark.parametrize("field", ["parent_id", "author", "body"])
+@pytest.mark.parametrize("value", [7, ["m0"], {"id": "m0"}])
+def test_parse_skips_a_line_whose_text_field_is_not_a_string(field, value):
+    result = parse_forum_export([_line(id="m0"), _line(**{field: value})])
+    assert (result.parsed, result.skipped) == (1, 1)
+    assert [m.id for m in result.messages] == ["m0"]
+
+
 # three good lines, so that one malformed line more is not a wrong file
 _GOOD = [_line(id=f"g{k}", author="a") for k in range(3)]
 

@@ -675,6 +675,31 @@ def test_cli_report_failure_writes_no_dot_file(tmp_path, capsys, teams):
     assert not dot.exists()
 
 
+def test_cli_report_prints_what_it_writes_no_file_for(valid_inputs, capsys):
+    capsys.readouterr()
+    assert main(["report", "--graph", str(valid_inputs / "graph.csv"),
+                 "--teams", str(valid_inputs / "teams.json"),
+                 "--opinions", str(valid_inputs / "opinions.jsonl")]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["matched"], summary["ignored"]) == (4, 1)
+    assert main(["report", "--graph", str(valid_inputs / "graph.csv"),
+                 "--split", "0.5"]) == 0
+    with open(valid_inputs / "graph.csv", encoding="utf-8") as fh:
+        n = read_graph_csv(fh).node_count
+    cut = round(n / 2)
+    assert capsys.readouterr().out == f"experimental={cut} control={n - cut}\n"
+
+
+def test_cli_diffuse_typology_needs_metrics(tmp_path, capsys):
+    graph, _ = _graph_and_metrics(tmp_path)
+    typology = tmp_path / "typology.csv"
+    capsys.readouterr()
+    assert main(["diffuse", "--graph", str(graph), "--sources", "s00000",
+                 "--typology", "--output", str(typology)]) == 2
+    assert "--typology needs --metrics" in capsys.readouterr().err
+    assert not typology.exists()
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--summary-out", "summary.json"], "--summary-out needs --opinions"),
     (["--split-out", "split.json"], "--split-out needs --split")],
@@ -951,6 +976,19 @@ def test_cli_pipeline_rejects_non_finite_settings(tmp_path, capsys, flag, value)
     assert main(["pipeline", "--input", str(corpus), "--output-dir", str(out),
                  flag, value]) == 2
     assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--damping", "1"], ["--team-iterations", "-1"], ["--s-min", "1"],
+    ["--s-min", "4", "--s-max", "3"]], ids=lambda flags: " ".join(flags))
+def test_cli_pipeline_rejects_settings_out_of_range(tmp_path, capsys, flags):
+    corpus = tmp_path / "corpus.jsonl"
+    _corpus(corpus)
+    out = tmp_path / "run"
+    assert main(["pipeline", "--input", str(corpus), "--output-dir", str(out),
+                 *flags]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
 
 

@@ -241,6 +241,15 @@ def test_skills_json_rejects_a_number_too_large_to_convert(k, weight):
         read_skills_json(io.StringIO(text))
 
 
+@pytest.mark.parametrize("reader, text, message", [
+    (read_skills_json, '{"student": "a"}', "must be an array"),
+    (read_partition_json, '[["a", "g00"]]', "must map student ids"),
+    (read_partition_json, '{"a": 0}', "must map student ids")])
+def test_skills_and_partition_readers_refuse_the_wrong_container(reader, text, message):
+    with pytest.raises(DataFormatError, match=message):
+        reader(io.StringIO(text))
+
+
 def test_partition_json_round_trip(tmp_path):
     partition = {"a": "g00", "b": "g01", "c": "g00"}
     path = tmp_path / "partition.json"

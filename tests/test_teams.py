@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import itertools
 import math
 import random
@@ -7,7 +8,7 @@ import statistics
 import pytest
 
 from moocteams import teams as teams_module
-from moocteams.errors import MissingNodeError, ParameterError
+from moocteams.errors import DataFormatError, MissingNodeError, ParameterError
 from moocteams.graph import SocialGraph
 from moocteams.metrics import ROLE_NAMES, compute_node_metrics
 from moocteams.teams import (
@@ -333,6 +334,29 @@ def test_form_teams_objective_self_consistent():
     result = form_teams(g, metrics, s_min=3, s_max=5, restarts=4, seed=3)
     assert result.objective == pytest.approx(
         objective(g, result.teams, result.weights, metrics))
+
+
+def test_brute_force_refuses_sizes_no_partition_fits():
+    # 7 students in teams of 3: 3 + 3 + 1 leaves a lone student, and every
+    # other split puts two teams, or one larger team, outside [3, 3]
+    g, metrics = _prepared(7, 0.4, seed=1)
+    with pytest.raises(ParameterError, match="no feasible team sizes"):
+        brute_force_teams(g, metrics, s_min=3, s_max=3)
+
+
+@pytest.mark.parametrize("teams", [[], [["n000"], ["n001", "n002"]],
+                                   [["n000", "n001"], ["n001", "n002"]],
+                                   [["n000", "n001", "n000"]]],
+                         ids=["no team", "lone student", "two teams", "twice in one"])
+def test_objective_and_the_roster_reader_refuse_the_same_rosters(teams):
+    g, metrics = _prepared(6, 0.4, seed=2)
+    with pytest.raises(ParameterError):
+        objective(g, teams, ObjectiveWeights(), metrics)
+    roster = form_teams(g, metrics, s_min=2, s_max=3, restarts=1, iterations=0)
+    buf = io.StringIO()
+    write_roster_json(dataclasses.replace(roster, teams=teams), buf)
+    with pytest.raises(DataFormatError, match="^bad roster JSON structure: "):
+        read_roster_json(io.StringIO(buf.getvalue()))
 
 
 def test_brute_force_refuses_large_instances():
