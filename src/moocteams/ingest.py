@@ -137,9 +137,9 @@ class ReplyPolicy(ParsedEnum):
     """How a thread-level post (no parent_id) resolves its reply target."""
 
     #: A non-starter post replies to the thread starter's author.
-    STARTER_FALLBACK = "starter-fallback"
+    STARTER_FALLBACK = "STARTER_FALLBACK"
     #: Thread-level posts produce no edge; only explicit parents count.
-    COMMENTS_ONLY = "comments-only"
+    COMMENTS_ONLY = "COMMENTS_ONLY"
 
 
 REPLY_POLICY = ReplyPolicy.STARTER_FALLBACK  #: the default policy

@@ -56,8 +56,12 @@ def term_distribution(messages: Iterable[ForumMessage],
     """
     # one tokenize call over the bodies joined by a space: a token never
     # spans the space, so the counts are those of each body's tokens
-    counts = Counter(tokenize(" ".join([msg.body for msg in messages]),
-                              stopwords, min_len=min_len))
+    return _distribution(Counter(tokenize(" ".join([msg.body for msg in messages]),
+                                          stopwords, min_len=min_len)))
+
+
+def _distribution(counts: Counter[str]) -> dict[str, float]:
+    """Each term's share of ``counts``, in term order; empty when nothing was counted."""
     total = sum(counts.values())
     if total == 0:
         return {}
@@ -140,16 +144,21 @@ def build_skill_profiles(messages: Iterable[ForumMessage], k: int = SKILL_K,
         by_author.setdefault(m.author, []).append(m)
     idf: dict[str, float] = {}
     if use_idf:
-        doc_freq: dict[str, int] = {}
+        # each body is tokenized once: its term set goes to the document
+        # frequencies, its tokens to its author's
+        doc_terms: list[str] = []
+        tokens_of: dict[StudentId, list[str]] = {author: [] for author in by_author}
         for m in msgs:
-            for term in set(tokenize(m.body, stopwords, min_len=min_len)):
-                doc_freq[term] = doc_freq.get(term, 0) + 1
+            tokens = tokenize(m.body, stopwords, min_len=min_len)
+            doc_terms += set(tokens)
+            tokens_of[m.author] += tokens
         n_docs = len(msgs)
         idf = {t: math.log((1 + n_docs) / (1 + df)) + 1.0
-               for t, df in doc_freq.items()}
+               for t, df in Counter(doc_terms).items()}
     profiles: dict[StudentId, SkillProfile] = {}
     for author in sorted(by_author):
-        dist = term_distribution(by_author[author], stopwords, min_len=min_len)
+        dist = (_distribution(Counter(tokens_of.pop(author))) if use_idf
+                else term_distribution(by_author[author], stopwords, min_len=min_len))
         if use_idf and dist:
             weighted = {t: p * idf[t] for t, p in dist.items()}
             total = left_sum(weighted.values())

@@ -1,5 +1,6 @@
 """The diffusion engine against fixed outputs, the linear-scan hop pick (with
-and without excluded edges) and a set-based reference replication.
+and without excluded edges), a set-based reference replication, and the
+same traces from a pool of worker processes.
 
 The digests below are the sha256 of ``write_trace_csv`` for each spec of
 ``_pinned_specs``, recorded with the dict-keyed engine that preceded the
@@ -11,14 +12,22 @@ change to candidate order or to RNG use moves them.
 import hashlib
 import io
 import math
+import multiprocessing
+import os
 import random
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 from itertools import accumulate, product
 
 import pytest
 
-from moocteams.diffusion import (FlowSpec, _pick, full_typology_specs,
-                                 replicate_once, simulate, write_trace_csv)
+from moocteams import diffusion
+from moocteams.diffusion import (POOL_MIN_HOPS, FlowSpec, _pick, _pool_size,
+                                 full_typology_specs, replicate_once, simulate,
+                                 write_trace_csv)
 from moocteams.graph import SocialGraph
 from moocteams.ingest import SynthParams, build_reply_graph, synth_corpus
 from moocteams.metrics import pagerank
@@ -325,3 +334,151 @@ def test_a_copy_made_after_a_refused_one_matches_the_reference(trajectory):
                 marks = r.visited if trajectory == "PATH" else {v for _, v in r.used_edges}
                 seen += bool(marks - held - {"hub"})
     assert seen >= 12
+
+
+# -- worker pools -------------------------------------------------------------
+
+@pytest.fixture
+def ran_here(monkeypatch):
+    """The pids of the replications run in this process, not on a pool."""
+    replicate, pids = diffusion._replicate, []
+
+    def spy(*args):
+        pids.append(os.getpid())
+        return replicate(*args)
+
+    monkeypatch.setattr(diffusion, "_replicate", spy)
+    return pids
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+@pytest.fixture
+def pooled(monkeypatch, ran_here):
+    """A pool of 2 for every spec of 2 replications or more, on any machine."""
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(diffusion, "POOL_MIN_HOPS", 0)
+    return ran_here
+
+
+#: a fork of this process with other threads running warns on CPython 3.12+
+forks = pytest.mark.filterwarnings("error::DeprecationWarning")
+
+
+@forks
+def test_pinned_traces_have_the_same_bytes_on_a_pool(pooled, monkeypatch):
+    g = random_digraph(40, 0.12, seed=4)
+    for spec, (mechanism, trajectory, digest) in zip(_pinned_specs(g), PINNED):
+        assert _trace_digest(g, spec) == digest, (mechanism, trajectory)
+    # PARALLEL_DUP runs its one replication here, every other spec on the pool
+    assert len(pooled) == sum(spec.mechanism.value == "PARALLEL_DUP"
+                              for spec in _pinned_specs(g))
+    # a target, two sources, uniform hops and a cap of 3 in one spec
+    spec = FlowSpec("SERIAL_DUP", "TRAIL", (g.nodes[0], g.nodes[23]), target=g.nodes[17],
+                    max_steps=10, replications=6, seed=7, copy_cap=3, uniform=True)
+    on_pool = _trace_digest(g, spec)
+    _cpus(monkeypatch, 1)
+    assert _trace_digest(g, spec) == on_pool
+    assert simulate(g, spec).spawns_dropped > 0
+
+
+@forks
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_typology_at_corpus_scale_has_the_pinned_bytes_on_one_or_two_cpus(
+        corpus_1x, monkeypatch, ran_here, cpus):
+    _cpus(monkeypatch, cpus)
+    g, source = corpus_1x
+    specs = full_typology_specs((source,), replications=2, seed=1)
+    got = {(spec.mechanism.value, spec.trajectory.value): _trace_digest(g, spec)
+           for spec in specs}
+    assert got == PINNED_1X
+    # 2 x 15 steps x a cap of 7 710 reaches POOL_MIN_HOPS: two CPUs pool the
+    # SERIAL_DUP cells; TRANSFER (2 x 15) and PARALLEL_DUP (one run) stay here
+    pooled_reps = 2 * 4 if cpus == 2 else 0
+    assert len(ran_here) == sum(spec.replications for spec in specs) - 4 - pooled_reps
+
+
+@forks
+def test_no_worker_outlives_simulate(pooled):
+    g = random_digraph(40, 0.12, seed=4)
+    spec = FlowSpec("SERIAL_DUP", "PATH", (g.nodes[0],), max_steps=8, replications=4)
+    simulate(g, spec)
+    assert pooled == []
+    assert multiprocessing.active_children() == []
+
+
+@forks
+def test_no_worker_outlives_a_replication_that_raises(pooled, monkeypatch):
+    def fail(hops, spec, rep_index):
+        raise RuntimeError(f"replication {rep_index} failed in process {os.getpid()}")
+
+    monkeypatch.setattr(diffusion, "_replicate", fail)
+    g = random_digraph(40, 0.12, seed=4)
+    spec = FlowSpec("SERIAL_DUP", "WALK", (g.nodes[0],), max_steps=8, replications=4)
+    with pytest.raises(RuntimeError, match="failed in process") as raised:
+        simulate(g, spec)
+    # the error came from a worker, not from this process
+    assert f"process {os.getpid()}" not in str(raised.value)
+    assert multiprocessing.active_children() == []
+
+
+@forks
+def test_a_process_with_other_threads_runs_its_replications_itself(pooled):
+    g = random_digraph(40, 0.12, seed=4)
+    spec = FlowSpec("SERIAL_DUP", "PATH", (g.nodes[0],), max_steps=8, replications=4)
+    on_pool = _trace_digest(g, spec)
+    assert pooled == []
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert _trace_digest(g, spec) == on_pool
+    finally:
+        stop.set()
+        other.join()
+    assert pooled == [os.getpid()] * spec.replications
+    assert multiprocessing.active_children() == []
+
+
+def test_the_pool_size_is_capped_by_cpus_and_replications(monkeypatch):
+    _cpus(monkeypatch, 3)
+    assert _pool_size(20, POOL_MIN_HOPS) == 3
+    assert _pool_size(2, POOL_MIN_HOPS) == 2     # one process a replication at most
+    assert _pool_size(20, POOL_MIN_HOPS // 20 - 1) == 1
+    # the pipeline's default diffusion (TRANSFER, 50 x 20 steps) and the bench
+    # warm-up's 31-student typology (2 x 15 steps x a cap of 310) stay serial;
+    # a 771-student SERIAL_DUP cell (20 x 15 steps x a cap of 7 710) does not
+    assert _pool_size(50, 20) == 1
+    assert _pool_size(2, 15 * 310) == 1
+    assert _pool_size(20, 15 * 7710) == 3
+    _cpus(monkeypatch, 1)
+    assert _pool_size(20, 15 * 7710) == 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert _pool_size(20, POOL_MIN_HOPS) == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _pool_size(20, POOL_MIN_HOPS) == 1
+
+
+def test_neither_the_import_nor_a_default_pipeline_loads_multiprocessing(tmp_path):
+    src = Path(diffusion.__file__).resolve().parents[1]
+    code = f"""
+import sys
+import moocteams
+assert "multiprocessing" not in sys.modules, "import moocteams"
+from moocteams import RunConfig, SynthParams, run_pipeline, synth_corpus
+from moocteams.ingest import write_jsonl
+with open({str(tmp_path / "corpus.jsonl")!r}, "w", encoding="utf-8") as fh:
+    write_jsonl(synth_corpus(SynthParams(students=40, threads=8, posts=60,
+                                         comments=160, seed=3)), fh)
+run_pipeline(RunConfig({str(tmp_path / "corpus.jsonl")!r}, {str(tmp_path / "out")!r}))
+assert "multiprocessing" not in sys.modules, "run_pipeline"
+"""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out" / "trace.csv").is_file()

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moocteams.errors import DataFormatError, ParameterError
+import moocteams
+from moocteams.errors import DataFormatError, ParameterError, ParsedEnum
 from moocteams.ingest import (
     ForumMessage,
     ReplyPolicy,
@@ -167,6 +168,21 @@ def test_reply_graph_comments_only():
     assert g.weight("bob", "ann") == 0
     assert g.weight("cid", "bob") == 2
     assert report.interactions == 3
+
+
+def test_every_parsed_enum_member_is_valued_by_its_name():
+    # one spelling per member: ``parse`` reads names, so a value other than
+    # the name would be a second spelling that nothing accepts
+    enums = ParsedEnum.__subclasses__()
+    assert {e.__module__ for e in enums} <= {m.__name__ for m in (
+        moocteams.diffusion, moocteams.ingest)}
+    assert {e.__name__ for e in enums} == {"Mechanism", "Trajectory", "ReplyPolicy"}
+    for enum in enums:
+        for member in enum:
+            assert member.value == member.name
+            assert enum.parse(member.value) is enum.parse(member.name.lower()) is member
+    with pytest.raises(ParameterError):
+        ReplyPolicy.parse("starter-fallback")
 
 
 def test_reply_graph_drops_anonymous_and_self_replies():
