@@ -40,7 +40,7 @@ from itertools import accumulate, compress, product
 from typing import Mapping, Sequence
 
 from .errors import (DataFormatError, InsufficientDataError, ParameterError, ParsedEnum,
-                     require_known)
+                     require_count, require_known)
 from .formats import read_csv, refused_as, write_csv
 from .graph import SocialGraph, StudentId, hop_counts
 from .metrics import NodeMetrics, left_sum
@@ -81,22 +81,16 @@ class FlowSpec:
         object.__setattr__(self, "trajectory", Trajectory.parse(self.trajectory))
         object.__setattr__(self, "sources", tuple(sorted(set(self.sources))))
 
-    def resolved_cap(self, g: SocialGraph) -> int:
-        return self.copy_cap if self.copy_cap is not None else 10 * g.node_count
-
-    def validate(self, g: SocialGraph) -> None:
+    def validate(self, g: SocialGraph) -> int:
+        """The copy cap (default: 10 per student); ParameterError unless the spec
+        can run on ``g``.  The counts are stored back as plain ints."""
         if not self.sources:
             raise ParameterError("flow spec needs at least one source")
         require_known((s for s in (*self.sources, self.target) if s is not None), g)
-        if self.max_steps < 1:
-            raise ParameterError(f"max_steps must be >= 1, got {self.max_steps}")
-        if self.replications < 1:
-            raise ParameterError(
-                f"replications must be >= 1, got {self.replications}")
-        if self.resolved_cap(g) < len(self.sources):
-            raise ParameterError(
-                f"copy_cap {self.resolved_cap(g)} cannot hold "
-                f"{len(self.sources)} source tokens")
+        for name in ("max_steps", "replications"):
+            object.__setattr__(self, name, require_count(getattr(self, name), name))
+        return require_count(10 * g.node_count if self.copy_cap is None else self.copy_cap,
+                             "copy_cap", least=len(self.sources))
 
 
 @dataclass
@@ -190,13 +184,13 @@ class _HopTable:
     Out-edge k of node u has id ``base[u] + k`` (u's option k, but on a
     GEODESIC), end ``head[e]`` and weight ``weight[e]``; ``options[s]``
     holds source s's hop options, shared by every source unless the
-    trajectory is GEODESIC.
+    trajectory is GEODESIC.  Building one validates ``spec`` on ``g``.
     """
 
     def __init__(self, g: SocialGraph, spec: FlowSpec):
+        self.cap = spec.validate(g)
         index = g.index()
         self.nodes, self.position, self.out = g.nodes, index.position, index.out
-        self.cap = spec.resolved_cap(g)
         self.base = list(accumulate(map(len, index.out), initial=0))
         self.head = [v for nbrs in index.out for v in nbrs]
         self.weight = [w for weights in index.out_weights for w in weights]
@@ -253,7 +247,6 @@ def _pick(rng: random.Random, totals: Sequence[int], uniform: bool,
 def replicate_once(g: SocialGraph, spec: FlowSpec, rep_index: int,
                    collect_histories: bool = False) -> _RepOutcome:
     """Run a single replication; exposed so tests can audit token routes."""
-    spec.validate(g)
     return _replicate(_HopTable(g, spec), spec, rep_index, collect_histories)
 
 
@@ -458,7 +451,6 @@ def simulate(g: SocialGraph, spec: FlowSpec) -> DiffusionTrace:
     may use: from :data:`POOL_MIN_HOPS` on, where forking is safe (no other threads;
     PARALLEL_DUP runs once).  The pool ends here; the spec and hop table are made once.
     """
-    spec.validate(g)
     hops = _HopTable(g, spec)
 
     # parallel duplication is deterministic: one replication, scaled

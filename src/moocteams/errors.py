@@ -1,9 +1,10 @@
-"""Exception types shared across the package, and the rules stated once for
-every module: a student is known (:func:`require_known`), nothing is listed
-twice (:func:`require_distinct`), and an enum is parsed by member name
-(:class:`ParsedEnum`).  The roster and team-size rules are in :mod:`.teams`."""
+"""Exception types shared across the package, and the rules stated once for every
+module: a student is known (:func:`require_known`), nothing is listed twice
+(:func:`require_distinct`), a count is an int (:func:`require_count`), an enum is
+parsed by member name (:class:`ParsedEnum`).  The roster rules are in :mod:`.teams`."""
 
 from enum import Enum
+from numbers import Integral
 from typing import Container, Hashable, Iterable
 
 
@@ -46,6 +47,14 @@ def require_distinct(items: Iterable[Hashable], context: str) -> None:
         if item in seen:
             raise ParameterError(f"{item!r} is listed twice in {context}")
         seen.add(item)
+
+
+def require_count(value, name: str, least: int = 1) -> int:
+    """``value`` as a plain int; ParameterError unless it is an integral number,
+    not a bool, of at least ``least``.  NaN and a float such as 2.0 are refused."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 class ParsedEnum(Enum):

@@ -71,7 +71,7 @@ class SocialGraph:
         for (u, v), w in items:
             if u == v:
                 raise ParameterError(f"self-loop on {u!r} not allowed")
-            if not isinstance(w, int) or w < 1:
+            if isinstance(w, bool) or not isinstance(w, int) or w < 1:
                 raise ParameterError(f"edge {u!r}->{v!r} weight must be a positive integer, got {w!r}")
             i, j = position[u], position[v]
             out[i].append(j)

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import IO, Iterable
 
-from .errors import DataFormatError, ParameterError, ParsedEnum
+from .errors import DataFormatError, ParameterError, ParsedEnum, require_count
 from .graph import SocialGraph, StudentId
 
 
@@ -238,8 +238,7 @@ class SynthParams:
 
     def validate(self) -> None:
         for name in ("students", "threads", "posts", "comments"):
-            if getattr(self, name) < 0:
-                raise ParameterError(f"{name} must be >= 0")
+            object.__setattr__(self, name, require_count(getattr(self, name), name, least=0))
         if self.comments > 0 and self.posts == 0:
             raise ParameterError("comments require at least one post to attach to")
         if not 0.0 <= self.anonymous_fraction <= 1.0:

@@ -23,7 +23,7 @@ from operator import add, attrgetter, mul, sub
 from typing import Iterable, Mapping, Sequence, TextIO
 
 from .errors import (ConvergenceWarning, DataFormatError, ParameterError,
-                     UndefinedMetricError, require_known)
+                     UndefinedMetricError, require_count, require_known)
 from .formats import read_csv, refused_as, write_csv
 from .graph import (GraphIndex, SocialGraph, StudentId, distance_sums,
                     geodesic_distances)
@@ -57,8 +57,9 @@ def _iterate(step, x, tol: float, max_iter: int) -> tuple[object, bool, int]:
     """The power iterations' one stopping rule: apply ``step`` (iterate ->
     next iterate and its L1 change) until the change drops below ``tol`` or
     ``max_iter`` steps have run.  Returns (last iterate, converged, steps)."""
-    if not 0.0 < tol < math.inf or max_iter < 1:
-        raise ParameterError("tol must be positive and finite, and max_iter >= 1")
+    if not 0.0 < tol < math.inf:
+        raise ParameterError(f"tol must be positive and finite, got {tol!r}")
+    max_iter = require_count(max_iter, "max_iter")
     for iterations in range(1, max_iter + 1):
         x, delta = step(x)
         if delta < tol:
@@ -202,14 +203,16 @@ def farness(g: SocialGraph, node: StudentId, penalty: float | None = FARNESS_PEN
     Each unreachable student contributes ``penalty`` (default: the node
     count), keeping the sum finite and monotone in disconnectedness.
     """
+    cost = _penalty(penalty, g.node_count)
     hops = [d for d in geodesic_distances(g, node).values() if d]  # not self, not None
-    return _farness(sum(hops), len(hops), g.node_count, penalty)
+    return sum(hops) + cost * (g.node_count - 1 - len(hops))
 
 
-def _farness(total: int, reached: int, n: int, penalty: float | None) -> float:
-    """Hop ``total`` over the ``reached`` students, plus ``penalty`` (default
-    ``n``) for each of the other n - 1 students that is out of reach."""
-    return total + float(n if penalty is None else penalty) * (n - 1 - reached)
+def _penalty(penalty: float | None, n: int) -> float:
+    """Farness per student out of reach: ``penalty`` (finite, >= 0), or ``n`` for None."""
+    if penalty is not None and not 0.0 <= penalty < math.inf:
+        raise ParameterError(f"farness penalty must be non-negative and finite, got {penalty!r}")
+    return float(n if penalty is None else penalty)
 
 
 def clustering_coefficient(g: SocialGraph, node: StudentId) -> float:
@@ -397,6 +400,7 @@ def compute_metrics_without_brokerage(g: SocialGraph,
     that stops at its ``max_iter`` issues a :class:`ConvergenceWarning`
     and its last iterate goes into the table.
     """
+    cost = _penalty(farness_penalty, g.node_count)
     if g.node_count == 0:
         return {}
     pr = pagerank(g, damping=damping, tol=pagerank_tol)
@@ -409,12 +413,11 @@ def compute_metrics_without_brokerage(g: SocialGraph,
         if not scores.converged:
             warnings.warn(f"{name} did not converge in {scores.iterations} "
                           "iterations", ConvergenceWarning, stacklevel=2)
-    sums = distance_sums(g)
     index = g.index()
     tie_total = [float(sum(row)) for row in index.tie_weights]
     tie_max = [max(row, default=0) for row in index.tie_weights]
     table: dict[StudentId, NodeMetrics] = {}
-    for ego, node in enumerate(g.nodes):
+    for ego, (node, (total, reached)) in enumerate(distance_sums(g).items()):
         constraint, eff, links = _structural_holes(index, ego, tie_total, tie_max)
         if not index.ties[ego]:
             constraint = eff = math.nan
@@ -423,7 +426,7 @@ def compute_metrics_without_brokerage(g: SocialGraph,
             pagerank=pr[node],
             authority=auth[node],
             hub=hub[node],
-            farness=_farness(*sums[node], g.node_count, farness_penalty),
+            farness=total + cost * (g.node_count - 1 - reached),
             clustering=clustering_ratio(links, len(index.ties[ego])),
             eigencentrality=eig[node],
             constraint=constraint,

@@ -37,8 +37,8 @@ from pathlib import Path
 from typing import Any, Callable, ClassVar, Iterator, Mapping, TextIO
 
 from ._version import __version__
-from .diffusion import FlowSpec, simulate, write_trace_csv
-from .errors import MoocteamsError, ParameterError
+from .diffusion import FlowSpec, Mechanism, Trajectory, simulate, write_trace_csv
+from .errors import MoocteamsError, ParameterError, require_count
 from .formats import write_json
 from .graph import SocialGraph, write_graph_csv
 from .ingest import (REPLY_POLICY, BuildReport, ForumMessage, ParseResult,
@@ -129,10 +129,9 @@ class RunConfig:
         return ReplyPolicy.parse(self.reply_policy)
 
     def validate(self) -> None:
-        """Reject invalid settings and respell the enum-valued ones in
-        canonical form, so any accepted spelling gives the same manifest.
-        Every comparison is written so that NaN fails it."""
-        from .diffusion import Mechanism, Trajectory
+        """Reject invalid settings, store each count as a plain int and respell
+        the enum-valued ones in canonical form, so any accepted spelling gives
+        the same manifest.  Every comparison is written so that NaN fails it."""
         self.reply_policy = self.policy().name.lower()
         self.diffusion_mechanism = Mechanism.parse(self.diffusion_mechanism).value
         self.diffusion_trajectory = Trajectory.parse(
@@ -140,15 +139,13 @@ class RunConfig:
         self.weights().validate()
         if not 0.0 < self.damping < 1.0:
             raise ParameterError("damping must lie strictly in (0, 1)")
-        for name in ("skill_k", "n_groups", "restarts", "diffusion_steps",
-                     "diffusion_replications"):
-            if getattr(self, name) < 1:
-                raise ParameterError(f"{name} must be at least 1")
-        if self.team_iterations < 0:
-            raise ParameterError("team_iterations must be non-negative")
+        for name, least in (("skill_k", 1), ("n_groups", 1), ("restarts", 1),
+                            ("team_iterations", 0), ("diffusion_steps", 1),
+                            ("diffusion_replications", 1)):
+            setattr(self, name, require_count(getattr(self, name), name, least))
         if not 0.0 <= self.skill_beta < math.inf:
             raise ParameterError("skill_beta must be non-negative and finite")
-        check_size_bounds(self.s_min, self.s_max)
+        self.s_min, self.s_max = check_size_bounds(self.s_min, self.s_max)
 
 
 SETTINGS = fields(RunConfig)[2:]

@@ -17,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import ParameterError
+from .errors import ParameterError, require_count
 from .graph import SocialGraph, reach_levels, reach_step
 from .metrics import clustering_ratio, left_sum, tie_links
 
@@ -195,8 +195,7 @@ def rewire_optimize(g: SocialGraph, alpha: float = ALPHA, beta: float = BETA,
     state is tracked separately, the final score never falls below the
     initial one.
     """
-    if iterations < 0:
-        raise ParameterError("iterations must be non-negative")
+    iterations = require_count(iterations, "iterations", least=0)
     if not 0.0 < cooling <= 1.0:
         raise ParameterError("cooling must lie in (0, 1]")
     if not 0.0 <= initial_temperature < math.inf:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Mapping
 
-from .errors import DataFormatError, ParameterError, require_distinct
+from .errors import DataFormatError, ParameterError, require_count, require_distinct
 from .formats import json_field, read_json, refused_as, write_json
 from .graph import StudentId
 from .ingest import ForumMessage
@@ -70,8 +70,7 @@ def _distribution(counts: Counter[str]) -> dict[str, float]:
 
 def top_k_skills(dist: Mapping[str, float], k: int) -> tuple[tuple[str, float], ...]:
     """The k largest-probability terms, ties broken alphabetically."""
-    if k < 1:
-        raise ParameterError(f"k must be at least 1, got {k}")
+    k = require_count(k, "k")
     ranked = sorted(dist.items(), key=lambda item: (-item[1], item[0]))
     return tuple(ranked[:k])
 
@@ -200,8 +199,7 @@ def skill_partition(profiles: Iterable[SkillProfile], n_groups: int,
     does not count against ``n_groups``.  Deterministic per seed.
     """
     profiles = list(profiles)
-    if n_groups < 1:
-        raise ParameterError(f"n_groups must be at least 1, got {n_groups}")
+    n_groups = require_count(n_groups, "n_groups")
     if n_groups > len(profiles):
         raise ParameterError(
             f"cannot form {n_groups} groups from {len(profiles)} students")

@@ -22,7 +22,8 @@ from functools import partial
 from operator import add, sub
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DataFormatError, ParameterError, require_distinct, require_known
+from .errors import (DataFormatError, ParameterError, require_count, require_distinct,
+                     require_known)
 from .formats import json_field, read_json, refused_as, write_json
 from .graph import SocialGraph, StudentId
 from .metrics import BrokerageCounts, NodeMetrics, left_sum
@@ -81,10 +82,10 @@ class TeamAssignment:
 
 # -- size feasibility --------------------------------------------------------
 
-def check_size_bounds(s_min: int, s_max: int) -> None:
-    """Raise ParameterError unless ``2 <= s_min <= s_max``."""
-    if not 2 <= s_min <= s_max:
-        raise ParameterError(f"team size bounds need 2 <= s_min <= s_max, got {s_min}, {s_max}")
+def check_size_bounds(s_min: int, s_max: int) -> tuple[int, int]:
+    """``(s_min, s_max)`` as ints; ParameterError unless ``2 <= s_min <= s_max``."""
+    s_min = require_count(s_min, "s_min", least=2)
+    return s_min, require_count(s_max, "s_max", least=s_min)
 
 
 def check_roster(teams: Sequence[Sequence[StudentId]]) -> None:
@@ -94,10 +95,11 @@ def check_roster(teams: Sequence[Sequence[StudentId]]) -> None:
     require_distinct(itertools.chain.from_iterable(teams), "the roster")
 
 
-def _validate_bounds(n: int, s_min: int, s_max: int) -> None:
-    check_size_bounds(s_min, s_max)
+def _validate_bounds(n: int, s_min: int, s_max: int) -> tuple[int, int]:
+    s_min, s_max = check_size_bounds(s_min, s_max)
     if n < s_min:
         raise ParameterError(f"{n} students cannot fill a team of size {s_min}")
+    return s_min, s_max
 
 
 def _sizes_feasible(sizes: Sequence[int], n: int, s_min: int, s_max: int,
@@ -128,7 +130,7 @@ def team_sizes(n: int, s_min: int, s_max: int,
     least 2 (borrowing a member when the residue is 1), or with
     ``allow_oversize`` is absorbed into one enlarged team.
     """
-    _validate_bounds(n, s_min, s_max)
+    s_min, s_max = _validate_bounds(n, s_min, s_max)
     q, r = divmod(n, s_max)
     if r == 0:
         return [s_max] * q
@@ -347,11 +349,11 @@ def form_teams(g: SocialGraph, metrics: Mapping[StudentId, NodeMetrics],
     best climb wins by objective, then by the lexicographically smaller roster.
     """
     weights.validate()
-    if restarts < 1 or iterations < 0:
-        raise ParameterError("restarts must be >= 1 and iterations >= 0")
+    restarts = require_count(restarts, "restarts")
+    iterations = require_count(iterations, "iterations", least=0)
     nodes = list(g.nodes)
     n = len(nodes)
-    _validate_bounds(n, s_min, s_max)
+    s_min, s_max = _validate_bounds(n, s_min, s_max)
     table = _term_table(g, metrics)
     counts = _candidate_team_counts(n, s_min, s_max, allow_oversize)
     cuts = [list(itertools.accumulate(
@@ -504,7 +506,7 @@ def brute_force_teams(g: SocialGraph, metrics: Mapping[StudentId, NodeMetrics],
     n = len(nodes)
     if n > 10:
         raise ParameterError(f"brute force is limited to 10 nodes, got {n}")
-    _validate_bounds(n, s_min, s_max)
+    s_min, s_max = _validate_bounds(n, s_min, s_max)
     table = _term_table(g, metrics)
     best = min((_assignment(partition, _balances(partition, table), table, weights,
                             s_min, s_max, allow_oversize, 0)

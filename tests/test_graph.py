@@ -43,6 +43,12 @@ def test_nonpositive_weight_rejected():
         SocialGraph({("a", "b"): 0})
 
 
+def test_bool_weight_rejected():
+    # graph.csv would hold "True", a weight read_graph_csv refuses
+    with pytest.raises(ParameterError, match="positive integer, got True"):
+        SocialGraph({("a", "b"): True})
+
+
 def test_unknown_node_lookup_raises():
     g = SocialGraph({("a", "b"): 1})
     with pytest.raises(MissingNodeError):

@@ -5,6 +5,7 @@ import importlib
 import inspect
 import io
 import json
+import math
 import os
 import pkgutil
 import random
@@ -14,14 +15,15 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import moocteams
 from moocteams.cli import build_parser, main
-from moocteams.diffusion import FlowSpec, full_typology_specs, typology_report
-from moocteams.graph import read_graph_csv
+from moocteams.diffusion import FlowSpec, full_typology_specs, simulate, typology_report
+from moocteams.graph import SocialGraph, read_graph_csv
 from moocteams.metrics import (compute_metrics_without_brokerage,
                                compute_node_metrics, eigencentrality, farness,
                                hits, pagerank)
@@ -33,10 +35,10 @@ from moocteams.pipeline import (SETTINGS, RunConfig, StageError, derive_seed,
 from moocteams.report import (OpinionRecord, aggregate_opinions, experiment_split,
                               write_dot)
 from moocteams.rewire import graph_objective, rewire_optimize
-from moocteams.skills import (build_skill_profiles, refine_by_rank,
-                              refine_skills, term_distribution, tokenize,
-                              write_skills_json)
-from moocteams.teams import (ObjectiveWeights, brute_force_teams, form_teams,
+from moocteams.skills import (SkillProfile, build_skill_profiles, refine_by_rank,
+                              refine_skills, skill_partition, term_distribution,
+                              tokenize, top_k_skills, write_skills_json)
+from moocteams.teams import (S_MIN, ObjectiveWeights, brute_force_teams, form_teams,
                              read_roster_json, team_sizes)
 
 ARTIFACTS = ["graph.csv", "graph.dot", "manifest.json", "metrics.csv",
@@ -385,6 +387,81 @@ def test_pipeline_rerun_deletes_what_the_new_run_did_not_write(tmp_path,
 def test_pipeline_missing_input_is_a_config_error(tmp_path):
     with pytest.raises(ParameterError):
         run_pipeline(RunConfig(str(tmp_path / "nope.jsonl"), str(tmp_path / "run")))
+
+
+# -- count settings ------------------------------------------------------------
+
+_RING = SocialGraph({("a", "b"): 1, ("b", "c"): 2, ("c", "d"): 1, ("d", "a"): 1})
+
+
+def _teams(**counts):
+    return form_teams(_RING, compute_node_metrics(_RING), **counts)
+
+
+def _flow(sources=("a",), **counts):
+    return simulate(_RING, FlowSpec("transfer", "walk", sources, **counts))
+
+
+def _synth(**counts):
+    return synth_corpus(SynthParams(**{"students": 4, "threads": 1, "posts": 2,
+                                       "comments": 2, **counts}))
+
+
+def _setting(name):
+    return lambda value: RunConfig("corpus.jsonl", "run", **{name: value}).validate()
+
+
+# (where, count, least, call with the count's value): every integer setting of
+# the library and of RunConfig, each checked by errors.require_count
+COUNTS = [
+    ("top_k_skills", "k", 1, lambda v: top_k_skills({"x": 1.0}, v)),
+    ("skill_partition", "n_groups", 1,
+     lambda v: skill_partition([SkillProfile("a", (("x", 1.0),), 1)], v)),
+    *(("SynthParams", name, 0, lambda v, name=name: _synth(**{name: v}))
+      for name in ("students", "threads", "posts", "comments")),
+    ("form_teams", "restarts", 1, lambda v: _teams(restarts=v)),
+    ("form_teams", "iterations", 0, lambda v: _teams(iterations=v)),
+    ("form_teams", "s_min", 2, lambda v: _teams(s_min=v, s_max=4)),
+    ("form_teams", "s_max", 3, lambda v: _teams(s_min=3, s_max=v)),
+    ("FlowSpec", "max_steps", 1, lambda v: _flow(max_steps=v)),
+    ("FlowSpec", "replications", 1, lambda v: _flow(replications=v)),
+    ("FlowSpec", "copy_cap", 2, lambda v: _flow(sources=("a", "b"), copy_cap=v)),
+    ("rewire_optimize", "iterations", 0, lambda v: rewire_optimize(_RING, iterations=v)),
+    ("pagerank", "max_iter", 1, lambda v: pagerank(_RING, max_iter=v)),
+    *(("RunConfig", name, least, _setting(name))
+      for name, least in (("skill_k", 1), ("n_groups", 1), ("restarts", 1),
+                          ("team_iterations", 0), ("diffusion_steps", 1),
+                          ("diffusion_replications", 1), ("s_min", 2), ("s_max", S_MIN))),
+]
+
+
+@pytest.mark.parametrize("where, name, least, call", COUNTS,
+                         ids=[f"{where}.{name}" for where, name, _, _ in COUNTS])
+@pytest.mark.parametrize("bad", ["nan", "float", "bool", "below"])
+def test_every_count_is_an_integer_at_least_its_bound(where, name, least, call, bad):
+    value = {"nan": math.nan, "float": 2.5, "bool": True, "below": least - 1}[bad]
+    with pytest.raises(ParameterError,
+                       match=f"^{name} must be an integer >= {least}, got {value!r}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("counts", [{"skill_k": True}, {"s_min": 2.5, "s_max": 4}])
+def test_pipeline_refuses_a_bad_count_before_it_writes(tmp_path, counts):
+    corpus = tmp_path / "corpus.jsonl"
+    _corpus(corpus)
+    with pytest.raises(ParameterError):
+        run_pipeline(RunConfig(str(corpus), str(tmp_path / "run"), **counts))
+    assert not (tmp_path / "run").exists()
+
+
+def test_pipeline_numpy_count_writes_the_bytes_of_an_int(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    _corpus(corpus)
+    for name, k in (("int", 5), ("numpy", np.int64(5))):
+        run_pipeline(RunConfig(str(corpus), str(tmp_path / name), skill_k=k))
+    for artifact in ARTIFACTS:
+        assert (tmp_path / "numpy" / artifact).read_bytes() == \
+            (tmp_path / "int" / artifact).read_bytes(), artifact
 
 
 # -- command line ------------------------------------------------------------

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moocteams.errors import MissingNodeError, UndefinedMetricError
+from moocteams.errors import MissingNodeError, ParameterError, UndefinedMetricError
 from moocteams.graph import SocialGraph
 from moocteams.metrics import (
     ROLE_NAMES,
     brokerage_counts,
     burt_constraint,
     clustering_coefficient,
+    compute_metrics_without_brokerage,
     compute_node_metrics,
     effective_size,
     farness,
@@ -68,6 +69,22 @@ def test_farness_custom_penalty():
     g = SocialGraph({("a", "b"): 1}, nodes=["a", "b", "c"])
     assert farness(g, "a", penalty=100.0) == pytest.approx(1 + 100.0)
     assert farness(g, "c") == pytest.approx(2 * 3)
+
+
+@pytest.mark.parametrize("penalty", [math.nan, math.inf, -1.0])
+def test_farness_penalty_must_be_non_negative_and_finite(monkeypatch, penalty):
+    g = SocialGraph({("a", "b"): 1}, nodes=["a", "b", "c"])
+    message = f"farness penalty must be non-negative and finite, got {penalty!r}"
+    with pytest.raises(ParameterError, match=message):
+        farness(g, "a", penalty=penalty)
+
+    def solver(*args, **kwargs):
+        raise AssertionError("a solver ran before the penalty was checked")
+
+    monkeypatch.setattr("moocteams.metrics.pagerank", solver)
+    for compute in (compute_metrics_without_brokerage, compute_node_metrics):
+        with pytest.raises(ParameterError, match=message):
+            compute(g, farness_penalty=penalty)
 
 
 def test_constraint_matches_literal_formula():
