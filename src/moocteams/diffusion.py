@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import os
 import random
+import time
 from bisect import bisect_right
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -87,8 +88,8 @@ class FlowSpec:
         if not self.sources:
             raise ParameterError("flow spec needs at least one source")
         require_known((s for s in (*self.sources, self.target) if s is not None), g)
-        for name in ("max_steps", "replications"):
-            object.__setattr__(self, name, require_count(getattr(self, name), name))
+        for name, least in (("max_steps", 1), ("replications", 1), ("seed", 0)):
+            object.__setattr__(self, name, require_count(getattr(self, name), name, least))
         return require_count(10 * g.node_count if self.copy_cap is None else self.copy_cap,
                              "copy_cap", least=len(self.sources))
 
@@ -492,6 +493,12 @@ def simulate(g: SocialGraph, spec: FlowSpec) -> DiffusionTrace:
         if pool:
             pool.close()
             pool.join()
+    # the pool's threads stay listed about 1 ms after it ends; wait (1 s at most) for
+    # them to go, so that a simulate called next sees one thread and may fork
+    deadline = time.monotonic() + 1.0
+    while (pool and tasks and len(os.listdir("/proc/self/task")) > len(tasks)
+           and time.monotonic() < deadline):
+        time.sleep(0.0002)
     return DiffusionTrace(spec, first_arrival, receipts, arrival_sum,
                           arrival_count, steps_run, truncated, dropped)
 

@@ -1,10 +1,13 @@
 """Exception types shared across the package, and the rules stated once for every
 module: a student is known (:func:`require_known`), nothing is listed twice
-(:func:`require_distinct`), a count is an int (:func:`require_count`), an enum is
-parsed by member name (:class:`ParsedEnum`).  The roster rules are in :mod:`.teams`."""
+(:func:`require_distinct`), a count or seed is an int (:func:`require_count`), a real
+setting is a float in its interval (:func:`require_real`), an enum is parsed by
+member name (:class:`ParsedEnum`).  The roster rules are in :mod:`.teams`."""
 
+import math
+from contextlib import suppress
 from enum import Enum
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Container, Hashable, Iterable
 
 
@@ -55,6 +58,24 @@ def require_count(value, name: str, least: int = 1) -> int:
     if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
         raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def require_real(value, name: str, low: float, high: float = math.inf,
+                 low_open: bool = False, high_open: bool = False) -> float:
+    """``value`` as a plain float; ParameterError unless it is a finite real number,
+    not a bool, from ``low`` to ``high``, each end closed unless said open (so an
+    infinite end is open)."""
+    x = math.nan  # refused below; kept for a non-real and an int too large for a float
+    if isinstance(value, Real) and not isinstance(value, bool):
+        with suppress(OverflowError):
+            x = float(value)
+    if math.isfinite(x) and (low < x if low_open else low <= x) and (
+            x < high if high_open else x <= high):
+        return x
+    rule = f"lie in {'(' if low_open else '['}{low:g}, {high:g}{')' if high_open else ']'}"
+    if (low, high) == (0, math.inf):
+        rule = f"be {'positive' if low_open else 'non-negative'} and finite"
+    raise ParameterError(f"{name} must {rule}, got {value!r}")
 
 
 class ParsedEnum(Enum):

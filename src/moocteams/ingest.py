@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import IO, Iterable
 
-from .errors import DataFormatError, ParameterError, ParsedEnum, require_count
+from .errors import DataFormatError, ParameterError, ParsedEnum, require_count, require_real
 from .graph import SocialGraph, StudentId
 
 
@@ -237,12 +237,12 @@ class SynthParams:
     anonymous_fraction: float = 0.05
 
     def validate(self) -> None:
-        for name in ("students", "threads", "posts", "comments"):
+        for name in ("students", "threads", "posts", "comments", "seed"):
             object.__setattr__(self, name, require_count(getattr(self, name), name, least=0))
         if self.comments > 0 and self.posts == 0:
             raise ParameterError("comments require at least one post to attach to")
-        if not 0.0 <= self.anonymous_fraction <= 1.0:
-            raise ParameterError("anonymous_fraction must lie in [0, 1]")
+        object.__setattr__(self, "anonymous_fraction",
+                           require_real(self.anonymous_fraction, "anonymous_fraction", 0.0, 1.0))
 
 
 def synth_corpus(params: SynthParams) -> list[ForumMessage]:

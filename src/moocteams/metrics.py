@@ -23,7 +23,7 @@ from operator import add, attrgetter, mul, sub
 from typing import Iterable, Mapping, Sequence, TextIO
 
 from .errors import (ConvergenceWarning, DataFormatError, ParameterError,
-                     UndefinedMetricError, require_count, require_known)
+                     UndefinedMetricError, require_count, require_known, require_real)
 from .formats import read_csv, refused_as, write_csv
 from .graph import (GraphIndex, SocialGraph, StudentId, distance_sums,
                     geodesic_distances)
@@ -57,14 +57,18 @@ def _iterate(step, x, tol: float, max_iter: int) -> tuple[object, bool, int]:
     """The power iterations' one stopping rule: apply ``step`` (iterate ->
     next iterate and its L1 change) until the change drops below ``tol`` or
     ``max_iter`` steps have run.  Returns (last iterate, converged, steps)."""
-    if not 0.0 < tol < math.inf:
-        raise ParameterError(f"tol must be positive and finite, got {tol!r}")
+    tol = require_real(tol, "tol", 0.0, low_open=True)
     max_iter = require_count(max_iter, "max_iter")
     for iterations in range(1, max_iter + 1):
         x, delta = step(x)
         if delta < tol:
             return x, True, iterations
     return x, False, max_iter
+
+
+def check_damping(damping) -> float:
+    """``damping`` as a float; ParameterError unless it lies in (0, 1)."""
+    return require_real(damping, "damping", 0.0, 1.0, low_open=True, high_open=True)
 
 
 def pagerank(g: SocialGraph, damping: float = DAMPING, tol: float = PAGERANK_TOL,
@@ -76,8 +80,7 @@ def pagerank(g: SocialGraph, damping: float = DAMPING, tol: float = PAGERANK_TOL
     change drops below ``tol``; otherwise the map is returned with its
     ``converged`` flag cleared.
     """
-    if not 0.0 < damping < 1.0:
-        raise ParameterError(f"damping must lie strictly in (0, 1), got {damping}")
+    damping = check_damping(damping)
     n = g.node_count
     if n == 0:
         raise ParameterError("pagerank is undefined on an empty graph")
@@ -210,9 +213,7 @@ def farness(g: SocialGraph, node: StudentId, penalty: float | None = FARNESS_PEN
 
 def _penalty(penalty: float | None, n: int) -> float:
     """Farness per student out of reach: ``penalty`` (finite, >= 0), or ``n`` for None."""
-    if penalty is not None and not 0.0 <= penalty < math.inf:
-        raise ParameterError(f"farness penalty must be non-negative and finite, got {penalty!r}")
-    return float(n if penalty is None else penalty)
+    return float(n) if penalty is None else require_real(penalty, "farness penalty", 0.0)
 
 
 def clustering_coefficient(g: SocialGraph, node: StudentId) -> float:

@@ -28,11 +28,10 @@ read through ``read_file``; both open UTF-8 with no newline translation
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, ClassVar, Iterator, Mapping, TextIO
 
@@ -44,11 +43,11 @@ from .graph import SocialGraph, write_graph_csv
 from .ingest import (REPLY_POLICY, BuildReport, ForumMessage, ParseResult,
                      ReplyPolicy, build_reply_graph, parse_forum_export)
 from .metrics import (DAMPING, FARNESS_PENALTY, PAGERANK_MAX_ITER, PAGERANK_TOL,
-                      RANK_MAX_ITER, RANK_TOL, NodeMetrics, brokerage_counts,
+                      RANK_MAX_ITER, RANK_TOL, NodeMetrics, brokerage_counts, check_damping,
                       compute_metrics_without_brokerage, left_sum, write_metrics_csv)
 from .report import write_dot
 from .skills import (MIN_LEN, SKILL_BETA, SKILL_K, USE_IDF, SkillProfile,
-                     build_skill_profiles, refine_by_rank, skill_partition,
+                     build_skill_profiles, check_beta, refine_by_rank, skill_partition,
                      write_partition_json, write_skills_json)
 from .teams import (ALLOW_OVERSIZE, ITERATIONS, RESTARTS, S_MAX, S_MIN, ObjectiveWeights,
                     TeamAssignment, check_size_bounds, form_teams, write_roster_json)
@@ -129,22 +128,20 @@ class RunConfig:
         return ReplyPolicy.parse(self.reply_policy)
 
     def validate(self) -> None:
-        """Reject invalid settings, store each count as a plain int and respell
-        the enum-valued ones in canonical form, so any accepted spelling gives
-        the same manifest.  Every comparison is written so that NaN fails it."""
+        """Reject invalid settings through the checks the library uses, store each
+        number as a plain int or float and respell the enum-valued ones in
+        canonical form, so any accepted spelling gives the same manifest."""
         self.reply_policy = self.policy().name.lower()
         self.diffusion_mechanism = Mechanism.parse(self.diffusion_mechanism).value
         self.diffusion_trajectory = Trajectory.parse(
             self.diffusion_trajectory).value
-        self.weights().validate()
-        if not 0.0 < self.damping < 1.0:
-            raise ParameterError("damping must lie strictly in (0, 1)")
-        for name, least in (("skill_k", 1), ("n_groups", 1), ("restarts", 1),
+        self.w_cost, self.w_hole, self.w_balance = astuple(self.weights().validate())
+        self.damping = check_damping(self.damping)
+        self.skill_beta = check_beta(self.skill_beta, "skill_beta")
+        for name, least in (("seed", 0), ("skill_k", 1), ("n_groups", 1), ("restarts", 1),
                             ("team_iterations", 0), ("diffusion_steps", 1),
                             ("diffusion_replications", 1)):
             setattr(self, name, require_count(getattr(self, name), name, least))
-        if not 0.0 <= self.skill_beta < math.inf:
-            raise ParameterError("skill_beta must be non-negative and finite")
         self.s_min, self.s_max = check_size_bounds(self.s_min, self.s_max)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DataFormatError, ParameterError, require_distinct
+from .errors import DataFormatError, ParameterError, require_count, require_distinct, require_real
 from .formats import json_field, refused_as
 from .graph import SocialGraph, StudentId
 from .metrics import left_sum
@@ -125,8 +125,8 @@ def experiment_split(students: Sequence[StudentId], fraction: float,
     if len(pool) < 2:
         raise ParameterError("experiment split needs at least 2 students")
     require_distinct(pool, "the student list")
-    if not 0.0 < fraction < 1.0:
-        raise ParameterError(f"fraction must lie strictly in (0, 1), got {fraction}")
+    fraction = require_real(fraction, "fraction", 0.0, 1.0, low_open=True, high_open=True)
+    seed = require_count(seed, "seed", least=0)
     cut = round(fraction * len(pool))
     if cut == 0 or cut == len(pool):
         raise ParameterError(

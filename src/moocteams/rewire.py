@@ -17,7 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import ParameterError, require_count
+from .errors import ParameterError, require_count, require_real
 from .graph import SocialGraph, reach_levels, reach_step
 from .metrics import clustering_ratio, left_sum, tie_links
 
@@ -49,9 +49,7 @@ class _SwapState:
     equal those of the equivalent graph."""
 
     def __init__(self, g: SocialGraph, alpha: float, beta: float):
-        if not (0.0 <= alpha < math.inf and 0.0 <= beta < math.inf):
-            raise ParameterError("alpha and beta must be non-negative and finite")
-        self.alpha, self.beta = alpha, beta
+        self.alpha, self.beta = require_real(alpha, "alpha", 0.0), require_real(beta, "beta", 0.0)
         index = g.index()
         self.out = [list(row) for row in index.out]
         self.into = [set(row) for row in index.into]
@@ -196,10 +194,9 @@ def rewire_optimize(g: SocialGraph, alpha: float = ALPHA, beta: float = BETA,
     initial one.
     """
     iterations = require_count(iterations, "iterations", least=0)
-    if not 0.0 < cooling <= 1.0:
-        raise ParameterError("cooling must lie in (0, 1]")
-    if not 0.0 <= initial_temperature < math.inf:
-        raise ParameterError("initial_temperature must be non-negative and finite")
+    seed = require_count(seed, "seed", least=0)
+    cooling = require_real(cooling, "cooling", 0.0, 1.0, low_open=True)
+    initial_temperature = require_real(initial_temperature, "initial_temperature", 0.0)
     if g.edge_count < 2:
         raise ParameterError("rewiring needs at least two edges")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Mapping
 
-from .errors import DataFormatError, ParameterError, require_count, require_distinct
+from .errors import DataFormatError, ParameterError, require_count, require_distinct, require_real
 from .formats import json_field, read_json, refused_as, write_json
 from .graph import StudentId
 from .ingest import ForumMessage
@@ -92,6 +92,11 @@ class SkillProfile:
         return self.terms[0][0] if self.terms else None
 
 
+def check_beta(beta, name: str = "beta") -> float:
+    """``beta`` as a float; ParameterError unless it is finite and non-negative."""
+    return require_real(beta, name, 0.0)
+
+
 def refine_skills(profile: SkillProfile, rank_score: float,
                   beta: float = SKILL_BETA) -> SkillProfile:
     """Boost every weight by (1 + beta * rank_score).
@@ -100,10 +105,7 @@ def refine_skills(profile: SkillProfile, rank_score: float,
     [0,1] by the graph maximum.  The boost is uniform, so the term
     ordering never changes; boosted weights may exceed 1.
     """
-    if not 0.0 <= beta < math.inf:
-        raise ParameterError(f"beta must be non-negative and finite, got {beta}")
-    if not 0.0 <= rank_score <= 1.0:
-        raise ParameterError(f"rank_score must lie in [0, 1], got {rank_score}")
+    beta, rank_score = check_beta(beta), require_real(rank_score, "rank_score", 0.0, 1.0)
     factor = 1.0 + beta * rank_score
     boosted = tuple((t, w * factor) for t, w in profile.terms)
     return SkillProfile(profile.student, boosted, profile.k, refined=True)
@@ -118,6 +120,7 @@ def refine_by_rank(profiles: Mapping[StudentId, SkillProfile],
     top rank is not positive.  A ``beta`` of 0 boosts nothing, so the
     profiles come back unchanged and unrefined.
     """
+    beta = check_beta(beta)
     if beta == 0:
         return dict(profiles)
     top = max(ranks.values(), default=0.0)
@@ -199,7 +202,7 @@ def skill_partition(profiles: Iterable[SkillProfile], n_groups: int,
     does not count against ``n_groups``.  Deterministic per seed.
     """
     profiles = list(profiles)
-    n_groups = require_count(n_groups, "n_groups")
+    n_groups, seed = require_count(n_groups, "n_groups"), require_count(seed, "seed", least=0)
     if n_groups > len(profiles):
         raise ParameterError(
             f"cannot form {n_groups} groups from {len(profiles)} students")

@@ -23,7 +23,7 @@ from operator import add, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (DataFormatError, ParameterError, require_count, require_distinct,
-                     require_known)
+                     require_known, require_real)
 from .formats import json_field, read_json, refused_as, write_json
 from .graph import SocialGraph, StudentId
 from .metrics import BrokerageCounts, NodeMetrics, left_sum
@@ -47,14 +47,15 @@ class ObjectiveWeights:
     w_hole: float = 1.0 / 3.0
     w_balance: float = 1.0 / 3.0
 
-    def validate(self) -> None:
-        for name, value in (("w_cost", self.w_cost), ("w_hole", self.w_hole),
-                            ("w_balance", self.w_balance)):
-            if not 0.0 <= value <= 1.0:
-                raise ParameterError(f"{name} must lie in [0, 1], got {value}")
-        total = self.w_cost + self.w_hole + self.w_balance
+    def validate(self) -> ObjectiveWeights:
+        """Store each weight back as a float; ParameterError unless all lie in [0, 1]
+        and sum to 1.  Returns these weights."""
+        for name in ("w_cost", "w_hole", "w_balance"):
+            object.__setattr__(self, name, require_real(getattr(self, name), name, 0.0, 1.0))
+        total = left_sum((self.w_cost, self.w_hole, self.w_balance))
         if abs(total - 1.0) > 1e-12:
             raise ParameterError(f"objective weights must sum to 1, got {total}")
+        return self
 
 
 @dataclass(frozen=True)
@@ -351,6 +352,7 @@ def form_teams(g: SocialGraph, metrics: Mapping[StudentId, NodeMetrics],
     weights.validate()
     restarts = require_count(restarts, "restarts")
     iterations = require_count(iterations, "iterations", least=0)
+    seed = require_count(seed, "seed", least=0)
     nodes = list(g.nodes)
     n = len(nodes)
     s_min, s_max = _validate_bounds(n, s_min, s_max)

@@ -411,6 +411,18 @@ def test_no_worker_outlives_simulate(pooled):
 
 
 @forks
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="lists threads on Linux")
+def test_no_pool_thread_outlives_simulate(pooled):
+    g = random_digraph(40, 0.12, seed=4)
+    spec = FlowSpec("SERIAL_DUP", "PATH", (g.nodes[0],), max_steps=8, replications=4)
+    for _ in range(3):
+        before = len(os.listdir("/proc/self/task"))
+        simulate(g, spec)
+        assert len(os.listdir("/proc/self/task")) == before
+    assert pooled == []
+
+
+@forks
 def test_no_worker_outlives_a_replication_that_raises(pooled, monkeypatch):
     def fail(hops, spec, rep_index):
         raise RuntimeError(f"replication {rep_index} failed in process {os.getpid()}")

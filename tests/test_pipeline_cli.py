@@ -29,7 +29,7 @@ from moocteams.metrics import (compute_metrics_without_brokerage,
                                hits, pagerank)
 from moocteams.ingest import (SynthParams, build_reply_graph, synth_corpus,
                               write_jsonl)
-from moocteams.errors import ParameterError
+from moocteams.errors import ParameterError, require_real
 from moocteams.pipeline import (SETTINGS, RunConfig, StageError, derive_seed,
                                 run_pipeline, write_file, write_files)
 from moocteams.report import (OpinionRecord, aggregate_opinions, experiment_split,
@@ -462,6 +462,122 @@ def test_pipeline_numpy_count_writes_the_bytes_of_an_int(tmp_path):
     for artifact in ARTIFACTS:
         assert (tmp_path / "numpy" / artifact).read_bytes() == \
             (tmp_path / "int" / artifact).read_bytes(), artifact
+
+
+# -- real-valued settings and seeds --------------------------------------------
+
+_PROFILE = SkillProfile("a", (("x", 1.0),), 1)
+
+
+def _weights(name):
+    return lambda v: ObjectiveWeights(**{"w_cost": 0.0, "w_hole": 0.0, "w_balance": 0.0,
+                                         name: v}).validate()
+
+
+# (where, setting, call with the setting's value, values just outside its
+# interval, its closed ends): every real-valued setting of the library and of
+# RunConfig, each checked by errors.require_real
+REALS = [
+    *((solver.__name__, "tol", lambda v, f=solver: f(_RING, tol=v), [0.0, math.inf], [])
+      for solver in (pagerank, hits, eigencentrality)),
+    ("pagerank", "damping", lambda v: pagerank(_RING, damping=v), [0.0, 1.0], []),
+    ("farness", "farness penalty", lambda v: farness(_RING, "a", penalty=v),
+     [-0.5, math.inf], [0.0]),
+    ("compute_node_metrics", "farness penalty",
+     lambda v: compute_node_metrics(_RING, farness_penalty=v), [-0.5, math.inf], [0.0]),
+    ("refine_skills", "beta", lambda v: refine_skills(_PROFILE, 0.5, beta=v),
+     [-0.5, math.inf], [0.0]),
+    ("refine_by_rank", "beta", lambda v: refine_by_rank({}, {}, beta=v),
+     [-0.5, math.inf], [0.0]),
+    ("refine_skills", "rank_score", lambda v: refine_skills(_PROFILE, v),
+     [-0.5, 1.5], [0.0, 1.0]),
+    *(("ObjectiveWeights", name, _weights(name), [-0.5, 1.5], [1.0])
+      for name in ("w_cost", "w_hole", "w_balance")),
+    *(("rewire_optimize", name, lambda v, name=name: rewire_optimize(
+        _RING, iterations=1, **{name: v}), [-0.5, math.inf], [0.0])
+      for name in ("alpha", "beta", "initial_temperature")),
+    *(("graph_objective", name, lambda v, name=name: graph_objective(_RING, **{name: v}),
+       [-0.5, math.inf], [0.0]) for name in ("alpha", "beta")),
+    ("rewire_optimize", "cooling", lambda v: rewire_optimize(_RING, iterations=1, cooling=v),
+     [0.0, 1.5], [1.0]),
+    ("experiment_split", "fraction", lambda v: experiment_split(list("abcd"), v),
+     [0.0, 1.0], []),
+    ("SynthParams", "anonymous_fraction", lambda v: _synth(anonymous_fraction=v),
+     [-0.5, 1.5], [0.0, 1.0]),
+    ("RunConfig", "damping", _setting("damping"), [0.0, 1.0], []),
+    ("RunConfig", "skill_beta", _setting("skill_beta"), [-0.5, math.inf], [0.0]),
+    *(("RunConfig", name, _setting(name), [-0.5, 1.5], [])
+      for name in ("w_cost", "w_hole", "w_balance")),
+]
+
+
+@pytest.mark.parametrize("where, name, call, outside, ends", REALS,
+                         ids=[f"{where}.{name}" for where, name, *_ in REALS])
+def test_every_real_setting_is_a_real_number_in_its_interval(where, name, call,
+                                                             outside, ends):
+    for value in (math.nan, True, "x", *outside):
+        with pytest.raises(ParameterError, match=f"^{name} must (lie in|be) "):
+            call(value)
+    for value in ends:
+        call(value)
+
+
+# (where, call with the seed): every seed of the library and of RunConfig, each
+# checked by errors.require_count with a least value of 0
+SEEDS = [
+    ("RunConfig", _setting("seed")),
+    ("FlowSpec", lambda v: _flow(seed=v)),
+    ("SynthParams", lambda v: _synth(seed=v)),
+    ("form_teams", lambda v: _teams(seed=v)),
+    ("rewire_optimize", lambda v: rewire_optimize(_RING, iterations=1, seed=v)),
+    ("skill_partition", lambda v: skill_partition([_PROFILE], 1, seed=v)),
+    ("experiment_split", lambda v: experiment_split(list("abcd"), 0.5, seed=v)),
+]
+
+
+@pytest.mark.parametrize("where, call", SEEDS, ids=[where for where, _ in SEEDS])
+def test_every_seed_is_an_integer_at_least_0(where, call):
+    for value in (math.nan, True, "x", 2.0, -1):
+        with pytest.raises(ParameterError,
+                           match=f"^seed must be an integer >= 0, got {value!r}$"):
+            call(value)
+    call(0)
+
+
+def test_require_real_states_the_interval_in_its_message():
+    assert require_real(np.float32(0.5), "w", 0.0, 1.0) == 0.5
+    assert type(require_real(np.int64(2), "w", 0.0)) is float
+    for interval, shape in [((0.0,), "be non-negative and finite"),
+                            ((0.0, math.inf, True), "be positive and finite"),
+                            ((0.0, 1.0, True, True), "lie in (0, 1)"),
+                            ((0.0, 1.0, False, True), "lie in [0, 1)"),
+                            ((-1.0, 1.0), "lie in [-1, 1]")]:
+        with pytest.raises(ParameterError) as info:
+            require_real(10 ** 400, "w", *interval)
+        assert str(info.value) == f"w must {shape}, got {10 ** 400!r}"
+
+
+@pytest.mark.parametrize("settings", [{"skill_beta": True}, {"seed": True}, {"seed": -1}])
+def test_pipeline_refuses_a_bad_real_or_seed_before_it_writes(tmp_path, settings):
+    corpus = tmp_path / "corpus.jsonl"
+    _corpus(corpus)
+    with pytest.raises(ParameterError):
+        run_pipeline(RunConfig(str(corpus), str(tmp_path / "run"), **settings))
+    assert not (tmp_path / "run").exists()
+
+
+def test_pipeline_numpy_real_writes_the_bytes_of_a_float(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    _corpus(corpus)
+    for name, damping in (("float", 0.85), ("numpy", np.float64(0.85))):
+        run_pipeline(RunConfig(str(corpus), str(tmp_path / name), damping=damping))
+    for artifact in ARTIFACTS:
+        assert (tmp_path / "numpy" / artifact).read_bytes() == \
+            (tmp_path / "float" / artifact).read_bytes(), artifact
+    result = run_pipeline(RunConfig(str(corpus), str(tmp_path / "float32"),
+                                    damping=np.float32(0.85), skill_beta=np.float32(0.5)))
+    assert result.manifest["status"] == "complete"
+    assert result.manifest["config"]["damping"] == float(np.float32(0.85))
 
 
 # -- command line ------------------------------------------------------------
