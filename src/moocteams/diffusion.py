@@ -9,7 +9,7 @@ so later copies avoid routes the item already took.  Random hops are
 weight-proportional by default.  Parallel duplication draws no random
 numbers, so its replications are identical and are computed once.  Replication
 i draws from ``random.Random(seed + i)`` alone and the merge takes minima and int
-sums, so a fork pool (:data:`POOL_MIN_HOPS`) gives the same bytes.
+sums, so forked workers (:data:`POOL_MIN_HOPS`) give the same bytes.
 
 Replications run on node positions from :meth:`SocialGraph.index`, over a
 hop table made once per :func:`simulate` call, whose hop options for a node
@@ -32,9 +32,7 @@ from __future__ import annotations
 import math
 import os
 import random
-import time
 from bisect import bisect_right
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, compress, product
@@ -117,9 +115,7 @@ class DiffusionTrace:
 
     def mean_first_arrival(self, node: StudentId) -> float | None:
         count = self.arrival_count[node]
-        if count == 0:
-            return None
-        return self.arrival_sum[node] / count
+        return self.arrival_sum[node] / count if count else None
 
 
 @dataclass
@@ -421,9 +417,9 @@ def _bits(route: int) -> list[int]:
     return out
 
 
-#: Replications x hops per replication (bound) from which ``simulate`` forks a
-#: pool.  On 2 vCPUs a pool of 2 took 10-15 ms to start and join, and the 4
-#: SERIAL_DUP cells of 20 replications took 0.89x of serial at 93 000, 0.70x at 186 000.
+#: Replications x hops per replication (bound) from which ``simulate`` forks its
+#: workers.  On 2 vCPUs 2 workers start and join in 6-7 ms (27 MB process), and the
+#: 4 SERIAL_DUP cells of 20 replications took 0.89x of serial at 93 000, 0.70x at 186 000.
 POOL_MIN_HOPS = 200_000
 
 
@@ -433,14 +429,52 @@ def _pool_size(reps: int, bound: int) -> int:
     return 1 if reps * bound < POOL_MIN_HOPS else min(reps, cpus or 1)
 
 
-def _forked(hops: _HopTable, spec: FlowSpec) -> None:
-    """A pool worker's initializer: keep the hop table and spec of the fork."""
-    global _FORKED
-    _FORKED = hops, spec
+def _fork_context():
+    """The fork start method's context, or None where this process may not fork
+    safely: a child forked beside other threads may deadlock on their locks."""
+    import multiprocessing as mp  # 11 ms and 1.3 MB, paid only where workers may run
+    import threading
+    tasks = os.listdir("/proc/self/task") if os.path.isdir("/proc/self/task") else ()
+    safe = ("fork" in mp.get_all_start_methods() and not mp.current_process().daemon
+            and threading.active_count() == 1 and len(tasks) < 2)
+    return mp.get_context("fork") if safe else None
 
 
-def _replicate_forked(rep_index: int) -> _RepOutcome:
-    return _replicate(*_FORKED, rep_index)
+def _on_workers(context, processes: int, hops: _HopTable, spec: FlowSpec) -> list[_RepOutcome]:
+    """Every replication's outcome, worker k of ``processes`` forked in ``context``
+    running replications k, k + processes, ...; all joined here, killed first on an error."""
+    def stripe(reps: range, send) -> None:  # a worker's body
+        try:
+            send.send([_replicate(hops, spec, rep) for rep in reps])
+        except Exception as error:  # raised again in the parent
+            send.send(error)
+
+    workers, outcomes = [], []
+    try:
+        for k in range(processes):
+            receive, send = context.Pipe(duplex=False)
+            worker = context.Process(target=stripe, args=(range(k, spec.replications, processes), send))
+            worker.start()
+            workers.append((worker, receive))
+            send.close()  # so the pipe ends where the worker does
+        for worker, receive in workers:
+            try:
+                result = receive.recv()
+            except EOFError:
+                worker.join()
+                raise ChildProcessError(f"a worker exited with code {worker.exitcode}") from None
+            if isinstance(result, Exception):
+                raise result
+            outcomes += result
+    except BaseException:
+        for worker, _ in workers:
+            worker.kill()
+        raise
+    finally:
+        for worker, receive in workers:
+            worker.join()
+            receive.close()
+    return outcomes
 
 
 def simulate(g: SocialGraph, spec: FlowSpec) -> DiffusionTrace:
@@ -448,57 +482,35 @@ def simulate(g: SocialGraph, spec: FlowSpec) -> DiffusionTrace:
 
     Merging is order-independent: first arrivals take the minimum, receipts and
     arrival sums add up.  Replication i draws from ``random.Random(spec.seed + i)``
-    alone, so the trace has the same bytes on a fork pool of every CPU this process
-    may use: from :data:`POOL_MIN_HOPS` on, where forking is safe (no other threads;
-    PARALLEL_DUP runs once).  The pool ends here; the spec and hop table are made once.
+    alone, so the trace has the same bytes on forked workers, one per CPU this process
+    may use, from :data:`POOL_MIN_HOPS` on where forking is safe (PARALLEL_DUP runs
+    once).  Each worker ends here; one that dies raises ChildProcessError.
     """
     hops = _HopTable(g, spec)
 
     # parallel duplication is deterministic: one replication, scaled
-    if spec.mechanism is Mechanism.PARALLEL_DUP:
-        reps_to_run, scale = 1, spec.replications
-    else:
-        reps_to_run, scale = spec.replications, 1
+    parallel = spec.mechanism is Mechanism.PARALLEL_DUP
+    reps_to_run, scale = (1, spec.replications) if parallel else (spec.replications, 1)
     bound = spec.max_steps * (1 if spec.mechanism is Mechanism.TRANSFER else hops.cap)
-    processes, pool = _pool_size(reps_to_run, bound), None
-    if processes > 1:
-        import multiprocessing as mp  # 15 ms and 1.3 MB, paid only where a pool may run
-        import threading  # a child forked beside other threads may deadlock on their locks
-        tasks = os.listdir("/proc/self/task") if os.path.isdir("/proc/self/task") else ()
-        if ("fork" in mp.get_all_start_methods() and not mp.current_process().daemon
-                and threading.active_count() == 1 and len(tasks) < 2):
-            pool = mp.get_context("fork").Pool(processes, _forked, (hops, spec))
+    processes = _pool_size(reps_to_run, bound)
+    context = _fork_context() if processes > 1 else None
 
-    nodes = g.nodes
-    first_arrival: dict[StudentId, int | None] = {v: None for v in nodes}
-    receipts = {v: 0 for v in nodes}
-    arrival_sum = {v: 0 for v in nodes}
-    arrival_count = {v: 0 for v in nodes}
-    steps_run = dropped = 0
-    truncated = False
-    with pool or nullcontext():
-        for outcome in (pool.imap_unordered(_replicate_forked, range(reps_to_run)) if pool
-                        else (_replicate(hops, spec, rep) for rep in range(reps_to_run))):
-            for v, step in outcome.arrival.items():
-                prior = first_arrival[v]
-                if prior is None or step < prior:
-                    first_arrival[v] = step
-                arrival_sum[v] += step * scale
-                arrival_count[v] += scale
-            for v, count in outcome.receipts.items():
-                receipts[v] += count * scale
-            steps_run = max(steps_run, outcome.steps)
-            truncated = truncated or outcome.truncated
-            dropped += outcome.dropped * scale
-        if pool:
-            pool.close()
-            pool.join()
-    # the pool's threads stay listed about 1 ms after it ends; wait (1 s at most) for
-    # them to go, so that a simulate called next sees one thread and may fork
-    deadline = time.monotonic() + 1.0
-    while (pool and tasks and len(os.listdir("/proc/self/task")) > len(tasks)
-           and time.monotonic() < deadline):
-        time.sleep(0.0002)
+    first_arrival: dict[StudentId, int | None] = dict.fromkeys(g.nodes)
+    receipts, arrival_sum, arrival_count = (dict.fromkeys(g.nodes, 0) for _ in range(3))
+    steps_run, dropped, truncated = 0, 0, False
+    for outcome in (_on_workers(context, processes, hops, spec) if context
+                    else (_replicate(hops, spec, rep) for rep in range(reps_to_run))):
+        for v, step in outcome.arrival.items():
+            prior = first_arrival[v]
+            if prior is None or step < prior:
+                first_arrival[v] = step
+            arrival_sum[v] += step * scale
+            arrival_count[v] += scale
+        for v, count in outcome.receipts.items():
+            receipts[v] += count * scale
+        steps_run = max(steps_run, outcome.steps)
+        truncated = truncated or outcome.truncated
+        dropped += outcome.dropped * scale
     return DiffusionTrace(spec, first_arrival, receipts, arrival_sum,
                           arrival_count, steps_run, truncated, dropped)
 
@@ -533,20 +545,15 @@ def rank_correlation(x: Mapping[StudentId, float] | Sequence[float],
         if set(x) != set(y):
             raise ParameterError("x and y must cover the same node set")
         keys = sorted(x)
-        xs = [x[k] for k in keys]
-        ys = [y[k] for k in keys]
-    else:
-        xs = list(x)
-        ys = list(y)
-        if len(xs) != len(ys):
-            raise ParameterError("x and y must have equal length")
+        x, y = [x[k] for k in keys], [y[k] for k in keys]
+    xs, ys = list(x), list(y)
+    if len(xs) != len(ys):
+        raise ParameterError("x and y must have equal length")
     if len(xs) < 2:
         raise InsufficientDataError("need at least 2 observations")
-    rx = _average_ranks(xs)
-    ry = _average_ranks(ys)
+    rx, ry = _average_ranks(xs), _average_ranks(ys)
     n = len(rx)
-    mx = left_sum(rx) / n
-    my = left_sum(ry) / n
+    mx, my = left_sum(rx) / n, left_sum(ry) / n
     cov = left_sum((a - mx) * (b - my) for a, b in zip(rx, ry))
     vx = left_sum((a - mx) ** 2 for a in rx)
     vy = left_sum((b - my) ** 2 for b in ry)
@@ -569,13 +576,9 @@ def flow_centrality_correlation(trace: DiffusionTrace,
     if finite < 3:
         raise InsufficientDataError(
             f"need at least 3 reached nodes, got {finite}")
-    keys = sorted(metric)
-    xs = [float(metric[k]) for k in keys]
-    ys = []
-    for k in keys:
-        mean = trace.mean_first_arrival(k)
-        ys.append(-math.inf if mean is None else -mean)
-    return rank_correlation(xs, ys)
+    means = {k: trace.mean_first_arrival(k) for k in metric}
+    return rank_correlation({k: float(v) for k, v in metric.items()},
+                            {k: -math.inf if m is None else -m for k, m in means.items()})
 
 
 # -- typology aggregation ----------------------------------------------------
@@ -629,19 +632,16 @@ def typology_report(g: SocialGraph, specs: Sequence[FlowSpec],
         "pagerank": {v: metrics[v].pagerank for v in g.nodes},
         "degree": {v: float(g.degree(v)) for v in g.nodes},
     }
-    rows = []
     values = []
     for spec in specs:
         trace = simulate(g, spec)
-        cells = []
-        for name in TYPOLOGY_COLUMNS:
-            try:
-                cells.append(flow_centrality_correlation(trace, columns[name]))
-            except InsufficientDataError:
-                cells.append(math.nan)
-        rows.append((spec.mechanism.value, spec.trajectory.value))
-        values.append(tuple(cells))
-    return TypologyMatrix(tuple(rows), TYPOLOGY_COLUMNS, tuple(values))
+        try:  # too few students reached: every column is NaN
+            values.append(tuple(flow_centrality_correlation(trace, columns[name])
+                                for name in TYPOLOGY_COLUMNS))
+        except InsufficientDataError:
+            values.append((math.nan,) * len(TYPOLOGY_COLUMNS))
+    rows = tuple((spec.mechanism.value, spec.trajectory.value) for spec in specs)
+    return TypologyMatrix(rows, TYPOLOGY_COLUMNS, tuple(values))
 
 
 # -- serialization -----------------------------------------------------------

@@ -57,13 +57,18 @@ def _iterate(step, x, tol: float, max_iter: int) -> tuple[object, bool, int]:
     """The power iterations' one stopping rule: apply ``step`` (iterate ->
     next iterate and its L1 change) until the change drops below ``tol`` or
     ``max_iter`` steps have run.  Returns (last iterate, converged, steps)."""
-    tol = require_real(tol, "tol", 0.0, low_open=True)
+    tol = check_tol(tol)
     max_iter = require_count(max_iter, "max_iter")
     for iterations in range(1, max_iter + 1):
         x, delta = step(x)
         if delta < tol:
             return x, True, iterations
     return x, False, max_iter
+
+
+def check_tol(tol, name: str = "tol") -> float:
+    """``tol`` as a float; ParameterError unless it is positive and finite."""
+    return require_real(tol, name, 0.0, low_open=True)
 
 
 def check_damping(damping) -> float:
@@ -402,6 +407,8 @@ def compute_metrics_without_brokerage(g: SocialGraph,
     and its last iterate goes into the table.
     """
     cost = _penalty(farness_penalty, g.node_count)
+    # checked here too, since an empty graph never reaches pagerank
+    damping, pagerank_tol = check_damping(damping), check_tol(pagerank_tol, "pagerank_tol")
     if g.node_count == 0:
         return {}
     pr = pagerank(g, damping=damping, tol=pagerank_tol)

@@ -438,6 +438,44 @@ def test_no_worker_outlives_a_replication_that_raises(pooled, monkeypatch):
 
 
 @forks
+def test_the_workers_start_no_thread_in_this_process(pooled, monkeypatch):
+    def refuse(thread):
+        raise AssertionError(f"simulate started a thread: {thread!r}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    g = random_digraph(40, 0.12, seed=4)
+    for spec, (mechanism, trajectory, digest) in zip(_pinned_specs(g), PINNED):
+        assert _trace_digest(g, spec) == digest, (mechanism, trajectory)
+    assert len(pooled) == 4   # the PARALLEL_DUP cells; every other spec ran on workers
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_raises_its_exit_code_instead_of_hanging():
+    src = Path(diffusion.__file__).resolve().parents[1]
+    code = """
+import multiprocessing, os
+from moocteams import diffusion
+from moocteams.graph import SocialGraph
+diffusion.POOL_MIN_HOPS = 0
+os.sched_getaffinity = lambda pid: {0, 1}
+diffusion._replicate = lambda hops, spec, rep_index: os._exit(3)  # in a worker only
+g = SocialGraph({("a", "b"): 1, ("b", "c"): 1, ("c", "a"): 1})
+spec = diffusion.FlowSpec("SERIAL_DUP", "WALK", ("a",), max_steps=4, replications=4)
+try:
+    diffusion.simulate(g, spec)
+except ChildProcessError as error:
+    assert "code 3" in str(error), error
+else:
+    raise AssertionError("simulate returned")
+assert multiprocessing.active_children() == []
+"""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+@forks
 def test_a_process_with_other_threads_runs_its_replications_itself(pooled):
     g = random_digraph(40, 0.12, seed=4)
     spec = FlowSpec("SERIAL_DUP", "PATH", (g.nodes[0],), max_steps=8, replications=4)

@@ -1327,6 +1327,19 @@ def test_cli_metrics_rejects_non_finite_pagerank_tol(tmp_path, capsys, value):
     assert "finite" in capsys.readouterr().err
 
 
+def test_an_empty_graph_still_has_its_metric_settings_checked(tmp_path, capsys):
+    for settings in ({"damping": "x"}, {"damping": 2}, {"pagerank_tol": -1}):
+        with pytest.raises(ParameterError, match="^(damping|pagerank_tol) must "):
+            compute_node_metrics(SocialGraph(), **settings)
+    assert compute_node_metrics(SocialGraph()) == {}
+    graph, out = tmp_path / "empty.csv", tmp_path / "metrics.csv"
+    graph.write_text("src,dst,weight\n")
+    assert main(["metrics", "--graph", str(graph), "--output", str(out),
+                 "--damping", "2"]) == 2
+    assert not out.exists()
+    assert "damping must lie in (0, 1)" in capsys.readouterr().err
+
+
 def test_cli_metrics_pagerank_tol_reaches_only_pagerank(tmp_path, capsys):
     graph, default = _graph_and_metrics(tmp_path)
     loose = tmp_path / "loose.csv"
