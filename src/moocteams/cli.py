@@ -6,22 +6,22 @@ stage subcommands, is generated from its field: named after it, with the
 field's default and type.  ``ingest``, ``skills`` and ``teams`` run the
 pipeline's stage functions on a RunConfig of their flags, so their
 ``--seed`` is the master seed and one value reproduces a whole run.
-``diffuse``'s ``--seed`` is FlowSpec's (the pipeline's trace is ``--seed
-derive_seed(seed, "diffusion")``), and it keeps FlowSpec's flags and
-defaults, apart from ``--mechanism`` and ``--trajectory``, which default
-to the pipeline's; ``synth`` has one flag per SynthParams field; no
-library default is repeated here.  Every flag must be spelled in full,
-and an output flag without its input (``report --summary-out`` without
-``--opinions``) is a data error.  Every input file is read through
-``read_file``, and a command's outputs go through one ``write_files``
-call, so a failed command leaves no file behind and every earlier file
-as it was.
+``diffuse``'s flow flags (``--steps``, ``--replications``, ``--seed``,
+``--copy-cap``, ``--uniform``) have no default: one left out keeps
+FlowSpec's, or full_typology_specs' with ``--typology`` (the pipeline's
+trace is ``--seed derive_seed(seed, "diffusion")``); its ``--mechanism``
+and ``--trajectory`` default to the pipeline's; ``synth`` has one flag
+per SynthParams field; no library default is repeated here.  Every flag
+must be spelled in full, and an output flag without its input (``report
+--summary-out`` without ``--opinions``) is a data error.  Every input
+file is read through ``read_file``, and a command's outputs go through
+one ``write_files`` call, so a failed command leaves no file behind and
+every earlier file as it was.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 from collections.abc import Iterable
 from dataclasses import MISSING, asdict, fields
@@ -47,7 +47,9 @@ from .teams import brute_force_teams, read_roster_json, write_roster_json
 USAGE_ERROR, DATA_ERROR, STAGE_ERROR = 1, 2, 3
 _DEFAULTS = {f.name: f.default for f in SETTINGS}
 _SYNTH_DEFAULTS = {f.name: f.default for f in fields(SynthParams)}
-_TYPOLOGY_DEFAULTS = inspect.signature(full_typology_specs).parameters
+#: diffuse's flow flags, named after FlowSpec's fields, which full_typology_specs
+#: takes too; they have no default, so only those given reach either
+_FLOW_SETTINGS = [f.name for f in fields(FlowSpec)[4:]]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -130,24 +132,17 @@ def _cmd_teams(args) -> int:
 def _cmd_diffuse(args) -> int:
     graph = read_file(args.graph, read_graph_csv)
     sources = tuple(s for s in args.sources.split(",") if s)
+    flow = {name: value for name, value in vars(args).items() if name in _FLOW_SETTINGS}
     if args.typology:
         if not args.metrics:
             raise ParameterError("--typology needs --metrics")
         table = read_file(args.metrics, read_metrics_csv)
-        specs = full_typology_specs(sources, max_steps=args.steps,
-                                    replications=args.replications,
-                                    seed=args.seed, copy_cap=args.copy_cap,
-                                    uniform=args.uniform)
-        matrix = typology_report(graph, specs, table)
+        matrix = typology_report(graph, full_typology_specs(sources, **flow), table)
         write_file(args.output, write_typology_csv, matrix)
         print(f"cells={len(matrix.rows)}")
         return 0
-    spec = FlowSpec(mechanism=args.mechanism, trajectory=args.trajectory,
-                    sources=sources, target=args.target,
-                    max_steps=args.steps, replications=args.replications,
-                    seed=args.seed, copy_cap=args.copy_cap,
-                    uniform=args.uniform)
-    trace = simulate(graph, spec)
+    trace = simulate(graph, FlowSpec(args.mechanism, args.trajectory, sources,
+                                     args.target, **flow))
     write_file(args.output, write_trace_csv, trace)
     reached = sum(1 for v in trace.first_arrival.values() if v is not None)
     print(f"reached={reached} steps={trace.steps_run} "
@@ -278,19 +273,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trajectory", default=_DEFAULTS["diffusion_trajectory"],
                    type=lambda v: Trajectory.parse(v).value)
     p.add_argument("--target")
-    p.add_argument("--steps", type=int, default=FlowSpec.max_steps)
-    p.add_argument("--replications", type=int, default=FlowSpec.replications)
-    p.add_argument("--seed", type=int, default=FlowSpec.seed)
-    p.add_argument("--copy-cap", type=int, default=FlowSpec.copy_cap)
-    p.add_argument("--uniform", action="store_true", default=FlowSpec.uniform,
-                   help="uniform instead of weight-proportional hops")
+    flow = p.add_argument_group("flow settings", "a flag left out keeps FlowSpec's "
+                                "default, or full_typology_specs' with --typology")
+    flow.add_argument("--steps", type=int, dest="max_steps", metavar="STEPS",
+                      default=argparse.SUPPRESS)
+    flow.add_argument("--replications", type=int, default=argparse.SUPPRESS)
+    flow.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    flow.add_argument("--copy-cap", type=int, default=argparse.SUPPRESS)
+    flow.add_argument("--uniform", action="store_true", default=argparse.SUPPRESS,
+                      help="uniform instead of weight-proportional hops")
     p.add_argument("--typology", action="store_true",
-                   help="run all mechanism x trajectory cells, each for --steps "
-                   "and --replications, which default to FlowSpec's "
-                   f"{FlowSpec.max_steps} and {FlowSpec.replications}; "
-                   "full_typology_specs() called alone defaults to "
-                   f"{_TYPOLOGY_DEFAULTS['max_steps'].default} and "
-                   f"{_TYPOLOGY_DEFAULTS['replications'].default}")
+                   help="run all mechanism x trajectory cells")
     p.add_argument("--metrics", help="metrics CSV (required for --typology)")
     p.set_defaults(fn=_cmd_diffuse)
 

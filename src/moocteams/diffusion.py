@@ -599,13 +599,7 @@ def full_typology_specs(sources: Sequence[StudentId], max_steps: int = 15,
                         replications: int = 50, seed: int = FlowSpec.seed,
                         copy_cap: int | None = FlowSpec.copy_cap,
                         uniform: bool = FlowSpec.uniform) -> list[FlowSpec]:
-    """One spec per mechanism x trajectory cell, with decorrelated seeds.
-
-    Each cell defaults to 15 steps and 50 replications.  ``moocteams diffuse
-    --typology`` passes its ``--steps`` and ``--replications`` instead,
-    which default to FlowSpec's ``max_steps`` (20) and ``replications`` (1),
-    so the two run different typologies unless both are given.
-    """
+    """One spec per mechanism x trajectory cell, with decorrelated seeds."""
     return [FlowSpec(mechanism=mechanism, trajectory=trajectory,
                      sources=tuple(sources), max_steps=max_steps,
                      replications=replications, seed=seed + index,

@@ -143,6 +143,9 @@ class RunConfig:
                             ("diffusion_replications", 1)):
             setattr(self, name, require_count(getattr(self, name), name, least))
         self.s_min, self.s_max = check_size_bounds(self.s_min, self.s_max)
+        for f in SETTINGS:
+            if isinstance(f.default, bool) and not isinstance(getattr(self, f.name), bool):
+                raise ParameterError(f"{f.name} must be a bool, got {getattr(self, f.name)!r}")
 
 
 SETTINGS = fields(RunConfig)[2:]

@@ -106,9 +106,12 @@ def refine_skills(profile: SkillProfile, rank_score: float,
     ordering never changes; boosted weights may exceed 1.
     """
     beta, rank_score = check_beta(beta), require_real(rank_score, "rank_score", 0.0, 1.0)
-    factor = 1.0 + beta * rank_score
-    boosted = tuple((t, w * factor) for t, w in profile.terms)
-    return SkillProfile(profile.student, boosted, profile.k, refined=True)
+    return _boosted(profile, 1.0 + beta * rank_score)
+
+
+def _boosted(profile: SkillProfile, factor: float) -> SkillProfile:
+    return SkillProfile(profile.student, tuple((t, w * factor) for t, w in profile.terms),
+                        profile.k, refined=True)
 
 
 def refine_by_rank(profiles: Mapping[StudentId, SkillProfile],
@@ -118,14 +121,19 @@ def refine_by_rank(profiles: Mapping[StudentId, SkillProfile],
 
     The score is 0 for a student without a rank, and for everyone when the
     top rank is not positive.  A ``beta`` of 0 boosts nothing, so the
-    profiles come back unchanged and unrefined.
+    profiles come back unchanged and unrefined.  ``beta`` is checked once.
     """
     beta = check_beta(beta)
     if beta == 0:
         return dict(profiles)
     top = max(ranks.values(), default=0.0)
-    return {s: refine_skills(p, ranks.get(s, 0.0) / top if top > 0 else 0.0, beta=beta)
-            for s, p in profiles.items()}
+    refined = {}
+    for s, p in profiles.items():
+        score = ranks.get(s, 0.0) / top if top > 0 else 0.0
+        if type(score) is not float or not 0.0 <= score <= 1.0:  # NaN, numpy: checked
+            score = require_real(score, "rank_score", 0.0, 1.0)
+        refined[s] = _boosted(p, 1.0 + beta * score)
+    return refined
 
 
 def build_skill_profiles(messages: Iterable[ForumMessage], k: int = SKILL_K,
@@ -138,6 +146,7 @@ def build_skill_profiles(messages: Iterable[ForumMessage], k: int = SKILL_K,
     frequency (document = message) before normalization, damping terms
     common to the whole corpus.
     """
+    k, min_len = require_count(k, "k"), require_count(min_len, "min_len")
     if stopwords is None:
         stopwords = default_stopwords()
     msgs = [m for m in messages if m.author is not None]

@@ -22,16 +22,17 @@ from hypothesis import strategies as st
 
 import moocteams
 from moocteams.cli import build_parser, main
-from moocteams.diffusion import FlowSpec, full_typology_specs, simulate, typology_report
+from moocteams.diffusion import (FlowSpec, full_typology_specs, simulate, typology_report,
+                                 write_trace_csv, write_typology_csv)
 from moocteams.graph import SocialGraph, read_graph_csv
 from moocteams.metrics import (compute_metrics_without_brokerage,
                                compute_node_metrics, eigencentrality, farness,
-                               hits, pagerank)
+                               hits, pagerank, read_metrics_csv)
 from moocteams.ingest import (SynthParams, build_reply_graph, synth_corpus,
                               write_jsonl)
 from moocteams.errors import ParameterError, require_real
 from moocteams.pipeline import (SETTINGS, RunConfig, StageError, derive_seed,
-                                run_pipeline, write_file, write_files)
+                                read_file, run_pipeline, write_file, write_files)
 from moocteams.report import (OpinionRecord, aggregate_opinions, experiment_split,
                               write_dot)
 from moocteams.rewire import graph_objective, rewire_optimize
@@ -415,6 +416,8 @@ def _setting(name):
 # the library and of RunConfig, each checked by errors.require_count
 COUNTS = [
     ("top_k_skills", "k", 1, lambda v: top_k_skills({"x": 1.0}, v)),
+    ("build_skill_profiles", "k", 1, lambda v: build_skill_profiles([], k=v)),
+    ("build_skill_profiles", "min_len", 1, lambda v: build_skill_profiles([], min_len=v)),
     ("skill_partition", "n_groups", 1,
      lambda v: skill_partition([SkillProfile("a", (("x", 1.0),), 1)], v)),
     *(("SynthParams", name, 0, lambda v, name=name: _synth(**{name: v}))
@@ -557,13 +560,23 @@ def test_require_real_states_the_interval_in_its_message():
         assert str(info.value) == f"w must {shape}, got {10 ** 400!r}"
 
 
-@pytest.mark.parametrize("settings", [{"skill_beta": True}, {"seed": True}, {"seed": -1}])
+@pytest.mark.parametrize("settings", [{"skill_beta": True}, {"seed": True}, {"seed": -1},
+                                      {"run_diffusion": "false"}, {"allow_oversize": "no"},
+                                      {"skill_idf": 1}])
 def test_pipeline_refuses_a_bad_real_or_seed_before_it_writes(tmp_path, settings):
     corpus = tmp_path / "corpus.jsonl"
     _corpus(corpus)
     with pytest.raises(ParameterError):
         run_pipeline(RunConfig(str(corpus), str(tmp_path / "run"), **settings))
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("name", [f.name for f in SETTINGS if isinstance(f.default, bool)])
+@pytest.mark.parametrize("value", ["false", 0, 1, None, np.bool_(True)], ids=repr)
+def test_every_bool_setting_is_a_bool(name, value):
+    with pytest.raises(ParameterError, match=f"^{name} must be a bool, got "):
+        _setting(name)(value)
+    _setting(name)(False)
 
 
 def test_pipeline_numpy_real_writes_the_bytes_of_a_float(tmp_path):
@@ -891,6 +904,47 @@ def test_cli_diffuse_typology_needs_metrics(tmp_path, capsys):
                  "--typology", "--output", str(typology)]) == 2
     assert "--typology needs --metrics" in capsys.readouterr().err
     assert not typology.exists()
+
+
+def _diffuse(tmp_path, *flags):
+    """The bytes ``diffuse`` writes from s00000 on the 15-student graph, the
+    graph and its metrics table."""
+    graph, metrics = _graph_and_metrics(tmp_path)
+    out = tmp_path / "out.csv"
+    assert main(["diffuse", "--graph", str(graph), "--metrics", str(metrics),
+                 "--sources", "s00000", *flags, "--output", str(out)]) == 0
+    return (out.read_bytes(), read_file(graph, read_graph_csv),
+            read_file(metrics, read_metrics_csv))
+
+
+def _written(write, data) -> bytes:
+    buf = io.StringIO(newline="")
+    write(data, buf)
+    return buf.getvalue().encode("utf-8")
+
+
+def test_cli_typology_defaults_to_full_typology_specs(tmp_path, capsys):
+    got, g, table = _diffuse(tmp_path, "--typology", "--seed", "4")
+    capsys.readouterr()
+    assert got == _written(write_typology_csv, typology_report(
+        g, full_typology_specs(["s00000"], seed=4), table))
+
+
+def test_cli_typology_of_20_steps_and_1_replication_keeps_its_bytes(tmp_path, capsys):
+    # sha256 of what `diffuse --typology --seed 4` wrote when its flags took
+    # FlowSpec's 20 steps and 1 replication as their defaults
+    got, _, _ = _diffuse(tmp_path, "--typology", "--seed", "4", "--steps", "20",
+                         "--replications", "1")
+    capsys.readouterr()
+    assert hashlib.sha256(got).hexdigest() == \
+        "1c48984324892afa0c6d5bd31f9f788b87f3f8ba9a1cfbb9e137b3c7edb6efa5"
+
+
+def test_cli_diffuse_defaults_to_flowspec(tmp_path, capsys):
+    got, g, _ = _diffuse(tmp_path)
+    capsys.readouterr()
+    assert got == _written(write_trace_csv, simulate(g, FlowSpec(
+        RunConfig.diffusion_mechanism, RunConfig.diffusion_trajectory, ["s00000"])))
 
 
 @pytest.mark.parametrize("flags, message", [
