@@ -47,9 +47,7 @@ from .teams import brute_force_teams, read_roster_json, write_roster_json
 USAGE_ERROR, DATA_ERROR, STAGE_ERROR = 1, 2, 3
 _DEFAULTS = {f.name: f.default for f in SETTINGS}
 _SYNTH_DEFAULTS = {f.name: f.default for f in fields(SynthParams)}
-#: diffuse's flow flags, named after FlowSpec's fields, which full_typology_specs
-#: takes too; they have no default, so only those given reach either
-_FLOW_SETTINGS = [f.name for f in fields(FlowSpec)[4:]]
+_FLOW_SETTINGS = ("max_steps", "replications", "seed", "copy_cap", "uniform")
 
 
 class _Parser(argparse.ArgumentParser):

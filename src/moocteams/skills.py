@@ -129,9 +129,8 @@ def refine_by_rank(profiles: Mapping[StudentId, SkillProfile],
     top = max(ranks.values(), default=0.0)
     refined = {}
     for s, p in profiles.items():
-        score = ranks.get(s, 0.0) / top if top > 0 else 0.0
-        if type(score) is not float or not 0.0 <= score <= 1.0:  # NaN, numpy: checked
-            score = require_real(score, "rank_score", 0.0, 1.0)
+        score = require_real(ranks.get(s, 0.0) / top if top > 0 else 0.0,
+                             "rank_score", 0.0, 1.0)
         refined[s] = _boosted(p, 1.0 + beta * score)
     return refined
 
