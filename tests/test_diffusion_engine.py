@@ -120,6 +120,23 @@ def test_typology_at_corpus_scale_matches_pinned_digests(corpus_1x):
     assert got == PINNED_1X
 
 
+#: a TRANSFER TRAIL walk on ``corpus_1x`` that runs until its holder has no
+#: unused out-edge (962, 1 150 and 736 steps), so its token comes back to many
+#: holders: the trace's digest, and the digest of replication 0's used edges,
+#: one ``tail,head`` line each in sorted order
+LONG_TRAIL = ("2a76ef5afe8dc75ebab8f8e79d4c602615c32774a4648bf4ea7fe46dd9f12c8d",
+              "3630701228db091b091091475e1bec86c3e82d4292b55e943115d4685d302653")
+
+
+def test_a_long_transfer_trail_walk_keeps_its_bytes(corpus_1x):
+    g, source = corpus_1x
+    spec = FlowSpec("TRANSFER", "TRAIL", (source,), max_steps=5000, replications=3)
+    (record,) = replicate_once(g, spec, 0, collect_histories=True).histories
+    used = "".join(f"{u},{v}\n" for u, v in sorted(record.used_edges))
+    assert len(record.used_edges) == 961
+    assert (_trace_digest(g, spec), hashlib.sha256(used.encode()).hexdigest()) == LONG_TRAIL
+
+
 @pytest.mark.parametrize("mechanism", ["SERIAL_DUP", "PARALLEL_DUP"])
 def test_a_trail_replication_peaks_near_a_path_one(corpus_1x, mechanism):
     # a duplicating TRAIL copy shares its ancestors' marks; were it to hold
