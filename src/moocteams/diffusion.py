@@ -13,18 +13,17 @@ sums, so forked workers (:data:`POOL_MIN_HOPS`) give the same bytes.
 
 Replications run on node positions from :meth:`SocialGraph.index`, over a
 hop table made once per :func:`simulate` call, whose hop options for a node
-are built the first time a token stands there.  A token is its holder, its
-route and its exclusions, kept in parallel lists.  The exclusions are the
-holder's options the token may not take, as bits of their local indices:
-derived from the route at its first hop from the holder, then updated with
-its sends.  A PATH route is an ``int`` over node positions (about 100 bytes
-at 771 students), which a sender marks each send in and a copy shares.  A
-TRAIL sender marks its exclusions only.  A moving token writes them into
-its ``int`` over edge ids, read at each holder, where a chain would be
-walked anew.  A copy gets a link ``(route, holder, marks)`` to its sender's
-chain, ending in 0, not an ``int`` over every edge id (1 KB at 7 240 edges)
-for a few dozen marks.  Other routes are 0.  The pick steps over the
-excluded indices.
+are built from its out-row the first time a token stands there.  A token is
+its holder, its route and its exclusions, kept in parallel lists.  The
+exclusions are the holder's options the token may not take, as bits of their
+indices: derived from the route at its first hop from the holder, then
+updated with its sends.  A PATH route is an ``int`` over node positions
+(about 100 bytes at 771 students), which a sender marks each send in and a
+copy shares.  A TRAIL sender marks its exclusions only.  A moving token keeps
+them in a dict by holder, read at each holder, where a chain would be walked
+anew.  A copy gets a link ``(route, holder, marks)`` to its sender's chain,
+ending in 0, so its marks are shared and not copied.  Other routes are 0.
+The pick steps over the excluded indices.
 """
 
 from __future__ import annotations
@@ -141,57 +140,48 @@ class _RepOutcome:
 class _HopOptions(dict):
     """One source's hop options by node position, each built on first read.
 
-    ``self[u]`` holds the edge ids a token may take out of u before route
-    exclusions (all of them, or with ``dist``, the source's hop counts, those
-    into the next distance shell), their running weight totals, a mask and
-    ``full``, the bits of all k local indices.  A token's exclusions at u
-    are derived from its route: on a PATH the mask holds the bits of the
-    heads, which a row holds in ascending position order, so the rank of a
-    visited head's bit in the mask is its option's local index; on a TRAIL
-    (mask 0) they are an ``int`` route's k bits from ``base[u]`` on, u's edge
-    ids being consecutive, or the marks of a chain's latest link at u.
+    ``self[u]`` holds the positions a token may hop to from u before route
+    exclusions (u's out-row itself, or with ``dist``, the source's hop counts,
+    the part of it in the next distance shell), the indices of those options,
+    their running weight totals, a mask and ``full``, the bits of all k
+    indices.  A token's exclusions and a sender's marks at u are bits of
+    option indices.  On a PATH they are derived from the route: the mask holds
+    the bits of the heads, which a row holds in ascending position order, so
+    the rank of a visited head's bit in the mask is its option's index.  On a
+    TRAIL (mask 0) they are the marks made at u: a moving token's dict holds
+    them by holder, a chain in its latest link at u.
     """
 
-    def __init__(self, base: list[int], head: list[int], weight: list[int],
+    def __init__(self, out: Sequence[Sequence[int]], weights: Sequence[Sequence[int]],
                  trajectory: Trajectory, dist: Sequence[int | None] | None = None):
         super().__init__()
-        self.base, self.head, self.weight = base, head, weight
-        self.trajectory, self.dist = trajectory, dist
+        self.out, self.weights, self.trajectory, self.dist = out, weights, trajectory, dist
 
-    def __missing__(self, u: int) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
-        edges = range(self.base[u], self.base[u + 1])
-        dist = self.dist
+    def __missing__(self, u: int) -> tuple[Sequence[int], tuple[int, ...], tuple[int, ...], int, int]:
+        heads, weights, dist = self.out[u], self.weights[u], self.dist
         if dist is not None:
             d = dist[u]
-            edges = () if d is None else [e for e in edges if dist[self.head[e]] == d + 1]
-        edges = tuple(edges)
-        full = (1 << len(edges)) - 1
-        mask = 0
-        if self.trajectory is Trajectory.PATH:
-            for e in edges:
-                mask |= 1 << self.head[e]
-        totals = tuple(accumulate(map(self.weight.__getitem__, edges)))
-        option = self[u] = edges, totals, mask, full
+            shell = () if d is None else [k for k, v in enumerate(heads) if dist[v] == d + 1]
+            heads, weights = (tuple(row[k] for k in shell) for row in (heads, weights))
+        mask = sum(1 << v for v in heads) if self.trajectory is Trajectory.PATH else 0
+        option = self[u] = (heads, tuple(range(len(heads))), tuple(accumulate(weights)),
+                            mask, (1 << len(heads)) - 1)
         return option
 
 
 class _HopTable:
-    """The graph's out-edges as ints, and each source's :class:`_HopOptions`.
+    """The graph's out-rows and each source's :class:`_HopOptions`.
 
-    Out-edge k of node u has id ``base[u] + k`` (u's option k, but on a
-    GEODESIC), end ``head[e]`` and weight ``weight[e]``; ``options[s]``
-    holds source s's hop options, shared by every source unless the
-    trajectory is GEODESIC.  Building one validates ``spec`` on ``g``.
+    ``options[s]`` holds source s's hop options, shared by every source
+    unless the trajectory is GEODESIC.  Building one validates ``spec`` on
+    ``g``.
     """
 
     def __init__(self, g: SocialGraph, spec: FlowSpec):
         self.cap = spec.validate(g)
         index = g.index()
         self.nodes, self.position, self.out = g.nodes, index.position, index.out
-        self.base = list(accumulate(map(len, index.out), initial=0))
-        self.head = [v for nbrs in index.out for v in nbrs]
-        self.weight = [w for weights in index.out_weights for w in weights]
-        options = partial(_HopOptions, self.base, self.head, self.weight, spec.trajectory)
+        options = partial(_HopOptions, index.out, index.out_weights, spec.trajectory)
         sources = [self.position[s] for s in spec.sources]
         if spec.trajectory is not Trajectory.GEODESIC:
             self.options = dict.fromkeys(sources, options())
@@ -260,12 +250,11 @@ def _replicate(hops: _HopTable, spec: FlowSpec, rep_index: int,
     fresh = None if track_nodes or track_edges else 0
     # a sender excludes each option it sends on
     marking = track_edges or track_nodes
-    # a moving TRAIL token carries its send-marks on in its int route
+    # a moving TRAIL token keeps its send-marks in a dict by holder
     carries = track_edges and transfer
     # a duplicating one's route is a chain of (route, holder, marks) links
     chains = track_edges and not transfer
     target = -1 if spec.target is None else hops.position[spec.target]
-    base, head = hops.base, hops.head
     starts = [hops.position[s] for s in spec.sources]
     options = [hops.options[s] for s in starts]
 
@@ -279,7 +268,7 @@ def _replicate(hops: _HopTable, spec: FlowSpec, rep_index: int,
     # [lineage, holder, route] record, kept for route histories only
     lineages = [lineage for lineage in range(len(starts)) if lineage not in dead]
     at = [starts[lineage] for lineage in lineages]
-    routes = [1 << s if track_nodes else 0 for s in at]
+    routes = [1 << s if track_nodes else {} if carries else 0 for s in at]
     excluded = [fresh] * len(at)
     made = [[lineage, s, 1 << s if track_nodes else 0]
             for lineage, s in enumerate(starts)] if collect_histories else []
@@ -299,10 +288,10 @@ def _replicate(hops: _HopTable, spec: FlowSpec, rep_index: int,
             if target >= 0 and lineage in dead:
                 live -= 1
                 continue
-            edges, totals, mask, full = options[lineage][u]
+            heads, indices, totals, mask, full = options[lineage][u]
             if local is None:
                 if carries:
-                    local = route >> base[u] & full
+                    local = route.get(u, 0)
                 elif chains:
                     # the latest link made at u holds every mark made there
                     link = route
@@ -322,23 +311,22 @@ def _replicate(hops: _HopTable, spec: FlowSpec, rep_index: int,
                 live -= 1
                 continue
             if parallel:
-                chosen = edges if not local else [
-                    e for i, e in enumerate(edges) if not local >> i & 1]
+                chosen = indices if not local else [i for i in indices if not local >> i & 1]
             elif local or uniform or full == 1:
-                chosen = (edges[_pick(rng, totals, uniform, _bits(local))],)
+                chosen = (_pick(rng, totals, uniform, _bits(local)),)
             else:
                 i = bisect_right(totals, int(draw() * totals[-1]))
-                # past the end is the scan's fallthrough: the last edge
-                chosen = edges[i:i + 1] or edges[-1:]
-            for e in chosen:
-                v = head[e]
+                # past the end is the scan's fallthrough: the last option
+                chosen = indices[i:i + 1] or indices[-1:]
+            for i in chosen:
+                v = heads[i]
                 receipts[v] += 1
                 if arrival[v] is None:
                     arrival[v] = step
                 if track_nodes:
                     route |= 1 << v
                 if marking:
-                    local |= 1 << e - base[u]
+                    local |= 1 << i
                 # at the cap the delivery above still counts, but the copy
                 # is dropped, so the item cannot travel onward from v
                 if not transfer and live < cap:
@@ -354,7 +342,7 @@ def _replicate(hops: _HopTable, spec: FlowSpec, rep_index: int,
                     dead.add(lineage)
                     break
             if carries:
-                route |= local << base[u]
+                route[u] = local
             if collect_histories:
                 record[1:] = v if transfer else u, (route, u, local) if chains else route
                 records[kept] = record
@@ -389,22 +377,24 @@ def _replicate(hops: _HopTable, spec: FlowSpec, rep_index: int,
         dropped=dropped,
     )
     if collect_histories:
-        tail = [u for u, nbrs in enumerate(hops.out) for _ in nbrs]
         outcome.histories = [TokenRecord(
             spec.sources[lineage], nodes[u],
             frozenset(nodes[v] for v in _bits(route)) if track_nodes else frozenset(),
-            frozenset((nodes[tail[e]], nodes[head[e]]) for e in _used_edges(route, base))
+            frozenset((nodes[u], nodes[v]) for u, v in _used_edges(route, hops.out))
             if track_edges else frozenset()) for lineage, u, route in made]
     return outcome
 
 
-def _used_edges(route: int | tuple, base: list[int]) -> list[int]:
-    """The edge ids of a TRAIL route, an int or a chain of links, lowest first."""
-    edges = 0
+def _used_edges(route: int | tuple | dict,
+                out: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """The edges of a TRAIL route, a chain of links ending in 0 or a dict of
+    marks by holder, as pairs of positions."""
+    holders = []
     while isinstance(route, tuple):
         route, u, marks = route
-        edges |= marks << base[u]
-    return _bits(edges | route)
+        holders.append((u, marks))
+    holders += route.items() if route else ()
+    return [(u, out[u][i]) for u, marks in holders for i in _bits(marks)]
 
 
 def _bits(route: int) -> list[int]:

@@ -42,6 +42,11 @@ def default_stopwords() -> frozenset[str]:
 def tokenize(text: str, stopwords: frozenset[str] | set[str],
              min_len: int = MIN_LEN) -> list[str]:
     """Lowercase alphanumeric tokens, stopwords and short tokens removed."""
+    return _tokens(text, stopwords, require_count(min_len, "min_len"))
+
+
+def _tokens(text: str, stopwords: frozenset[str] | set[str], min_len: int) -> list[str]:
+    """:func:`tokenize` with ``min_len`` already checked."""
     return [t for t in _TOKEN_RE.findall(text.lower())
             if len(t) >= min_len and t not in stopwords]
 
@@ -54,10 +59,13 @@ def term_distribution(messages: Iterable[ForumMessage],
     Returns an empty mapping when nothing survives filtering; otherwise
     the probabilities sum to 1.
     """
-    # one tokenize call over the bodies joined by a space: a token never
-    # spans the space, so the counts are those of each body's tokens
-    return _distribution(Counter(tokenize(" ".join([msg.body for msg in messages]),
-                                          stopwords, min_len=min_len)))
+    return _distribution(Counter(tokenize(_joined(messages), stopwords, min_len)))
+
+
+def _joined(messages: Iterable[ForumMessage]) -> str:
+    """The bodies joined by a space: a token never spans the space, so the
+    join has each body's tokens."""
+    return " ".join([msg.body for msg in messages])
 
 
 def _distribution(counts: Counter[str]) -> dict[str, float]:
@@ -159,7 +167,7 @@ def build_skill_profiles(messages: Iterable[ForumMessage], k: int = SKILL_K,
         doc_terms: list[str] = []
         tokens_of: dict[StudentId, list[str]] = {author: [] for author in by_author}
         for m in msgs:
-            tokens = tokenize(m.body, stopwords, min_len=min_len)
+            tokens = _tokens(m.body, stopwords, min_len)
             doc_terms += set(tokens)
             tokens_of[m.author] += tokens
         n_docs = len(msgs)
@@ -167,8 +175,8 @@ def build_skill_profiles(messages: Iterable[ForumMessage], k: int = SKILL_K,
                for t, df in Counter(doc_terms).items()}
     profiles: dict[StudentId, SkillProfile] = {}
     for author in sorted(by_author):
-        dist = (_distribution(Counter(tokens_of.pop(author))) if use_idf
-                else term_distribution(by_author[author], stopwords, min_len=min_len))
+        dist = _distribution(Counter(tokens_of.pop(author) if use_idf
+                                     else _tokens(_joined(by_author[author]), stopwords, min_len)))
         if use_idf and dist:
             weighted = {t: p * idf[t] for t, p in dist.items()}
             total = left_sum(weighted.values())

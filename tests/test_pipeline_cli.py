@@ -418,6 +418,8 @@ COUNTS = [
     ("top_k_skills", "k", 1, lambda v: top_k_skills({"x": 1.0}, v)),
     ("build_skill_profiles", "k", 1, lambda v: build_skill_profiles([], k=v)),
     ("build_skill_profiles", "min_len", 1, lambda v: build_skill_profiles([], min_len=v)),
+    ("tokenize", "min_len", 1, lambda v: tokenize("hello world", set(), min_len=v)),
+    ("term_distribution", "min_len", 1, lambda v: term_distribution([], set(), min_len=v)),
     ("skill_partition", "n_groups", 1,
      lambda v: skill_partition([SkillProfile("a", (("x", 1.0),), 1)], v)),
     *(("SynthParams", name, 0, lambda v, name=name: _synth(**{name: v}))
@@ -1159,10 +1161,6 @@ LIBRARY_DEFAULTS = {
 }
 NO_LIBRARY_DEFAULT = {"seed", "n_groups", "run_diffusion", "diffusion_mechanism",
                       "diffusion_trajectory", "diffusion_replications"}
-
-
-def _default(fn, name):
-    return inspect.signature(fn).parameters[name].default
 
 
 def _cli_default(argv, name):
