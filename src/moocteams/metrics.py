@@ -348,8 +348,10 @@ def brokerage_counts(g: SocialGraph,
     brokers equal the number of such paths in the graph.  A broker's counts
     are products of its in- and out-neighbours tallied by group, less the
     round trips i -> b -> i through its mutual neighbours: exact ints.
+    ``partition`` must label each student of ``g`` and no one else.
     """
     require_known(g.nodes, partition, context="partition")
+    require_known(partition, g)
     labels: dict[str, int] = {}
     group = [labels.setdefault(partition[node], len(labels)) for node in g.nodes]
     of = group.__getitem__

@@ -50,7 +50,8 @@ from .skills import (MIN_LEN, SKILL_BETA, SKILL_K, USE_IDF, SkillProfile,
                      build_skill_profiles, check_beta, refine_by_rank, skill_partition,
                      write_partition_json, write_skills_json)
 from .teams import (ALLOW_OVERSIZE, ITERATIONS, RESTARTS, S_MAX, S_MIN, ObjectiveWeights,
-                    TeamAssignment, check_size_bounds, form_teams, write_roster_json)
+                    TeamAssignment, check_size_bounds, form_teams, team_sizes,
+                    write_roster_json)
 
 MANIFEST_NAME = "manifest.json"
 TIMINGS_NAME = "timings.json"
@@ -366,9 +367,10 @@ def run_pipeline(config: RunConfig) -> PipelineResult:
 
     with stage("teams") as st:
         assignment = None
-        if g.node_count < config.s_min:
-            st.skip_reason = (f"{g.node_count} students cannot fill a team "
-                              f"of {config.s_min}")
+        try:
+            team_sizes(g.node_count, config.s_min, config.s_max, config.allow_oversize)
+        except ParameterError as refusal:  # no roster fits this cohort
+            st.skip_reason = str(refusal)
         else:
             assignment = teams_stage(g, metrics, config)
             st.write(write_roster_json, assignment)

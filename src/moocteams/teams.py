@@ -9,7 +9,10 @@ small-instance oracle.
 
 What a roster may be is stated once, here: :func:`check_size_bounds` and
 :func:`check_roster`, which the search, the objective, the roster reader
-and ``RunConfig.validate`` all call.
+and ``RunConfig.validate`` all call, and ``_sizes_feasible``, the size rule
+the search keeps and the roster reader applies.  Whether any roster fits a
+cohort is :func:`team_sizes`' answer alone: the search, the exhaustive
+oracle and the pipeline's teams stage ask it.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ from .errors import (DataFormatError, ParameterError, require_count, require_dis
                      require_known, require_real)
 from .formats import json_field, read_json, refused_as, write_json
 from .graph import SocialGraph, StudentId
-from .metrics import BrokerageCounts, NodeMetrics, left_sum
+from .metrics import ROLE_NAMES, BrokerageCounts, NodeMetrics, left_sum
 
-_LOG5 = math.log(5.0)
+_LOG5 = math.log(len(ROLE_NAMES))
 _Terms = tuple[float, float, tuple[int, int, int, int, int]]
 
 #: Search defaults: size bounds, climbs per team count, proposals per climb.
@@ -96,13 +99,6 @@ def check_roster(teams: Sequence[Sequence[StudentId]]) -> None:
     require_distinct(itertools.chain.from_iterable(teams), "the roster")
 
 
-def _validate_bounds(n: int, s_min: int, s_max: int) -> tuple[int, int]:
-    s_min, s_max = check_size_bounds(s_min, s_max)
-    if n < s_min:
-        raise ParameterError(f"{n} students cannot fill a team of size {s_min}")
-    return s_min, s_max
-
-
 def _sizes_feasible(sizes: Sequence[int], n: int, s_min: int, s_max: int,
                     allow_oversize: bool) -> bool:
     # at most one team may fall outside [s_min, s_max]: either a small
@@ -129,9 +125,13 @@ def team_sizes(n: int, s_min: int, s_max: int,
 
     Fills teams of s_max; a residue becomes one smaller final team of at
     least 2 (borrowing a member when the residue is 1), or with
-    ``allow_oversize`` is absorbed into one enlarged team.
+    ``allow_oversize`` is absorbed into one enlarged team.  ParameterError
+    where no roster fits: the bounds are bad, or the cohort cannot fill one
+    team or leaves a student over from every split.
     """
-    s_min, s_max = _validate_bounds(n, s_min, s_max)
+    s_min, s_max = check_size_bounds(s_min, s_max)
+    if n < s_min:
+        raise ParameterError(f"{n} students cannot fill a team of size {s_min}")
     q, r = divmod(n, s_max)
     if r == 0:
         return [s_max] * q
@@ -172,21 +172,14 @@ def _feasible_team_counts(n: int, s_min: int, s_max: int,
 def _candidate_team_counts(n: int, s_min: int, s_max: int,
                            allow_oversize: bool) -> list[int]:
     """The three feasible team counts nearest ``team_sizes``' count, the
-    smaller first on a tie, scanned outward from it (from the middle
-    feasible count when it has no answer)."""
-    try:
-        anchor = len(team_sizes(n, s_min, s_max, allow_oversize))
-    except ParameterError:
-        feasible = _feasible_team_counts(n, s_min, s_max, allow_oversize)
-        anchor = feasible[len(feasible) // 2] if feasible else 0
+    smaller first on a tie, scanned outward from it.  Where ``team_sizes``
+    refuses the cohort its ParameterError propagates: no count is feasible
+    there, and where it answers, its own count is."""
+    anchor = len(team_sizes(n, s_min, s_max, allow_oversize))
     outward = sorted(range(1, n // 2 + 1), key=lambda k: (abs(k - anchor), k))
-    counts = list(itertools.islice(
+    return sorted(itertools.islice(
         (k for k in outward
          if _initial_sizes(n, k, s_min, s_max, allow_oversize) is not None), 3))
-    if not counts:
-        raise ParameterError(
-            f"no feasible team sizes for n={n} within [{s_min}, {s_max}]")
-    return sorted(counts)
 
 
 # -- per-team scoring --------------------------------------------------------
@@ -355,9 +348,9 @@ def form_teams(g: SocialGraph, metrics: Mapping[StudentId, NodeMetrics],
     seed = require_count(seed, "seed", least=0)
     nodes = list(g.nodes)
     n = len(nodes)
-    s_min, s_max = _validate_bounds(n, s_min, s_max)
-    table = _term_table(g, metrics)
+    s_min, s_max = check_size_bounds(s_min, s_max)
     counts = _candidate_team_counts(n, s_min, s_max, allow_oversize)
+    table = _term_table(g, metrics)
     cuts = [list(itertools.accumulate(
         _initial_sizes(n, k, s_min, s_max, allow_oversize), initial=0)) for k in counts]
 
@@ -508,18 +501,15 @@ def brute_force_teams(g: SocialGraph, metrics: Mapping[StudentId, NodeMetrics],
     n = len(nodes)
     if n > 10:
         raise ParameterError(f"brute force is limited to 10 nodes, got {n}")
-    s_min, s_max = _validate_bounds(n, s_min, s_max)
+    s_min, s_max = check_size_bounds(s_min, s_max)
+    team_sizes(n, s_min, s_max, allow_oversize)  # refuses a cohort no roster fits
     table = _term_table(g, metrics)
-    best = min((_assignment(partition, _balances(partition, table), table, weights,
+    return min((_assignment(partition, _balances(partition, table), table, weights,
                             s_min, s_max, allow_oversize, 0)
                 for k in _feasible_team_counts(n, s_min, s_max, allow_oversize)
                 for sizes in _feasible_size_vectors(n, k, s_min, s_max, allow_oversize)
                 for partition in enumerate_partitions(nodes, sizes)),
-               key=_rank, default=None)
-    if best is None:
-        raise ParameterError(
-            f"no feasible team sizes for n={n} within [{s_min}, {s_max}]")
-    return best
+               key=_rank)
 
 
 # -- serialization -----------------------------------------------------------
@@ -541,7 +531,8 @@ def write_roster_json(assignment: TeamAssignment, stream) -> None:
 
 def read_roster_json(stream) -> TeamAssignment:
     """Inverse of :func:`write_roster_json`; a field not of the JSON type
-    written there, or a roster :func:`check_roster` or form_teams refuses, is an error."""
+    written there, a roster :func:`check_roster` or form_teams refuses, or team
+    sizes that break the roster's own bounds, is an error."""
     payload = read_json(stream, "roster")
     with refused_as("bad roster JSON structure"):
         teams = payload["teams"]
@@ -560,6 +551,9 @@ def read_roster_json(stream) -> TeamAssignment:
             s_min=field("params.s_min", int), s_max=field("params.s_max", int),
             allow_oversize=field("params.allow_oversize", bool), seed=field("seed", int))
         assignment.weights.validate()
-        check_size_bounds(assignment.s_min, assignment.s_max)
+        s_min, s_max = check_size_bounds(assignment.s_min, assignment.s_max)
         check_roster(assignment.teams)
+        sizes = [len(team) for team in assignment.teams]
+        if not _sizes_feasible(sizes, sum(sizes), s_min, s_max, assignment.allow_oversize):
+            raise ParameterError(f"team sizes {sizes} break the roster's own params")
     return assignment

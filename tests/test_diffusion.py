@@ -288,6 +288,8 @@ def test_typology_report_shape_and_nan_cells():
     assert matrix.columns == ("closeness", "eigencentrality", "pagerank", "degree")
     assert all(len(row) == 4 for row in matrix.values)
     assert all(math.isnan(c) for row in matrix.values for c in row)
+    with pytest.raises(ParameterError, match="at least one flow spec"):
+        typology_report(g, [], metrics)
 
     connected = random_digraph(12, 0.5, seed=1)
     metrics = compute_node_metrics(connected)

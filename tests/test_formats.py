@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import json
 import math
 
@@ -265,6 +266,29 @@ def test_report_refuses_a_roster_out_of_the_writers_range(tmp_path, capsys, path
     err = _report_refuses(tmp_path, capsys, _roster_with(path, value),
                           ["--dot-out", str(dot)], dot)
     assert "bad roster JSON structure: " in err
+
+
+# a roster whose team sizes its own params refuse, on a graph holding every
+# member; the one size-feasible roster draws
+@pytest.mark.parametrize("sizes, oversize, refused", [
+    ((2, 2, 6), False, True), ((3, 3, 4), False, True), ((3, 3, 4), True, False)])
+def test_report_applies_a_rosters_own_size_rule(tmp_path, capsys, sizes, oversize, refused):
+    students = [f"s{k}" for k in range(10)]
+    graph, path, dot = tmp_path / "graph.csv", tmp_path / "teams.json", tmp_path / "graph.dot"
+    graph.write_text("src,dst,weight\n" + "".join(
+        f"{u},{v},1\n" for u, v in zip(students, students[1:])), encoding="utf-8")
+    cuts = list(itertools.accumulate(sizes, initial=0))
+    roster = {**ROSTER, "teams": [students[a:b] for a, b in itertools.pairwise(cuts)],
+              "params": {**ROSTER["params"], "s_min": 3, "s_max": 3,
+                         "allow_oversize": oversize}}
+    path.write_text(json.dumps(roster), encoding="utf-8")
+    argv = ["report", "--graph", str(graph), "--teams", str(path), "--dot-out", str(dot)]
+    assert main(argv) == (2 if refused else 0)
+    err = capsys.readouterr().err
+    if refused:
+        assert err == (f"error: bad roster JSON structure: team sizes {list(sizes)} "
+                       "break the roster's own params\n")
+    assert dot.exists() is not refused
 
 
 def test_report_refuses_a_roster_with_every_range_wrong(tmp_path, capsys):

@@ -21,6 +21,15 @@ def test_nodes_are_sorted_and_include_isolates():
     assert g.degree("z") == 0
 
 
+def test_a_graph_equals_only_graphs_and_has_no_hash():
+    g = SocialGraph({("a", "b"): 1})
+    assert g == SocialGraph({("a", "b"): 1})
+    assert (g == 1) is False
+    with pytest.raises(TypeError, match="not hashable"):
+        hash(g)
+    assert repr(g) == "SocialGraph(nodes=2, edges=1)"
+
+
 def test_edge_accessors():
     g = SocialGraph({("a", "b"): 3, ("b", "a"): 1, ("a", "c"): 2})
     assert g.weight("a", "b") == 3

@@ -56,12 +56,21 @@ def test_parse_skips_malformed_and_duplicates():
     assert [m.id for m in result.messages] == ["m1", "m3", "m4", "m5"]
 
 
-@pytest.mark.parametrize("field", ["parent_id", "author", "body"])
+@pytest.mark.parametrize("field", ["parent_id", "author", "body", "id", "thread_id"])
 @pytest.mark.parametrize("value", [7, ["m0"], {"id": "m0"}])
 def test_parse_skips_a_line_whose_text_field_is_not_a_string(field, value):
     result = parse_forum_export([_line(id="m0"), _line(**{field: value})])
     assert (result.parsed, result.skipped) == (1, 1)
     assert [m.id for m in result.messages] == ["m0"]
+
+
+@pytest.mark.parametrize("field", ["id", "thread_id"])
+def test_parse_skips_a_line_whose_id_or_thread_is_missing_or_empty(field):
+    missing = {k: v for k, v in json.loads(_line(id="m1")).items() if k != field}
+    result = parse_forum_export([_line(id="m0"), _line(id="m2"), _line(**{field: ""}),
+                                 json.dumps(missing)])
+    assert (result.parsed, result.skipped) == (2, 2)
+    assert [m.id for m in result.messages] == ["m0", "m2"]
 
 
 # three good lines, so that one malformed line more is not a wrong file

@@ -261,6 +261,30 @@ def test_pipeline_small_corpus_skips_teams_and_diffusion(tmp_path):
     assert not (out / "teams.json").exists()
 
 
+# on the 20-student corpus: 19s leave one student over, and 21 fill no team
+@pytest.mark.parametrize("s_min, s_max, reason", [
+    (19, 19, "no feasible team sizes for n=20 within [19, 19]"),
+    (21, 25, "20 students cannot fill a team of size 21")])
+def test_pipeline_skips_teams_where_no_roster_fits(tmp_path, capsys, s_min, s_max, reason):
+    corpus, out, roster = tmp_path / "corpus.jsonl", tmp_path / "run", tmp_path / "teams.json"
+    _corpus(corpus)
+    sizes = ["--s-min", str(s_min), "--s-max", str(s_max)]
+    assert main(["pipeline", "--input", str(corpus), "--output-dir", str(out),
+                 "--seed", "1", *sizes]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    teams = {s["name"]: s for s in manifest["stages"]}["teams"]
+    assert manifest["status"] == "complete"
+    assert (teams["status"], teams["reason"]) == ("skipped", reason)
+    assert (out / "trace.csv").exists() and (out / "graph.dot").exists()
+    assert not (out / "teams.json").exists()
+    capsys.readouterr()
+    # the teams command refuses the same cohort and writes nothing
+    assert main(["teams", "--graph", str(out / "graph.csv"), "--metrics",
+                 str(out / "metrics.csv"), "--output", str(roster), *sizes]) == 2
+    assert capsys.readouterr().err == f"error: {reason}\n"
+    assert not roster.exists()
+
+
 def test_pipeline_failure_removes_partial_artifacts(tmp_path):
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text("this is not json\nneither is this\n")

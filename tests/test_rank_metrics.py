@@ -61,6 +61,11 @@ def test_pagerank_rejects_bad_damping():
         pagerank(g, damping=-0.1)
 
 
+def test_pagerank_refuses_a_graph_with_no_students():
+    with pytest.raises(ParameterError, match="empty graph"):
+        pagerank(SocialGraph({}))
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
 def test_solvers_reject_non_finite_or_non_positive_tol(tol):
     g = SocialGraph({("a", "b"): 1, ("b", "c"): 2})

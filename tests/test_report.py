@@ -44,6 +44,7 @@ def test_opinions_jsonl_round_trip_and_errors():
     write_opinions_jsonl(records, buf)
     buf.seek(0)
     assert read_opinions_jsonl(buf) == records
+    assert read_opinions_jsonl(io.StringIO("\n" + buf.getvalue() + " \t\n")) == records
     with pytest.raises(DataFormatError) as err:
         read_opinions_jsonl(io.StringIO('{"entity": "x"}\n'))
     assert "line 1" in str(err.value)

@@ -106,6 +106,11 @@ def test_rewire_rejects_non_finite_settings(value):
             graph_objective(g, **{setting: value})
 
 
+def test_objective_refuses_a_graph_with_no_students():
+    with pytest.raises(ParameterError, match="empty graph"):
+        graph_objective(SocialGraph({}))
+
+
 def test_objective_prefers_clustered_short_graphs():
     # complete triad: clustering 1, all distances 1
     complete = SocialGraph({(u, v): 1 for u in "abc" for v in "abc" if u != v})

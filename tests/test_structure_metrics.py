@@ -181,6 +181,8 @@ def test_brokerage_partition_must_cover_nodes():
     g = SocialGraph({("a", "b"): 1, ("b", "c"): 1})
     with pytest.raises(MissingNodeError):
         brokerage_counts(g, {"a": "g0", "b": "g0"})
+    with pytest.raises(MissingNodeError, match="zz"):
+        brokerage_counts(g, {"a": "g0", "b": "g1", "c": "g0", "zz": "g1"})
 
 
 @settings(max_examples=30, deadline=None)

@@ -73,6 +73,8 @@ def test_enumerate_partition_counts():
     # 6 students into two triples: 10 distinct splits
     assert sum(1 for _ in enumerate_partitions(list("abcdef"), [3, 3])) == 10
     assert sum(1 for _ in enumerate_partitions(list("abcde"), [3, 2])) == 10
+    with pytest.raises(ParameterError, match="sum to the number of nodes"):
+        next(enumerate_partitions(list("abcde"), [3, 3]))
 
 
 def test_enumerate_partitions_are_exhaustive_and_distinct():
@@ -110,6 +112,18 @@ def test_structural_hole_score_uses_constraint():
     # members with undefined constraint count as unconstrained (score 1)
     assert structural_hole_score(g, ("a", "lone"), metrics) == \
         pytest.approx((1 / 2.125 + 1.0) / 2)
+
+
+def test_team_terms_refuse_too_small_a_team():
+    g = SocialGraph({("a", "b"): 1, ("b", "a"): 1})
+    metrics = compute_node_metrics(g)
+    for team in ((), ("a",)):
+        with pytest.raises(ParameterError, match="at least 2"):
+            collaboration_cost(g, team, metrics)
+    with pytest.raises(ParameterError, match="non-empty team"):
+        structural_hole_score(g, (), metrics)
+    with pytest.raises(ParameterError, match="non-empty team"):
+        brokerage_balance((), {v: metrics[v].brokerage for v in g.nodes})
 
 
 def test_brokerage_balance_entropy():
@@ -249,8 +263,13 @@ def test_outward_team_count_search_matches_the_full_scan():
             for s_max in range(1, 14):
                 for oversize in (False, True):
                     args = (n, s_min, s_max, oversize)
-                    assert outcome(_candidate_team_counts, *args) == \
-                        outcome(_full_scan_team_counts, *args), args
+                    if s_min < 2 or s_max < s_min or n < s_min:
+                        # form_teams refuses these bounds before it asks for counts
+                        with pytest.raises(ParameterError):
+                            _candidate_team_counts(*args)
+                    else:
+                        assert outcome(_candidate_team_counts, *args) == \
+                            outcome(_full_scan_team_counts, *args), args
 
 
 def test_objective_validates():
